@@ -12,71 +12,6 @@ from __future__ import annotations
 import statistics
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-#: Per-layer fields of the traced run: (name, unit, better).  A layer
-#: the workload does not exercise reports 0.  The ``kernel.*``,
-#: ``campaign.*`` and ``accuracy.*`` counts and
-#: ``service.vectors_per_chunk`` are exact: two runs of one seed must
-#: agree on them digit for digit.
-PER_LAYER: Tuple[Tuple[str, str, str], ...] = (
-    ("circuit.build_ms", "ms", "lower"),
-    ("circuit.compile_ms", "ms", "lower"),
-    ("kernel.us_per_event", "us", "lower"),
-    ("kernel.events_executed", "count", "lower"),
-    ("kernel.events_filtered", "count", "lower"),
-    ("kernel.transitions_degraded", "count", "lower"),
-    ("kernel.transitions_fully_degraded", "count", "lower"),
-    ("kernel.events_per_vector", "count", "lower"),
-    ("dcinit.us_per_vector", "us", "lower"),
-    ("result.us_per_vector", "us", "lower"),
-    ("batch.overhead_us_per_vector", "us", "lower"),
-    ("service.spawn_ms", "ms", "lower"),
-    ("service.queue_wait_ms_p50", "ms", "lower"),
-    ("service.ipc_us_per_chunk", "us", "lower"),
-    ("service.vectors_per_chunk", "count", "higher"),
-    ("service.worker_busy_frac", "ratio", "higher"),
-    ("service.requeued", "count", "lower"),
-    ("service.restarts", "count", "lower"),
-    ("codec.encode_us_per_vector", "us", "lower"),
-    ("codec.decode_us_per_vector", "us", "lower"),
-    ("server.register_ms", "ms", "lower"),
-    ("server.request_ms_p50", "ms", "lower"),
-    ("server.wire_us_per_frame", "us", "lower"),
-    ("server.overhead_vs_inprocess_us_per_vector", "us", "lower"),
-    ("server.busy_rejections", "count", "lower"),
-    ("frame.batch_p50_ms", "ms", "lower"),
-    ("frame.batch_p95_ms", "ms", "lower"),
-    ("frame.vector_p50_ms", "ms", "lower"),
-    ("frame.vector_p95_ms", "ms", "lower"),
-    ("inject.us_per_mutant", "us", "lower"),
-    ("campaign.golden_ms", "ms", "lower"),
-    ("campaign.classify_us_per_mutant", "us", "lower"),
-    ("campaign.detected", "count", "higher"),
-    ("campaign.latent", "count", "lower"),
-    ("campaign.masked", "count", "lower"),
-    ("campaign.silent", "count", "lower"),
-    ("alt.vector_us_per_vector", "us", "lower"),
-    ("alt.bitparallel_us_per_vector", "us", "lower"),
-    ("accuracy.seq1.ddm_events", "count", "lower"),
-    ("accuracy.seq1.ddm_filtered", "count", "higher"),
-    ("accuracy.seq1.cdm_events", "count", "lower"),
-    ("accuracy.seq1.cdm_filtered", "count", "higher"),
-    ("accuracy.seq2.ddm_events", "count", "lower"),
-    ("accuracy.seq2.ddm_filtered", "count", "higher"),
-    ("accuracy.seq2.cdm_events", "count", "lower"),
-    ("accuracy.seq2.cdm_filtered", "count", "higher"),
-    ("trace.overhead_pct", "%", "lower"),
-)
-
-#: End-to-end metrics of the timed run: (name, unit).
-END_TO_END: Tuple[Tuple[str, str], ...] = (
-    ("setup_s", "s"),
-    ("events_per_s", "1/s"),
-    ("vectors_per_s", "1/s"),
-    ("op_p50_ms", "ms"),
-    ("op_p95_ms", "ms"),
-    ("peak_rss_mb", "MB"),
-)
-
 
 def percentile(values: Sequence[float], pct: float) -> float:
     """Linear-interpolation percentile (``pct`` in 0..100)."""

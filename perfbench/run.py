@@ -6,13 +6,13 @@ Run from the root of a checkout::
 
 ``--trace 0`` measures the end-to-end metrics; ``--trace 1`` runs the
 same workload once untraced and once with spans recorded around every
-call into the program, and reports the per-layer metrics instead (see
-``layers.PER_LAYER``) plus the tracing overhead.  The last line of
-standard output is one JSON object: ``correct``, ``attempted``,
-``failed`` and ``metrics`` (each ``{"value": ..., "unit": ...}``).
-Everything printed before it, and the record written to
-``.perfbench/``, is for people: provenance, the Table 1 accuracy check
-and, for traced runs, every span.
+call into the program, and reports the per-layer metrics instead plus
+the tracing overhead.  Both lists, with their units, are read from
+``BENCHMARK.json`` at the checkout root.  The last line of standard
+output is one JSON object: ``correct``, ``attempted``, ``failed`` and
+``metrics`` (each ``{"value": ..., "unit": ...}``).  Everything printed
+before it, and the record written to ``.perfbench/``, is for people:
+provenance, the Table 1 accuracy check and, for traced runs, every span.
 
 The load generator is this one process: one thread, and one client
 connection on ``served-batches``.  Service pools get
@@ -32,7 +32,7 @@ import resource
 import statistics
 import sys
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -40,7 +40,7 @@ SRC = os.path.join(ROOT, "src")
 OUT_DIR = os.path.join(ROOT, ".perfbench")
 
 #: Cold set-ups per run; ``setup_s`` is their median.
-SETUP_REPEATS = 5
+SETUP_REPEATS = 9
 #: Threads the load generator drives the program from.
 CLIENT_THREADS = 1
 #: Consecutive failed operations after which a run stops early.
@@ -74,6 +74,74 @@ def load_program() -> None:
               "root of a full checkout", file=sys.stderr)
         sys.exit(2)
     sys.path.insert(0, SRC)
+
+
+def metric_lists() -> Tuple[List[Tuple[str, str]], List[Tuple[str, str]]]:
+    """``(name, unit)`` of the end-to-end and of the per-layer metrics,
+    as ``BENCHMARK.json`` lists them."""
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
+        spec = json.load(handle)
+    return tuple(  # type: ignore[return-value]
+        [(metric["name"], metric["unit"]) for metric in spec[key]]
+        for key in ("end_to_end", "per_layer")
+    )
+
+
+def in_child(call):
+    """``call()`` computed in a forked child process, whose memory does
+    not count toward this process's peak; its result must pickle."""
+    context = multiprocessing.get_context("fork")
+    receiver, sender = context.Pipe(duplex=False)
+
+    def target():
+        try:
+            sender.send((True, call()))
+        except BaseException as exc:  # noqa: BLE001 - re-raised below
+            sender.send((False, "%s: %s" % (type(exc).__name__, exc)))
+
+    child = context.Process(target=target)
+    child.start()
+    sender.close()
+    try:
+        ok, value = receiver.recv()
+    finally:
+        receiver.close()
+        child.join()
+    if not ok:
+        raise RuntimeError("expected outputs not computed: " + value)
+    return value
+
+
+def cpu_seconds() -> float:
+    """CPU time used so far by this process (every thread, the
+    in-process server's included) and by its live pool workers.
+
+    The benchmark reports CPU time rather than wall time because it runs
+    on shared virtual machines whose vCPUs the host takes away for
+    seconds at a time (up to half of them, measured): wall-clock
+    operation times then double, while CPU time does not count the
+    stolen time.  A worker's time is read from its threads'
+    ``/proc/<pid>/task/*/schedstat`` (nanoseconds on the CPU).
+    """
+    total = time.process_time()
+    for child in multiprocessing.active_children():
+        tasks = "/proc/%d/task" % child.pid
+        try:
+            for task in os.listdir(tasks):
+                with open(os.path.join(tasks, task, "schedstat")) as handle:
+                    total += int(handle.read().split()[0]) / 1e9
+        except (OSError, ValueError):
+            continue
+    return total
+
+
+def steal_ticks() -> int:
+    """Clock ticks the host has taken from this machine's vCPUs."""
+    try:
+        with open("/proc/stat") as handle:
+            return int(handle.readline().split()[8])
+    except (OSError, IndexError, ValueError):
+        return 0
 
 
 def shm_segments() -> List[str]:
@@ -176,17 +244,29 @@ class Window:
     """Operations of one measuring window."""
 
     def __init__(self):
+        #: wall and CPU seconds of each operation that succeeded.
         self.latencies: List[float] = []
+        self.cpu_times: List[float] = []
         self.vectors = 0
         self.events = 0
         self.attempted = 0
         self.failures: List[str] = []
         self.start = time.perf_counter()
         self.wall = 0.0
+        self.steal = steal_ticks()
 
     @property
     def busy(self) -> float:
         return sum(self.latencies)
+
+    def finish(self) -> None:
+        self.wall = time.perf_counter() - self.start
+        self.steal = steal_ticks() - self.steal
+
+    def steal_pct(self, nproc: int) -> float:
+        """Share of the machine's vCPU time the host took meanwhile."""
+        ticks = os.sysconf("SC_CLK_TCK") * self.wall * nproc
+        return 100.0 * self.steal / ticks if ticks else 0.0
 
 
 def measure(workload, tracer, seconds: float, first: int) -> Window:
@@ -200,12 +280,14 @@ def measure(workload, tracer, seconds: float, first: int) -> Window:
     while True:
         error = None
         with tracer.span("op", op=index):
+            cpu_start = cpu_seconds()
             start = time.perf_counter()
             try:
                 output = workload.operation(index)
             except Exception as exc:  # noqa: BLE001 - counted, then reported
                 error = exc
             elapsed = time.perf_counter() - start
+            cpu = cpu_seconds() - cpu_start
         window.attempted += 1
         if error is None:
             with tracer.span("check", op=index):
@@ -215,6 +297,7 @@ def measure(workload, tracer, seconds: float, first: int) -> Window:
         if ok:
             consecutive = 0
             window.latencies.append(elapsed)
+            window.cpu_times.append(cpu)
             window.vectors += vectors
             window.events += events
         else:
@@ -232,7 +315,7 @@ def measure(workload, tracer, seconds: float, first: int) -> Window:
             window.failures.append("stopped after %d failures in a row"
                                    % consecutive)
             break
-    window.wall = time.perf_counter() - window.start
+    window.finish()
     return window
 
 
@@ -256,11 +339,20 @@ def circuit_costs(width: int) -> Dict[str, float]:
 
 
 def peak_rss_mb() -> float:
-    """Peak resident set of this process plus that of its largest
-    reaped child (a pool worker), in MiB."""
-    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    children = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-    return (own + children) / 1024.0
+    """Peak resident set, in MiB, of the largest process that runs the
+    program: this one, or one of its live pool workers.  A forked
+    worker's peak already covers the parent pages it shares, so the two
+    are compared, not added."""
+    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    for child in multiprocessing.active_children():
+        try:
+            with open("/proc/%d/status" % child.pid) as handle:
+                for line in handle:
+                    if line.startswith("VmHWM:"):
+                        peak_kib = max(peak_kib, int(line.split()[1]))
+        except OSError:
+            continue
+    return peak_kib / 1024.0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -268,8 +360,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     nproc = available_cpus()
     workers = min(2, nproc)
     load_program()
+    end_to_end, per_layer_names = metric_lists()
 
-    from layers import END_TO_END, PER_LAYER, Delta, percentile
+    from layers import Delta, percentile
     from tracing import Tracer
     from workloads import WORKLOADS, accuracy_table
 
@@ -292,9 +385,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     attempted = 0
 
     # Inputs, the paper-accuracy check and the expected outputs: all
-    # before any timer starts.
+    # before any timer starts, the latter two in a child process so that
+    # peak_rss_mb covers only the program's own set-up and operations.
     workload.build_inputs()
-    accuracy_fields, accuracy_rows, mismatches = accuracy_table()
+    accuracy_fields, accuracy_rows, mismatches, workload.expected = in_child(
+        lambda: accuracy_table() + (workload.compute_oracle(),)
+    )
     attempted += 1
     if mismatches:
         failures.append("Table 1: compiled differs from reference on %d "
@@ -305,17 +401,20 @@ def main(argv: Optional[List[str]] = None) -> int:
               "[%(paper_events)d]  filtered %(filtered)d "
               "[%(paper_filtered)d]" % row)
     record["accuracy"] = accuracy_rows
-    workload.compute_oracle()
 
-    setup_seconds: List[float] = []
+    setup_cpu: List[float] = []
+    setup_wall: List[float] = []
     per_layer: Dict[str, float] = {}
     windows: List[Window] = []
+    rss_mb = 0.0
     try:
         for repeat in range(SETUP_REPEATS):
+            cpu_start = cpu_seconds()
             start = time.perf_counter()
             with tracer.span("setup"):
                 workload.setup()
-            setup_seconds.append(time.perf_counter() - start)
+            setup_wall.append(time.perf_counter() - start)
+            setup_cpu.append(cpu_seconds() - cpu_start)
             attempted += 1
             if not workload.check(0, workload.warmup_output)[0]:
                 failures.append("set-up %d: warm-up output differs from "
@@ -335,21 +434,32 @@ def main(argv: Optional[List[str]] = None) -> int:
             workload.window_busy = window.busy
             workload.window_vectors = max(window.vectors, 1)
             windows = [plain, window]
-            per_layer = {name: 0.0 for name, _unit, _better in PER_LAYER}
+            per_layer = {name: 0.0 for name, _unit in per_layer_names}
             per_layer.update(accuracy_fields)
             per_layer.update(circuit_costs(cls.WIDTH))
             per_layer.update(workload.probe(Delta(before, after), window.wall))
             per_layer.update(workload.kernel_fields())
             attempted += workload.probe_checks
             failures.extend(workload.probe_failures)
-            if plain.latencies and window.latencies:
+            # Wall-clock figures of the untraced half, for people: they
+            # swing with the host's load, so they carry no bound.
+            if plain.latencies:
+                per_layer.update({
+                    "wall.setup_s": statistics.median(setup_wall),
+                    "wall.op_p50_ms": 1e3 * percentile(plain.latencies, 50),
+                    "wall.op_p95_ms": 1e3 * percentile(plain.latencies, 95),
+                    "wall.vectors_per_s": plain.vectors / plain.busy,
+                    "wall.steal_pct": plain.steal_pct(nproc),
+                })
+            if plain.cpu_times and window.cpu_times:
                 per_layer["trace.overhead_pct"] = 100.0 * (
-                    statistics.median(window.latencies)
-                    / statistics.median(plain.latencies) - 1.0
+                    statistics.median(window.cpu_times)
+                    / statistics.median(plain.cpu_times) - 1.0
                 )
         else:
             window = measure(workload, tracer, args.seconds, 1)
             windows = [window]
+            rss_mb = peak_rss_mb()
     finally:
         attempted += 1
         failures.extend(workload.teardown() + leftovers())
@@ -360,19 +470,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     failed = len(failures)
 
     if args.trace:
-        names = [(name, unit) for name, unit, _better in PER_LAYER]
+        names = per_layer_names
         values = per_layer
     else:
-        names = list(END_TO_END)
-        latencies = window.latencies or [window.wall]
-        busy = window.busy or window.wall
+        names = end_to_end
+        cpu_times = window.cpu_times or [window.wall]
+        cpu_busy = sum(cpu_times)
         values = {
-            "setup_s": statistics.median(setup_seconds),
-            "events_per_s": window.events / busy,
-            "vectors_per_s": window.vectors / busy,
-            "op_p50_ms": 1e3 * percentile(latencies, 50),
-            "op_p95_ms": 1e3 * percentile(latencies, 95),
-            "peak_rss_mb": peak_rss_mb(),
+            "setup_s": statistics.median(setup_cpu),
+            "events_per_cpu_s": window.events / cpu_busy,
+            "vectors_per_cpu_s": window.vectors / cpu_busy,
+            "op_cpu_p50_ms": 1e3 * percentile(cpu_times, 50),
+            "op_cpu_p90_ms": 1e3 * percentile(cpu_times, 90),
+            "peak_rss_mb": rss_mb,
         }
     metrics = {
         name: {"value": float(values[name]), "unit": unit}
@@ -383,14 +493,17 @@ def main(argv: Optional[List[str]] = None) -> int:
           % (attempted, failed, failed / attempted))
     for problem in failures:
         print("  failure: %s" % problem)
-    print("timed operations: %d in %.2f s"
-          % (len(window.latencies), window.wall))
+    print("timed operations: %d in %.2f s; wall p50 %.3f ms; host took "
+          "%.1f%% of the vCPU time" % (
+              len(window.latencies), window.wall,
+              1e3 * percentile(window.latencies, 50), window.steal_pct(nproc)))
     for name, unit in names:
         print("  %-44s %16.6f %s" % (name, values[name], unit))
 
     record.update({"attempted": attempted, "failed": failed,
                    "failures": failures, "metrics": metrics,
-                   "setup_seconds": setup_seconds})
+                   "setup_cpu_seconds": setup_cpu,
+                   "setup_wall_seconds": setup_wall})
     os.makedirs(OUT_DIR, exist_ok=True)
     stem = os.path.join(OUT_DIR, "%s-seed%d-trace%d"
                         % (args.workload, args.seed, args.trace))

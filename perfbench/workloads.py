@@ -1,16 +1,17 @@
 """The four workloads, each a closed loop of one operation.
 
-Every workload builds its inputs from the seed, computes the expected
-output of every operation with the ``reference`` engine before any
-timing starts, sets itself up cold (circuit build, lowering, engine /
-pool / server start, registration, one warm-up operation), then repeats
-its operation.  Each operation's output is checked against the
-expected one after its timer stops.
+Every workload builds its inputs from the seed; the runner has the
+expected output of every operation computed with the ``reference``
+engine before any timing starts.  A workload sets itself up cold
+(circuit build, lowering, engine / pool / server start, registration,
+one warm-up operation), then repeats its operation.  Each operation's
+output is checked against the expected one after its timer stops.
 
-Operations cycle over a small pool of distinct seeded inputs (two for
-``long-run`` and ``fault-campaign``, one 512-vector batch for
-``short-batch``, 48 cycles' worth of vectors for the served loop), so
-the expected results stay cheap to compute.
+Operations are small (tens of milliseconds), so that one run times
+hundreds of them and their median and p95 are steady.  They cycle over
+a pool of ``POOL`` distinct seeded inputs, which the traced half-window
+covers in full: the expected results stay cheap to compute, and the
+exact kernel counts are sums over the whole pool.
 
 A workload only calls the program's public API: ``simulate``,
 ``simulate_batch``, ``SimulationService``, ``SimulationServer`` /
@@ -121,12 +122,17 @@ class Workload:
     name = ""
     #: client connections the load generator opens.
     connections = 0
+    #: distinct inputs the operations cycle over: enough that the
+    #: spread of a run's median and p95 from seed to seed stays small.
+    POOL = 32
 
     def __init__(self, seed: int, workers: int, tracer: Tracer):
         self.seed = seed
         self.workers = workers
         self.tracer = tracer
         self.rng = random.Random("%s:%d" % (self.name, seed))
+        #: what ``compute_oracle`` returned; set by the runner.
+        self.expected: List = []
         #: the program's kernel counts per pool item, as first returned.
         self.pass_counts: Dict[int, Tuple[int, ...]] = {}
         #: probe outputs that differed from the oracle (traced run).
@@ -140,7 +146,8 @@ class Workload:
     def build_inputs(self) -> None:
         raise NotImplementedError
 
-    def compute_oracle(self) -> None:
+    def compute_oracle(self) -> List:
+        """The expected output of every pool item (reference engine)."""
         raise NotImplementedError
 
     def setup(self) -> None:
@@ -159,10 +166,6 @@ class Workload:
         """``(ok, vectors, events)`` of one operation's output."""
         raise NotImplementedError
 
-    def pool_size(self) -> int:
-        """Operations per pass over the input pool."""
-        raise NotImplementedError
-
     def snapshot(self) -> Dict[str, object]:
         return get_registry().snapshot()
 
@@ -173,13 +176,21 @@ class Workload:
     # -- shared ------------------------------------------------------------
 
     def kernel_fields(self) -> Dict[str, float]:
-        """Exact kernel counts summed over one pass of the input pool."""
+        """Exact kernel counts summed over one pass of the input pool.
+
+        A pool item the run never reached would make the sums partial,
+        so it counts as a failure instead.
+        """
+        self.probe_checks += 1
+        missing = [slot for slot in range(self.POOL)
+                   if slot not in self.pass_counts]
+        if missing:
+            self.probe_failures.append(
+                "kernel counts partial: pool items %s never ran" % missing
+            )
         totals = [0] * len(COUNT_FIELDS)
         vectors = 0
-        for index in range(self.pool_size()):
-            counts = self.pass_counts.get(index)
-            if counts is None:
-                continue
+        for counts in self.pass_counts.values():
             for position, value in enumerate(counts[:-1]):
                 totals[position] += value
             vectors += counts[-1]
@@ -207,13 +218,12 @@ class Workload:
 
 
 class LongRun(Workload):
-    """One ``simulate()`` of a ~200-vector sequence on the 6x6
+    """One ``simulate()`` of a 12-vector sequence on the 6x6
     multiplier, compiled, DDM, traces recorded."""
 
     name = "long-run"
     WIDTH = 6
-    VECTORS = 200
-    SEQUENCES = 2
+    VECTORS = 12
 
     def __init__(self, seed, workers, tracer):
         super().__init__(seed, workers, tracer)
@@ -226,13 +236,13 @@ class LongRun(Workload):
         self.inputs = [
             random_vectors(names, self.VECTORS, PERIOD,
                            seed=self.rng.randrange(1 << 30))
-            for _ in range(self.SEQUENCES)
+            for _ in range(self.POOL)
         ]
 
     def compute_oracle(self):
         netlist = modules.array_multiplier(self.WIDTH)
-        config = ddm_config(engine_kind="reference")
-        self.expected = [
+        config = ddm_config(engine_kind="reference", record_traces=False)
+        return [
             [expected_of(simulate(netlist, stimulus, config=config),
                          self.outputs)]
             for stimulus in self.inputs
@@ -246,16 +256,13 @@ class LongRun(Workload):
         with self.tracer.span("setup.warmup"):
             self.warmup_output = self.operation(0)
 
-    def pool_size(self):
-        return self.SEQUENCES
-
     def operation(self, index):
         with self.tracer.span("simulate"):
-            return simulate(self.netlist, self.inputs[index % self.SEQUENCES],
+            return simulate(self.netlist, self.inputs[index % self.POOL],
                             config=self.config)
 
     def check(self, index, output):
-        slot = index % self.SEQUENCES
+        slot = index % self.POOL
         return self._check_runs(slot, [output], self.expected[slot],
                                 self.outputs)
 
@@ -264,15 +271,12 @@ class LongRun(Workload):
 
 
 class ShortBatch(Workload):
-    """One in-process ``simulate_batch()`` of 512 two-step vectors on
+    """One in-process ``simulate_batch()`` of 32 two-step vectors on
     mult4, compiled, DDM, no traces."""
 
     name = "short-batch"
     WIDTH = 4
-    BATCH = 512
-    # One batch: two would make the operation latency bimodal and its
-    # median jump between the modes from run to run.
-    BATCHES = 1
+    BATCH = 32
 
     def __init__(self, seed, workers, tracer):
         super().__init__(seed, workers, tracer)
@@ -286,13 +290,13 @@ class ShortBatch(Workload):
         self.inputs = [
             random_vector_batch(names, self.BATCH, 2, PERIOD,
                                 base_seed=base + k * self.BATCH)
-            for k in range(self.BATCHES)
+            for k in range(self.POOL)
         ]
 
     def compute_oracle(self):
         netlist = modules.array_multiplier(self.WIDTH)
         config = ddm_config(engine_kind="reference", record_traces=False)
-        self.expected = [
+        return [
             [expected_of(result, self.outputs) for result in
              simulate_batch(netlist, batch, config=config)]
             for batch in self.inputs
@@ -306,17 +310,13 @@ class ShortBatch(Workload):
         with self.tracer.span("setup.warmup"):
             self.warmup_output = self.operation(0)
 
-    def pool_size(self):
-        return self.BATCHES
-
     def operation(self, index):
         with self.tracer.span("simulate_batch"):
-            return simulate_batch(self.netlist,
-                                  self.inputs[index % self.BATCHES],
+            return simulate_batch(self.netlist, self.inputs[index % self.POOL],
                                   config=self.config)
 
     def check(self, index, output):
-        slot = index % self.BATCHES
+        slot = index % self.POOL
         return self._check_runs(slot, output.results, self.expected[slot],
                                 self.outputs)
 
@@ -332,9 +332,11 @@ class ShortBatch(Workload):
             fields["batch.overhead_us_per_vector"] = (
                 1e6 * (batch_seconds - run_seconds) / vectors
             )
-        # The same batch on the two lockstep engines, for the accuracy
-        # tier table: vector is DDM-exact, bitparallel is CDM word tier.
-        batch = self.inputs[0]
+        # The whole pool as one batch on the two lockstep engines, for
+        # the accuracy tier table: vector is DDM-exact, bitparallel is
+        # CDM word tier.
+        batch = [stimulus for inputs in self.inputs for stimulus in inputs]
+        want = [item[1] for expected in self.expected for item in expected]
         for kind, config in (
             ("vector", ddm_config(engine_kind="vector", record_traces=False)),
             ("bitparallel", cdm_config(engine_kind="bitparallel",
@@ -349,7 +351,7 @@ class ShortBatch(Workload):
             got = [tuple(result.final_values[name] for name in self.outputs)
                    for result in results]
             self.probe_checks += 1
-            if got != [item[1] for item in self.expected[0]]:
+            if got != want:
                 self.probe_failures.append("%s engine outputs" % kind)
             fields["alt.%s_us_per_vector" % kind] = 1e6 * seconds / len(batch)
         return fields
@@ -357,15 +359,14 @@ class ShortBatch(Workload):
 
 class ServedBatches(Workload):
     """A closed loop on one client connection to a warm in-process
-    server: each cycle is one 16-vector ``batch`` frame, then four
+    server: each cycle is one 8-vector ``batch`` frame, then two
     pipelined single-vector ``simulate`` frames."""
 
     name = "served-batches"
     connections = 1
     WIDTH = 4
-    BATCH_FRAME = 16
-    SINGLE_FRAMES = 4
-    CYCLES = 48
+    BATCH_FRAME = 8
+    SINGLE_FRAMES = 2
     NETLIST = "mult4"
 
     def build_inputs(self):
@@ -374,14 +375,14 @@ class ServedBatches(Workload):
         names = [net.name for net in netlist.primary_inputs]
         self.per_cycle = self.BATCH_FRAME + self.SINGLE_FRAMES
         self.inputs = random_vector_batch(
-            names, self.per_cycle * self.CYCLES, 2, PERIOD,
+            names, self.per_cycle * self.POOL, 2, PERIOD,
             base_seed=self.rng.randrange(1 << 30),
         )
 
     def compute_oracle(self):
         netlist = modules.array_multiplier(self.WIDTH)
         config = ddm_config(engine_kind="reference", record_traces=False)
-        self.expected = [
+        return [
             expected_of(result, self.outputs)
             for result in simulate_batch(netlist, self.inputs, config=config)
         ]
@@ -412,11 +413,8 @@ class ServedBatches(Workload):
             problems.append("server did not stop cleanly")
         return problems
 
-    def pool_size(self):
-        return self.CYCLES
-
     def _cycle_inputs(self, index):
-        start = (index % self.CYCLES) * self.per_cycle
+        start = (index % self.POOL) * self.per_cycle
         return self.inputs[start:start + self.per_cycle], start
 
     def operation(self, index):
@@ -439,7 +437,7 @@ class ServedBatches(Workload):
     def check(self, index, output):
         _vectors, start = self._cycle_inputs(index)
         return self._check_runs(
-            index % self.CYCLES, output,
+            index % self.POOL, output,
             self.expected[start:start + self.per_cycle], self.outputs,
         )
 
@@ -452,8 +450,11 @@ class ServedBatches(Workload):
     def probe(self, delta, window):
         fields = _engine_fields(delta)
         fields.update(_service_fields(delta, self.workers, window))
-        fields["service.spawn_ms"] = _spawn_ms(
-            modules.array_multiplier(self.WIDTH), self.workers
+        # The registry starts a netlist's pool on its first request, so
+        # the warm-up's excess over a warm operation is the pool start.
+        fields["service.spawn_ms"] = 1e3 * (
+            statistics.median(self.tracer.durations("setup.warmup"))
+            - statistics.median(self.tracer.durations("op"))
         )
         fields["server.register_ms"] = 1e3 * statistics.median(
             self.tracer.durations("setup.register")
@@ -509,13 +510,12 @@ class ServedBatches(Workload):
 
 
 class FaultCampaign(Workload):
-    """One ``run_campaign()`` of a 400-mutant faultload over all five
+    """One ``run_campaign()`` of a 20-mutant faultload over all five
     fault kinds on mult4, on a warm pool reused across operations."""
 
     name = "fault-campaign"
     WIDTH = 4
-    MUTANTS = 400
-    CAMPAIGNS = 2
+    MUTANTS = 20
 
     def __init__(self, seed, workers, tracer):
         super().__init__(seed, workers, tracer)
@@ -530,39 +530,40 @@ class FaultCampaign(Workload):
         # Every input toggles between the two steps, so the mutants'
         # cost does not swing with a drawn stimulus; the faultloads carry
         # the seed.
-        stimulus = multiplication_sequence([(0x3, 0x5), (0xC, 0xA)],
-                                           period=PERIOD)
-        self.inputs = []
-        for _ in range(self.CAMPAIGNS):
-            faultload = generate_faultload(
-                netlist, self.MUTANTS, seed=self.rng.randrange(1 << 30),
-                window=(0.0, stimulus.horizon),
-            )
-            self.inputs.append((stimulus, faultload))
+        self.stimulus = multiplication_sequence([(0x3, 0x5), (0xC, 0xA)],
+                                                period=PERIOD)
+        self.inputs = [
+            generate_faultload(netlist, self.MUTANTS,
+                               seed=self.rng.randrange(1 << 30),
+                               window=(0.0, self.stimulus.horizon))
+            for _ in range(self.POOL)
+        ]
 
     def compute_oracle(self):
+        """Per campaign: the classifications, the events of all its
+        runs, and each run's expected output (golden first)."""
         netlist = modules.array_multiplier(self.WIDTH)
         config = ddm_config(engine_kind="reference", record_traces=False)
         settle = config.campaign_settle
-        self.expected = []
-        self.expected_events = []
-        self.expected_runs = []
-        for stimulus, faultload in self.inputs:
-            golden = simulate(netlist, stimulus, config=config, settle=settle)
+        golden = simulate(netlist, self.stimulus, config=config, settle=settle)
+        expected = []
+        for faultload in self.inputs:
             mutants = simulate_batch(
                 netlist,
-                [FaultedStimulus(stimulus, fault) for fault in faultload.faults],
+                [FaultedStimulus(self.stimulus, fault)
+                 for fault in faultload.faults],
                 config=config, settle=settle,
             ).results
             report = classify_results(netlist, faultload, golden, mutants,
                                       "reference")
-            self.expected.append(
-                [outcome.classification for outcome in report.outcomes]
-            )
             runs = [expected_of(result, self.outputs)
                     for result in [golden] + mutants]
-            self.expected_runs.append(runs)
-            self.expected_events.append(sum(run[0][0] for run in runs))
+            expected.append((
+                [outcome.classification for outcome in report.outcomes],
+                sum(run[0][0] for run in runs),
+                runs,
+            ))
+        return expected
 
     def setup(self):
         self.pool = None
@@ -585,28 +586,25 @@ class FaultCampaign(Workload):
                 return ["service pool did not close"]
         return []
 
-    def pool_size(self):
-        return self.CAMPAIGNS
-
     def operation(self, index):
-        stimulus, faultload = self.inputs[index % self.CAMPAIGNS]
         with self.tracer.span("run_campaign"):
-            return run_campaign(self.netlist, faultload, stimulus,
-                                config=self.config, service=self.pool)
+            return run_campaign(self.netlist, self.inputs[index % self.POOL],
+                                self.stimulus, config=self.config,
+                                service=self.pool)
 
     def check(self, index, output):
-        slot = index % self.CAMPAIGNS
+        slot = index % self.POOL
+        classifications, events, _runs = self.expected[slot]
         got = [outcome.classification for outcome in output.outcomes]
         if slot not in self.campaign_counts:
             self.campaign_counts[slot] = output.counts()
-        return (got == self.expected[slot], len(got),
-                self.expected_events[slot])
+        return got == classifications, len(got), events
 
     def probe(self, delta, window):
         fields = _engine_fields(delta)
         fields.update(_service_fields(delta, self.workers, window))
-        fields["service.spawn_ms"] = _spawn_ms(
-            modules.array_multiplier(self.WIDTH), self.workers
+        fields["service.spawn_ms"] = 1e3 * statistics.median(
+            self.tracer.durations("setup.pool")
         )
         for label in CLASSIFICATIONS:
             fields["campaign." + label] = float(sum(
@@ -617,9 +615,16 @@ class FaultCampaign(Workload):
         injections = 0
         inject_seconds = 0.0
         classify_seconds = 0.0
-        golden_seconds = []
+        with self.tracer.span("probe.golden"):
+            golden_seconds = median_seconds(
+                lambda: simulate(self.netlist, self.stimulus,
+                                 config=self.config, settle=settle),
+                9,
+            )
+            golden = simulate(self.netlist, self.stimulus, config=self.config,
+                              settle=settle)
         probe_netlist = modules.array_multiplier(self.WIDTH)
-        for slot, (stimulus, faultload) in enumerate(self.inputs):
+        for slot, faultload in enumerate(self.inputs):
             with self.tracer.span("probe.inject"):
                 for fault in faultload.faults:
                     start = time.perf_counter()
@@ -628,17 +633,9 @@ class FaultCampaign(Workload):
                     injection.restore()
                     inject_seconds += time.perf_counter() - start
                     injections += 1
-            with self.tracer.span("probe.golden"):
-                golden_seconds.append(median_seconds(
-                    lambda: simulate(self.netlist, stimulus,
-                                     config=self.config, settle=settle),
-                    9,
-                ))
-                golden = simulate(self.netlist, stimulus, config=self.config,
-                                  settle=settle)
             with self.tracer.span("probe.mutants"):
                 mutants = self.pool.submit_batch(
-                    [FaultedStimulus(stimulus, fault)
+                    [FaultedStimulus(self.stimulus, fault)
                      for fault in faultload.faults],
                     settle=settle, chunk=8,
                 ).wait()
@@ -650,16 +647,16 @@ class FaultCampaign(Workload):
             # The pool's per-mutant runs give the exact kernel counts
             # (run_campaign itself returns only the classification).
             ok, _vectors, _events = self._check_runs(
-                slot, [golden] + mutants, self.expected_runs[slot],
+                slot, [golden] + mutants, self.expected[slot][2],
                 self.outputs,
             )
             self.probe_checks += 1
             if not ok:
                 self.probe_failures.append("campaign %d mutant runs" % slot)
         fields["inject.us_per_mutant"] = 1e6 * inject_seconds / injections
-        fields["campaign.golden_ms"] = 1e3 * statistics.median(golden_seconds)
+        fields["campaign.golden_ms"] = 1e3 * golden_seconds
         fields["campaign.classify_us_per_mutant"] = (
-            1e6 * classify_seconds / (self.MUTANTS * self.CAMPAIGNS)
+            1e6 * classify_seconds / injections
         )
         return fields
 
@@ -689,19 +686,6 @@ def _service_fields(delta: Delta, workers: int,
         "service." + key: value
         for key, value in service_costs(delta, workers, window).items()
     }
-
-
-def _spawn_ms(netlist, workers: int) -> float:
-    """Median cold start of a warm pool for ``netlist`` (3 starts)."""
-    config = ddm_config(engine_kind="compiled", record_traces=False)
-    times = []
-    for _ in range(3):
-        start = time.perf_counter()
-        pool = SimulationService(netlist, config=config, workers=workers,
-                                 engine_kind="compiled")
-        times.append(time.perf_counter() - start)
-        pool.close()
-    return 1e3 * statistics.median(times)
 
 
 def _codec_fields(stimuli, results) -> Dict[str, float]:
