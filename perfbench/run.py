@@ -23,6 +23,7 @@ exceed ``nproc``.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import multiprocessing
@@ -34,6 +35,8 @@ import sys
 import time
 from typing import Dict, List, Optional, Tuple
 
+import calibration
+
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
@@ -41,6 +44,8 @@ OUT_DIR = os.path.join(ROOT, ".perfbench")
 
 #: Cold set-ups per run; ``setup_s`` is their median.
 SETUP_REPEATS = 9
+#: Calibration passes right before and right after each set-up.
+SETUP_PASSES = 3
 #: Threads the load generator drives the program from.
 CLIENT_THREADS = 1
 #: Consecutive failed operations after which a run stops early.
@@ -247,6 +252,10 @@ class Window:
         #: wall and CPU seconds of each operation that succeeded.
         self.latencies: List[float] = []
         self.cpu_times: List[float] = []
+        #: the CPU times above rescaled to the reference host.
+        self.ref_times: List[float] = []
+        #: CPU seconds of each calibration pass, in order.
+        self.passes: List[float] = []
         self.vectors = 0
         self.events = 0
         self.attempted = 0
@@ -272,11 +281,17 @@ class Window:
 def measure(workload, tracer, seconds: float, first: int) -> Window:
     """Closed loop: run operations until ``seconds`` have passed (at
     least one), timing each and checking its output after the timer
-    stops."""
+    stops.  The calibration loop runs between operations; each
+    operation's CPU time is rescaled by the median of the four passes
+    nearest to it (two before, two after)."""
     window = Window()
     deadline = window.start + seconds
     index = first
     consecutive = 0
+    passes = window.passes
+    passes.append(calibration.sample())
+    #: index in ``passes`` of the pass right before each timed operation.
+    before: List[int] = []
     while True:
         error = None
         with tracer.span("op", op=index):
@@ -288,6 +303,7 @@ def measure(workload, tracer, seconds: float, first: int) -> Window:
                 error = exc
             elapsed = time.perf_counter() - start
             cpu = cpu_seconds() - cpu_start
+        passes.append(calibration.sample())
         window.attempted += 1
         if error is None:
             with tracer.span("check", op=index):
@@ -298,6 +314,7 @@ def measure(workload, tracer, seconds: float, first: int) -> Window:
             consecutive = 0
             window.latencies.append(elapsed)
             window.cpu_times.append(cpu)
+            before.append(len(passes) - 2)
             window.vectors += vectors
             window.events += events
         else:
@@ -315,6 +332,11 @@ def measure(workload, tracer, seconds: float, first: int) -> Window:
             window.failures.append("stopped after %d failures in a row"
                                    % consecutive)
             break
+    passes.append(calibration.sample())
+    window.ref_times = [
+        calibration.rescale(cpu, passes[max(0, k - 1):k + 3])
+        for cpu, k in zip(window.cpu_times, before)
+    ]
     window.finish()
     return window
 
@@ -342,7 +364,8 @@ def peak_rss_mb() -> float:
     """Peak resident set, in MiB, of the largest process that runs the
     program: this one, or one of its live pool workers.  A forked
     worker's peak already covers the parent pages it shares, so the two
-    are compared, not added."""
+    are compared, not added.  Each of them holds the calibration table,
+    which is not the program's and is left out."""
     peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     for child in multiprocessing.active_children():
         try:
@@ -352,7 +375,7 @@ def peak_rss_mb() -> float:
                         peak_kib = max(peak_kib, int(line.split()[1]))
         except OSError:
             continue
-    return peak_kib / 1024.0
+    return (peak_kib * 1024.0 - calibration.TABLE_BYTES) / (1 << 20)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -401,20 +424,29 @@ def main(argv: Optional[List[str]] = None) -> int:
               "[%(paper_events)d]  filtered %(filtered)d "
               "[%(paper_filtered)d]" % row)
     record["accuracy"] = accuracy_rows
+    # The benchmark's own objects (inputs, expected outputs) stay alive
+    # all run; frozen, they add nothing to the program's full garbage
+    # collections, whose cost would otherwise follow the seed's inputs.
+    gc.collect()
+    gc.freeze()
 
     setup_cpu: List[float] = []
+    setup_ref: List[float] = []
     setup_wall: List[float] = []
     per_layer: Dict[str, float] = {}
     windows: List[Window] = []
     rss_mb = 0.0
     try:
         for repeat in range(SETUP_REPEATS):
+            passes = [calibration.sample() for _ in range(SETUP_PASSES)]
             cpu_start = cpu_seconds()
             start = time.perf_counter()
             with tracer.span("setup"):
                 workload.setup()
             setup_wall.append(time.perf_counter() - start)
             setup_cpu.append(cpu_seconds() - cpu_start)
+            passes += [calibration.sample() for _ in range(SETUP_PASSES)]
+            setup_ref.append(calibration.rescale(setup_cpu[-1], passes))
             attempted += 1
             if not workload.check(0, workload.warmup_output)[0]:
                 failures.append("set-up %d: warm-up output differs from "
@@ -451,10 +483,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                     "wall.vectors_per_s": plain.vectors / plain.busy,
                     "wall.steal_pct": plain.steal_pct(nproc),
                 })
-            if plain.cpu_times and window.cpu_times:
+            if plain.ref_times and window.ref_times:
                 per_layer["trace.overhead_pct"] = 100.0 * (
-                    statistics.median(window.cpu_times)
-                    / statistics.median(plain.cpu_times) - 1.0
+                    statistics.median(window.ref_times)
+                    / statistics.median(plain.ref_times) - 1.0
                 )
         else:
             window = measure(workload, tracer, args.seconds, 1)
@@ -474,14 +506,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         values = per_layer
     else:
         names = end_to_end
-        cpu_times = window.cpu_times or [window.wall]
-        cpu_busy = sum(cpu_times)
+        ref_times = window.ref_times or [window.wall]
+        ref_busy = sum(ref_times)
         values = {
-            "setup_s": statistics.median(setup_cpu),
-            "events_per_cpu_s": window.events / cpu_busy,
-            "vectors_per_cpu_s": window.vectors / cpu_busy,
-            "op_cpu_p50_ms": 1e3 * percentile(cpu_times, 50),
-            "op_cpu_p90_ms": 1e3 * percentile(cpu_times, 90),
+            "setup_s": statistics.median(setup_ref),
+            "events_per_ref_cpu_s": window.events / ref_busy,
+            "vectors_per_ref_cpu_s": window.vectors / ref_busy,
+            "op_ref_cpu_p50_ms": 1e3 * percentile(ref_times, 50),
+            "op_ref_cpu_p90_ms": 1e3 * percentile(ref_times, 90),
             "peak_rss_mb": rss_mb,
         }
     metrics = {
@@ -497,12 +529,21 @@ def main(argv: Optional[List[str]] = None) -> int:
           "%.1f%% of the vCPU time" % (
               len(window.latencies), window.wall,
               1e3 * percentile(window.latencies, 50), window.steal_pct(nproc)))
+    print("CPU p50 %.3f ms before rescaling; calibration pass p50 %.4f ms "
+          "(reference %.4f ms)" % (
+              1e3 * percentile(window.cpu_times, 50),
+              1e3 * percentile(window.passes, 50),
+              1e3 * calibration.REFERENCE_SECONDS))
     for name, unit in names:
         print("  %-44s %16.6f %s" % (name, values[name], unit))
 
     record.update({"attempted": attempted, "failed": failed,
                    "failures": failures, "metrics": metrics,
                    "setup_cpu_seconds": setup_cpu,
+                   "setup_ref_cpu_seconds": setup_ref,
+                   "op_cpu_seconds": window.cpu_times,
+                   "op_ref_cpu_seconds": window.ref_times,
+                   "calibration_seconds": window.passes,
                    "setup_wall_seconds": setup_wall})
     os.makedirs(OUT_DIR, exist_ok=True)
     stem = os.path.join(OUT_DIR, "%s-seed%d-trace%d"
