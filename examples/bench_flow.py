@@ -17,11 +17,11 @@ import tempfile
 from pathlib import Path
 
 from repro.analog.simulator import AnalogSimulator
+from repro.analysis import sta
 from repro.analysis.report import Table
 from repro.circuit import bench_io, stats
 from repro.circuit.expand import expand_netlist, is_primitive
 from repro.config import ddm_config
-from repro.core import timing_analysis as sta
 from repro.core.engine import simulate
 from repro.io_formats.spice import write_spice
 from repro.io_formats.vcd import write_vcd

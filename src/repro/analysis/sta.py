@@ -38,7 +38,7 @@ import time as _time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..config import DelayMode, InertialPolicy, SimulationConfig
-from ..errors import AnalysisError, OracleError
+from ..errors import AnalysisError, OracleError, SimulationError
 from .report import Table
 
 #: Sentinels of an empty window (a net that can never transition).
@@ -291,7 +291,7 @@ def analyze(
     slew_low, slew_high = _slew_interval(config, input_slew)
     try:
         order = compiled.topological_order()
-    except Exception as error:
+    except SimulationError as error:
         raise AnalysisError(
             "static timing analysis needs an acyclic circuit: %s" % error
         ) from None

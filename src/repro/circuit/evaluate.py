@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, Mapping, Optional
 
-from ..errors import InitializationError, StimulusError
+from ..errors import InitializationError, NetlistError, StimulusError
 from .logic import evaluate as evaluate_function
 from .netlist import Netlist
 
@@ -58,7 +58,7 @@ def evaluate_netlist(
 
     try:
         order = netlist.topological_gates()
-    except Exception:
+    except NetlistError:  # a combinational cycle; anything else is a bug
         return _relax(netlist, values, seed or {}, max_iterations)
 
     for gate in order:

@@ -85,7 +85,6 @@ from heapq import heappop as _heappop, heappush as _heappush
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .. import config as _config_module
-from ..circuit.evaluate import evaluate_netlist
 from ..circuit.logic import evaluate as evaluate_function
 from ..circuit.netlist import Net, Netlist
 from ..config import InertialPolicy, SimulationConfig
@@ -688,8 +687,6 @@ class _WordKernel:
         self._input_net = export["input_net"].tolist()
         self._gate_offsets = export["gate_input_offsets"].tolist()
         self._gate_out_net = export["gate_output_net"].tolist()
-        self._net_is_pi = export["net_is_pi"].tolist()
-        self._net_constant = export["net_constant"].tolist()
         # Delay arcs: the lowering's original per-uid Python tuples
         # (tp0_base, d_slew, tau_base, s_slew, ...) — byte-identical to
         # the export's arc_rise/arc_fall rows; only the CDM slots are
@@ -759,81 +756,45 @@ class _WordKernel:
 
     def dc_masks(self, lane_inputs: Sequence[Mapping[str, int]],
                  seed: Optional[Mapping[str, int]] = None) -> List[int]:
-        """DC lane word of every net (validation identical per lane to
-        :func:`repro.circuit.evaluate.evaluate_netlist`)."""
+        """DC lane word of every net (the lowering's DC-init,
+        :meth:`CompiledNetlist.dc_values`, with identical validation per
+        lane, evaluated one gate word at a time)."""
         compiled = self.compiled
-        netlist = compiled.netlist
-        names = compiled.net_names
-        pi_names = [
-            names[net] for net in range(self.num_nets)
-            if self._net_is_pi[net]
-        ]
-        pi_set = frozenset(pi_names)
         for input_values in lane_inputs:
-            for name in pi_names:
-                if name not in input_values:
-                    raise StimulusError(
-                        "missing value for primary input %r" % name
-                    )
-                value = input_values[name]
-                if value not in (0, 1):
-                    raise StimulusError(
-                        "input %r: value must be 0 or 1, got %r"
-                        % (name, value)
-                    )
-            for name in input_values:
-                if name not in pi_set:
-                    raise StimulusError("%r is not a primary input" % name)
-        try:
-            order = netlist.topological_gates()
-        except Exception:
-            # Cyclic circuit: the scalar relaxation per lane, packed.
-            masks = [0] * self.num_nets
-            for lane, input_values in enumerate(lane_inputs):
-                row = evaluate_netlist(
-                    netlist, dict(input_values),
-                    seed=dict(seed) if seed else None,
-                )
-                bit = 1 << lane
-                for index, name in enumerate(names):
-                    if row.get(name, 0):
-                        masks[index] |= bit
-            return masks
-
+            compiled.check_dc_inputs(input_values)
         masks = [0] * self.num_nets
+        sweep = compiled.dc_sweep()
+        if sweep is None:
+            # Cyclic circuit: the scalar relaxation per lane, packed.
+            for lane, input_values in enumerate(lane_inputs):
+                row = compiled.dc_relax(compiled.dc_inputs(input_values), seed)
+                bit = 1 << lane
+                for net, value in enumerate(row):
+                    if value:
+                        masks[net] |= bit
+            return masks
         full = self.full_mask
-        for index in range(self.num_nets):
-            if self._net_constant[index] == 1:
-                masks[index] = full
-        name_to_index = {name: index for index, name in enumerate(names)}
-        for lane, input_values in enumerate(lane_inputs):
-            bit = 1 << lane
-            for name in pi_names:
+        for net, value in enumerate(compiled.net_constant):
+            if value == 1:
+                masks[net] = full
+        for net, name in zip(compiled.pi_ids, compiled.pi_names):
+            word = 0
+            for lane, input_values in enumerate(lane_inputs):
                 if input_values[name]:
-                    masks[name_to_index[name]] |= bit
-        offsets = self._gate_offsets
-        input_net = self._input_net
-        for gate_obj in order:
-            gate = gate_obj.index
-            start = offsets[gate]
-            end = offsets[gate + 1]
+                    word |= 1 << lane
+            masks[net] = word
+        for gate, out_net, in_nets in sweep:
             function = self._programs[gate]
             if function is not None:
-                out = function(
-                    [masks[input_net[uid]] for uid in range(start, end)],
-                    full,
-                )
+                out = function([masks[net] for net in in_nets], full)
             else:  # pragma: no cover - only hand-built cells exceed cap
                 out = 0
                 logic = compiled.gate_functions[gate]
                 for lane in range(self.lanes):
-                    bits = [
-                        (masks[input_net[uid]] >> lane) & 1
-                        for uid in range(start, end)
-                    ]
+                    bits = [(masks[net] >> lane) & 1 for net in in_nets]
                     if evaluate_function(logic, bits):
                         out |= 1 << lane
-            masks[self._gate_out_net[gate]] = out
+            masks[out_net] = out
         return masks
 
     def reset(self, net_masks: Sequence[int], start_time: float = 0.0) -> None:
@@ -1239,7 +1200,7 @@ class _WordKernel:
 
 def _mask_popcount(masks: Sequence[int]) -> int:
     """Total set lanes across a recorded mask list."""
-    return sum(mask.bit_count() for mask in masks)
+    return sum(map(int.bit_count, masks))
 
 
 def _publish_word_metrics(kernel: _WordKernel, wall: float) -> None:
@@ -1256,8 +1217,9 @@ def _publish_word_metrics(kernel: _WordKernel, wall: float) -> None:
     registry = get_registry()
     if not registry.enabled:
         return
+    executed = _mask_popcount(kernel.executed_masks)
     counts = {
-        "events_executed": _mask_popcount(kernel.executed_masks),
+        "events_executed": executed,
         "events_scheduled": _mask_popcount(kernel.scheduled_masks),
         "events_filtered": _mask_popcount(kernel.filtered_masks),
         "late_events": _mask_popcount(kernel.late_masks),
@@ -1267,10 +1229,7 @@ def _publish_word_metrics(kernel: _WordKernel, wall: float) -> None:
     publish_engine_metrics(
         "bitparallel", counts, runs=kernel.lanes, run_seconds=wall,
         phases={"lockstep": wall},
-        waves=(
-            kernel.word_events_executed,
-            _mask_popcount(kernel.executed_masks),
-        ),
+        waves=(kernel.word_events_executed, executed),
         registry=registry,
     )
 
@@ -1296,6 +1255,7 @@ class _WordLockstepDriver:
         self.netlist = netlist
         self.kernel = kernel
         self.config = kernel.config
+        self._pi_index = {net.name: net.index for net in netlist.primary_inputs}
         lanes = len(stimuli)
         #: merged change schedule, stable-sorted by time (per-lane
         #: relative order is preserved).
@@ -1373,31 +1333,35 @@ class _WordLockstepDriver:
         (net, slew) and broadcast together.
         """
         kernel = self.kernel
-        netlist = self.netlist
+        net_val = kernel.net_val
+        add_source = kernel.source_masks.append
+        add_toggle = kernel.toggle_events.append
+        trace_lists = kernel.trace_lists
+        pi_index = self._pi_index
         default_slew = self.config.default_input_slew
         groups: Dict[Tuple[int, float], List[int]] = {}
         for _at_time, lane, assignments, slew in entries:
             bit = 1 << lane
+            traces = trace_lists[lane]
             for name in sorted(assignments):
                 value = assignments[name]
-                net = netlist.net(name)
-                if not net.is_primary_input:
+                index = pi_index.get(name)
+                if index is None:
+                    self.netlist.net(name)  # unknown names: NetlistError
                     raise StimulusError("%r is not a primary input" % name)
                 if value not in (0, 1):
                     raise StimulusError(
                         "input value must be 0 or 1, got %r" % (value,)
                     )
-                index = net.index
-                if (kernel.net_val[index] >> lane) & 1 == value:
+                if (net_val[index] >> lane) & 1 == value:
                     continue
                 ramp = slew if slew is not None else default_slew
                 if ramp <= 0.0:
                     raise StimulusError("input slew must be positive")
-                kernel.net_val[index] ^= bit
-                kernel.source_masks.append(bit)
-                kernel.toggle_events.append((index, bit))
+                net_val[index] ^= bit
+                add_source(bit)
+                add_toggle((index, bit))
                 kernel.toggles_dirty = True
-                traces = kernel.trace_lists[lane]
                 if traces is not None:
                     traces[index].append(Transition(
                         t50=at_time + 0.5 * ramp,
@@ -1563,19 +1527,13 @@ class BitParallelSimulator(EngineBase):
         self,
         input_values: Dict[str, int],
         seed: Optional[Dict[str, int]],
-    ) -> Dict[str, int]:
-        values = evaluate_netlist(self.netlist, input_values, seed=seed)
+    ) -> None:
+        dc = self._cn.dc_values(input_values, seed)
         if self._kernel is None:
             self._kernel = _WordKernel(
                 self._cn, self.config, 1, queue=self.queue
             )
-        # .get: an undriven, fanout-free net has no DC value; the
-        # placeholder entry is never read (not a PI, no fanouts).
-        self._kernel.reset([
-            1 if values.get(name, 0) else 0
-            for name in self._cn.net_names
-        ])
-        return values
+        self._kernel.reset(dc)  # one lane: each 0/1 value is its lane word
 
     def _after_initialize(self) -> None:
         kernel = self._kernel
@@ -1663,3 +1621,8 @@ class BitParallelSimulator(EngineBase):
         if self._cn.net_driver[index] < 0:
             raise SimulationError("net %r has no driver" % net_name)
         return self._kernel.net_val[index] & 1
+
+    def values(self) -> Dict[str, int]:
+        """Committed logic values of every net (``netlist.nets`` order)."""
+        self._require_ready()
+        return self._cn.named_values([word & 1 for word in self._kernel.net_val])

@@ -39,9 +39,8 @@ import heapq
 from array import array
 from bisect import bisect_left, insort
 from math import exp as _exp
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..circuit.evaluate import evaluate_netlist
 from ..circuit.logic import (
     GateFunctionLike,
     evaluate as evaluate_function,
@@ -49,7 +48,12 @@ from ..circuit.logic import (
 )
 from ..circuit.netlist import Net, Netlist
 from ..config import DelayMode, InertialPolicy, SimulationConfig
-from ..errors import SimulationError, SimulationLimitError
+from ..errors import (
+    InitializationError,
+    SimulationError,
+    SimulationLimitError,
+    StimulusError,
+)
 from .engine import EngineBase, FilteredEventRecord, register_engine
 from .transition import Transition
 
@@ -101,6 +105,14 @@ class CompiledNetlist:
         "arc_fall",
         "_numpy_cache",
         "_topo_cache",
+        "pi_ids",
+        "pi_names",
+        "_dc_template",
+        "_gate_plan",
+        "_dc_sweep",
+        "_key_ids",
+        "_key_names",
+        "_undriven",
     )
 
     def __init__(self, netlist: Netlist):
@@ -215,6 +227,36 @@ class CompiledNetlist:
         self._numpy_cache: Optional[Dict[str, object]] = None
         self._topo_cache: Optional[List[int]] = None
 
+        # --- DC initialisation and result plans ----------------------
+        #: primary-input net ids and names in ``netlist.primary_inputs``
+        #: order, the order evaluate_netlist validates them in (so the
+        #: first error matches)
+        self.pi_ids: List[int] = [net.index for net in netlist.primary_inputs]
+        self.pi_names: List[str] = [net.name for net in netlist.primary_inputs]
+        #: per-net DC row before inputs are applied: constants, else 0
+        self._dc_template: List[int] = [
+            0 if value is None else value for value in self.net_constant
+        ]
+        #: per gate, in index (= ``netlist.gates``) order:
+        #: ``(gate, output net, input net ids)``
+        self._gate_plan: List[Tuple[int, int, Tuple[int, ...]]] = [
+            (
+                gate.index,
+                gate.output.index,
+                tuple(gate_input.net.index for gate_input in gate.inputs),
+            )
+            for gate in gates
+        ]
+        self._dc_sweep: Optional[List[Tuple[int, int, Tuple[int, ...]]]] = None
+        # Result dicts keep ``netlist.nets`` key order (not index order).
+        self._key_ids: List[int] = [net.index for net in netlist.nets.values()]
+        self._key_names: List[str] = list(netlist.nets)
+        #: first net in key order with no driver, input or constant
+        #: value: reading every value must fail on it
+        undriven = [net.name for net in netlist.nets.values() if net.driver is None
+                    and not net.is_primary_input and not net.is_constant]
+        self._undriven: Optional[str] = undriven[0] if undriven else None
+
     def __getstate__(self) -> Dict[str, object]:
         """Pickle the lowered arrays without the netlist back-reference.
 
@@ -304,6 +346,158 @@ class CompiledNetlist:
             )
         self._topo_cache = order
         return list(order)
+
+    # ------------------------------------------------------------------
+    # DC initialisation over the lowering
+    # ------------------------------------------------------------------
+    #
+    # The array twin of repro.circuit.evaluate.evaluate_netlist, shared by
+    # every engine that runs over the lowering (scalar _build_state and
+    # the lockstep dc_values/dc_masks alike): same validation and error
+    # messages, one sweep in topological order, and the same Gauss-Seidel
+    # relaxation (gates in netlist.gates order) for cyclic circuits, so
+    # fixpoints agree bit for bit.  Truth tables are read live from
+    # ``gate_tables`` on every call: fault injection patches them in place.
+
+    def check_dc_inputs(self, input_values: Mapping[str, int]) -> None:
+        """Validate one DC input assignment.
+
+        Raises:
+            StimulusError: a primary input is missing, a value is not
+                0/1, or a name is not a primary input.
+        """
+        for name in self.pi_names:
+            if name not in input_values:
+                raise StimulusError("missing value for primary input %r" % name)
+            value = input_values[name]
+            if value not in (0, 1):
+                raise StimulusError(
+                    "input %r: value must be 0 or 1, got %r" % (name, value)
+                )
+        if len(input_values) != len(self.pi_names):
+            pi_names = set(self.pi_names)
+            for name in input_values:
+                if name not in pi_names:
+                    raise StimulusError("%r is not a primary input" % name)
+
+    def dc_inputs(self, input_values: Mapping[str, int]) -> List[int]:
+        """Validate one DC input assignment; return its per-net row.
+
+        The row holds the primary-input values and the constants; every
+        other entry is 0 until :meth:`dc_values` or :meth:`dc_relax`
+        fills it in.
+        """
+        self.check_dc_inputs(input_values)
+        row = list(self._dc_template)
+        for net, name in zip(self.pi_ids, self.pi_names):
+            row[net] = input_values[name]
+        return row
+
+    def dc_sweep(self) -> Optional[List[Tuple[int, int, Tuple[int, ...]]]]:
+        """``(gate, output net, input nets)`` in topological order, or
+        None when the lowering is cyclic (DC-init must relax instead).
+
+        Only the :class:`SimulationError` of :meth:`topological_order`
+        selects relaxation; any other error propagates.
+        """
+        if self._dc_sweep is None:
+            try:
+                order = self.topological_order()
+            except SimulationError:
+                return None
+            plan = self._gate_plan
+            self._dc_sweep = [plan[gate] for gate in order]
+        return self._dc_sweep
+
+    def _gate_value(self, gate: int, row: List[int], in_nets: Tuple[int, ...]) -> int:
+        table = self.gate_tables[gate]
+        if table is None:  # only hand-built cells exceed the tabling cap
+            return evaluate_function(
+                self.gate_functions[gate], [row[net] for net in in_nets]
+            )
+        index = 0
+        shift = 0
+        for net in in_nets:
+            index |= row[net] << shift
+            shift += 1
+        return table[index]
+
+    def dc_relax(
+        self, row: List[int], seed: Optional[Mapping[str, int]] = None
+    ) -> List[int]:
+        """Gauss-Seidel relaxation of a :meth:`dc_inputs` row, in place.
+
+        Nets other than inputs and constants start from ``seed`` (0 when
+        unlisted); gates are swept in ``netlist.gates`` order until no
+        output changes.
+
+        Raises:
+            InitializationError: no fixpoint within evaluate_netlist's
+                default budget of sweeps.
+        """
+        max_iterations = 1000
+        if seed:
+            constants = self.net_constant
+            is_pi = self.net_is_pi
+            for net, name in enumerate(self.net_names):
+                if not is_pi[net] and constants[net] is None:
+                    row[net] = seed.get(name, 0)
+        gate_value = self._gate_value
+        plan = self._gate_plan
+        for _iteration in range(max_iterations):
+            changed = False
+            for gate, out_net, in_nets in plan:
+                value = gate_value(gate, row, in_nets)
+                if row[out_net] != value:
+                    row[out_net] = value
+                    changed = True
+            if not changed:
+                return row
+        raise InitializationError(
+            "netlist %r did not reach a stable state after %d relaxation "
+            "sweeps; provide a consistent seed or different inputs"
+            % (self.netlist.name, max_iterations)
+        )
+
+    def dc_values(
+        self,
+        input_values: Mapping[str, int],
+        seed: Optional[Mapping[str, int]] = None,
+    ) -> List[int]:
+        """Steady-state value of every net under ``input_values``, indexed
+        by net id (the lowering's :func:`~repro.circuit.evaluate.evaluate_netlist`).
+
+        ``seed`` is used only by the cyclic fallback.  Undriven nets read 0.
+        """
+        row = self.dc_inputs(input_values)
+        sweep = self.dc_sweep()
+        if sweep is None:
+            return self.dc_relax(row, seed)
+        tables = self.gate_tables
+        for gate, out_net, in_nets in sweep:
+            table = tables[gate]
+            arity = len(in_nets)
+            # One- and two-input gates (most of any primitive netlist)
+            # skip the generic bit-packing loop.
+            if arity == 2 and table is not None:
+                first, second = in_nets
+                row[out_net] = table[row[first] | row[second] << 1]
+            elif arity == 1 and table is not None:
+                row[out_net] = table[row[in_nets[0]]]
+            else:
+                row[out_net] = self._gate_value(gate, row, in_nets)
+        return row
+
+    def named_values(self, row: Sequence[int]) -> Dict[str, int]:
+        """``{net name: row[net id]}`` in ``netlist.nets`` key order.
+
+        ``row`` must hold every net's committed value (entries of undriven
+        nets are ignored).  Raises :class:`SimulationError` naming the
+        first undriven net, as reading each net's value would.
+        """
+        if self._undriven is not None:
+            raise SimulationError("net %r has no driver" % self._undriven)
+        return dict(zip(self._key_names, [row[net] for net in self._key_ids]))
 
     def arc_delay_bounds(
         self, uid: int, slew_min: float, slew_max: float
@@ -653,6 +847,7 @@ class CompiledSimulator(EngineBase):
         self._fanout_targets = list(cn.fanout_targets)
         self._vt_fraction = list(cn.vt_fraction)
         self._input_gate = list(cn.input_gate)
+        self._input_net = list(cn.input_net)
         self._gate_offsets = list(cn.gate_input_offsets)
         self._gate_out_net = list(cn.gate_output_net)
         # dynamic state (built by _build_state)
@@ -687,21 +882,18 @@ class CompiledSimulator(EngineBase):
         self,
         input_values: Dict[str, int],
         seed: Optional[Dict[str, int]],
-    ) -> Dict[str, int]:
-        values = evaluate_netlist(self.netlist, input_values, seed=seed)
-        netlist = self.netlist
-        self._input_values = [
-            values[gate_input.net.name] for gate_input in netlist.iter_gate_inputs()
-        ]
-        self._gate_out = [values[gate.output.name] for gate in netlist.gates.values()]
-        self._gate_last = [None] * self._cn.num_gates
-        self._stacks = [[] for _ in range(self._cn.num_inputs)]
-        self._pi = [0] * self._cn.num_nets
-        self._toggles = [0] * self._cn.num_nets
+    ) -> None:
+        cn = self._cn
+        dc = cn.dc_values(input_values, seed)
+        self._input_values = [dc[net] for net in self._input_net]
+        self._gate_out = [dc[net] for net in self._gate_out_net]
+        self._gate_last = [None] * cn.num_gates
+        self._stacks = [[] for _ in range(cn.num_inputs)]
+        # Only the primary-input entries of the DC row are read (and
+        # committed to) from here on.
+        self._pi = dc
+        self._toggles = [0] * cn.num_nets
         self._toggles_dirty = False
-        for net in netlist.primary_inputs:
-            self._pi[net.index] = values[net.name]
-        return values
 
     def _after_initialize(self) -> None:
         if self.config.record_traces:
@@ -967,3 +1159,12 @@ class CompiledSimulator(EngineBase):
             # would silently return the last gate's output.
             raise SimulationError("net %r has no driver" % net_name)
         return self._gate_out[driver]
+
+    def values(self) -> Dict[str, int]:
+        """Committed logic values of every net (``netlist.nets`` order)."""
+        self._require_ready()
+        row = list(self._pi)
+        gate_out = self._gate_out
+        for gate, net in enumerate(self._gate_out_net):
+            row[net] = gate_out[gate]
+        return self._cn.named_values(row)

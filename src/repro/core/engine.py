@@ -256,8 +256,9 @@ class EngineBase(abc.ABC):
         self,
         input_values: Dict[str, int],
         seed: Optional[Dict[str, int]],
-    ) -> Dict[str, int]:
-        """DC-initialise backend state; return the value of every net."""
+    ) -> None:
+        """DC-initialise backend state (committed values become the DC
+        solution)."""
 
     @abc.abstractmethod
     def _pi_value(self, net: Net) -> int:
@@ -308,19 +309,18 @@ class EngineBase(abc.ABC):
         starting guesses for feedback circuits (see
         :mod:`repro.circuit.evaluate`).
         """
-        initial = self._build_state(
-            dict(input_values), dict(seed) if seed else None
-        )
+        self._build_state(dict(input_values), dict(seed) if seed else None)
         self.queue.clear()
         self.stats.reset()
         self.filtered_log = []
         self.now = start_time
         self._seq = 0
         self.traces = TraceSet(self.vdd)
-        if self.config.record_traces:
-            for net in self.netlist.nets.values():
-                self.traces.create(net.name, initial[net.name])
         self._ready = True
+        if self.config.record_traces:
+            # Right after DC init the committed values are the DC values.
+            for name, value in self.values().items():
+                self.traces.create(name, value)
         self._after_initialize()
 
     def _after_initialize(self) -> None:
@@ -513,9 +513,8 @@ class HalotisSimulator(EngineBase):
         self,
         input_values: Dict[str, int],
         seed: Optional[Dict[str, int]],
-    ) -> Dict[str, int]:
+    ) -> None:
         self._state = build_state(self.netlist, input_values, seed=seed)
-        return self._state.initial_values
 
     def _require_state(self) -> KernelState:
         if self._state is None:

@@ -237,6 +237,10 @@ def _worker_main(
     worker_registry = get_registry() if config.collect_metrics else None
     if worker_registry is not None and not worker_registry.enabled:
         worker_registry = None
+    if worker_registry is not None:
+        # A forked worker inherits the parent's registry contents; drop
+        # them so the first delta carries this worker's work only.
+        worker_registry.snapshot(reset=True)
 
     def _snap():
         if worker_registry is None:

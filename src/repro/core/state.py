@@ -44,11 +44,9 @@ class KernelState:
             ``Next``/``Prev`` event chain.  The top of the stack is the
             input's latest event ``Ej-1``; annihilation pops it.
         pi_values: current driven value per primary input net name.
-        initial_values: DC value of every net (trace initialisation).
     """
 
     def __init__(self, netlist: Netlist, initial_values: Dict[str, int]):
-        self.initial_values = initial_values
         self.gate_states: List[Optional[GateState]] = [None] * len(netlist.gates)
         for gate in netlist.gates.values():
             values = [initial_values[gi.net.name] for gi in gate.inputs]

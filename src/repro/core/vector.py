@@ -57,7 +57,6 @@ from heapq import heappop, heappush
 from math import exp as _exp, inf as _inf
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from ..circuit.evaluate import evaluate_netlist
 from ..circuit.logic import evaluate as evaluate_function
 from ..circuit.netlist import Net, Netlist
 from .. import config as _config_module
@@ -304,73 +303,25 @@ class _VectorKernel:
                   seed: Optional[Mapping[str, int]] = None):
         """DC value of every net per lane, as a ``(lanes, nets)`` array.
 
-        The vectorised twin of
-        :func:`repro.circuit.evaluate.evaluate_netlist`: identical
-        input validation per lane, then one topological sweep
-        evaluating each gate across all lanes at once.  Cyclic
-        netlists fall back to the scalar evaluator per lane (same
+        The lane-parallel use of the lowering's DC-init
+        (:meth:`CompiledNetlist.dc_values`): the same validation per
+        lane, then one topological sweep evaluating each gate across all
+        lanes at once.  Cyclic netlists relax lane by lane (same
         relaxation, same errors), so the result is always exactly what
         N scalar initialisations would have produced.
         """
         compiled = self.compiled
-        netlist = compiled.netlist
-        names = compiled.net_names
-        pi_names = [
-            names[net] for net in _np.flatnonzero(self.net_is_pi).tolist()
-        ]
-        pi_set = frozenset(pi_names)
-        for input_values in lane_inputs:
-            for name in pi_names:
-                if name not in input_values:
-                    raise StimulusError(
-                        "missing value for primary input %r" % name
-                    )
-                value = input_values[name]
-                if value not in (0, 1):
-                    raise StimulusError(
-                        "input %r: value must be 0 or 1, got %r"
-                        % (name, value)
-                    )
-            for name in input_values:
-                if name not in pi_set:
-                    raise StimulusError("%r is not a primary input" % name)
-        try:
-            order = netlist.topological_gates()
-        except Exception:
-            # Cyclic circuit: Gauss–Seidel relaxation, lane by lane —
-            # exactly the scalar path, errors included.
-            rows = [
-                evaluate_netlist(
-                    netlist, dict(input_values),
-                    seed=dict(seed) if seed else None,
-                )
-                for input_values in lane_inputs
-            ]
-            return _np.array(
-                [[row.get(name, 0) for name in names] for row in rows],
-                _np.int64,
-            ).reshape(len(lane_inputs), self.num_nets)
-
-        values = _np.zeros((len(lane_inputs), self.num_nets), _np.int64)
-        constant_ids = _np.flatnonzero(self.net_constant >= 0)
-        if constant_ids.size:
-            values[:, constant_ids] = self.net_constant[constant_ids]
-        pi_ids = [netlist.nets[name].index for name in pi_names]
-        for lane, input_values in enumerate(lane_inputs):
-            row = values[lane]
-            for net, name in zip(pi_ids, pi_names):
-                row[net] = input_values[name]
-        offsets = self.gate_input_offsets
-        input_net = self.input_net
+        rows = [compiled.dc_inputs(input_values) for input_values in lane_inputs]
+        sweep = compiled.dc_sweep()
+        if sweep is None:
+            rows = [compiled.dc_relax(row, seed) for row in rows]
+        values = _np.array(rows, _np.int64).reshape(len(rows), self.num_nets)
         table_offsets = self.gate_table_offsets
         tables = self.gate_tables
-        for gate_obj in order:
-            gate = gate_obj.index
-            start = int(offsets[gate])
-            arity = int(self.gate_arity[gate])
-            word = values[:, input_net[start]].copy()
-            for bit in range(1, arity):
-                word |= values[:, input_net[start + bit]] << bit
+        for gate, out_net, in_nets in sweep or ():
+            word = _np.zeros(len(rows), _np.int64)
+            for bit, net in enumerate(in_nets):
+                word |= values[:, net] << bit
             if self.gate_has_table[gate]:
                 out = tables[table_offsets[gate] + word]
             else:  # pragma: no cover - only hand-built cells exceed cap
@@ -378,11 +329,11 @@ class _VectorKernel:
                 out = _np.array([
                     evaluate_function(
                         function,
-                        [(w >> bit) & 1 for bit in range(arity)],
+                        [(w >> bit) & 1 for bit in range(len(in_nets))],
                     )
                     for w in word.tolist()
                 ], _np.int64)
-            values[:, self.gate_output_net[gate]] = out
+            values[:, out_net] = out
         return values
 
     def reset(self, net_values, start_time: float = 0.0) -> None:
@@ -980,26 +931,9 @@ class _VectorKernel:
 
     def lane_final_values(self, lane: int) -> Dict[str, int]:
         """Committed value of every net in one lane, as plain ints."""
-        driverless = (
-            (self.net_constant < 0) & (self.net_is_pi == 0)
-            & (self.net_driver < 0)
-        )
-        if driverless.any():
-            bad = int(_np.flatnonzero(driverless)[0])
-            raise SimulationError(
-                "net %r has no driver" % self.compiled.net_names[bad]
-            )
-        driver = _np.where(self.net_driver >= 0, self.net_driver, 0)
-        values = _np.where(
-            self.net_constant >= 0,
-            self.net_constant,
-            _np.where(
-                self.net_is_pi == 1,
-                self.pi[lane],
-                self.gate_out[lane, driver],
-            ),
-        )
-        return dict(zip(self.compiled.net_names, values.tolist()))
+        row = self.pi[lane].copy()  # holds the inputs and the constants
+        row[self.gate_output_net] = self.gate_out[lane]
+        return self.compiled.named_values(row.tolist())
 
     def lane_toggles(self, lane: int) -> Dict[str, int]:
         names = self.compiled.net_names
@@ -1441,19 +1375,13 @@ class VectorSimulator(EngineBase):
         self,
         input_values: Dict[str, int],
         seed: Optional[Dict[str, int]],
-    ) -> Dict[str, int]:
-        values = evaluate_netlist(self.netlist, input_values, seed=seed)
+    ) -> None:
+        dc = self._cn.dc_values(input_values, seed)
         if self._kernel is None:
             self._kernel = _VectorKernel(
                 self._cn, self.config, 1, queue_kind=self.queue_kind
             )
-        # .get: an undriven, fanout-free net has no DC value; the
-        # placeholder row entry is never read (not a PI, no fanouts).
-        self._kernel.reset(_np.array(
-            [[values.get(name, 0) for name in self._cn.net_names]],
-            _np.int64,
-        ))
-        return values
+        self._kernel.reset(_np.array([dc], _np.int64))
 
     def _after_initialize(self) -> None:
         kernel = self._kernel
@@ -1532,3 +1460,8 @@ class VectorSimulator(EngineBase):
         self._require_ready()
         net = self.netlist.net(net_name)
         return self._kernel.lane_value(0, net.index, net_name)
+
+    def values(self) -> Dict[str, int]:
+        """Committed logic values of every net (``netlist.nets`` order)."""
+        self._require_ready()
+        return self._kernel.lane_final_values(0)

@@ -4,11 +4,12 @@ One netlist, many mutants: instead of copying the netlist per mutant
 (which would re-lower it and throw away every warm kernel), injection
 patches the *shared* structures in place —
 
-* the raw cells (``gate.cell``), because DC initialisation and the
-  reference engine evaluate them directly, and
+* the raw cells (``gate.cell``), because the reference engine and its
+  object-graph DC initialisation evaluate them directly, and
 * the cached :class:`~repro.core.compiled.CompiledNetlist` tables
   (``gate_tables`` / ``gate_functions`` / ``arc_rise`` / ``arc_fall``),
-  because the compiled/vector/bitparallel engines execute from them —
+  because the compiled/vector/bitparallel engines DC-initialise and
+  execute from them —
 
 then calls :meth:`CompiledNetlist.refresh_numpy_cache`, the sanctioned
 mutation seam through the frozen read-only ``as_numpy()`` export, so

@@ -163,6 +163,27 @@ def test_service_merges_worker_engine_metrics(mult4):
     assert chunks.cumulative_counts()[-1] >= 1
 
 
+def test_service_workers_do_not_ship_inherited_parent_totals(mult4):
+    """Forked workers start with a copy of the parent's registry; their
+    first delta must carry their own runs only, not those totals again."""
+    stimuli = _stimuli(mult4, batch=5)
+    config = ddm_config(record_traces=False)
+    simulate_batch(mult4, stimuli, config=config, engine_kind="compiled")
+
+    def runs():
+        inspect = MetricsRegistry()
+        inspect.merge_snapshot(get_registry().snapshot())
+        return inspect.get("halotis_engine_runs_total").value(engine="compiled")
+
+    before = runs()
+    assert before >= len(stimuli)
+    with SimulationService(
+        mult4, config=config, workers=2, engine_kind="compiled"
+    ) as service:
+        service.run_batch(stimuli)
+    assert runs() - before == len(stimuli)
+
+
 class _CrashOnceStimulus:
     """Hard-crashes the first worker that touches it, then runs
     normally (the flag file records the crash already happened).

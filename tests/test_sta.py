@@ -61,6 +61,28 @@ def test_windows_widen_and_arrive_later_along_a_chain():
         assert 0.0 < window.slew_min <= window.slew_max
 
 
+def test_single_inverter_window_contains_its_arc_delays(library):
+    builder = CircuitBuilder(name="one")
+    builder.output(builder.gate("INV", builder.input("a"), name="g"), "y")
+    netlist = builder.build()
+    window = analyze(netlist, cdm_config()).window("y")
+    load = netlist.net("y").load()
+    delays = [
+        library.get("INV").arc(0, rising).delay(load, 0.2)
+        for rising in (True, False)
+    ]
+    assert window.arrival_min <= min(delays)
+    assert max(delays) <= window.arrival_max
+
+
+def test_multiplier_critical_path_fits_the_paper_period(mult4):
+    """The calibration behind the whole evaluation: the Figure 5
+    multiplier settles within the paper's 5 ns vector period."""
+    path = analyze(mult4, cdm_config()).critical_paths[0]
+    assert 1.0 < path.arrival_max < 5.0
+    assert path.endpoint in {"s%d" % k for k in range(8)}
+
+
 def test_ddm_windows_contain_cdm_windows():
     """DDM can only shrink delays (floored at min_delay), so its window
     reaches earlier; the late edge is the shared undegraded maximum."""
