@@ -28,9 +28,10 @@ from repro.experiments import common
 from repro.stimuli.patterns import random_vector_batch
 
 #: Lanes in the lockstep batch; the acceptance criterion is N >= 64.
-#: Since DC init moved onto the lowering, compiled batches beat the
-#: vector lockstep below N of about 150 (0.84x at N = 96, 1.2x at 256),
-#: so the gate runs above that crossover.
+#: The gate ran at N = 96 until DC init moved onto the lowering; since
+#: then compiled batches beat the vector lockstep below N of about 150
+#: (0.84x at N = 96, 1.14-1.16x at 256), so the gate runs above that
+#: crossover.  Whether vector stays at all is an open ROADMAP item.
 _VECTORS = 256
 _STEPS = 2
 _SEED = 19

@@ -19,12 +19,16 @@ from ..errors import InitializationError, NetlistError, StimulusError
 from .logic import evaluate as evaluate_function
 from .netlist import Netlist
 
+#: Default relaxation budget (sweeps) for cyclic netlists; the lowering's
+#: DC-init (:meth:`repro.core.compiled.CompiledNetlist.dc_relax`) uses it too.
+MAX_RELAX_SWEEPS = 1000
+
 
 def evaluate_netlist(
     netlist: Netlist,
     input_values: Mapping[str, int],
     seed: Optional[Mapping[str, int]] = None,
-    max_iterations: int = 1000,
+    max_iterations: int = MAX_RELAX_SWEEPS,
 ) -> Dict[str, int]:
     """Return the steady-state value of every net under ``input_values``.
 

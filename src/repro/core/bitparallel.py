@@ -1200,7 +1200,7 @@ class _WordKernel:
 
 def _mask_popcount(masks: Sequence[int]) -> int:
     """Total set lanes across a recorded mask list."""
-    return sum(map(int.bit_count, masks))
+    return sum(mask.bit_count() for mask in masks)
 
 
 def _publish_word_metrics(kernel: _WordKernel, wall: float) -> None:
@@ -1217,9 +1217,8 @@ def _publish_word_metrics(kernel: _WordKernel, wall: float) -> None:
     registry = get_registry()
     if not registry.enabled:
         return
-    executed = _mask_popcount(kernel.executed_masks)
     counts = {
-        "events_executed": executed,
+        "events_executed": _mask_popcount(kernel.executed_masks),
         "events_scheduled": _mask_popcount(kernel.scheduled_masks),
         "events_filtered": _mask_popcount(kernel.filtered_masks),
         "late_events": _mask_popcount(kernel.late_masks),
@@ -1229,7 +1228,10 @@ def _publish_word_metrics(kernel: _WordKernel, wall: float) -> None:
     publish_engine_metrics(
         "bitparallel", counts, runs=kernel.lanes, run_seconds=wall,
         phases={"lockstep": wall},
-        waves=(kernel.word_events_executed, executed),
+        waves=(
+            kernel.word_events_executed,
+            _mask_popcount(kernel.executed_masks),
+        ),
         registry=registry,
     )
 
@@ -1255,7 +1257,6 @@ class _WordLockstepDriver:
         self.netlist = netlist
         self.kernel = kernel
         self.config = kernel.config
-        self._pi_index = {net.name: net.index for net in netlist.primary_inputs}
         lanes = len(stimuli)
         #: merged change schedule, stable-sorted by time (per-lane
         #: relative order is preserved).
@@ -1333,35 +1334,31 @@ class _WordLockstepDriver:
         (net, slew) and broadcast together.
         """
         kernel = self.kernel
-        net_val = kernel.net_val
-        add_source = kernel.source_masks.append
-        add_toggle = kernel.toggle_events.append
-        trace_lists = kernel.trace_lists
-        pi_index = self._pi_index
+        netlist = self.netlist
         default_slew = self.config.default_input_slew
         groups: Dict[Tuple[int, float], List[int]] = {}
         for _at_time, lane, assignments, slew in entries:
             bit = 1 << lane
-            traces = trace_lists[lane]
             for name in sorted(assignments):
                 value = assignments[name]
-                index = pi_index.get(name)
-                if index is None:
-                    self.netlist.net(name)  # unknown names: NetlistError
+                net = netlist.net(name)
+                if not net.is_primary_input:
                     raise StimulusError("%r is not a primary input" % name)
                 if value not in (0, 1):
                     raise StimulusError(
                         "input value must be 0 or 1, got %r" % (value,)
                     )
-                if (net_val[index] >> lane) & 1 == value:
+                index = net.index
+                if (kernel.net_val[index] >> lane) & 1 == value:
                     continue
                 ramp = slew if slew is not None else default_slew
                 if ramp <= 0.0:
                     raise StimulusError("input slew must be positive")
-                net_val[index] ^= bit
-                add_source(bit)
-                add_toggle((index, bit))
+                kernel.net_val[index] ^= bit
+                kernel.source_masks.append(bit)
+                kernel.toggle_events.append((index, bit))
                 kernel.toggles_dirty = True
+                traces = kernel.trace_lists[lane]
                 if traces is not None:
                     traces[index].append(Transition(
                         t50=at_time + 0.5 * ramp,

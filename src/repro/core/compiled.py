@@ -39,8 +39,9 @@ import heapq
 from array import array
 from bisect import bisect_left, insort
 from math import exp as _exp
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from ..circuit.evaluate import MAX_RELAX_SWEEPS
 from ..circuit.logic import (
     GateFunctionLike,
     evaluate as evaluate_function,
@@ -247,7 +248,10 @@ class CompiledNetlist:
             )
             for gate in gates
         ]
-        self._dc_sweep: Optional[List[Tuple[int, int, Tuple[int, ...]]]] = None
+        # None until first use, then the sweep plan, or () when cyclic.
+        self._dc_sweep: Union[
+            None, Tuple[()], List[Tuple[int, int, Tuple[int, ...]]]
+        ] = None
         # Result dicts keep ``netlist.nets`` key order (not index order).
         self._key_ids: List[int] = [net.index for net in netlist.nets.values()]
         self._key_names: List[str] = list(netlist.nets)
@@ -404,10 +408,11 @@ class CompiledNetlist:
             try:
                 order = self.topological_order()
             except SimulationError:
+                self._dc_sweep = ()  # cyclic: remember the verdict
                 return None
             plan = self._gate_plan
             self._dc_sweep = [plan[gate] for gate in order]
-        return self._dc_sweep
+        return self._dc_sweep if isinstance(self._dc_sweep, list) else None
 
     def _gate_value(self, gate: int, row: List[int], in_nets: Tuple[int, ...]) -> int:
         table = self.gate_tables[gate]
@@ -432,10 +437,9 @@ class CompiledNetlist:
         output changes.
 
         Raises:
-            InitializationError: no fixpoint within evaluate_netlist's
-                default budget of sweeps.
+            InitializationError: no fixpoint within ``MAX_RELAX_SWEEPS``
+                sweeps (evaluate_netlist's default budget).
         """
-        max_iterations = 1000
         if seed:
             constants = self.net_constant
             is_pi = self.net_is_pi
@@ -444,7 +448,7 @@ class CompiledNetlist:
                     row[net] = seed.get(name, 0)
         gate_value = self._gate_value
         plan = self._gate_plan
-        for _iteration in range(max_iterations):
+        for _iteration in range(MAX_RELAX_SWEEPS):
             changed = False
             for gate, out_net, in_nets in plan:
                 value = gate_value(gate, row, in_nets)
@@ -456,7 +460,7 @@ class CompiledNetlist:
         raise InitializationError(
             "netlist %r did not reach a stable state after %d relaxation "
             "sweeps; provide a consistent seed or different inputs"
-            % (self.netlist.name, max_iterations)
+            % (self.netlist.name, MAX_RELAX_SWEEPS)
         )
 
     def dc_values(

@@ -163,6 +163,13 @@ def test_only_a_cycle_selects_relaxation(kind, monkeypatch):
         _engine_dc(kind, netlist, inputs)
 
 
+def test_cyclic_lowering_is_ordered_once(monkeypatch):
+    compiled = CompiledNetlist(modules.rs_latch())
+    first = compiled.dc_values({"s_n": 0, "r_n": 1})
+    monkeypatch.setattr(CompiledNetlist, "topological_order", _broken_ordering)
+    assert compiled.dc_values({"s_n": 0, "r_n": 1}) == first
+
+
 def test_compiled_paths_never_touch_the_object_graph_dc_init(monkeypatch):
     """With the object-graph ordering, evaluator and relaxation broken,
     compiled simulate(), simulate_batch() and a service batch (forked
