@@ -146,6 +146,13 @@ class BatchResult:
         return "\n".join(lines)
 
 
+def even_chunk(total: int, parts: int) -> int:
+    """Vectors per chunk that split ``total`` vectors evenly over
+    ``parts`` workers: ``ceil(total / parts)``, so each worker gets one
+    chunk and a batch pays one dispatch per worker, not per vector."""
+    return max(1, -(-total // parts))
+
+
 def _shard_bounds(total: int, chunk_size: int) -> List[Tuple[int, int]]:
     """Contiguous ``[start, end)`` shards of ``chunk_size`` vectors."""
     return [
@@ -460,7 +467,7 @@ def _simulate_sharded(
     from concurrent.futures import ProcessPoolExecutor
 
     if chunk_size is None:
-        chunk_size = -(-len(stimuli) // jobs)  # ceil division: even split
+        chunk_size = even_chunk(len(stimuli), jobs)
     bounds = _shard_bounds(len(stimuli), chunk_size)
     results: List[Optional[SimulationResult]] = [None] * len(stimuli)
     with ProcessPoolExecutor(max_workers=min(jobs, len(bounds))) as pool:

@@ -19,13 +19,15 @@ circuit does not change between batches.
   small stats/final-values metadata; where shared memory is unavailable
   (or ``shm_transport=False``) results fall back to pickling with
   bit-identical content;
+* a batch is split evenly into one chunk per worker by default, so it
+  pays one queue round trip per worker, not one per vector;
 * a crashed worker is detected, respawned with the same warm payload,
-  and its in-flight vector requeued — a stimulus that *keeps* killing
+  and its in-flight chunk requeued — a chunk that *keeps* killing
   workers fails its batch with :class:`ServiceError` after
   ``max_task_retries`` without poisoning the service.
 
 The dispatch discipline is one-in-flight-per-worker: the parent hands a
-worker its next vector only after consuming the previous result, which
+worker its next chunk only after consuming the previous result, which
 is exactly what makes the single reusable shm buffer per worker safe
 (the worker never overwrites records the parent has not read).
 
@@ -46,9 +48,9 @@ import collections
 import contextlib
 import itertools
 import os
-import queue as _queue
 import time as _time
 import traceback as _traceback
+from multiprocessing.connection import wait as _wait_connections
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..circuit.netlist import Netlist
@@ -56,7 +58,7 @@ from ..config import SimulationConfig
 from ..errors import ServiceError, SimulationError
 from ..obs.log import get_logger
 from ..obs.registry import MetricsRegistry, get_registry
-from .batch import BatchResult, _publish_batch_metrics
+from .batch import BatchResult, _publish_batch_metrics, even_chunk
 from .engine import (
     ENGINE_KINDS,
     SimulationResult,
@@ -199,23 +201,20 @@ def _worker_main(
     transport: str,
     shm_base: str,
     task_queue,
-    result_queue,
+    results,
 ) -> None:
     """Worker-process loop: build the engine once, serve tasks forever.
 
-    Tasks are ``(generation, job_id, indices, stimuli, settle, seed)``
-    tuples — one *chunk* of a batch, ``indices`` and ``stimuli`` running
-    in parallel (length 1 unless the submitter chunked); ``None`` is the
-    shutdown pill.  Each chunk answers with exactly one message (``snap``
-    is the worker registry's ``snapshot(reset=True)`` metrics delta, or
-    None when metrics collection is off):
+    Tasks are ``(job_id, indices, stimuli, settle, seed)`` tuples — one
+    *chunk* of a batch, ``indices`` and ``stimuli`` running in parallel;
+    ``None`` is the shutdown pill.  Each chunk answers with exactly one
+    message on ``results``, this worker's own pipe to the parent
+    (``snap`` is the worker registry's ``snapshot(reset=True)`` metrics
+    delta, or None when metrics collection is off):
 
-    * ``("shm", worker_id, generation, job_id, indices, segment, metas,
-      snap)``
-    * ``("pickle", worker_id, generation, job_id, indices, results,
-      snap)``
-    * ``("error", worker_id, generation, job_id, index, type_name, text,
-      snap)``
+    * ``("shm", job_id, indices, segment, metas, snap)``
+    * ``("pickle", job_id, indices, results, snap)``
+    * ``("error", job_id, index, type_name, text, snap)``
 
     One message per chunk keeps the single shm buffer safe to reuse (the
     parent reads it before this worker gets its next task) and is the
@@ -223,8 +222,11 @@ def _worker_main(
     once per vector.  On an error the rest of the chunk is abandoned —
     the parent fails the whole job on the first error anyway.
 
-    The generation stamp lets the parent discard messages a worker
-    emitted before it was declared dead and its task requeued.
+    ``results.send`` writes the whole message before it returns and the
+    pipe has no other writer, so a worker that dies holds no lock the
+    next worker needs.  A ``multiprocessing.Queue`` shared by all
+    workers would send from a feeder thread under a cross-process lock,
+    which a worker dying just after a send can leave held for good.
     """
     engine = make_engine(
         netlist, config=config, queue_kind=queue_kind, engine_kind=engine_kind
@@ -252,17 +254,17 @@ def _worker_main(
             task = task_queue.get()
             if task is None:
                 break
-            generation, job_id, indices, stimuli, settle, seed = task
-            results = []
+            job_id, indices, stimuli, settle, seed = task
+            chunk_results = []
             failed = False
             for index, stimulus in zip(indices, stimuli):
                 try:
-                    results.append(
+                    chunk_results.append(
                         run_stimulus(engine, stimulus, settle=settle, seed=seed)
                     )
                 except Exception as error:  # noqa: BLE001 - forwarded to parent
-                    result_queue.put((
-                        "error", worker_id, generation, job_id, index,
+                    results.send((
+                        "error", job_id, index,
                         type(error).__name__,
                         "%s\n%s" % (error, _traceback.format_exc()),
                         _snap(),
@@ -271,7 +273,7 @@ def _worker_main(
                     break
             if failed:
                 continue
-            for result in results:
+            for result in chunk_results:
                 result.simulator = None
                 # Strip the per-result metrics annotation: the registry
                 # snapshot below carries the aggregates, and the two
@@ -281,19 +283,17 @@ def _worker_main(
             if buffer is not None:
                 payloads = []
                 metas = []
-                for result in results:
+                for result in chunk_results:
                     payload, meta = shm_transport.pack_result(result)
                     payloads.append(payload)
                     metas.append(meta)
                 segment = buffer.write(b"".join(payloads))
-                result_queue.put((
-                    "shm", worker_id, generation, job_id, indices,
-                    segment, metas, _snap(),
+                results.send((
+                    "shm", job_id, indices, segment, metas, _snap(),
                 ))
             else:
-                result_queue.put((
-                    "pickle", worker_id, generation, job_id, indices,
-                    results, _snap(),
+                results.send((
+                    "pickle", job_id, indices, chunk_results, _snap(),
                 ))
     finally:
         if buffer is not None:
@@ -304,10 +304,18 @@ def _worker_main(
 # parent side
 # ----------------------------------------------------------------------
 
+def _describe_chunk(indices: Sequence[int]) -> str:
+    """Name every vector of a chunk: a crash cannot tell which of them
+    killed the worker.  Chunk indices are consecutive."""
+    if len(indices) == 1:
+        return "vector %d" % indices[0]
+    return "chunk of vectors %d-%d" % (indices[0], indices[-1])
+
+
 class _Task:
     """One dispatch unit — a chunk of consecutive vectors of one batch —
     with its crash-retry accounting.  ``indices`` and ``stimuli`` run in
-    parallel; both have length 1 unless the batch was chunked."""
+    parallel."""
 
     __slots__ = ("job_id", "indices", "stimuli", "settle", "seed",
                  "attempts", "submitted_at", "dispatched_at")
@@ -328,12 +336,14 @@ class _Task:
 class _Worker:
     """Parent-side bookkeeping for one worker process."""
 
-    __slots__ = ("process", "task_queue", "generation", "current",
-                 "last_segment")
+    __slots__ = ("process", "task_queue", "results", "generation",
+                 "current", "last_segment")
 
-    def __init__(self, process, task_queue, generation):
+    def __init__(self, process, task_queue, results, generation):
         self.process = process
         self.task_queue = task_queue
+        #: read end of the worker's result pipe; EOF once it has exited.
+        self.results = results
         self.generation = generation
         #: the task currently in flight on this worker (None = idle).
         self.current: Optional[_Task] = None
@@ -415,7 +425,7 @@ class SimulationService:
         shm_transport: True to move traces through shared memory, False
             to pickle them, None (default) to use shared memory when the
             platform provides it.  Both transports are bit-identical.
-        max_task_retries: how many times one vector may crash a worker
+        max_task_retries: how many times one chunk may crash a worker
             before its batch fails with :class:`ServiceError`.
 
     The service is single-threaded on the parent side: results are
@@ -441,7 +451,6 @@ class SimulationService:
         # no-op instead of raising AttributeError.
         self._closed = False
         self._workers: List[_Worker] = []
-        self._result_queue = None
         self._attachments: Dict[str, object] = {}
 
         self.netlist = netlist
@@ -510,7 +519,6 @@ class SimulationService:
                 from multiprocessing import resource_tracker
                 resource_tracker.ensure_running()
         self._shm_base = "hal%dx%d" % (os.getpid(), next(_SERVICE_SEQ))
-        self._result_queue = self._ctx.Queue()
         self._pending: collections.deque[_Task] = collections.deque()
         self._jobs: Dict[int, BatchJob] = {}
         self._job_seq = itertools.count()
@@ -574,12 +582,10 @@ class SimulationService:
                 self._unlink_worker_segments(worker_id, worker)
             worker.task_queue.cancel_join_thread()
             worker.task_queue.close()
+            worker.results.close()
         for attachment in self._attachments.values():
             attachment.close()
         self._attachments.clear()
-        if self._result_queue is not None:
-            self._result_queue.cancel_join_thread()
-            self._result_queue.close()
 
     def _require_open(self) -> None:
         if self._closed:
@@ -592,7 +598,7 @@ class SimulationService:
         stimuli: Sequence,
         settle: float = 0.0,
         seed: Optional[Mapping[str, int]] = None,
-        chunk: int = 1,
+        chunk: Optional[int] = None,
     ) -> BatchJob:
         """Enqueue N stimuli; returns a :class:`BatchJob` handle.
 
@@ -601,16 +607,21 @@ class SimulationService:
         service) is pumped.
 
         ``chunk`` packs that many consecutive vectors into one worker
-        round-trip.  The default (1) gives finest-grained scheduling
-        and crash retry; large batches of *short* vectors (fault
-        campaigns, pattern sweeps) amortise the per-task queue overhead
-        by chunking — a crash then retries the whole chunk.
+        round trip.  The default (None) splits the batch evenly, one
+        chunk of ``ceil(N / workers)`` vectors per worker, so the batch
+        pays one queue round trip per worker rather than per vector.
+        ``chunk=1`` gives finest-grained scheduling and crash retry.
+        Chunking only changes transport: results are bit-identical and
+        in input order whatever the chunk size.  A crash retries the
+        whole chunk, so one poison vector re-runs its chunk-mates too.
         """
         self._require_open()
         stimuli = list(stimuli)
         if not stimuli:
             raise ServiceError("submit_batch() needs at least one stimulus")
-        if chunk < 1:
+        if chunk is None:
+            chunk = even_chunk(len(stimuli), self.workers)
+        elif chunk < 1:
             raise ServiceError("chunk must be >= 1, got %d" % chunk)
         job_id = next(self._job_seq)
         job = BatchJob(self, job_id, len(stimuli))
@@ -664,12 +675,23 @@ class SimulationService:
         """
         self._require_open()
         self._dispatch()
-        try:
-            message = self._result_queue.get(timeout=_POLL_SECONDS)
-        except _queue.Empty:
+        ready = _wait_connections(
+            [worker.results for worker in self._workers],
+            timeout=_POLL_SECONDS,
+        )
+        if not ready:
             self._reap_dead_workers()
             return
-        self._handle_message(message)
+        for worker_id, worker in enumerate(self._workers):
+            if worker.results not in ready:
+                continue
+            try:
+                message = worker.results.recv()
+            except EOFError:
+                # The worker exited: its end of the pipe closed with it.
+                self._restart_worker(worker_id)
+                continue
+            self._handle_message(worker_id, message)
 
     def _dispatch(self) -> None:
         """Hand pending tasks to idle live workers (one in flight each)."""
@@ -694,8 +716,8 @@ class SimulationService:
                     self._metrics.queue_wait.observe(now - task.submitted_at)
                 self._metrics.chunk_vectors.observe(float(len(task.indices)))
             worker.task_queue.put((
-                worker.generation, task.job_id, task.indices,
-                task.stimuli, task.settle, task.seed,
+                task.job_id, task.indices, task.stimuli, task.settle,
+                task.seed,
             ))
 
     def _next_live_task(self) -> Optional[_Task]:
@@ -707,27 +729,14 @@ class SimulationService:
                 return task
         return None
 
-    def _handle_message(self, message) -> None:
-        kind, worker_id, generation = message[0], message[1], message[2]
+    def _handle_message(self, worker_id: int, message) -> None:
+        kind, job_id = message[0], message[1]
         worker = self._workers[worker_id]
-        # Every message carries the worker's metrics delta as its last
-        # element; fold it in even for ghosts — the simulation work the
-        # delta describes really ran, whichever copy of the task wins.
+        # Every message carries the worker's metrics delta last.
         self._merge_worker_snapshot(message[-1])
-        if generation != worker.generation:
-            # A ghost: the worker finished a task after we declared it
-            # dead and requeued the work.  The requeued copy is (or will
-            # be) the authoritative result — but the segment the ghost
-            # names belonged to the dead worker (spawn names embed the
-            # generation, so it cannot be the replacement's) and nobody
-            # else will ever unlink it.
-            if kind == "shm":
-                self._unlink_segment(message[5])
-            return
-        job_id = message[3]
         job = self._jobs.get(job_id)
         if kind == "error":
-            index, type_name, detail = message[4], message[5], message[6]
+            index, type_name, detail = message[2], message[3], message[4]
             task = worker.current
             if task is not None and task.job_id == job_id and index in task.indices:
                 worker.current = None
@@ -746,13 +755,13 @@ class SimulationService:
                 ))
                 self._jobs.pop(job_id, None)
             return
-        indices = message[4]
+        indices = message[2]
         task = worker.current
         if task is not None and (task.job_id, task.indices) == (job_id, indices):
             worker.current = None
             self._observe_task(task, "ok")
         if kind == "shm":
-            segment, metas = message[5], message[6]
+            segment, metas = message[3], message[4]
             if worker.last_segment not in (None, segment):
                 # The worker grew (and unlinked) its buffer; drop our
                 # mapping of the abandoned segment.
@@ -762,7 +771,7 @@ class SimulationService:
             worker.last_segment = segment
             results = self._read_shm_results(segment, metas)
         else:
-            results = message[5]
+            results = message[3]
         if job is not None and job._error is None:
             for index, result in zip(indices, results):
                 job._store(index, result)
@@ -821,7 +830,7 @@ class SimulationService:
     # -- failure handling ----------------------------------------------
 
     def _reap_dead_workers(self) -> None:
-        """Respawn dead workers, requeueing their in-flight vectors."""
+        """Respawn dead workers, requeueing their in-flight chunks."""
         for worker_id, worker in enumerate(self._workers):
             if worker.process.is_alive():
                 continue
@@ -832,6 +841,18 @@ class SimulationService:
         dead.process.join(timeout=0.1)
         dead.task_queue.cancel_join_thread()
         dead.task_queue.close()
+        # A result the worker sent in full before dying still counts:
+        # its chunk is then done and is not re-run.  A message cut off
+        # mid-send reads as EOF.
+        while True:
+            try:
+                if not dead.results.poll():
+                    break
+                message = dead.results.recv()
+            except (EOFError, OSError):
+                break
+            self._handle_message(worker_id, message)
+        dead.results.close()
         self._unlink_worker_segments(worker_id, dead)
         self.worker_restarts += 1
         if self._metrics is not None:
@@ -861,15 +882,15 @@ class SimulationService:
                 "crash-retry budget exhausted; failing job",
                 extra={
                     "worker_id": worker_id, "job_id": task.job_id,
-                    "index": task.indices[0], "attempts": task.attempts,
+                    "indices": task.indices, "attempts": task.attempts,
                     "max_task_retries": self.max_task_retries,
                 },
             )
             if job is not None:
                 job._fail(ServiceError(
-                    "vector %d crashed its worker %d times "
-                    "(max_task_retries=%d)"
-                    % (task.indices[0], task.attempts, self.max_task_retries)
+                    "%s crashed its worker %d times (max_task_retries=%d)"
+                    % (_describe_chunk(task.indices), task.attempts,
+                       self.max_task_retries)
                 ))
                 self._jobs.pop(task.job_id, None)
             return
@@ -891,8 +912,8 @@ class SimulationService:
 
         A worker holds at most one live segment (growth unlinks the old
         one before creating the next generation), but it may have grown
-        past the last name the parent saw — crash before the result
-        message flushed, or the message was ghost-dropped.  Probing a
+        past the last name the parent saw — a crash before or while it
+        sent the result message.  Probing a
         window of generation suffixes past the last known one costs a
         handful of ENOENT lookups and closes that leak.
         """
@@ -928,6 +949,7 @@ class SimulationService:
 
     def _spawn_worker(self, worker_id: int, generation: int = 0) -> _Worker:
         task_queue = self._ctx.Queue()
+        results, sender = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
             target=_worker_main,
             args=(
@@ -939,10 +961,13 @@ class SimulationService:
                 self.transport,
                 "%sw%dr%d" % (self._shm_base, worker_id, generation),
                 task_queue,
-                self._result_queue,
+                sender,
             ),
             daemon=True,
             name="halotis-worker-%d" % worker_id,
         )
         process.start()
-        return _Worker(process, task_queue, generation)
+        # The worker now holds the only write end, so the pipe reads EOF
+        # once it exits.
+        sender.close()
+        return _Worker(process, task_queue, results, generation)

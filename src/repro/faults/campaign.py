@@ -394,30 +394,20 @@ def run_campaign(
     if not mutants:
         results: List[SimulationResult] = []
     elif via == "service":
-        # Campaign mutants are many and short: chunk them so the queue
-        # round-trip is paid per chunk, not per mutant, while keeping
-        # enough chunks in flight to feed every worker.
-        pool_size = workers
-        if pool_size is None:
-            pool_size = (
-                service.workers if service is not None
-                else config.campaign_workers
-            )
-        chunk = max(1, min(8, len(mutants) // (4 * pool_size)))
+        # The service's default even split sends one chunk of mutants
+        # per worker: one queue round trip each, not one per mutant.
         if service is not None:
-            results = service.submit_batch(
-                mutants, settle=settle, chunk=chunk
-            ).wait()
+            results = service.submit_batch(mutants, settle=settle).wait()
         else:
             from ..core.service import SimulationService
 
+            if workers is None:
+                workers = config.campaign_workers
             with SimulationService(
-                netlist, config=config, workers=pool_size,
+                netlist, config=config, workers=workers,
                 engine_kind=engine_kind,
             ) as pool:
-                results = pool.submit_batch(
-                    mutants, settle=settle, chunk=chunk
-                ).wait()
+                results = pool.submit_batch(mutants, settle=settle).wait()
     else:
         results = simulate_batch(
             netlist,

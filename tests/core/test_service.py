@@ -25,6 +25,7 @@ from repro.core.service import SimulationService
 from repro.core.shm_transport import pack_result, unpack_result
 from repro.errors import ServiceError
 from repro.experiments import common
+from repro.obs.registry import MetricsRegistry, get_registry
 from repro.stimuli.patterns import random_vector_batch
 
 from test_backend_parity import random_netlist, random_stimulus
@@ -144,20 +145,44 @@ def test_warm_service_survives_many_batches(mult4):
         assert service.worker_restarts == 0
 
 
+def _dispatched_chunks(submit):
+    """Run ``submit()`` and count the chunks it dispatched, read from the
+    ``halotis_service_chunk_vectors`` histogram in a registry delta."""
+    get_registry().snapshot(reset=True)
+    results = submit()
+    delta = MetricsRegistry()
+    delta.merge_snapshot(get_registry().snapshot(reset=True))
+    return results, delta.get(
+        "halotis_service_chunk_vectors"
+    ).cumulative_counts()[-1]
+
+
 @pytest.mark.parametrize("shm", [True, False], ids=["shm", "pickle"])
 def test_chunked_batches_bit_identical_to_unchunked(mult4, shm):
     """``chunk > 1`` is pure transport amortisation: results are
     bit-identical to the per-vector dispatch on both transports, in
-    input order, including a ragged final chunk."""
+    input order, including a ragged final chunk.  The default splits a
+    batch into one chunk per worker (fewer when N < workers)."""
     stimuli = common.paper_stimulus_batch() * 2  # 10 vectors, chunk 4 -> ragged
     config = ddm_config()
+    workers = 2
     with SimulationService(
-        mult4, config=config, workers=2, engine_kind="compiled",
+        mult4, config=config, workers=workers, engine_kind="compiled",
         shm_transport=shm,
     ) as service:
-        unchunked = service.submit_batch(stimuli).wait()
+        unchunked = service.submit_batch(stimuli, chunk=1).wait()
         chunked = service.submit_batch(stimuli, chunk=4).wait()
         whole = service.submit_batch(stimuli, chunk=len(stimuli)).wait()
+        default, chunks = _dispatched_chunks(
+            lambda: service.submit_batch(stimuli).wait()
+        )
+        assert chunks == min(workers, len(stimuli))
+        single, chunks = _dispatched_chunks(
+            lambda: service.submit_batch(stimuli[:1]).wait()
+        )
+        assert chunks == min(workers, 1)
+    assert_results_identical(single[0], unchunked[0], mult4,
+                             context="default single vector")
     for position in range(len(stimuli)):
         assert_results_identical(
             chunked[position], unchunked[position], mult4,
@@ -166,6 +191,10 @@ def test_chunked_batches_bit_identical_to_unchunked(mult4, shm):
         assert_results_identical(
             whole[position], unchunked[position], mult4,
             context="chunk=all vector %d" % position,
+        )
+        assert_results_identical(
+            default[position], unchunked[position], mult4,
+            context="default chunk vector %d" % position,
         )
 
 
@@ -236,7 +265,7 @@ def test_shm_buffer_grows_for_large_traces(mult4):
         mult4, config=ddm_config(), workers=1, engine_kind="compiled",
         shm_transport=True,
     ) as service:
-        ordered = service.run_batch(small + large + small)
+        ordered = service.submit_batch(small + large + small, chunk=1).wait()
         worker = service._workers[0]
         assert worker.last_segment is not None
         assert worker.last_segment.endswith("g2"), (
@@ -251,6 +280,46 @@ def test_shm_buffer_grows_for_large_traces(mult4):
             ordered[position], standalone, mult4,
             context="growth vector %d" % position,
         )
+
+
+def test_shm_buffer_grows_when_a_later_chunk_outgrows_it(mult4):
+    """Under the default split a whole batch is one chunk on a single
+    worker: a later batch whose chunk outgrows the 64 KiB segment grows
+    the buffer, and results stay bit-identical across the growth."""
+    input_names = [net.name for net in mult4.primary_inputs]
+    small = random_vector_batch(
+        input_names, batch=2, count=2, period=2.0, base_seed=3
+    )
+    # ~45 KB of packed records per vector: each fits the initial
+    # segment, but the two-vector chunk does not.
+    large = random_vector_batch(
+        input_names, batch=2, count=15, period=2.0, base_seed=3
+    )
+    with SimulationService(
+        mult4, config=ddm_config(), workers=1, engine_kind="compiled",
+        shm_transport=True,
+    ) as service:
+        before = service.submit_batch(small).wait()
+        worker = service._workers[0]
+        first_segment = worker.last_segment
+        assert first_segment is not None
+        grown = service.submit_batch(large).wait()
+        assert worker.last_segment != first_segment, (
+            "expected the buffer to grow, still on %r" % first_segment
+        )
+        after = service.submit_batch(small).wait()
+    for label, stimuli, results in (
+        ("before", small, before), ("grown", large, grown),
+        ("after", small, after),
+    ):
+        for position, stimulus in enumerate(stimuli):
+            standalone = simulate(
+                mult4, stimulus, config=ddm_config(), engine_kind="compiled"
+            )
+            assert_results_identical(
+                results[position], standalone, mult4,
+                context="%s vector %d" % (label, position),
+            )
 
 
 # ----------------------------------------------------------------------
@@ -390,7 +459,7 @@ def test_crashing_stimulus_is_requeued_and_recovers(mult4, tmp_path):
         mult4, config=ddm_config(record_traces=False), workers=2,
         engine_kind="compiled",
     ) as service:
-        results = service.submit_batch(stimuli).wait()
+        results = service.submit_batch(stimuli, chunk=1).wait()
         assert service.worker_restarts == 1
         assert service.tasks_requeued == 1
     assert os.path.exists(flag)
@@ -400,6 +469,87 @@ def test_crashing_stimulus_is_requeued_and_recovers(mult4, tmp_path):
             engine_kind="compiled",
         )
         assert results[index].final_values == standalone.final_values
+
+
+def test_crash_under_default_split_requeues_the_whole_chunk(mult4, tmp_path):
+    """3 vectors on 2 workers split as chunks [0, 1] and [2]; a crash on
+    vector 1 requeues its whole chunk and the results stay exact."""
+    input_names = [net.name for net in mult4.primary_inputs]
+    plain = random_vector_batch(
+        input_names, batch=3, count=1, period=3.0, base_seed=31
+    )
+    flag = str(tmp_path / "crashed-once")
+    stimuli = [plain[0], _CrashOnceStimulus(plain[1], flag), plain[2]]
+    config = ddm_config(record_traces=False)
+    with SimulationService(
+        mult4, config=config, workers=2, engine_kind="compiled",
+    ) as service:
+        results = service.submit_batch(stimuli).wait()
+        assert service.worker_restarts == 1
+        assert service.tasks_requeued == 2
+    assert os.path.exists(flag)
+    for index in range(3):
+        standalone = simulate(
+            mult4, plain[index], config=config, engine_kind="compiled"
+        )
+        assert_results_identical(
+            results[index], standalone, mult4,
+            context="requeued chunk vector %d" % index,
+        )
+
+
+def test_exhausted_chunk_error_names_every_vector(mult4, tmp_path):
+    """The poison is the chunk's *second* vector; the crash cannot say
+    which vector killed the worker, so the error names both."""
+    input_names = [net.name for net in mult4.primary_inputs]
+    plain = random_vector_batch(
+        input_names, batch=2, count=1, period=3.0, base_seed=37
+    )
+    poison = _AlwaysCrashStimulus(plain[1], str(tmp_path / "unused"))
+    with SimulationService(
+        mult4, config=ddm_config(record_traces=False), workers=1,
+        engine_kind="compiled", max_task_retries=1,
+    ) as service:
+        with pytest.raises(
+            ServiceError, match=r"vectors 0-1 crashed its worker 2 times"
+        ):
+            service.submit_batch([plain[0], poison], chunk=2).wait()
+        assert service.worker_restarts == 2
+
+
+@pytest.mark.parametrize("shm", [True, False], ids=["shm", "pickle"])
+def test_crash_right_after_a_large_result_does_not_wedge_the_pool(
+    mult4, tmp_path, shm
+):
+    """A worker dies on the task that follows a result too large for one
+    pipe write.  The result must not leave a lock behind that stops the
+    replacement's results: each round finishes within a deadline."""
+    import time
+
+    input_names = [net.name for net in mult4.primary_inputs]
+    large = random_vector_batch(
+        input_names, batch=1, count=30, period=2.0, base_seed=3
+    )
+    plain = random_vector_batch(
+        input_names, batch=1, count=1, period=3.0, base_seed=5
+    )
+    with SimulationService(
+        mult4, config=ddm_config(), workers=1, engine_kind="compiled",
+        shm_transport=shm,
+    ) as service:
+        for round_ in range(20):
+            service.submit_batch(large).wait()
+            flag = str(tmp_path / ("crashed-%d" % round_))
+            job = service.submit_batch([_CrashOnceStimulus(plain[0], flag)])
+            deadline = time.monotonic() + 20.0
+            while not job.done:
+                assert time.monotonic() < deadline, (
+                    "round %d: the replacement's result never arrived"
+                    % round_
+                )
+                service._pump()
+            assert len(job.wait()) == 1
+        assert service.worker_restarts == 20
 
 
 def test_poison_stimulus_exhausts_retry_budget(mult4, tmp_path):
