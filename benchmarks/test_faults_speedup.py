@@ -182,7 +182,7 @@ def test_warm_campaign_matches_naive_path(benchmark):
     def run_both():
         warm = run_campaign(
             netlist, sliced, stimulus, config=config,
-            engine_kind="compiled", via="service", workers=_WORKERS,
+            engine_kind="compiled", jobs=_WORKERS,
         )
         golden = simulate(
             netlist, stimulus, config=config, engine_kind="compiled"

@@ -1,13 +1,13 @@
-"""Warm-pool service throughput vs. cold per-call sharding.
+"""Warm-pool service throughput vs. a cold pool per call.
 
-PR 2's ``simulate_batch(jobs > 1)`` pays, *per call*: a process-pool
-spawn, one netlist (un)pickle and one engine build per shard, and a full
-pickle of every result on the way back.  The service exists to amortise
-all of that away: workers spawn once, engines build once, traces return
-through a reusable shared-memory buffer.  This benchmark drives the same
-many-short-vectors workload down both paths and asserts the warm
-service's per-vector time beats the cold sharded path's — the scaling
-claim of this PR, kept honest on every run.
+``simulate_batch(jobs > 1)`` opens an ephemeral service for each call,
+so it pays, *per call*: a worker spawn, one netlist (un)pickle and one
+engine build per worker, and the pool's shutdown.  A long-lived service
+amortises all of that away: workers spawn once, engines build once,
+traces return through a reusable shared-memory buffer.  This benchmark
+drives the same many-short-vectors workload down both paths and asserts
+the warm service's per-vector time beats the cold per-call pool's — the
+scaling claim of the service, kept honest on every run.
 
 A parity guard pins that the two timed paths are the same computation.
 """
@@ -69,12 +69,12 @@ def test_service_throughput(benchmark, bench_record):
 
 
 def test_warm_service_beats_cold_sharding(benchmark, bench_record):
-    """The acceptance bar: warm per-vector time < cold sharded per-vector.
+    """The acceptance bar: warm per-vector time < cold per-vector.
 
-    "Cold" is PR 2's ``jobs > 1`` path exactly as a fresh caller pays
-    it — pool spawn, engine rebuild per shard, pickled results —
-    re-entered per batch.  "Warm" is the same batch submitted to an
-    already-running service.
+    "Cold" is the ``jobs > 1`` path exactly as a fresh caller pays it —
+    an ephemeral pool per call: worker spawn, engine build per worker,
+    shutdown — re-entered per batch.  "Warm" is the same batch
+    submitted to an already-running service.
     """
     netlist, stimuli = _workload()
     config = _throughput_config()
@@ -104,7 +104,7 @@ def test_warm_service_beats_cold_sharding(benchmark, bench_record):
 
         # Warm both paths: the service runs its first batch (workers
         # finish any lazy setup), the cold path populates the lowering
-        # cache it ships to shards.
+        # cache it ships to workers.
         service.run_batch(stimuli)
         simulate_batch(netlist, stimuli[:2], config=config,
                        engine_kind="compiled", jobs=_WORKERS)

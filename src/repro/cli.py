@@ -7,11 +7,11 @@ Subcommands:
 * ``simulate`` — run a built-in circuit or a ``.bench`` file through
   HALOTIS with random or explicit vectors; optional VCD dump.  Batch
   modes (``--batch`` / ``--vector-file``) run many vector sequences
-  through one lowering, sharded cold with ``--jobs`` or on a
-  persistent warm-engine pool with ``--pool-workers`` (``--shm`` for
-  shared-memory trace transport); ``--stdin-vectors`` turns the
-  command into a long-running streaming service reading one JSON
-  sequence per stdin line.
+  through one lowering, in-process or on a warm-engine worker pool
+  with ``--pool-workers`` (``--shm`` for shared-memory trace
+  transport); ``--stdin-vectors`` turns the command into a
+  long-running streaming service reading one JSON sequence per stdin
+  line.
 * ``serve`` — run the network simulation server: named netlists, each
   on its own warm worker pool, over a newline-delimited JSON protocol
   (see ``repro.server``).  ``simulate --connect HOST:PORT`` runs the
@@ -22,9 +22,8 @@ Subcommands:
   critical paths, no simulation required (``--json`` for tooling).
 * ``faults {generate,run,report}`` — fault-injection campaigns:
   deterministic faultload generation, golden-diff campaigns over any
-  engine/throughput layer (``--jobs``, ``--pool-workers``,
-  ``--connect``), and dependability-report rendering (see
-  ``repro.faults``).
+  engine/throughput layer (``--pool-workers``, ``--connect``), and
+  dependability-report rendering (see ``repro.faults``).
 * ``stats`` — query a running ``repro serve`` instance: human summary,
   raw JSON (``--json``) or Prometheus text exposition
   (``--prometheus``) of the server's metrics registry.
@@ -172,15 +171,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "line per vector until EOF",
     )
     simulate_cmd.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for one-shot batch sharding (default 1: "
-        "in-process); each call spawns and tears down its own pool",
-    )
-    simulate_cmd.add_argument(
         "--pool-workers", type=int, metavar="N",
-        help="run batch/streaming mode on a persistent SimulationService "
-        "with N warm workers (engines built once, reused across vectors) "
-        "instead of cold --jobs sharding",
+        help="run batch/streaming mode on a SimulationService with N "
+        "warm workers (engines built once, reused across vectors) "
+        "instead of in-process",
     )
     simulate_cmd.add_argument(
         "--shm", action="store_true",
@@ -396,12 +390,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help=_engine_help(),
     )
     run.add_argument(
-        "--jobs", type=int, default=1,
-        help="shard the mutants over N processes (local path)",
-    )
-    run.add_argument(
         "--pool-workers", type=int, metavar="N",
-        help="fan mutants over a warm N-worker SimulationService pool",
+        help="run the mutants on an N-worker SimulationService pool "
+        "(default: in-process)",
     )
     run.add_argument(
         "--connect", metavar="HOST:PORT",
@@ -523,11 +514,10 @@ def _cmd_simulate(args) -> int:
         return _cmd_simulate_stream(args, netlist, config)
     if args.batch is not None or args.vector_file:
         return _cmd_simulate_batch(args, netlist, config)
-    if (args.batch_out or args.jobs != 1
-            or args.pool_workers is not None or args.shm):
+    if args.batch_out or args.pool_workers is not None or args.shm:
         raise SimulationError(
-            "--jobs/--pool-workers/--shm/--batch-out apply to batch mode "
-            "only; add --batch N, --vector-file PATH or --stdin-vectors"
+            "--pool-workers/--shm/--batch-out apply to batch mode only; "
+            "add --batch N, --vector-file PATH or --stdin-vectors"
         )
     stimulus = random_vectors(
         [net.name for net in netlist.primary_inputs],
@@ -555,15 +545,10 @@ def _cmd_simulate_batch(args, netlist, config) -> int:
             "--vcd applies to single runs; use --batch-out with "
             "--batch-format csv for per-vector waveforms"
         )
-    if args.pool_workers is not None and args.jobs != 1:
-        raise SimulationError(
-            "--jobs (cold per-call sharding) and --pool-workers (warm "
-            "persistent pool) are alternatives; pick one"
-        )
     if args.shm and args.pool_workers is None:
         raise SimulationError(
             "--shm selects the warm pool's result transport; add "
-            "--pool-workers N (cold --jobs sharding always pickles)"
+            "--pool-workers N"
         )
     if args.vector_file:
         stimuli = load_vector_batches(args.vector_file)
@@ -592,11 +577,7 @@ def _cmd_simulate_batch(args, netlist, config) -> int:
             transport = service.transport
     else:
         batch = simulate_batch(
-            netlist,
-            stimuli,
-            config=config,
-            engine_kind=args.engine,
-            jobs=args.jobs,
+            netlist, stimuli, config=config, engine_kind=args.engine,
         )
         transport = None
     print(circuit_stats.gather(netlist).format())
@@ -631,11 +612,6 @@ def _cmd_simulate_stream(args, netlist, config) -> int:
         raise SimulationError(
             "--vcd/--batch-out do not apply to --stdin-vectors; results "
             "stream to stdout as JSON lines"
-        )
-    if args.jobs != 1:
-        raise SimulationError(
-            "--jobs does not apply to --stdin-vectors; size the warm "
-            "pool with --pool-workers"
         )
     workers = args.pool_workers if args.pool_workers is not None else 1
     output_names = [net.name for net in netlist.primary_outputs]
@@ -694,9 +670,9 @@ def _cmd_simulate_remote(args, netlist, config) -> int:
             "--stdin-vectors and --connect are alternatives: pipe JSONL "
             "at the server's TCP port instead (see docs/architecture.md)"
         )
-    if args.jobs != 1 or args.pool_workers is not None or args.shm:
+    if args.pool_workers is not None or args.shm:
         raise SimulationError(
-            "--jobs/--pool-workers/--shm tune *local* execution; with "
+            "--pool-workers/--shm tune *local* execution; with "
             "--connect the pool lives server-side (size it with "
             "'repro serve --pool-workers')"
         )
@@ -928,9 +904,7 @@ def _cmd_faults(args) -> int:
             stimulus,
             config=config,
             engine_kind=args.engine,
-            via="service" if args.pool_workers else "local",
-            jobs=args.jobs,
-            workers=args.pool_workers,
+            jobs=args.pool_workers or 1,
             settle=args.settle,
             epsilon=args.epsilon,
         )
@@ -952,9 +926,9 @@ def _run_faults_remote(args, netlist, faultload, stimulus):
     from .faults.campaign import DependabilityReport
     from .server.client import SimulationClient, parse_address
 
-    if args.jobs != 1 or args.pool_workers is not None:
+    if args.pool_workers is not None:
         raise SimulationError(
-            "--jobs/--pool-workers tune *local* execution; with "
+            "--pool-workers tunes *local* execution; with "
             "--connect the pool lives server-side (size it with "
             "'repro serve --pool-workers')"
         )

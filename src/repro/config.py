@@ -109,9 +109,9 @@ class SimulationConfig:
             ramps when the stimulus does not specify one.
         batch_jobs: default worker-process count for
             :func:`repro.core.batch.simulate_batch`; 1 (the default)
-            runs every vector in-process through one reused engine.
-        batch_chunk_size: vectors per shard in process-pool batch mode;
-            None splits the batch evenly across the workers.
+            runs every vector in-process through one reused engine,
+            more runs the batch on an ephemeral service of that many
+            workers.
         service_workers: default worker-process count for
             :class:`repro.core.service.SimulationService` — the
             persistent pool that keeps one warm engine per worker
@@ -132,10 +132,6 @@ class SimulationConfig:
             requests; requests past the bound are refused immediately
             with a ``busy`` error frame (backpressure) instead of
             growing an unbounded queue.
-        campaign_workers: default worker-process count for the warm
-            :class:`~repro.core.service.SimulationService` pool a fault
-            campaign (:func:`repro.faults.campaign.run_campaign`) fans
-            its mutants over when asked to run ``via="service"``.
         campaign_settle: extra settle time, in ns, granted past each
             mutant run's horizon before trace diffing — covers faults
             (delay drift, late SET pulses) whose effects trail the base
@@ -165,14 +161,12 @@ class SimulationConfig:
     check_sta_bounds: bool = False
     default_input_slew: float = 0.20
     batch_jobs: int = 1
-    batch_chunk_size: Optional[int] = None
     service_workers: int = 2
     shm_transport: Optional[bool] = None
     server_host: str = "127.0.0.1"
     server_port: int = 8047
     server_max_netlists: int = 8
     server_queue_depth: int = 64
-    campaign_workers: int = 2
     campaign_settle: float = 0.0
     campaign_detect_epsilon: float = 0.0
     collect_metrics: bool = True
@@ -215,8 +209,6 @@ class SimulationConfig:
             raise ValueError("default_input_slew must be positive")
         if self.batch_jobs < 1:
             raise ValueError("batch_jobs must be >= 1")
-        if self.batch_chunk_size is not None and self.batch_chunk_size < 1:
-            raise ValueError("batch_chunk_size must be >= 1 (or None)")
         if self.service_workers < 1:
             raise ValueError("service_workers must be >= 1")
         if self.shm_transport not in (None, True, False):
@@ -229,8 +221,6 @@ class SimulationConfig:
             raise ValueError("server_max_netlists must be >= 1")
         if self.server_queue_depth < 1:
             raise ValueError("server_queue_depth must be >= 1")
-        if self.campaign_workers < 1:
-            raise ValueError("campaign_workers must be >= 1")
         if self.campaign_settle < 0.0:
             raise ValueError("campaign_settle must be non-negative")
         if self.campaign_detect_epsilon < 0.0:

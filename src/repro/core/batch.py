@@ -15,16 +15,19 @@ once, then stream every vector through reused simulator state:
   all dynamic state, so vector ``i`` of a batch is bit-identical to a
   standalone ``simulate()`` of the same stimulus (parity-tested in
   ``tests/core/test_batch.py``).
-* With ``jobs > 1`` the batch is sharded across worker processes: the
-  netlist — including its cached lowering — is pickled once per shard,
-  and each worker runs its shard as an in-process batch.  Results come
-  back in input order with ``result.simulator`` set to None (engines do
-  not cross process boundaries).
 * With ``service=...`` the batch runs on a live
   :class:`repro.core.service.SimulationService` — a persistent pool
   whose workers built their engines once and stay warm across calls,
   returning traces through shared memory.  That is the steady-state
   path for serving many batches of the same circuit.
+* With ``jobs > 1`` the call opens an ephemeral service of ``jobs``
+  workers, runs the batch on it and closes it: one multiprocess path,
+  one crash/retry story.  Results come back in input order with
+  ``result.simulator`` set to None (engines do not cross process
+  boundaries).
+
+Both the in-process path and every service worker run their vectors
+through :func:`run_chunk`, so the lockstep rule lives in one place.
 
 :class:`BatchResult` wraps the per-vector
 :class:`~repro.core.engine.SimulationResult` list with aggregate
@@ -35,16 +38,16 @@ from __future__ import annotations
 
 import dataclasses
 import time as _time
-from typing import Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Iterator, List, Mapping, Optional, Sequence
 
 from ..circuit.netlist import Netlist
 from ..config import SimulationConfig
 from ..errors import SimulationError
 from .engine import (
-    ENGINE_KINDS,
+    EngineBase,
     SimulationResult,
-    _ensure_backends_registered,
     make_engine,
+    resolve_engine_class,
     run_stimulus,
 )
 from .stats import SimulationStatistics
@@ -63,7 +66,7 @@ class BatchResult:
             front (0.0 when the lowering was already cached or the
             backend does not lower).
         wall_seconds: end-to-end wall-clock of the whole batch,
-            including sharding overhead.
+            including any worker spawn and shutdown.
     """
 
     results: List[SimulationResult]
@@ -94,7 +97,7 @@ class BatchResult:
         :class:`SimulationStatistics` later are summed automatically
         (numeric fields add, dict fields merge per key).
         ``runtime_seconds`` is the summed in-kernel time; compare with
-        ``wall_seconds`` for the batching/sharding overhead.
+        ``wall_seconds`` for the batching/worker overhead.
         """
         total = SimulationStatistics()
         fields = dataclasses.fields(SimulationStatistics)
@@ -153,36 +156,58 @@ def even_chunk(total: int, parts: int) -> int:
     return max(1, -(-total // parts))
 
 
-def _shard_bounds(total: int, chunk_size: int) -> List[Tuple[int, int]]:
-    """Contiguous ``[start, end)`` shards of ``chunk_size`` vectors."""
-    return [
-        (start, min(start + chunk_size, total))
-        for start in range(0, total, chunk_size)
-    ]
+def run_chunk(
+    engine: EngineBase,
+    stimuli: Sequence,
+    settle: float = 0.0,
+    seed: Optional[Mapping[str, int]] = None,
+) -> Iterator[SimulationResult]:
+    """Run one chunk of vectors on ``engine``, yielding results in order.
 
+    The single chunk runner behind in-process :func:`simulate_batch` and
+    every :class:`~repro.core.service.SimulationService` worker.  Backends
+    with ``lockstep_batches`` advance a fault-free chunk through one
+    kernel: ``engine_kind="vector"`` through one numpy N-lane kernel
+    (:meth:`repro.core.vector.VectorSimulator.run_lockstep_batch`),
+    bit-identical per vector with the per-event Python cost amortised
+    across lanes, and ``engine_kind="bitparallel"`` one vector per *bit*
+    of a lane word
+    (:meth:`repro.core.bitparallel.BitParallelSimulator.run_lockstep_batch`)
+    — per-lane logic values stay bit-identical while event timing follows
+    that backend's CDM-grade word contract (docs/architecture.md).  Every
+    other chunk replays vector by vector through
+    :func:`repro.core.engine.run_stimulus`.
 
-def _simulate_shard(payload) -> List[SimulationResult]:
-    """Worker-process entry point: one shard as an in-process batch.
-
-    Module-level so it pickles; the netlist inside ``payload`` carries
-    its cached lowering across the process boundary, so workers never
-    re-lower.  Engines are stripped from the returned results — they
-    are process-local and expensive to pickle.
+    Faulted stimuli (:mod:`repro.faults`) patch the shared lowering per
+    vector, while a lockstep kernel runs all lanes over *one* lowering,
+    so any fault in the chunk forces the per-vector loop (whose fault
+    hook injects/restores around each vector).  Results are yielded one
+    by one, so a caller catching an exception knows which vector raised
+    it.
     """
-    netlist, stimuli, config, settle, queue_kind, seed, engine_kind = payload
-    batch = simulate_batch(
-        netlist,
-        stimuli,
-        config=config,
-        settle=settle,
-        queue_kind=queue_kind,
-        seed=seed,
-        engine_kind=engine_kind,
-        jobs=1,
+    engine_cls = type(engine)
+    if not engine_cls.lockstep_batches or any(
+        getattr(stimulus, "fault", None) is not None for stimulus in stimuli
+    ):
+        for stimulus in stimuli:
+            yield run_stimulus(engine, stimulus, settle=settle, seed=seed)
+        return
+    config = engine.config
+    results = engine_cls.run_lockstep_batch(
+        engine.netlist, stimuli, config=config, settle=settle,
+        queue_kind=engine.queue_kind, seed=seed,
     )
-    for result in batch.results:
-        result.simulator = None
-    return batch.results
+    if config.check_sta_bounds:
+        # Lockstep kernels bypass run_stimulus (its oracle hook covers
+        # every other path), so verify here.  Word engines merge lanes
+        # into shared events, so each lane's transitions are bounded by
+        # the *chunk-wide* launch/slew hull, not its own stimulus' —
+        # pass the union, plus the class's declared per-arc hold slack.
+        _verify_lockstep_results(
+            engine.netlist, stimuli, results, config,
+            engine_cls.sta_batch_time_slack(engine.netlist, len(stimuli)),
+        )
+    yield from results
 
 
 def simulate_batch(
@@ -194,7 +219,6 @@ def simulate_batch(
     seed: Optional[Mapping[str, int]] = None,
     engine_kind: Optional[str] = None,
     jobs: Optional[int] = None,
-    chunk_size: Optional[int] = None,
     service=None,
 ) -> BatchResult:
     """Run N stimulus sequences through one circuit, lowering it once.
@@ -204,34 +228,26 @@ def simulate_batch(
     ``settle``, ``queue_kind``, ``seed`` and ``engine_kind`` mean
     exactly what they mean for :func:`repro.core.engine.simulate` and
     apply to every vector.  Result ``i`` is bit-identical to
-    ``simulate(netlist, stimuli[i], ...)``.
+    ``simulate(netlist, stimuli[i], ...)``.  The vectors run through
+    :func:`run_chunk`, so backends with ``lockstep_batches`` take their
+    lockstep fast path.
 
-    ``jobs`` (default ``config.batch_jobs``) > 1 shards the batch
-    across worker processes, ``chunk_size`` (default
-    ``config.batch_chunk_size``, else an even split) vectors per shard;
-    the netlist and its cached lowering are pickled once per shard.
-
-    Backends with ``lockstep_batches`` take the lockstep fast path:
-    ``engine_kind="vector"`` advances the whole batch through one numpy
-    N-lane kernel
-    (:meth:`repro.core.vector.VectorSimulator.run_lockstep_batch`),
-    returning the same bit-identical per-vector results with the
-    per-event Python cost amortised across lanes, and
-    ``engine_kind="bitparallel"`` packs one vector per *bit* of a lane
-    word (:meth:`repro.core.bitparallel.BitParallelSimulator.run_lockstep_batch`)
-    — per-lane logic values stay bit-identical while event timing
-    follows that backend's CDM-grade word contract
-    (docs/architecture.md).  With ``jobs > 1`` each shard runs its own
-    lockstep kernel.
+    ``jobs`` (default ``config.batch_jobs``) > 1 runs the batch on an
+    ephemeral :class:`repro.core.service.SimulationService` of that
+    many workers, opened for this call and closed before it returns:
+    one chunk per worker, each through its own :func:`run_chunk` (so
+    each worker runs its own lockstep kernel), a crashed worker
+    respawned and its chunk retried, and a chunk that keeps crashing
+    failing the call with :class:`~repro.errors.ServiceError`.
 
     ``service`` routes the batch through a live
     :class:`repro.core.service.SimulationService` instead: the warm
     pool's engines do the work, nothing is re-lowered or re-spawned,
-    and ``jobs``/``chunk_size`` are ignored (the service's own worker
-    count applies).  The service must have been built for the same
-    netlist, and any ``config``/``queue_kind``/``engine_kind`` given
-    here must match the service's — its workers were constructed with
-    those knobs and cannot change them per call.
+    and ``jobs`` is ignored (the service's own worker count applies).
+    The service must have been built for the same netlist, and any
+    ``config``/``queue_kind``/``engine_kind`` given here must match the
+    service's — its workers were constructed with those knobs and
+    cannot change them per call.
     """
     stimuli = list(stimuli)
     if not stimuli:
@@ -250,70 +266,34 @@ def simulate_batch(
         jobs = config.batch_jobs
     if jobs < 1:
         raise SimulationError("jobs must be >= 1, got %d" % jobs)
-    if chunk_size is None:
-        chunk_size = config.batch_chunk_size
-    if chunk_size is not None and chunk_size < 1:
-        raise SimulationError("chunk_size must be >= 1, got %d" % chunk_size)
+    jobs = min(jobs, len(stimuli))
 
     wall_start = _time.perf_counter()
+    if jobs > 1:
+        from .service import SimulationService
 
-    # Pay the lowering once, up front — the in-process path hands it to
-    # one shared engine, the sharded path pickles it to every worker.
-    # Whether a backend lowers at all comes from the registry, not from
-    # a hard-coded backend name.
-    lowering_seconds = 0.0
-    _ensure_backends_registered()
-    engine_cls = ENGINE_KINDS.get(engine_kind)
-    # An unknown engine_kind falls through to make_engine, which raises
-    # the canonical "unknown engine kind" error.
-    if engine_cls is not None and engine_cls.lowers_netlist:
-        lowering_start = _time.perf_counter()
-        netlist.compile()
-        lowering_seconds = _time.perf_counter() - lowering_start
-
-    jobs = min(jobs, len(stimuli))
-    # Faulted stimuli (repro.faults) patch the shared lowering per
-    # vector; a lockstep kernel runs all lanes over ONE lowering, so any
-    # fault in the batch forces the per-vector run_stimulus loop (whose
-    # fault hook injects/restores around each vector).
-    has_faults = any(
-        getattr(stimulus, "fault", None) is not None for stimulus in stimuli
-    )
-    if jobs <= 1:
-        if engine_cls is not None and engine_cls.lockstep_batches and not has_faults:
-            # Lockstep fast path (the "vector" and "bitparallel"
-            # backends): all N vectors advance through one kernel
-            # instead of replaying the event loop per vector.  Sharded
-            # calls compose — each shard worker lands here with jobs=1.
-            results = engine_cls.run_lockstep_batch(
-                netlist, stimuli, config=config, settle=settle,
-                queue_kind=queue_kind, seed=seed,
-            )
-            if config is not None and config.check_sta_bounds:
-                # Lockstep kernels bypass run_stimulus (its oracle hook
-                # covers every other path), so verify here.  Word
-                # engines merge lanes into shared events, so each
-                # lane's transitions are bounded by the *batch-wide*
-                # launch/slew hull, not its own stimulus' — pass the
-                # union, plus the class's declared per-arc hold slack.
-                _verify_lockstep_results(
-                    netlist, stimuli, results, config,
-                    engine_cls.sta_batch_time_slack(netlist, len(stimuli)),
-                )
-        else:
-            simulator = make_engine(
-                netlist, config=config, queue_kind=queue_kind,
-                engine_kind=engine_kind,
-            )
-            results = [
-                run_stimulus(simulator, stimulus, settle=settle, seed=seed)
-                for stimulus in stimuli
-            ]
+        # The service pays the lowering once, before its workers fork.
+        with SimulationService(
+            netlist, config=config, workers=jobs, queue_kind=queue_kind,
+            engine_kind=engine_kind,
+        ) as pool:
+            lowering_seconds = pool.lowering_seconds
+            results = pool.submit_batch(stimuli, settle=settle, seed=seed).wait()
+        mode = "service"
     else:
-        results = _simulate_sharded(
-            netlist, stimuli, config, settle, queue_kind, seed, engine_kind,
-            jobs, chunk_size,
+        # Pay the lowering once, up front.  Whether a backend lowers at
+        # all comes from the registry, not from a hard-coded name.
+        lowering_seconds = 0.0
+        if resolve_engine_class(engine_kind).lowers_netlist:
+            lowering_start = _time.perf_counter()
+            netlist.compile()
+            lowering_seconds = _time.perf_counter() - lowering_start
+        engine = make_engine(
+            netlist, config=config, queue_kind=queue_kind,
+            engine_kind=engine_kind,
         )
+        results = list(run_chunk(engine, stimuli, settle=settle, seed=seed))
+        mode = "inprocess"
 
     batch = BatchResult(
         results=results,
@@ -323,27 +303,25 @@ def simulate_batch(
         wall_seconds=_time.perf_counter() - wall_start,
     )
     if config.collect_metrics:
-        _publish_batch_metrics(batch)
+        _publish_batch_metrics(batch, mode)
     return batch
 
 
-def _publish_batch_metrics(batch: BatchResult, mode: Optional[str] = None) -> None:
+def _publish_batch_metrics(batch: BatchResult, mode: str) -> None:
     """Batch-level throughput metrics, once per :func:`simulate_batch`.
 
     Per-vector engine counters are published elsewhere (``run_stimulus``
     per vector, or the lockstep drivers per batch); this layer only adds
     what the batch alone knows: vector count, end-to-end wall clock and
-    the lowering split.  Labelled by engine and by shard mode so the
-    sharded path's overhead is separable.  ``mode`` overrides the
-    jobs-derived label — the warm service pool passes ``"service"``.
+    the lowering split.  Labelled by engine and by ``mode``
+    (``"inprocess"`` or ``"service"``) so the worker pool's overhead is
+    separable.
     """
     from ..obs import get_registry
 
     registry = get_registry()
     if not registry.enabled:
         return
-    if mode is None:
-        mode = "inprocess" if batch.jobs <= 1 else "sharded"
     labels = {"engine": batch.engine_kind, "mode": mode}
     registry.counter(
         "halotis_batch_runs_total",
@@ -450,46 +428,3 @@ def _simulate_via_service(
             % (engine_kind, service.engine_kind)
         )
     return service.run_batch(stimuli, settle=settle, seed=seed)
-
-
-def _simulate_sharded(
-    netlist: Netlist,
-    stimuli: List,
-    config: SimulationConfig,
-    settle: float,
-    queue_kind: str,
-    seed: Optional[Mapping[str, int]],
-    engine_kind: str,
-    jobs: int,
-    chunk_size: Optional[int],
-) -> List[SimulationResult]:
-    """Fan shards across a process pool; results return in input order."""
-    from concurrent.futures import ProcessPoolExecutor
-
-    if chunk_size is None:
-        chunk_size = even_chunk(len(stimuli), jobs)
-    bounds = _shard_bounds(len(stimuli), chunk_size)
-    results: List[Optional[SimulationResult]] = [None] * len(stimuli)
-    with ProcessPoolExecutor(max_workers=min(jobs, len(bounds))) as pool:
-        futures = [
-            (
-                start,
-                pool.submit(
-                    _simulate_shard,
-                    (
-                        netlist,
-                        stimuli[start:end],
-                        config,
-                        settle,
-                        queue_kind,
-                        seed,
-                        engine_kind,
-                    ),
-                ),
-            )
-            for start, end in bounds
-        ]
-        for start, future in futures:
-            for offset, result in enumerate(future.result()):
-                results[start + offset] = result
-    return results  # type: ignore[return-value]

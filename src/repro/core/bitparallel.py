@@ -1279,12 +1279,16 @@ class _WordLockstepDriver:
         names = kernel.compiled.net_names
         self.trace_sets = [TraceSet(vdd) for _ in range(lanes)]
         if self.config.record_traces:
+            # Traces are created in netlist order, like a single run's.
+            order = [net.index for net in netlist.nets.values()]
             for lane in range(lanes):
                 trace_set = self.trace_sets[lane]
-                kernel.trace_lists[lane] = [
-                    trace_set.create(name, (masks[index] >> lane) & 1)
-                    for index, name in enumerate(names)
-                ]
+                traces = [None] * len(names)
+                for index in order:
+                    traces[index] = trace_set.create(
+                        names[index], (masks[index] >> lane) & 1
+                    )
+                kernel.trace_lists[lane] = traces
 
     def run(self) -> List[SimulationResult]:
         kernel = self.kernel

@@ -1,10 +1,8 @@
 """Persistent warm-engine simulation service.
 
-:func:`repro.core.batch.simulate_batch` with ``jobs > 1`` spins up a
-fresh process pool per call: every shard pays a worker spawn, a netlist
-unpickle and an engine build before the first event executes, and every
-result pickles its whole trace set back through the pool.  For a
-long-running, high-traffic deployment those are pure overhead — the
+A process pool pays a worker spawn, a netlist unpickle and an engine
+build before the first event executes.  For a long-running,
+high-traffic deployment that is pure overhead if paid per batch — the
 circuit does not change between batches.
 
 :class:`SimulationService` keeps the expensive state *warm*:
@@ -39,7 +37,9 @@ Typical use::
             batch = service.run_batch(stimuli)
 
 or through the batch front end: ``simulate_batch(netlist, stimuli,
-service=service)``.
+service=service)``.  ``simulate_batch(..., jobs=N)`` with ``N > 1``
+opens an ephemeral service for one call, so one-shot and warm batches
+share this pool's chunking, transport and crash handling.
 """
 
 from __future__ import annotations
@@ -58,15 +58,8 @@ from ..config import SimulationConfig
 from ..errors import ServiceError, SimulationError
 from ..obs.log import get_logger
 from ..obs.registry import MetricsRegistry, get_registry
-from .batch import BatchResult, _publish_batch_metrics, even_chunk
-from .engine import (
-    ENGINE_KINDS,
-    SimulationResult,
-    _ensure_backends_registered,
-    make_engine,
-    resolve_engine_class,
-    run_stimulus,
-)
+from .batch import BatchResult, _publish_batch_metrics, even_chunk, run_chunk
+from .engine import SimulationResult, make_engine, resolve_engine_class
 from . import shm_transport
 
 try:  # pragma: no cover - availability is platform-dependent
@@ -219,8 +212,11 @@ def _worker_main(
     One message per chunk keeps the single shm buffer safe to reuse (the
     parent reads it before this worker gets its next task) and is the
     point of chunking: the queue round-trip is paid once per chunk, not
-    once per vector.  On an error the rest of the chunk is abandoned —
-    the parent fails the whole job on the first error anyway.
+    once per vector.  The chunk runs through
+    :func:`repro.core.batch.run_chunk`, the same runner as an in-process
+    batch, so lockstep backends run the chunk as one lockstep kernel.
+    On an error the rest of the chunk is abandoned — the parent fails
+    the whole job on the first error anyway.
 
     ``results.send`` writes the whole message before it returns and the
     pipe has no other writer, so a worker that dies holds no lock the
@@ -232,7 +228,7 @@ def _worker_main(
         netlist, config=config, queue_kind=queue_kind, engine_kind=engine_kind
     )
     buffer = _WorkerShmBuffer(shm_base) if transport == "shm" else None
-    # Engine metrics published by run_stimulus land in this worker's own
+    # Engine metrics published by the chunk runs land in this worker's own
     # process-local registry; each result message carries the delta since
     # the previous one (snapshot(reset=True)), which the parent folds
     # into its registry — additive merge, so message order is irrelevant.
@@ -256,22 +252,18 @@ def _worker_main(
                 break
             job_id, indices, stimuli, settle, seed = task
             chunk_results = []
-            failed = False
-            for index, stimulus in zip(indices, stimuli):
-                try:
-                    chunk_results.append(
-                        run_stimulus(engine, stimulus, settle=settle, seed=seed)
-                    )
-                except Exception as error:  # noqa: BLE001 - forwarded to parent
-                    results.send((
-                        "error", job_id, index,
-                        type(error).__name__,
-                        "%s\n%s" % (error, _traceback.format_exc()),
-                        _snap(),
-                    ))
-                    failed = True
-                    break
-            if failed:
+            try:
+                for result in run_chunk(engine, stimuli, settle=settle,
+                                        seed=seed):
+                    chunk_results.append(result)
+            except Exception as error:  # noqa: BLE001 - forwarded to parent
+                # Results arrive in order: the first missing one failed.
+                results.send((
+                    "error", job_id, indices[len(chunk_results)],
+                    type(error).__name__,
+                    "%s\n%s" % (error, _traceback.format_exc()),
+                    _snap(),
+                ))
                 continue
             for result in chunk_results:
                 result.simulator = None

@@ -1037,13 +1037,16 @@ class _LockstepDriver:
         names = kernel.compiled.net_names
         self.trace_sets = [TraceSet(vdd) for _ in range(lanes)]
         if self.config.record_traces:
+            # Traces are created in netlist order, like a single run's.
+            order = [net.index for net in netlist.nets.values()]
             for lane in range(lanes):
                 trace_set = self.trace_sets[lane]
                 initial = net_values[lane].tolist()
-                kernel.trace_lists[lane] = [
-                    trace_set.create(name, initial[index])
-                    for index, name in enumerate(names)
-                ]
+                traces = [None] * len(names)
+                for index in order:
+                    traces[index] = trace_set.create(names[index],
+                                                     initial[index])
+                kernel.trace_lists[lane] = traces
 
     def run(self) -> List[SimulationResult]:
         kernel = self.kernel

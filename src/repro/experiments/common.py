@@ -17,7 +17,6 @@ from ..circuit.netlist import Netlist
 from ..config import DelayMode, SimulationConfig, cdm_config, ddm_config
 from ..core.batch import BatchResult, simulate_batch
 from ..core.engine import SimulationResult, simulate
-from ..core.service import SimulationService
 from ..stimuli.vectors import (
     PAPER_SEQUENCE_1,
     PAPER_SEQUENCE_2,
@@ -131,9 +130,12 @@ def run_halotis_batch(
     """Both paper sequences through one lowering via
     :func:`repro.core.batch.simulate_batch`.
 
-    Result ``which - 1`` is bit-identical to ``run_halotis(which, ...)``
-    with the same knobs; ``jobs > 1`` shards the two sequences across
-    worker processes.
+    Result ``which - 1`` equals ``run_halotis(which, ...)`` under the
+    engine's own contract: bit-identical for the exact-timing engines
+    (``engine_kind="vector"`` runs both sequences as one N=2 lockstep
+    batch), final values and settled words for ``"bitparallel"``, whose
+    event times follow the word contract (docs/architecture.md).
+    ``jobs > 1`` runs the two sequences on an ephemeral worker pool.
     """
     config = ddm_config() if mode is DelayMode.DDM else cdm_config()
     if not record_traces:
@@ -148,106 +150,6 @@ def run_halotis_batch(
         engine_kind=engine_kind,
         jobs=jobs,
     )
-
-
-def run_halotis_vector(
-    mode: DelayMode,
-    record_traces: bool = True,
-    queue_kind: str = "heap",
-) -> BatchResult:
-    """Both paper sequences as one N=2 lockstep wave batch.
-
-    Runs the Figure 6 and Figure 7 stimuli through the numpy
-    ``"vector"`` backend's N-lane kernel — both sequences advance
-    together, one wave at a time; result ``which - 1`` is bit-identical
-    to ``run_halotis(which, ...)`` with the same knobs.  For real
-    throughput use many more lanes: the per-wave numpy dispatch cost is
-    shared by every active lane (see docs/performance.md).
-    """
-    config = ddm_config() if mode is DelayMode.DDM else cdm_config()
-    if not record_traces:
-        config = SimulationConfig(
-            delay_mode=config.delay_mode, record_traces=False
-        )
-    return simulate_batch(
-        multiplier_netlist(),
-        paper_stimulus_batch(),
-        config=config,
-        queue_kind=queue_kind,
-        engine_kind="vector",
-    )
-
-
-def run_halotis_bitparallel(
-    mode: DelayMode,
-    record_traces: bool = True,
-    queue_kind: str = "heap",
-) -> BatchResult:
-    """Both paper sequences as one 2-lane *word* batch.
-
-    Runs the Figure 6 and Figure 7 stimuli through the
-    ``"bitparallel"`` backend: each sequence occupies one bit of the
-    lane word, and every gate evaluation covers both at once.  Per-lane
-    logic values equal ``run_halotis(which, ...)`` bit for bit; event
-    *times* follow the word contract (CDM-grade, earliest/latest arc on
-    mixed words — see docs/architecture.md), so this variant is for
-    activity counts and settled-value checks, not waveform comparisons.
-    Real throughput comes from wide batches: 64+ lanes ride in every
-    word operation (see docs/performance.md).
-    """
-    config = ddm_config() if mode is DelayMode.DDM else cdm_config()
-    if not record_traces:
-        config = SimulationConfig(
-            delay_mode=config.delay_mode, record_traces=False
-        )
-    return simulate_batch(
-        multiplier_netlist(),
-        paper_stimulus_batch(),
-        config=config,
-        queue_kind=queue_kind,
-        engine_kind="bitparallel",
-    )
-
-
-def run_halotis_service(
-    mode: DelayMode,
-    record_traces: bool = True,
-    queue_kind: str = "heap",
-    engine_kind: str = "compiled",
-    workers: int = 2,
-    shm_transport: Optional[bool] = None,
-) -> BatchResult:
-    """Both paper sequences through a persistent warm-engine pool.
-
-    Spins up a :class:`repro.core.service.SimulationService`, runs the
-    Figure 6/7 batch on it and shuts it down; result ``which - 1`` is
-    bit-identical to ``run_halotis(which, ...)`` with the same knobs.
-    ``shm_transport`` picks the result transport (None = shared memory
-    when available).  For a long-lived service, construct
-    :class:`~repro.core.service.SimulationService` directly and pass it
-    to ``simulate_batch(..., service=...)`` per batch instead.
-    """
-    config = ddm_config() if mode is DelayMode.DDM else cdm_config()
-    if not record_traces:
-        config = SimulationConfig(
-            delay_mode=config.delay_mode, record_traces=False
-        )
-    with SimulationService(
-        multiplier_netlist(),
-        config=config,
-        workers=workers,
-        queue_kind=queue_kind,
-        engine_kind=engine_kind,
-        shm_transport=shm_transport,
-    ) as service:
-        return simulate_batch(
-            multiplier_netlist(),
-            paper_stimulus_batch(),
-            config=config,
-            queue_kind=queue_kind,
-            engine_kind=engine_kind,
-            service=service,
-        )
 
 
 def run_halotis_remote(

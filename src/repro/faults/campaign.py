@@ -18,12 +18,13 @@ run:
 * ``silent`` — nothing observable changed at all (logical masking, or
   a SET pulse into a don't-care window).
 
-Mutants fan out over whichever throughput layer the caller picks: the
-in-process / sharded batch runner (``via="local"``) or a warm
-:class:`~repro.core.service.SimulationService` pool (``via="service"``
-— the fast path for big campaigns, since workers keep their engines
-and lowering across mutants).  The server's ``faults`` op reuses the
-same classification entry points over its own pool.
+Mutants fan out through one :func:`~repro.core.batch.simulate_batch`
+call: in-process, on an ephemeral worker pool (``jobs > 1``) or on a
+caller-owned warm :class:`~repro.core.service.SimulationService`
+(``service=`` — the fast path for many campaigns on one circuit, since
+workers keep their engines and lowering across mutants).  The server's
+``faults`` op reuses the same classification entry points over its own
+pool.
 """
 
 from __future__ import annotations
@@ -336,9 +337,7 @@ def run_campaign(
     stimulus: VectorSequence,
     config: Optional[SimulationConfig] = None,
     engine_kind: Optional[str] = None,
-    via: str = "local",
     jobs: int = 1,
-    workers: Optional[int] = None,
     service: Optional[SimulationService] = None,
     settle: Optional[float] = None,
     epsilon: Optional[float] = None,
@@ -350,26 +349,33 @@ def run_campaign(
         faultload: the mutants (validated against ``netlist``).
         stimulus: base ``VectorSequence`` every mutant replays.
         config: engine knobs; also supplies campaign defaults
-            (``campaign_settle``, ``campaign_detect_epsilon``,
-            ``campaign_workers``).
+            (``campaign_settle``, ``campaign_detect_epsilon``).
+            Defaults to the service's config when ``service`` is given,
+            else to :class:`SimulationConfig`.
         engine_kind: backend for golden and mutants alike (defaults to
-            ``config.engine_kind``); golden and mutants always share a
-            backend so the diff never crosses timing contracts.
-        via: ``"local"`` for :func:`~repro.core.batch.simulate_batch`
-            (in-process, or sharded when ``jobs > 1``), ``"service"``
-            for a warm :class:`~repro.core.service.SimulationService`
-            pool.
-        jobs: shard count for the local path.
-        workers: pool size for the service path (default
-            ``config.campaign_workers``).
-        service: an existing (already warm) service to reuse; implies
-            ``via="service"`` and overrides ``workers``.  The caller
-            keeps ownership — it is not closed here.
+            the service's, else ``config.engine_kind``); golden and
+            mutants always share a backend so the diff never crosses
+            timing contracts.
+        jobs: worker processes for the mutants; > 1 runs them on an
+            ephemeral pool (see :func:`~repro.core.batch.simulate_batch`).
+        service: an existing (already warm) service to reuse instead;
+            overrides ``jobs``.  A ``config``/``engine_kind`` that
+            differs from the service's raises
+            :class:`~repro.errors.ServiceError`.  The caller keeps
+            ownership — it is not closed here.
         settle: extra post-horizon settle per run (default
             ``config.campaign_settle``).
         epsilon: edge-time diff tolerance (default
             ``config.campaign_detect_epsilon``).
     """
+    queue_kind = "heap"
+    if service is not None:
+        # The golden run must use the knobs the pool's mutants run on.
+        if config is None:
+            config = service.config
+        if engine_kind is None:
+            engine_kind = service.engine_kind
+        queue_kind = service.queue_kind
     if config is None:
         config = SimulationConfig()
     config.validate()
@@ -379,49 +385,29 @@ def run_campaign(
         settle = config.campaign_settle
     if epsilon is None:
         epsilon = config.campaign_detect_epsilon
-    if service is not None:
-        via = "service"
-    if via not in ("local", "service"):
-        raise FaultError("unknown campaign path %r (use 'local' or 'service')" % via)
     faultload.validate(netlist)
-
-    golden = simulate(
-        netlist, stimulus, config=config, settle=settle, engine_kind=engine_kind
-    )
     mutants = [FaultedStimulus(stimulus, fault) for fault in faultload.faults]
 
     start = _time.perf_counter()
-    if not mutants:
-        results: List[SimulationResult] = []
-    elif via == "service":
-        # The service's default even split sends one chunk of mutants
-        # per worker: one queue round trip each, not one per mutant.
-        if service is not None:
-            results = service.submit_batch(mutants, settle=settle).wait()
-        else:
-            from ..core.service import SimulationService
-
-            if workers is None:
-                workers = config.campaign_workers
-            with SimulationService(
-                netlist, config=config, workers=workers,
-                engine_kind=engine_kind,
-            ) as pool:
-                results = pool.submit_batch(mutants, settle=settle).wait()
-    else:
+    results: List[SimulationResult] = []
+    if mutants:
+        # Mutants before golden: a service knob mismatch fails here,
+        # before any simulation is spent on the golden run.
         results = simulate_batch(
-            netlist,
-            mutants,
-            config=config,
-            settle=settle,
-            engine_kind=engine_kind,
-            jobs=jobs,
+            netlist, mutants, config=config, settle=settle,
+            queue_kind=queue_kind, engine_kind=engine_kind, jobs=jobs,
+            service=service,
         ).results
     wall_seconds = _time.perf_counter() - start
+    golden = simulate(
+        netlist, stimulus, config=config, settle=settle,
+        queue_kind=queue_kind, engine_kind=engine_kind,
+    )
 
     report = classify_results(
         netlist, faultload, golden, results, engine_kind, epsilon=epsilon
     )
     report.wall_seconds = wall_seconds
-    report.via = via
+    if service is not None or min(jobs, len(mutants)) > 1:
+        report.via = "service"
     return report

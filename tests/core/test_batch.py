@@ -1,11 +1,11 @@
-"""Batched multi-vector simulation: parity, sharding, aggregation.
+"""Batched multi-vector simulation: parity, worker pools, aggregation.
 
 The contract of :func:`repro.core.batch.simulate_batch` is that batching
 is *free* in accuracy terms: vector ``i`` of a batch is bit-identical —
 traces, raw transition streams, final values and every statistics
 counter except wall-clock — to a standalone ``simulate()`` of the same
 stimulus.  This holds for both delay modes, both engine backends, on
-randomized circuits, and across the process-pool sharding path.
+randomized circuits, and across the ``jobs > 1`` worker-pool path.
 """
 
 from __future__ import annotations
@@ -116,14 +116,27 @@ def test_batch_reuses_one_engine(mult4):
     assert batch[0].traces is not batch[1].traces
 
 
-def test_batch_matches_run_halotis(mult4):
-    """The experiments layer's batch variant equals its single-run twin."""
+@pytest.mark.parametrize(
+    "engine_kind,jobs",
+    [("compiled", 1), ("vector", 1), ("bitparallel", 1), ("compiled", 2)],
+)
+def test_batch_matches_run_halotis(engine_kind, jobs):
+    """The experiments layer's batch variant equals its single-run twin
+    under each engine's own contract: the exact-timing engines match
+    event for event, bitparallel (word timing) on final values and
+    settled words only."""
     for mode in (DelayMode.DDM, DelayMode.CDM):
-        batch = common.run_halotis_batch(mode, engine_kind="compiled")
+        batch = common.run_halotis_batch(
+            mode, engine_kind=engine_kind, jobs=jobs
+        )
+        assert (batch.engine_kind, batch.jobs) == (engine_kind, jobs)
         for which in (1, 2):
-            single = common.run_halotis(which, mode, engine_kind="compiled")
+            single = common.run_halotis(which, mode, engine_kind="reference")
             result = batch[which - 1]
-            assert result.stats.events_executed == single.stats.events_executed
+            if engine_kind != "bitparallel":
+                assert result.stats.events_executed == (
+                    single.stats.events_executed
+                )
             assert result.final_values == single.final_values
             assert common.settled_words_logic(result, which) == (
                 common.expected_words(which)
@@ -131,7 +144,7 @@ def test_batch_matches_run_halotis(mult4):
 
 
 # ----------------------------------------------------------------------
-# sharded (process pool) mode
+# jobs > 1: an ephemeral worker pool
 # ----------------------------------------------------------------------
 
 def test_sharded_batch_matches_in_process(mult4):
@@ -162,25 +175,8 @@ def test_sharded_batch_matches_in_process(mult4):
             )
 
 
-def test_sharded_chunk_size_preserves_order(mult4):
-    input_names = [net.name for net in mult4.primary_inputs]
-    stimuli = random_vector_batch(
-        input_names, batch=4, count=1, period=3.0, base_seed=3
-    )
-    batch = simulate_batch(
-        mult4, stimuli, config=ddm_config(record_traces=False),
-        engine_kind="compiled", jobs=2, chunk_size=1,
-    )
-    expected = [
-        simulate(mult4, stimulus, config=ddm_config(record_traces=False),
-                 engine_kind="compiled").final_values
-        for stimulus in stimuli
-    ]
-    assert [result.final_values for result in batch] == expected
-
-
 def test_netlist_pickles_flat_and_preserves_structure(mult4):
-    """The sharding substrate: large netlists cross process boundaries."""
+    """The worker-pool substrate: large netlists cross process boundaries."""
     clone = pickle.loads(pickle.dumps(mult4))
     assert list(clone.nets) == list(mult4.nets)
     assert list(clone.gates) == list(mult4.gates)
@@ -259,17 +255,15 @@ def test_batch_rejects_empty_and_bad_jobs(c17):
     )
     with pytest.raises(SimulationError):
         simulate_batch(c17, [stimulus], jobs=0)
-    with pytest.raises(SimulationError):
-        simulate_batch(c17, [stimulus], chunk_size=0)
 
 
 def test_config_batch_knobs_flow_through(c17):
-    """jobs/chunk_size default from SimulationConfig."""
+    """jobs defaults from SimulationConfig."""
     input_names = [net.name for net in c17.primary_inputs]
     stimuli = random_vector_batch(
         input_names, batch=2, count=1, period=2.0, base_seed=9
     )
-    config = ddm_config(batch_jobs=2, batch_chunk_size=1)
+    config = ddm_config(batch_jobs=2)
     batch = simulate_batch(c17, stimuli, config=config, engine_kind="compiled")
     assert batch.jobs == 2
     assert all(result.simulator is None for result in batch)

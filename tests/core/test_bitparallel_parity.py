@@ -240,21 +240,6 @@ def test_lockstep_activity_matches_packed_popcount(mult4):
     assert from_words.total_transitions > 0
 
 
-def test_run_halotis_bitparallel_matches_single_runs():
-    """The experiments layer's word-batch variant settles to the same
-    products and logic values as the single reference runs."""
-    for mode in (DelayMode.DDM, DelayMode.CDM):
-        batch = common.run_halotis_bitparallel(mode)
-        assert batch.engine_kind == "bitparallel"
-        for which in (1, 2):
-            single = common.run_halotis(which, mode, engine_kind="reference")
-            result = batch[which - 1]
-            assert result.final_values == single.final_values
-            assert common.settled_words_logic(result, which) == (
-                common.expected_words(which)
-            )
-
-
 # ----------------------------------------------------------------------
 # operational behaviour
 # ----------------------------------------------------------------------

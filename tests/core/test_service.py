@@ -366,21 +366,6 @@ def test_simulate_batch_service_knob_mismatches(mult4, c17):
             simulate_batch(mult4, stimuli, config=ddm_config(), service=service)
 
 
-def test_run_halotis_service_matches_single_runs():
-    from repro.config import DelayMode
-
-    for mode in (DelayMode.DDM, DelayMode.CDM):
-        batch = common.run_halotis_service(mode)
-        for which in (1, 2):
-            single = common.run_halotis(which, mode, engine_kind="compiled")
-            result = batch[which - 1]
-            assert result.stats.events_executed == single.stats.events_executed
-            assert result.final_values == single.final_values
-            assert common.settled_words_logic(result, which) == (
-                common.expected_words(which)
-            )
-
-
 # ----------------------------------------------------------------------
 # failure paths
 # ----------------------------------------------------------------------
@@ -571,6 +556,58 @@ def test_poison_stimulus_exhausts_retry_budget(mult4, tmp_path):
         assert len(batch) == 2
 
 
+def _assert_no_pool_left():
+    """An ephemeral ``jobs > 1`` pool leaves no worker process and no
+    shared-memory segment behind once its call returns."""
+    import multiprocessing
+
+    assert multiprocessing.active_children() == []
+    if os.path.isdir("/dev/shm"):
+        prefix = "hal%dx" % os.getpid()
+        assert [n for n in os.listdir("/dev/shm") if n.startswith(prefix)] == []
+
+
+def test_jobs_batch_recovers_from_a_worker_crash(mult4, tmp_path):
+    """simulate_batch(jobs=2) runs on the service's crash/retry path: a
+    worker killed mid-batch is respawned, its chunk re-run, and the
+    results equal the in-process batch."""
+    input_names = [net.name for net in mult4.primary_inputs]
+    plain = random_vector_batch(
+        input_names, batch=4, count=2, period=3.0, base_seed=29
+    )
+    flag = str(tmp_path / "crashed-once")
+    stimuli = [plain[0], _CrashOnceStimulus(plain[1], flag)] + plain[2:]
+    config = ddm_config()
+    pooled = simulate_batch(
+        mult4, stimuli, config=config, engine_kind="compiled", jobs=2
+    )
+    assert os.path.exists(flag)
+    assert pooled.jobs == 2
+    _assert_no_pool_left()
+    local = simulate_batch(
+        mult4, plain, config=config, engine_kind="compiled", jobs=1
+    )
+    for position in range(len(plain)):
+        assert_results_identical(
+            pooled[position], local[position], mult4,
+            context="vector %d" % position,
+        )
+
+
+def test_jobs_batch_poison_raises_service_error(mult4, tmp_path):
+    input_names = [net.name for net in mult4.primary_inputs]
+    plain = random_vector_batch(
+        input_names, batch=2, count=1, period=3.0, base_seed=37
+    )
+    poison = _AlwaysCrashStimulus(plain[1], str(tmp_path / "unused"))
+    with pytest.raises(ServiceError, match="crashed its worker"):
+        simulate_batch(
+            mult4, [plain[0], poison], config=ddm_config(record_traces=False),
+            engine_kind="compiled", jobs=2,
+        )
+    _assert_no_pool_left()
+
+
 def test_simulation_error_propagates_without_killing_workers(mult4):
     """A stimulus *exception* (vs. a crash) fails the batch cleanly."""
     input_names = [net.name for net in mult4.primary_inputs]
@@ -664,7 +701,6 @@ def test_failed_construction_leaves_closeable_wreckage(mult4):
     service = SimulationService.__new__(SimulationService)
     service._closed = False
     service._workers = []
-    service._result_queue = None
     service._attachments = {}
     service.close()
     assert service.closed

@@ -7,7 +7,7 @@ bit-identical event counts, statistics, edge lists, raw transition
 streams and filtered-event logs.  Exercised on the randomized circuit
 zoo of ``test_backend_parity`` under both delay modes, both inertial
 policies, both queue kinds, and through the batch front end (in-process
-lockstep and process-sharded).
+lockstep and on a ``jobs > 1`` worker pool).
 
 The two kernel paths — vectorised waves and the thin-wave scalar
 fallback — are both covered: lockstep batches over eight-plus lanes run
@@ -25,7 +25,6 @@ from repro.config import InertialPolicy, cdm_config, ddm_config
 from repro.core.batch import simulate_batch
 from repro.core.engine import simulate
 from repro.errors import SimulationError, SimulationLimitError
-from repro.experiments import common
 from repro.stimuli.patterns import random_vector_batch
 from repro.stimuli.vectors import (
     PAPER_SEQUENCE_1,
@@ -55,6 +54,7 @@ def assert_results_bit_identical(reference, vector, netlist, context=""):
         ), "%s: stats.%s differs" % (context, field)
     assert reference.final_values == vector.final_values, context
     assert reference.traces.horizon == vector.traces.horizon, context
+    assert reference.traces.names() == vector.traces.names(), context
     for name in netlist.nets:
         ref_trace = reference.traces[name]
         vec_trace = vector.traces[name]
@@ -216,25 +216,6 @@ def test_lockstep_batch_with_seed_and_settle(mult4):
             standalone, batch[position], mult4,
             context="lane %d" % position,
         )
-
-
-def test_run_halotis_vector_matches_single_runs():
-    """The experiments layer's lockstep variant equals its single twin."""
-    from repro.config import DelayMode
-
-    for mode in (DelayMode.DDM, DelayMode.CDM):
-        batch = common.run_halotis_vector(mode)
-        assert batch.engine_kind == "vector"
-        for which in (1, 2):
-            single = common.run_halotis(which, mode, engine_kind="reference")
-            result = batch[which - 1]
-            assert result.stats.events_executed == (
-                single.stats.events_executed
-            )
-            assert result.final_values == single.final_values
-            assert common.settled_words_logic(result, which) == (
-                common.expected_words(which)
-            )
 
 
 # ----------------------------------------------------------------------

@@ -5,10 +5,10 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from repro.config import SimulationConfig
+from repro.config import SimulationConfig, cdm_config
 from repro.core.engine import ENGINE_KINDS, simulate
 from repro.core.service import SimulationService
-from repro.errors import FaultError
+from repro.errors import FaultError, ServiceError
 from repro.faults.campaign import (
     CLASSIFICATIONS,
     Classification,
@@ -23,7 +23,7 @@ from repro.faults.faultload import (
     generate_faultload,
 )
 from repro.faults.inject import FaultedStimulus, lowering_fingerprint
-from repro.stimuli.vectors import VectorSequence
+from repro.stimuli.vectors import VectorSequence, multiplication_sequence
 
 from test_properties import circuit_params, random_netlist, random_stimulus
 
@@ -120,7 +120,7 @@ def test_classification_is_engine_independent(params):
 
 
 # ----------------------------------------------------------------------
-# path equivalence: local == sharded == service
+# path equivalence: local == ephemeral pool (jobs > 1) == caller's pool
 # ----------------------------------------------------------------------
 
 def _outcome_key(report):
@@ -139,21 +139,26 @@ def test_sharded_campaign_matches_in_process(c17):
         c17, faultload, stimulus, config=_config(),
         engine_kind="compiled", jobs=2,
     )
+    assert (local.via, sharded.via) == ("local", "service")
     assert _outcome_key(sharded) == _outcome_key(local)
 
 
-def test_service_campaign_matches_in_process(c17):
-    stimulus = _c17_stimulus(c17)
+def test_service_campaign_matches_in_process(mult4):
+    """With no config/engine_kind, a campaign on a caller's pool takes
+    the pool's, so the golden run diffs against the knobs the mutants
+    ran on; a different config is refused instead of mis-diffed."""
+    stimulus = multiplication_sequence([(0x3, 0x5), (0xC, 0xA)])
     faultload = generate_faultload(
-        c17, 16, seed=4, window=(0.0, stimulus.horizon)
+        mult4, 12, seed=4, window=(0.0, stimulus.horizon)
     )
-    local = run_campaign(
-        c17, faultload, stimulus, config=_config(), engine_kind="compiled"
-    )
-    pooled = run_campaign(
-        c17, faultload, stimulus, config=_config(),
-        engine_kind="compiled", via="service", workers=2,
-    )
+    config = cdm_config(engine_kind="compiled")
+    local = run_campaign(mult4, faultload, stimulus, config=config)
+    with SimulationService(mult4, config=config, workers=2) as pool:
+        pooled = run_campaign(mult4, faultload, stimulus, service=pool)
+        with pytest.raises(ServiceError, match="config"):
+            run_campaign(
+                mult4, faultload, stimulus, config=_config(), service=pool
+            )
     assert pooled.via == "service"
     assert _outcome_key(pooled) == _outcome_key(local)
 
@@ -271,12 +276,3 @@ def test_classify_results_rejects_count_mismatch(c17):
     golden = simulate(c17, stimulus, config=_config())
     with pytest.raises(FaultError, match="3 faults"):
         classify_results(c17, faultload, golden, [golden], "compiled")
-
-
-def test_campaign_rejects_unknown_via(c17):
-    stimulus = _c17_stimulus(c17)
-    faultload = generate_faultload(c17, 2, seed=1)
-    with pytest.raises(FaultError, match="campaign path"):
-        run_campaign(
-            c17, faultload, stimulus, config=_config(), via="carrier-pigeon"
-        )

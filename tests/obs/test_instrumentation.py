@@ -134,6 +134,23 @@ def test_batch_metrics_inprocess(mult4):
     assert runs.value(engine="compiled", mode="inprocess") == 1
 
 
+def test_batch_metrics_jobs_runs_on_a_service(mult4):
+    """A jobs=2 batch runs in worker processes, and their engine metrics
+    still reach this registry, once per vector."""
+    _drain()
+    stimuli = _stimuli(mult4)
+    batch = simulate_batch(
+        mult4, stimuli, config=ddm_config(record_traces=False),
+        engine_kind="compiled", jobs=2,
+    )
+    assert batch.metrics["mode"] == "service"
+    delta = _delta()
+    runs = delta.get("halotis_engine_runs_total")
+    assert runs.value(engine="compiled") == len(stimuli)
+    vectors = delta.get("halotis_batch_vectors_total")
+    assert vectors.value(engine="compiled", mode="service") == len(stimuli)
+
+
 # ----------------------------------------------------------------------
 # service layer: worker deltas merge into the parent registry
 # ----------------------------------------------------------------------

@@ -572,8 +572,8 @@ def test_cli_connect_rejects_local_pool_flags(server, capsys):
 
     address = "%s:%d" % (server.host, server.port)
     assert main([
-        "simulate", "--circuit", "c17", "--connect", address, "--jobs", "2",
-        "--batch", "2",
+        "simulate", "--circuit", "c17", "--connect", address,
+        "--pool-workers", "2", "--batch", "2",
     ]) == 1
     assert "server-side" in capsys.readouterr().err
     assert main([

@@ -147,11 +147,14 @@ def test_simulate_batch_from_vector_file(tmp_path, capsys):
 
 
 def test_simulate_batch_jobs(capsys):
+    """Lockstep engines run their kernel, and its STA pass, per worker."""
     assert main([
-        "simulate", "--circuit", "c17", "--batch", "4", "--vectors", "1",
-        "--jobs", "2",
+        "simulate", "--circuit", "c17", "--batch", "8", "--vectors", "2",
+        "--engine", "vector", "--pool-workers", "2", "--check-sta",
     ]) == 0
-    assert "jobs:                   2" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "jobs:                   2" in out
+    assert "engine:                 vector" in out
 
 
 def test_simulate_batch_pool_workers(capsys):
@@ -234,15 +237,6 @@ def test_pool_workers_zero_is_rejected_everywhere(capsys):
         "simulate", "--circuit", "c17", "--pool-workers", "0",
     ]) == 1
     assert "batch mode" in capsys.readouterr().err
-
-
-def test_jobs_and_pool_workers_are_exclusive(capsys):
-    code = main([
-        "simulate", "--circuit", "c17", "--batch", "2",
-        "--jobs", "2", "--pool-workers", "2",
-    ])
-    assert code == 1
-    assert "alternatives" in capsys.readouterr().err
 
 
 def test_pool_flags_require_batch_mode(capsys):

@@ -46,8 +46,6 @@ def test_with_mode_changes_only_mode():
         ("default_input_slew", 0.0),
         ("batch_jobs", 0),
         ("batch_jobs", -2),
-        ("batch_chunk_size", 0),
-        ("batch_chunk_size", -1),
         ("service_workers", 0),
         ("service_workers", -3),
         ("shm_transport", "yes"),
@@ -73,8 +71,7 @@ def test_configs_are_plain_dataclasses():
 def test_batch_knob_defaults():
     config = SimulationConfig()
     assert config.batch_jobs == 1
-    assert config.batch_chunk_size is None
-    ddm_config(batch_jobs=4, batch_chunk_size=8).validate()
+    ddm_config(batch_jobs=4).validate()
 
 
 def test_service_knob_defaults():
