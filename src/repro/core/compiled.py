@@ -24,9 +24,10 @@ integer indices (:class:`CompiledSimulator`):
 Events are plain Python lists (``[time, seq, uid, value, t50, dur,
 rising, state]``) ordered by their first two slots, so the queue never
 compares beyond the unique ``seq``.  The inertial decision and both
-delay models are inlined on scalars; ``Transition`` objects are only
-allocated when a transition survives *and* trace recording is on — never
-for filtered events.
+delay models are inlined on scalars.  The kernel never allocates a
+``Transition``: with trace recording on, a surviving transition is
+appended to its net's trace as a plain row (see :mod:`repro.core.trace`),
+and filtered events leave no trace at all.
 
 The arithmetic is ordered exactly as in the reference backend, so both
 engines produce bit-identical event times, traces and statistics
@@ -39,7 +40,7 @@ import heapq
 from array import array
 from bisect import bisect_left, insort
 from math import exp as _exp
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..circuit.evaluate import MAX_RELAX_SWEEPS
 from ..circuit.logic import (
@@ -56,6 +57,7 @@ from ..errors import (
     StimulusError,
 )
 from .engine import EngineBase, FilteredEventRecord, register_engine
+from .trace import Row
 from .transition import Transition
 
 #: Largest gate arity lowered to a dense truth table; wider gates (only
@@ -113,6 +115,7 @@ class CompiledNetlist:
         "_dc_sweep",
         "_key_ids",
         "_key_names",
+        "_key_index",
         "_undriven",
     )
 
@@ -255,6 +258,7 @@ class CompiledNetlist:
         # Result dicts keep ``netlist.nets`` key order (not index order).
         self._key_ids: List[int] = [net.index for net in netlist.nets.values()]
         self._key_names: List[str] = list(netlist.nets)
+        self._key_index: Optional[Dict[str, int]] = None
         #: first net in key order with no driver, input or constant
         #: value: reading every value must fail on it
         undriven = [net.name for net in netlist.nets.values() if net.driver is None
@@ -275,6 +279,7 @@ class CompiledNetlist:
         state = {slot: getattr(self, slot) for slot in self.__slots__}
         state["netlist"] = None
         state["_numpy_cache"] = None
+        state["_key_index"] = None
         return state
 
     def __setstate__(self, state: Dict[str, object]) -> None:
@@ -499,9 +504,27 @@ class CompiledNetlist:
         nets are ignored).  Raises :class:`SimulationError` naming the
         first undriven net, as reading each net's value would.
         """
+        return dict(zip(self._key_names, self.key_row(row)))
+
+    def trace_layout(
+        self, row: Sequence[int]
+    ) -> Tuple[List[str], List[int], Dict[str, int]]:
+        """``(names, key_row(row), name -> position)``: the layout of a
+        run's traces, in ``netlist.nets`` key order.  ``names`` and the
+        index are built once and shared by every run."""
+        values = self.key_row(row)
+        if self._key_index is None:
+            self._key_index = {
+                name: slot for slot, name in enumerate(self._key_names)
+            }
+        return self._key_names, values, self._key_index
+
+    def key_row(self, row: Sequence[int]) -> List[int]:
+        """``row`` (indexed by net id) reordered to ``netlist.nets`` key
+        order, with :meth:`named_values`'s undriven-net check."""
         if self._undriven is not None:
             raise SimulationError("net %r has no driver" % self._undriven)
-        return dict(zip(self._key_names, [row[net] for net in self._key_ids]))
+        return [row[net] for net in self._key_ids]
 
     def arc_delay_bounds(
         self, uid: int, slew_min: float, slew_max: float
@@ -899,11 +922,22 @@ class CompiledSimulator(EngineBase):
         self._toggles = [0] * cn.num_nets
         self._toggles_dirty = False
 
+    def _trace_layout(
+        self,
+    ) -> Tuple[List[str], List[int], Optional[Dict[str, int]]]:
+        # Right after DC init the primary-input row is the whole DC row.
+        return self._cn.trace_layout(self._pi)
+
     def _after_initialize(self) -> None:
         if self.config.record_traces:
-            self._trace_appenders = [
-                self.traces[name].append for name in self._cn.net_names
-            ]
+            # Bind each net id to its trace's row list (traces are in
+            # ``netlist.nets`` order, which need not be id order).
+            appenders: List[Optional[Callable[[Row], None]]] = (
+                [None] * self._cn.num_nets
+            )
+            for rows, net in zip(self.traces.row_lists(), self._cn._key_ids):
+                appenders[net] = rows.append
+            self._trace_appenders = appenders
         else:
             self._trace_appenders = None
 
@@ -1024,16 +1058,10 @@ class CompiledSimulator(EngineBase):
                 stats.transitions_fully_degraded += 1
         appenders = self._trace_appenders
         if appenders is not None:
-            appenders[out_net](
-                Transition(
-                    t50=t50,
-                    duration=tau_out,
-                    rising=rising,
-                    net_name=cn.net_names[out_net],
-                    degradation_factor=factor,
-                    cause_time=time_now,
-                )
-            )
+            if tau_out <= 0.0:
+                # what constructing the Transition would raise
+                raise ValueError("transition duration must be positive")
+            appenders[out_net]((t50, tau_out, rising, factor, time_now))
         self._broadcast_indexed(out_net, t50, tau_out, rising)
 
     def _broadcast_indexed(

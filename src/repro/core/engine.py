@@ -44,7 +44,7 @@ from __future__ import annotations
 import abc
 import dataclasses
 import time as _time
-from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple, Type
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Type
 
 from ..circuit.logic import evaluate as evaluate_function
 from ..circuit.netlist import Net, Netlist
@@ -315,13 +315,28 @@ class EngineBase(abc.ABC):
         self.filtered_log = []
         self.now = start_time
         self._seq = 0
-        self.traces = TraceSet(self.vdd)
         self._ready = True
         if self.config.record_traces:
-            # Right after DC init the committed values are the DC values.
-            for name, value in self.values().items():
-                self.traces.create(name, value)
+            names, initial, index = self._trace_layout()
+            self.traces = TraceSet.from_rows(
+                self.vdd, names, initial, index=index
+            )
+        else:
+            self.traces = TraceSet(self.vdd)
         self._after_initialize()
+
+    def _trace_layout(
+        self,
+    ) -> Tuple[List[str], List[int], Optional[Dict[str, int]]]:
+        """``(names, dc_row, index)`` of the traces a run records.
+
+        Names are in ``netlist.nets`` order and ``dc_row`` holds each
+        net's committed value right after DC initialisation.  ``index``
+        (name -> position) may be None; a backend that caches its layout
+        returns the same ``names``/``index`` objects every run.
+        """
+        values = self.values()
+        return list(values), list(values.values()), None
 
     def _after_initialize(self) -> None:
         """Backend hook invoked once traces exist (bind fast paths)."""

@@ -14,11 +14,13 @@ parent can reconstruct the traces with zero intermediate copies.  The
 small remainder of a result (statistics counters, final values, trace
 names/initial values) travels as ordinary queue metadata.
 
-The packing is *lossless*: every :class:`~repro.core.transition.Transition`
-field survives bit-for-bit (floats cross as IEEE-754 doubles, ``None``
-cause times as NaN), so shm-transported results are bit-identical to
-pickled ones — the parity suite in ``tests/core/test_service.py`` pins
-this for both engines and both delay modes.
+Packing reads the traces' rows and unpacking rebuilds rows, so neither
+side builds a :class:`~repro.core.transition.Transition` nobody reads.
+The packing is *lossless*: every transition field survives bit-for-bit
+(floats cross as IEEE-754 doubles, ``None`` cause times as NaN), so
+shm-transported results are bit-identical to pickled ones — the parity
+suite in ``tests/core/test_service.py`` pins this for both engines and
+both delay modes.
 """
 
 from __future__ import annotations
@@ -29,8 +31,7 @@ from typing import Dict, List, Tuple
 
 from .engine import SimulationResult
 from .stats import SimulationStatistics
-from .trace import TraceSet
-from .transition import Transition
+from .trace import Row, TraceSet
 
 #: One packed transition: net_id (int32), flags (int32, bit 0 = rising,
 #: bit 1 = cause_time present), then t50 / duration / degradation_factor /
@@ -51,26 +52,20 @@ def pack_result(result: SimulationResult) -> Tuple[bytes, Dict[str, object]]:
     ``result.simulator`` is not transported (engines are process-local).
     """
     traces = result.traces
-    names: List[str] = traces.names()
-    initial = [traces[name].initial_value for name in names]
     chunks: List[bytes] = []
     pack = RECORD.pack
-    for net_id, name in enumerate(names):
-        for t in traces[name].transitions:
-            flags = _FLAG_RISING if t.rising else 0
-            if t.cause_time is not None:
+    for net_id, rows in enumerate(traces.row_lists()):
+        for t50, duration, rising, factor, cause in rows:
+            flags = _FLAG_RISING if rising else 0
+            if cause is not None:
                 flags |= _FLAG_HAS_CAUSE
-                cause = t.cause_time
             else:
                 cause = math.nan
-            chunks.append(
-                pack(net_id, flags, t.t50, t.duration,
-                     t.degradation_factor, cause)
-            )
+            chunks.append(pack(net_id, flags, t50, duration, factor, cause))
     payload = b"".join(chunks)
     meta: Dict[str, object] = {
-        "names": names,
-        "initial": initial,
+        "names": traces.names(),
+        "initial": traces.initial_values(),
         "vdd": traces.vdd,
         "horizon": traces.horizon,
         "stats": result.stats,
@@ -94,29 +89,26 @@ def unpack_result(meta: Dict[str, object], buffer) -> SimulationResult:
     stats: SimulationStatistics = meta["stats"]  # type: ignore[assignment]
     nbytes: int = meta["nbytes"]  # type: ignore[assignment]
 
-    traces = TraceSet(meta["vdd"])  # type: ignore[arg-type]
-    traces.horizon = meta["horizon"]  # type: ignore[assignment]
-    transition_lists: List[List[Transition]] = []
-    for name, value in zip(names, initial):
-        transition_lists.append(traces.create(name, value).transitions)
-
+    rows: List[List[Row]] = [[] for _ in names]
     view = memoryview(buffer)[:nbytes]
     try:
         for net_id, flags, t50, duration, degradation, cause in (
             RECORD.iter_unpack(view)
         ):
-            transition = Transition(
-                t50=t50,
-                duration=duration,
-                rising=bool(flags & _FLAG_RISING),
-                net_name=names[net_id],
-                degradation_factor=degradation,
-                cause_time=cause if flags & _FLAG_HAS_CAUSE else None,
-            )
-            transition_lists[net_id].append(transition)
+            rows[net_id].append((
+                t50,
+                duration,
+                bool(flags & _FLAG_RISING),
+                degradation,
+                cause if flags & _FLAG_HAS_CAUSE else None,
+            ))
     finally:
         view.release()
 
+    traces = TraceSet.from_rows(
+        meta["vdd"], names, initial, rows  # type: ignore[arg-type]
+    )
+    traces.horizon = meta["horizon"]  # type: ignore[assignment]
     return SimulationResult(
         traces=traces,
         stats=stats,

@@ -28,8 +28,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..core.engine import SimulationResult
 from ..core.stats import SimulationStatistics
-from ..core.trace import TraceSet
-from ..core.transition import Transition
+from ..core.trace import Row, TraceSet
 from ..errors import ParseError, StimulusError
 from ..stimuli.vectors import VectorSequence
 
@@ -150,23 +149,19 @@ def result_to_dict(result: SimulationResult) -> Dict[str, object]:
     """
     traces = result.traces
     stats = result.stats
-    nets: List[List[object]] = []
-    for name in traces.names():
-        trace = traces[name]
-        nets.append([
+    nets: List[List[object]] = [
+        [
             name,
-            trace.initial_value,
+            initial,
             [
-                [
-                    t.t50,
-                    t.duration,
-                    1 if t.rising else 0,
-                    t.degradation_factor,
-                    t.cause_time,
-                ]
-                for t in trace.transitions
+                [t50, duration, 1 if rising else 0, factor, cause]
+                for t50, duration, rising, factor, cause in rows
             ],
-        ])
+        ]
+        for name, initial, rows in zip(
+            traces.names(), traces.initial_values(), traces.row_lists()
+        )
+    ]
     stats_payload: Dict[str, object] = {
         name: getattr(stats, name) for name in STATS_COUNTERS
     }
@@ -203,24 +198,36 @@ def result_from_dict(payload: Mapping[str, object]) -> SimulationResult:
             net_toggles=dict(stats_payload["net_toggles"]),
             runtime_seconds=stats_payload["runtime_seconds"],
         )
-        traces = TraceSet(traces_payload["vdd"])
+        names: List[str] = []
+        initial: List[int] = []
+        rows: List[List[Row]] = []
+        for name, value, transitions in traces_payload["nets"]:
+            names.append(name)
+            initial.append(_initial_value(value))
+            rows.append(_decode_rows(transitions))
+        traces = TraceSet.from_rows(traces_payload["vdd"], names, initial, rows)
         traces.horizon = traces_payload["horizon"]
-        for name, initial, transitions in traces_payload["nets"]:
-            trace = traces.create(name, initial)
-            for t50, duration, rising, degradation, cause in transitions:
-                trace.append(Transition(
-                    t50=t50,
-                    duration=duration,
-                    rising=bool(rising),
-                    net_name=name,
-                    degradation_factor=degradation,
-                    cause_time=cause,
-                ))
     except (KeyError, TypeError, ValueError) as error:
         raise ParseError("malformed result payload: %s" % error) from None
     return SimulationResult(
         traces=traces, stats=stats, final_values=final_values, simulator=None
     )
+
+
+def _initial_value(value: int) -> int:
+    if value not in (0, 1):
+        raise ValueError("initial value must be 0 or 1")
+    return value
+
+
+def _decode_rows(transitions: Sequence[Sequence[float]]) -> List[Row]:
+    """Trace rows of one encoded net, validated as ``Transition`` would."""
+    rows: List[Row] = []
+    for t50, duration, rising, degradation, cause in transitions:
+        if duration <= 0.0:
+            raise ValueError("transition duration must be positive")
+        rows.append((t50, duration, bool(rising), degradation, cause))
+    return rows
 
 
 def result_line(result: SimulationResult) -> str:

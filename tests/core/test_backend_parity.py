@@ -16,7 +16,8 @@ import pytest
 
 from repro.circuit.builder import CircuitBuilder
 from repro.config import InertialPolicy, cdm_config, ddm_config
-from repro.core.engine import simulate
+from repro.core.engine import make_engine, simulate
+from repro.experiments import common
 from repro.stimuli.vectors import VectorSequence
 
 _CELL_CHOICES = [
@@ -125,6 +126,73 @@ def test_multiplier_paper_sequence_parity(mult4, mode):
     reference, _compiled = assert_parity(mult4, stimulus, config)
     assert reference.stats.events_executed > 0
     assert reference.stats.events_filtered > 0 or mode == "cdm"
+
+
+_TRANSITION_FIELDS = (
+    "t50", "duration", "rising", "net_name", "degradation_factor",
+    "cause_time",
+)
+
+
+def _transition_fields(trace):
+    # repr() keeps the comparison bit-exact: floats print round-trip,
+    # and True/1 or 1.0/1 no longer compare equal.
+    return [
+        tuple(repr(getattr(t, field)) for field in _TRANSITION_FIELDS)
+        for t in trace.transitions
+    ]
+
+
+@pytest.mark.parametrize("which", [1, 2], ids=["seq1", "seq2"])
+@pytest.mark.parametrize("mode", ["ddm", "cdm"])
+def test_multiplier_transitions_built_on_read_match_reference(
+    mult4, which, mode
+):
+    """Compiled traces are recorded as rows and become Transition
+    objects on first read; whatever order the nets are read in, they
+    equal the reference engine's field by field."""
+    stimulus = common.paper_stimulus(which)
+    config = ddm_config() if mode == "ddm" else cdm_config()
+    reference = simulate(mult4, stimulus, config=config, engine_kind="reference")
+    names = list(mult4.nets)
+    want = {name: _transition_fields(reference.traces[name]) for name in names}
+    assert sum(map(len, want.values())) > 0
+    shuffled = list(names)
+    random.Random(which).shuffle(shuffled)
+    for order in (names, names[::-1], shuffled):
+        compiled = simulate(
+            mult4, stimulus, config=config, engine_kind="compiled"
+        )
+        assert compiled.traces.names() == reference.traces.names()
+        for name in order:
+            assert _transition_fields(compiled.traces[name]) == want[name], name
+        # A second read returns the same objects.
+        trace = compiled.traces[order[0]]
+        assert trace.transitions is trace.transitions
+        assert all(
+            a is b for a, b in zip(trace.transitions, trace.transitions)
+        )
+
+
+def test_non_positive_duration_raises_at_emission(mult4, patched_lowering):
+    """A traced compiled run whose lowering yields a non-positive output
+    duration fails at emission, as constructing the Transition did."""
+
+    def negative_duration(compiled):
+        for table in (compiled.arc_rise, compiled.arc_fall):
+            for uid, params in enumerate(table):
+                tp0, d_slew, _tau, _s_slew, tau_deg, t0 = params
+                table[uid] = (tp0, d_slew, -0.1, 0.0, tau_deg, t0)
+
+    patched_lowering(mult4, negative_duration)
+    engine = make_engine(mult4, config=ddm_config(), engine_kind="compiled")
+    engine.initialize({net.name: 0 for net in mult4.primary_inputs})
+    engine.set_input("a0", 1, at_time=1.0)
+    engine.set_input("b0", 1, at_time=1.0)
+    with pytest.raises(ValueError, match="transition duration must be positive"):
+        engine.run()
+    assert engine.stats.transitions_emitted == 1
+    assert sum(trace.raw_count() for trace in engine.traces) == 2  # sources
 
 
 def test_peak_voltage_policy_parity():

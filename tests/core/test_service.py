@@ -12,7 +12,9 @@ pickle fallback.
 
 from __future__ import annotations
 
+import dataclasses
 import os
+import pickle
 import signal
 
 import pytest
@@ -782,6 +784,32 @@ def test_pack_unpack_roundtrip_is_lossless(mult4):
     rebuilt = unpack_result(meta, payload + b"\x00" * 64)
     assert_results_identical(rebuilt, result, mult4, context="roundtrip")
     assert rebuilt.simulator is None
+
+
+@pytest.mark.parametrize("transport", ["pickle", "shm"])
+def test_unread_traces_survive_transport(mult4, transport):
+    """Traces nobody has read yet cross either transport and then read
+    equal to the traces of a run that was read before it moved."""
+    stimulus = common.paper_stimulus(2)
+
+    def run():
+        result = simulate(
+            mult4, stimulus, config=ddm_config(), engine_kind="compiled"
+        )
+        return dataclasses.replace(result, simulator=None)
+
+    def move(result):
+        if transport == "pickle":
+            return pickle.loads(pickle.dumps(result))
+        payload, meta = pack_result(result)
+        return unpack_result(meta, payload)
+
+    read = run()
+    for trace in read.traces:
+        assert trace.transitions is not None
+    unread = run()
+    assert_results_identical(move(unread), read, mult4, context="unread")
+    assert_results_identical(move(read), read, mult4, context="read")
 
 
 def test_pack_unpack_handles_empty_traces(mult4):

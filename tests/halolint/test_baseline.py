@@ -97,3 +97,24 @@ def test_malformed_baseline_is_rejected(tmp_path):
 
 def test_missing_baseline_is_empty(tmp_path):
     assert Baseline.load(tmp_path / "nope.json").fingerprints == set()
+
+
+def test_each_entry_absorbs_one_finding(lint_tree):
+    # Two findings share one fingerprint (same rule, file and message);
+    # a one-entry baseline grandfathers one of them, not both.
+    twice = {MOD: """
+        def tweak(compiled):
+            compiled.arc_rise[3] = 0.5
+
+        def tweak_again(compiled):
+            compiled.arc_rise[3] = 0.5
+    """}
+    first = lint_tree(BAD)
+    baseline = Baseline.from_findings(first.all_findings)
+    assert len(baseline.entries) == 1
+
+    second = lint_tree(twice, baseline=baseline)
+    assert second.exit_code() == 2
+    assert second.grandfathered == 1
+    assert len(findings_for(second, "HL001")) == 1
+    assert second.stale_baseline == []

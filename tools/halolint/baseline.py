@@ -3,15 +3,18 @@
 A baseline entry matches a finding by *fingerprint* — a hash of the
 rule id, the file and the message, deliberately excluding the line
 number so unrelated edits above a grandfathered site do not resurrect
-it.  Removing an entry (or fixing the code) un-grandfathers the finding
-and the next run fails again; ``tests/halolint/test_baseline.py`` pins
-that round trip.
+it.  Entries count: ``k`` entries with one fingerprint grandfather at
+most ``k`` findings with it, so a second copy of a grandfathered finding
+in the same file is fresh.  Removing an entry (or fixing the code)
+un-grandfathers the finding and the next run fails again;
+``tests/halolint/test_baseline.py`` pins that round trip.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence
 
@@ -85,17 +88,18 @@ class Baseline:
         """Partition findings against the baseline.
 
         Returns ``(fresh, grandfathered_count, stale_fingerprints)`` —
-        fresh findings gate the run; stale fingerprints matched nothing
-        (the grandfathered code was fixed) and should be pruned.
+        fresh findings gate the run; stale fingerprints (one per unused
+        entry) matched nothing (the grandfathered code was fixed) and
+        should be pruned.  Each entry absorbs one finding: findings past
+        the entry count of their fingerprint are fresh.
         """
-        known = self.fingerprints
+        budget = Counter(str(entry["fingerprint"]) for entry in self.entries)
         fresh: List[Finding] = []
-        seen: set[str] = set()
         for finding in findings:
             mark = fingerprint(finding)
-            if mark in known:
-                seen.add(mark)
+            if budget[mark] > 0:
+                budget[mark] -= 1
             else:
                 fresh.append(finding)
-        stale = sorted(known - seen)
+        stale = sorted(budget.elements())
         return fresh, len(findings) - len(fresh), stale
