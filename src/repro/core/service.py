@@ -11,14 +11,19 @@ circuit does not change between batches.
   cached lowering) **once**, at spawn, builds its engine **once**, and
   then serves arbitrarily many vectors — steady state pays only
   per-vector simulation cost, never re-lowering or re-spawn;
-* edge traces return through a per-worker reusable
-  ``multiprocessing.shared_memory`` buffer of packed transition records
-  (:mod:`repro.core.shm_transport`), cutting the per-result copy to the
-  small stats/final-values metadata; where shared memory is unavailable
-  (or ``shm_transport=False``) results fall back to pickling with
-  bit-identical content;
+* each worker reads its tasks from its own pipe and answers on another
+  (no feeder threads, no shared lock a dying worker could hold);
+* each result crosses as one compact record — statistics as a tuple,
+  final values as a ``bytes`` row in netlist order — plus its packed
+  trace records (:mod:`repro.core.shm_transport`).  The trace bytes go
+  through a per-worker reusable ``multiprocessing.shared_memory``
+  buffer, or inline in the message where shared memory is unavailable
+  (or ``shm_transport=False``); the two transports differ only in that,
+  so they are bit-identical;
+* worker metrics come back as deltas of the series that changed since
+  the worker's previous message, folded into the parent's registry;
 * a batch is split evenly into one chunk per worker by default, so it
-  pays one queue round trip per worker, not one per vector;
+  pays one round trip per worker, not one per vector;
 * a crashed worker is detected, respawned with the same warm payload,
   and its in-flight chunk requeued — a chunk that *keeps* killing
   workers fails its batch with :class:`ServiceError` after
@@ -60,7 +65,7 @@ from ..obs.log import get_logger
 from ..obs.registry import MetricsRegistry, get_registry
 from .batch import BatchResult, _publish_batch_metrics, even_chunk, run_chunk
 from .engine import SimulationResult, make_engine, resolve_engine_class
-from . import shm_transport
+from .shm_transport import ResultLayout, pack_result, unpack_chunk
 
 try:  # pragma: no cover - availability is platform-dependent
     from multiprocessing import shared_memory as _shared_memory
@@ -193,26 +198,30 @@ def _worker_main(
     engine_kind: str,
     transport: str,
     shm_base: str,
-    task_queue,
+    tasks,
     results,
 ) -> None:
     """Worker-process loop: build the engine once, serve tasks forever.
 
-    Tasks are ``(job_id, indices, stimuli, settle, seed)`` tuples — one
-    *chunk* of a batch, ``indices`` and ``stimuli`` running in parallel;
-    ``None`` is the shutdown pill.  Each chunk answers with exactly one
-    message on ``results``, this worker's own pipe to the parent
-    (``snap`` is the worker registry's ``snapshot(reset=True)`` metrics
-    delta, or None when metrics collection is off):
+    Tasks arrive on ``tasks``, the read end of this worker's own pipe
+    from the parent: ``(job_id, indices, stimuli, settle, seed)`` tuples
+    — one *chunk* of a batch, ``indices`` and ``stimuli`` running in
+    parallel; ``None`` is the shutdown pill.  Each chunk answers with
+    exactly one message on ``results``, this worker's own pipe to the
+    parent (``delta`` is the worker registry's
+    :meth:`~repro.obs.registry.MetricsRegistry.drain_delta`, or None
+    when metrics collection is off):
 
-    * ``("shm", job_id, indices, segment, metas, snap)``
-    * ``("pickle", job_id, indices, results, snap)``
-    * ``("error", job_id, index, type_name, text, snap)``
+    * ``("ok", job_id, indices, records, segment, inline, delta)`` — one
+      :mod:`~repro.core.shm_transport` record per vector; the chunk's
+      trace bytes sit back to back in shm ``segment``, or in ``inline``
+      (bytes) when ``segment`` is None;
+    * ``("error", job_id, index, type_name, text, delta)``.
 
     One message per chunk keeps the single shm buffer safe to reuse (the
     parent reads it before this worker gets its next task) and is the
-    point of chunking: the queue round-trip is paid once per chunk, not
-    once per vector.  The chunk runs through
+    point of chunking: the round trip is paid once per chunk, not once
+    per vector.  The chunk runs through
     :func:`repro.core.batch.run_chunk`, the same runner as an in-process
     batch, so lockstep backends run the chunk as one lockstep kernel.
     On an error the rest of the chunk is abandoned — the parent fails
@@ -227,66 +236,58 @@ def _worker_main(
     engine = make_engine(
         netlist, config=config, queue_kind=queue_kind, engine_kind=engine_kind
     )
+    layout = ResultLayout(netlist)
     buffer = _WorkerShmBuffer(shm_base) if transport == "shm" else None
     # Engine metrics published by the chunk runs land in this worker's own
-    # process-local registry; each result message carries the delta since
-    # the previous one (snapshot(reset=True)), which the parent folds
-    # into its registry — additive merge, so message order is irrelevant.
+    # process-local registry; each result message carries the series that
+    # changed since the previous one, which the parent adds into its
+    # registry — additive, so message order is irrelevant.
     worker_registry = get_registry() if config.collect_metrics else None
     if worker_registry is not None and not worker_registry.enabled:
         worker_registry = None
     if worker_registry is not None:
         # A forked worker inherits the parent's registry contents; drop
         # them so the first delta carries this worker's work only.
-        worker_registry.snapshot(reset=True)
-
-    def _snap():
-        if worker_registry is None:
-            return None
-        return worker_registry.snapshot(reset=True)
+        worker_registry.clear()
+    drain = (
+        worker_registry.drain_delta if worker_registry is not None
+        else lambda: None
+    )
 
     try:
         while True:
-            task = task_queue.get()
+            try:
+                task = tasks.recv()
+            except EOFError:  # the parent is gone
+                break
             if task is None:
                 break
             job_id, indices, stimuli, settle, seed = task
-            chunk_results = []
+            records = []
+            payloads = []
             try:
                 for result in run_chunk(engine, stimuli, settle=settle,
                                         seed=seed):
-                    chunk_results.append(result)
+                    payload, record = pack_result(result, layout)
+                    payloads.append(payload)
+                    records.append(record)
             except Exception as error:  # noqa: BLE001 - forwarded to parent
                 # Results arrive in order: the first missing one failed.
                 results.send((
-                    "error", job_id, indices[len(chunk_results)],
+                    "error", job_id, indices[len(records)],
                     type(error).__name__,
                     "%s\n%s" % (error, _traceback.format_exc()),
-                    _snap(),
+                    drain(),
                 ))
                 continue
-            for result in chunk_results:
-                result.simulator = None
-                # Strip the per-result metrics annotation: the registry
-                # snapshot below carries the aggregates, and the two
-                # transports must return bit-identical results (shm
-                # packing would drop the dict; pickle would not).
-                result.metrics = None
-            if buffer is not None:
-                payloads = []
-                metas = []
-                for result in chunk_results:
-                    payload, meta = shm_transport.pack_result(result)
-                    payloads.append(payload)
-                    metas.append(meta)
-                segment = buffer.write(b"".join(payloads))
-                results.send((
-                    "shm", job_id, indices, segment, metas, _snap(),
-                ))
-            else:
-                results.send((
-                    "pickle", job_id, indices, chunk_results, _snap(),
-                ))
+            inline: Optional[bytes] = b"".join(payloads)
+            segment = None
+            if buffer is not None and inline:
+                segment = buffer.write(inline)
+                inline = None
+            results.send((
+                "ok", job_id, indices, records, segment, inline, drain(),
+            ))
     finally:
         if buffer is not None:
             buffer.destroy()
@@ -328,12 +329,14 @@ class _Task:
 class _Worker:
     """Parent-side bookkeeping for one worker process."""
 
-    __slots__ = ("process", "task_queue", "results", "generation",
+    __slots__ = ("process", "tasks", "results", "generation",
                  "current", "last_segment")
 
-    def __init__(self, process, task_queue, results, generation):
+    def __init__(self, process, tasks, results, generation):
         self.process = process
-        self.task_queue = task_queue
+        #: write end of the worker's task pipe; a send raises
+        #: BrokenPipeError once the worker has exited.
+        self.tasks = tasks
         #: read end of the worker's result pipe; EOF once it has exited.
         self.results = results
         self.generation = generation
@@ -511,6 +514,7 @@ class SimulationService:
                 from multiprocessing import resource_tracker
                 resource_tracker.ensure_running()
         self._shm_base = "hal%dx%d" % (os.getpid(), next(_SERVICE_SEQ))
+        self._layout = ResultLayout(netlist)
         self._pending: collections.deque[_Task] = collections.deque()
         self._jobs: Dict[int, BatchJob] = {}
         self._job_seq = itertools.count()
@@ -555,7 +559,7 @@ class SimulationService:
         self._closed = True
         for worker in self._workers:
             with contextlib.suppress(OSError, ValueError):
-                worker.task_queue.put(None)  # pragma: no cover - queue gone
+                worker.tasks.send(None)  # pragma: no cover - worker gone
         deadline = _time.monotonic() + max(0.0, timeout)
         #: Per-escalation grace; a terminated/killed process reaps in
         #: well under this unless the host is in serious trouble.
@@ -572,8 +576,7 @@ class SimulationService:
                 # A worker that did not exit its loop cleanly never ran
                 # its shm destructor; unlink from the parent side.
                 self._unlink_worker_segments(worker_id, worker)
-            worker.task_queue.cancel_join_thread()
-            worker.task_queue.close()
+            worker.tasks.close()
             worker.results.close()
         for attachment in self._attachments.values():
             attachment.close()
@@ -601,7 +604,7 @@ class SimulationService:
         ``chunk`` packs that many consecutive vectors into one worker
         round trip.  The default (None) splits the batch evenly, one
         chunk of ``ceil(N / workers)`` vectors per worker, so the batch
-        pays one queue round trip per worker rather than per vector.
+        pays one round trip per worker rather than per vector.
         ``chunk=1`` gives finest-grained scheduling and crash retry.
         Chunking only changes transport: results are bit-identical and
         in input order whatever the chunk size.  A crash retries the
@@ -707,10 +710,24 @@ class SimulationService:
                 if task.submitted_at is not None:
                     self._metrics.queue_wait.observe(now - task.submitted_at)
                 self._metrics.chunk_vectors.observe(float(len(task.indices)))
-            worker.task_queue.put((
-                task.job_id, task.indices, task.stimuli, task.settle,
-                task.seed,
-            ))
+            try:
+                worker.tasks.send((
+                    task.job_id, task.indices, task.stimuli, task.settle,
+                    task.seed,
+                ))
+            except OSError:
+                # The worker died after is_alive() said otherwise: its
+                # read end is closed.  A crash like any other.
+                self._restart_worker(worker_id)
+            except Exception as error:  # noqa: BLE001 - failed to pickle
+                # Pickling runs before the first byte is written, so the
+                # pipe is clean and the worker stays idle.
+                worker.current = None
+                self._fail_job(task.job_id, ServiceError(
+                    "%s could not be sent to a worker: %s: %s"
+                    % (_describe_chunk(task.indices), type(error).__name__,
+                       error)
+                ))
 
     def _next_live_task(self) -> Optional[_Task]:
         """Pop the next pending task whose job has not already failed."""
@@ -721,11 +738,16 @@ class SimulationService:
                 return task
         return None
 
+    def _fail_job(self, job_id: int, error: ServiceError) -> None:
+        job = self._jobs.pop(job_id, None)
+        if job is not None:
+            job._fail(error)
+
     def _handle_message(self, worker_id: int, message) -> None:
         kind, job_id = message[0], message[1]
         worker = self._workers[worker_id]
         # Every message carries the worker's metrics delta last.
-        self._merge_worker_snapshot(message[-1])
+        self._fold_worker_delta(message[-1])
         job = self._jobs.get(job_id)
         if kind == "error":
             index, type_name, detail = message[2], message[3], message[4]
@@ -740,39 +762,38 @@ class SimulationService:
                     "index": index, "error_type": type_name,
                 },
             )
-            if job is not None:
-                job._fail(ServiceError(
-                    "vector %d failed in worker %d: %s: %s"
-                    % (index, worker_id, type_name, detail)
-                ))
-                self._jobs.pop(job_id, None)
+            self._fail_job(job_id, ServiceError(
+                "vector %d failed in worker %d: %s: %s"
+                % (index, worker_id, type_name, detail)
+            ))
             return
-        indices = message[2]
+        indices, records, segment, inline = message[2:6]
         task = worker.current
         if task is not None and (task.job_id, task.indices) == (job_id, indices):
             worker.current = None
             self._observe_task(task, "ok")
-        if kind == "shm":
-            segment, metas = message[3], message[4]
-            if worker.last_segment not in (None, segment):
+        if segment is not None and worker.last_segment != segment:
+            if worker.last_segment is not None:
                 # The worker grew (and unlinked) its buffer; drop our
                 # mapping of the abandoned segment.
                 stale = self._attachments.pop(worker.last_segment, None)
                 if stale is not None:
                     stale.close()
             worker.last_segment = segment
-            results = self._read_shm_results(segment, metas)
-        else:
-            results = message[3]
-        if job is not None and job._error is None:
-            for index, result in zip(indices, results):
-                job._store(index, result)
-        if job is not None and job.done:
+        if job is None or job._error is not None:
+            return
+        buffer = inline if segment is None else self._attach(segment).buf
+        for index, result in zip(
+            indices, unpack_chunk(records, buffer, self._layout)
+        ):
+            job._store(index, result)
+        if job.done:
             # The handle keeps its own results; the registry must not
             # grow without bound over a long-running service.
             self._jobs.pop(job_id, None)
 
-    def _read_shm_results(self, segment: str, metas) -> List[SimulationResult]:
+    def _attach(self, segment: str):
+        """The parent's mapping of a worker's shm segment (cached)."""
         shm = self._attachments.get(segment)
         if shm is None:
             # Attaching re-registers the name with the resource tracker;
@@ -782,32 +803,20 @@ class SimulationService:
             # _unlink_segment after a crash) clears the single entry.
             shm = _shared_memory.SharedMemory(name=segment)
             self._attachments[segment] = shm
-        # A chunk's payloads sit back to back in the segment, each
-        # meta carrying its own byte length.
-        results = []
-        offset = 0
-        for meta in metas:
-            nbytes: int = meta["nbytes"]
-            results.append(
-                shm_transport.unpack_result(
-                    meta, shm.buf[offset:offset + nbytes]
-                )
-            )
-            offset += nbytes
-        return results
+        return shm
 
     # -- metrics plumbing ----------------------------------------------
 
-    def _merge_worker_snapshot(self, snap) -> None:
+    def _fold_worker_delta(self, delta) -> None:
         """Fold one worker's metrics delta into the parent registry."""
-        if snap is None or self._metrics is None:
+        if delta is None or self._metrics is None:
             return
         try:
-            self._metrics.registry.merge_snapshot(snap)
+            self._metrics.registry.fold_delta(delta)
         except (ValueError, KeyError, TypeError):
             # A malformed or incompatible delta must never fail the
             # simulation result it rode in on.
-            _LOG.warning("dropping unmergeable worker metrics snapshot")
+            _LOG.warning("dropping unmergeable worker metrics delta")
 
     def _observe_task(self, task: _Task, outcome: str) -> None:
         """Account one finished dispatch (latency + outcome counter)."""
@@ -831,8 +840,7 @@ class SimulationService:
     def _restart_worker(self, worker_id: int) -> None:
         dead = self._workers[worker_id]
         dead.process.join(timeout=0.1)
-        dead.task_queue.cancel_join_thread()
-        dead.task_queue.close()
+        dead.tasks.close()
         # A result the worker sent in full before dying still counts:
         # its chunk is then done and is not re-run.  A message cut off
         # mid-send reads as EOF.
@@ -865,7 +873,6 @@ class SimulationService:
         if task is None:
             return
         task.attempts += 1
-        job = self._jobs.get(task.job_id)
         if task.attempts > self.max_task_retries:
             if self._metrics is not None:
                 self._metrics.exhausted.inc()
@@ -878,13 +885,11 @@ class SimulationService:
                     "max_task_retries": self.max_task_retries,
                 },
             )
-            if job is not None:
-                job._fail(ServiceError(
-                    "%s crashed its worker %d times (max_task_retries=%d)"
-                    % (_describe_chunk(task.indices), task.attempts,
-                       self.max_task_retries)
-                ))
-                self._jobs.pop(task.job_id, None)
+            self._fail_job(task.job_id, ServiceError(
+                "%s crashed its worker %d times (max_task_retries=%d)"
+                % (_describe_chunk(task.indices), task.attempts,
+                   self.max_task_retries)
+            ))
             return
         self.tasks_requeued += len(task.indices)
         if self._metrics is not None:
@@ -940,7 +945,7 @@ class SimulationService:
     # -- worker spawning -----------------------------------------------
 
     def _spawn_worker(self, worker_id: int, generation: int = 0) -> _Worker:
-        task_queue = self._ctx.Queue()
+        tasks, task_sender = self._ctx.Pipe(duplex=False)
         results, sender = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
             target=_worker_main,
@@ -952,14 +957,16 @@ class SimulationService:
                 self.engine_kind,
                 self.transport,
                 "%sw%dr%d" % (self._shm_base, worker_id, generation),
-                task_queue,
+                tasks,
                 sender,
             ),
             daemon=True,
             name="halotis-worker-%d" % worker_id,
         )
         process.start()
-        # The worker now holds the only write end, so the pipe reads EOF
-        # once it exits.
+        # The worker now holds the only task read end and the only result
+        # write end: a task send raises BrokenPipeError and the result
+        # pipe reads EOF once it exits.
+        tasks.close()
         sender.close()
-        return _Worker(process, task_queue, results, generation)
+        return _Worker(process, task_sender, results, generation)

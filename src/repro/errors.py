@@ -96,6 +96,17 @@ class FaultError(SimulationError):
     """
 
 
+class MetricsError(ReproError, ValueError):
+    """A metric was misused, or a metrics snapshot or exposition is invalid.
+
+    Raised by :mod:`repro.obs` for a negative counter increment, a
+    metric re-registered with another type or label set, histogram
+    bucket edges that differ between a delta and the registry, and text
+    that does not parse as Prometheus exposition.  It stays a
+    ``ValueError`` so callers catching that keep working.
+    """
+
+
 class StimulusError(ReproError):
     """A stimulus description is inconsistent with the circuit interface."""
 

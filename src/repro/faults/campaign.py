@@ -89,11 +89,13 @@ class MutantOutcome:
 
 
 def _edges_match(
-    golden_trace: NetTrace, mutant_trace: NetTrace, epsilon: float
+    golden_initial: int,
+    golden_edges: List[Tuple[float, int]],
+    mutant_trace: NetTrace,
+    epsilon: float,
 ) -> bool:
-    if golden_trace.initial_value != mutant_trace.initial_value:
+    if golden_initial != mutant_trace.initial_value:
         return False
-    golden_edges = golden_trace.edges()
     mutant_edges = mutant_trace.edges()
     if len(golden_edges) != len(mutant_edges):
         return False
@@ -105,6 +107,91 @@ def _edges_match(
         if abs(golden_time - mutant_time) > epsilon:
             return False
     return True
+
+
+class _GoldenDiff:
+    """The golden side of every mutant diff of one campaign.
+
+    Built once per campaign: the golden nets in name order with their
+    PO / traced flags, and each golden trace's edges on first use.
+    """
+
+    def __init__(
+        self, netlist: Netlist, golden: SimulationResult, epsilon: float
+    ):
+        po_names = {net.name for net in netlist.primary_outputs}
+        traced = set(golden.traces.names())
+        self.golden = golden
+        self.epsilon = epsilon
+        #: ``(name, is_po, traced)`` per golden net, sorted by name.
+        self.nets = [
+            (name, name in po_names, name in traced)
+            for name in sorted(golden.final_values)
+        ]
+        self.traced = bool(traced)
+        self._edges: Dict[str, Tuple[int, List[Tuple[float, int]]]] = {}
+
+    def _golden_edges(self, name: str) -> Tuple[int, List[Tuple[float, int]]]:
+        edges = self._edges.get(name)
+        if edges is None:
+            trace = self.golden.traces[name]
+            edges = self._edges[name] = (trace.initial_value, trace.edges())
+        return edges
+
+    def classify(
+        self, mutant: SimulationResult, fault: FaultSpec, index: int
+    ) -> MutantOutcome:
+        golden = self.golden
+        golden_values = golden.final_values
+        mutant_values = mutant.final_values
+        mutant_traces = mutant.traces
+        compare_traces = self.traced and len(mutant_traces) > 0
+        detected: List[str] = []
+        internal_diff = end_detected = end_latent = False
+        # Equal final values and no trace pair to diff: nothing differs.
+        if compare_traces or golden_values != mutant_values:
+            mutant_traced = (
+                set(mutant_traces.names()) if compare_traces else set()
+            )
+            for name, is_po, traced in self.nets:
+                differs = golden_values[name] != mutant_values.get(name)
+                if differs:
+                    if is_po:
+                        end_detected = True
+                    else:
+                        end_latent = True
+                elif traced and name in mutant_traced:
+                    initial, edges = self._golden_edges(name)
+                    differs = not _edges_match(
+                        initial, edges, mutant_traces[name], self.epsilon
+                    )
+                if not differs:
+                    continue
+                if is_po:
+                    detected.append(name)
+                else:
+                    internal_diff = True
+
+        if detected:
+            classification = Classification.DETECTED
+        elif internal_diff:
+            classification = Classification.LATENT
+        elif (
+            mutant.stats.events_filtered != golden.stats.events_filtered
+            or mutant.stats.transitions_fully_degraded
+            != golden.stats.transitions_fully_degraded
+        ):
+            classification = Classification.MASKED
+        else:
+            classification = Classification.SILENT
+        return MutantOutcome(
+            index=index,
+            fault=fault,
+            classification=classification,
+            detected_pos=tuple(detected),
+            end_detected=end_detected,
+            end_latent=end_latent,
+        )
 
 
 def classify_outcome(
@@ -120,57 +207,11 @@ def classify_outcome(
     Works from whatever the results carry: traces when recorded (full
     edge-list diff), final values always.  Both results must come from
     the same engine kind — diffing across timing contracts would turn
-    contract differences into fake detections.
+    contract differences into fake detections.  To classify many
+    mutants against one golden run, :func:`classify_results` does the
+    golden-side work once.
     """
-    po_names = {net.name for net in netlist.primary_outputs}
-    detected: List[str] = []
-    internal_diff = False
-
-    golden_traced = set(golden.traces.names())
-    mutant_traced = set(mutant.traces.names())
-    for name in sorted(golden.final_values):
-        is_po = name in po_names
-        differs = golden.final_values[name] != mutant.final_values.get(name)
-        if not differs and name in golden_traced and name in mutant_traced:
-            differs = not _edges_match(
-                golden.traces[name], mutant.traces[name], epsilon
-            )
-        if not differs:
-            continue
-        if is_po:
-            detected.append(name)
-        else:
-            internal_diff = True
-
-    end_detected = any(
-        golden.final_values[name] != mutant.final_values.get(name)
-        for name in sorted(po_names & set(golden.final_values))
-    )
-    end_latent = any(
-        golden.final_values[name] != mutant.final_values.get(name)
-        for name in sorted(set(golden.final_values) - po_names)
-    )
-
-    if detected:
-        classification = Classification.DETECTED
-    elif internal_diff:
-        classification = Classification.LATENT
-    elif (
-        mutant.stats.events_filtered != golden.stats.events_filtered
-        or mutant.stats.transitions_fully_degraded
-        != golden.stats.transitions_fully_degraded
-    ):
-        classification = Classification.MASKED
-    else:
-        classification = Classification.SILENT
-    return MutantOutcome(
-        index=index,
-        fault=fault,
-        classification=classification,
-        detected_pos=tuple(detected),
-        end_detected=end_detected,
-        end_latent=end_latent,
-    )
+    return _GoldenDiff(netlist, golden, epsilon).classify(mutant, fault, index)
 
 
 @dataclasses.dataclass
@@ -319,8 +360,9 @@ def classify_results(
             "campaign got %d results for %d faults"
             % (len(results), len(faultload.faults))
         )
+    diff = _GoldenDiff(netlist, golden, epsilon)
     outcomes = [
-        classify_outcome(netlist, golden, result, fault, index, epsilon=epsilon)
+        diff.classify(result, fault, index)
         for index, (fault, result) in enumerate(zip(faultload.faults, results))
     ]
     return DependabilityReport(

@@ -24,6 +24,8 @@ import math
 import re
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
+from ..errors import MetricsError
+
 if TYPE_CHECKING:
     from .registry import MetricsRegistry
 
@@ -109,7 +111,7 @@ def render_snapshot(snapshot: Mapping[str, object]) -> str:
     """Render a :meth:`MetricsRegistry.snapshot` dict to exposition text."""
     metrics = snapshot.get("metrics")
     if not isinstance(metrics, Mapping):
-        raise ValueError("not a metrics snapshot: missing 'metrics' map")
+        raise MetricsError("not a metrics snapshot: missing 'metrics' map")
     lines: List[str] = []
     for name in sorted(metrics):
         lines.extend(_render_metric(name, metrics[name]))
@@ -149,7 +151,7 @@ def _parse_labels(raw: str) -> Dict[str, str]:
     while position < len(raw):
         match = _LABEL_RE.match(raw, position)
         if match is None:
-            raise ValueError("malformed label set: {%s}" % raw)
+            raise MetricsError("malformed label set: {%s}" % raw)
         labels[match.group("name")] = _unescape_label_value(
             match.group("value")
         )
@@ -173,8 +175,9 @@ def parse_text(
     Each entry carries ``type`` (from ``# TYPE``, or ``"untyped"``),
     ``help`` and ``samples`` — a list of ``(sample_name, labels, value)``
     tuples where histogram ``_bucket``/``_sum``/``_count`` samples are
-    grouped under the base metric name.  Raises ``ValueError`` on any
-    line it cannot understand; the CI smoke job leans on that strictness.
+    grouped under the base metric name.  Raises :class:`MetricsError` (a
+    ``ValueError``) on any line it cannot understand; the CI smoke job
+    leans on that strictness.
     """
     metrics: Dict[str, Dict[str, object]] = {}
 
@@ -199,7 +202,7 @@ def parse_text(
             kind = kind.strip()
             if kind not in ("counter", "gauge", "histogram", "untyped",
                             "summary"):
-                raise ValueError(
+                raise MetricsError(
                     "line %d: unknown metric type %r" % (lineno, kind)
                 )
             entry(name)["type"] = kind
@@ -210,7 +213,7 @@ def parse_text(
             continue  # comment
         match = _SAMPLE_RE.match(stripped)
         if match is None:
-            raise ValueError("line %d: malformed sample: %r" % (lineno, line))
+            raise MetricsError("line %d: malformed sample: %r" % (lineno, line))
         sample_name = match.group("name")
         labels = _parse_labels(match.group("labels") or "")
         value = _parse_value(match.group("value"))
@@ -254,19 +257,19 @@ def _validate_histograms(metrics: Mapping[str, Mapping[str, object]]) -> None:
         for series_key, slot in by_series.items():
             buckets = sorted(slot["buckets"])  # type: ignore[arg-type]
             if not buckets or buckets[-1][0] != math.inf:
-                raise ValueError(
+                raise MetricsError(
                     "histogram %s%r lacks a +Inf bucket" % (name, series_key)
                 )
             last = -1.0
             for _, cumulative in buckets:
                 if cumulative < last:
-                    raise ValueError(
+                    raise MetricsError(
                         "histogram %s%r buckets are not cumulative"
                         % (name, series_key)
                     )
                 last = cumulative
             if slot["count"] is not None and buckets[-1][1] != slot["count"]:
-                raise ValueError(
+                raise MetricsError(
                     "histogram %s%r +Inf bucket != _count"
                     % (name, series_key)
                 )

@@ -25,10 +25,12 @@ Design constraints, in priority order:
    ``max_series`` into a single reserved ``(overflow)`` series instead
    of growing without bound — the guard that makes it safe to label
    throughput by client-chosen netlist names.
-4. **Mergeable snapshots.**  Service workers run in their own
-   processes; they ship ``snapshot(reset=True)`` deltas back over the
-   existing result transport and the parent folds them in with
-   :func:`merge_snapshot`.  Counter and histogram merges are plain
+4. **Mergeable deltas.**  Service workers run in their own processes;
+   with every result message they ship :meth:`MetricsRegistry.drain_delta`
+   — only the series that changed since their previous message — and
+   the parent adds it in with :meth:`MetricsRegistry.fold_delta`, the
+   one fold primitive (:meth:`MetricsRegistry.merge_snapshot` adapts a
+   JSON snapshot onto it).  Counter and histogram folds are plain
    addition, so merging is associative and commutative — worker
    completion order cannot change the totals (property-tested).
 
@@ -38,11 +40,13 @@ publishes to and what the server's ``metrics``/``stats`` ops expose.
 
 from __future__ import annotations
 
+import operator
 import threading
 from typing import (
     Any,
     Dict,
     Iterable,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -51,6 +55,8 @@ from typing import (
     Type,
     TypeVar,
 )
+
+from ..errors import MetricsError
 
 __all__ = [
     "Counter",
@@ -63,6 +69,8 @@ __all__ = [
     "set_enabled",
     "enabled",
     "merge_snapshots",
+    "Declaration",
+    "DeltaEntry",
 ]
 
 #: Default histogram buckets, in seconds: spans ~50 µs engine runs to
@@ -80,6 +88,15 @@ OVERFLOW_LABEL = "(overflow)"
 #: Per-metric default bound on distinct label-value combinations.
 _DEFAULT_MAX_SERIES = 64
 
+#: What a parent needs to create a metric it has never seen:
+#: ``(type, help, label_names, buckets)``, buckets None unless a histogram.
+Declaration = Tuple[str, str, Tuple[str, ...], Optional[Tuple[float, ...]]]
+
+#: One metric's changed series: ``(name, declaration, series)``.  A series
+#: is ``(label_values, value)`` for counters and gauges and
+#: ``(label_values, bucket_counts, sum, count)`` for histograms.
+DeltaEntry = Tuple[str, Declaration, Sequence[Tuple[Any, ...]]]
+
 
 def _label_key(
     label_names: Tuple[str, ...], labels: Mapping[str, str]
@@ -90,13 +107,13 @@ def _label_key(
     appear — silently dropping either would corrupt the series space.
     """
     if len(labels) != len(label_names):
-        raise ValueError(
+        raise MetricsError(
             "expected labels %r, got %r" % (label_names, sorted(labels))
         )
     try:
         return tuple(str(labels[name]) for name in label_names)
     except KeyError as missing:
-        raise ValueError(
+        raise MetricsError(
             "missing label %s (declared: %r)" % (missing, label_names)
         ) from None
 
@@ -128,6 +145,10 @@ class _Metric:
         #: label combinations folded into the overflow series (guard
         #: observability: a nonzero value means a label leaked identity).
         self.overflowed = 0
+        #: shipped with every delta entry of this metric.
+        self.declaration: Declaration = (
+            self.type, help_text, self.label_names, None
+        )
 
     @property
     def enabled(self) -> bool:
@@ -177,6 +198,24 @@ class _Metric:
         with self._lock:
             self._series.clear()
 
+    # -- deltas ----------------------------------------------------------
+
+    def _drain(self) -> Sequence[Tuple[Any, ...]]:
+        """Take every series (delta form) and start from empty."""
+        with self._lock:
+            series, self._series = self._series, {}
+        return tuple(series.items())
+
+    def _fold(self, series: Iterable[Tuple[Any, ...]]) -> None:
+        """Add delta-form series into this metric."""
+        with self._lock:
+            cells = self._series
+            for key, value in series:
+                if key not in cells and len(cells) >= self.max_series:
+                    self.overflowed += 1
+                    key = (OVERFLOW_LABEL,) * len(self.label_names)
+                cells[key] = cells.get(key, 0.0) + value
+
 
 class Counter(_Metric):
     """A monotonically increasing sum (Prometheus ``counter``)."""
@@ -187,7 +226,7 @@ class Counter(_Metric):
         if not self.enabled:
             return
         if amount < 0:
-            raise ValueError("counters only go up; inc(%r)" % amount)
+            raise MetricsError("counters only go up; inc(%r)" % amount)
         with self._lock:
             key = self._key(labels)
             self._bucket(key)
@@ -266,15 +305,38 @@ class Histogram(_Metric):
         super().__init__(name, help_text, label_names, registry, max_series)
         edges = tuple(float(edge) for edge in buckets)
         if not edges:
-            raise ValueError("histogram needs at least one bucket edge")
+            raise MetricsError("histogram needs at least one bucket edge")
         if any(b <= a for a, b in zip(edges, edges[1:])):
-            raise ValueError(
+            raise MetricsError(
                 "bucket edges must be strictly increasing: %r" % (edges,)
             )
         self.buckets: Tuple[float, ...] = edges
+        self.declaration = (self.type, help_text, self.label_names, edges)
 
     def _zero(self) -> object:
         return _HistCell(len(self.buckets))
+
+    def _drain(self) -> Sequence[Tuple[Any, ...]]:
+        with self._lock:
+            series, self._series = self._series, {}
+        return tuple(
+            (key, cell.counts, cell.sum, cell.count)  # type: ignore[attr-defined]
+            for key, cell in series.items()
+        )
+
+    def _fold(self, series: Iterable[Tuple[Any, ...]]) -> None:
+        with self._lock:
+            for key, counts, total, count in series:
+                cell = self._bucket(key)
+                if len(counts) != len(cell.counts):  # type: ignore[attr-defined]
+                    raise MetricsError(
+                        "histogram %r bucket count mismatch" % self.name
+                    )
+                cell.counts = list(map(  # type: ignore[attr-defined]
+                    operator.add, cell.counts, counts  # type: ignore[attr-defined]
+                ))
+                cell.sum += total  # type: ignore[attr-defined]
+                cell.count += count  # type: ignore[attr-defined]
 
     def observe(self, value: float, **labels: str) -> None:
         if not self.enabled:
@@ -353,7 +415,7 @@ class MetricsRegistry:
                 if not isinstance(existing, cls) or (
                     existing.label_names != tuple(label_names)
                 ):
-                    raise ValueError(
+                    raise MetricsError(
                         "metric %r already registered as %s%r, requested "
                         "%s%r" % (
                             name, existing.type, existing.label_names,
@@ -451,79 +513,110 @@ class MetricsRegistry:
         return {"schema": 1, "metrics": metrics}
 
     def merge_snapshot(self, snapshot: Mapping[str, object]) -> None:
-        """Fold a :meth:`snapshot` delta into this registry.
+        """Fold a :meth:`snapshot` (or ``snapshot(reset=True)`` delta)
+        into this registry.
 
         Metrics unknown here are created from the snapshot's own
         declaration, so a parent needs no prior knowledge of what its
         workers measured.  Counters and gauges add; histograms add
         bucket-wise (edges must match).  Addition makes the merge
         associative and commutative — worker completion order cannot
-        change any total.
+        change any total.  An adapter over :meth:`fold_delta`.
         """
         metrics = snapshot.get("metrics")
         if not isinstance(metrics, Mapping):
-            raise ValueError("not a metrics snapshot: %r" % (snapshot,))
-        for name in sorted(metrics):
-            entry = metrics[name]
-            kind = entry.get("type")
+            raise MetricsError("not a metrics snapshot: %r" % (snapshot,))
+        self.fold_delta(_snapshot_delta(metrics))
+
+    # -- deltas --------------------------------------------------------
+
+    def drain_delta(self) -> List[DeltaEntry]:
+        """Read and clear every series that changed since the last drain.
+
+        The delta discipline service workers use: each result message
+        carries only the metrics whose series moved, so repeated
+        shipments fold without double counting and an idle metric costs
+        nothing.  (The read swaps a metric's series map out under that
+        metric's lock; concurrent updates land in either this delta or
+        the next one, never both, never neither.)
+        """
+        with self._lock:
+            metrics = list(self._metrics.values())
+        return [
+            (metric.name, metric.declaration, metric._drain())
+            for metric in metrics
+            if metric._series
+        ]
+
+    def fold_delta(self, delta: Iterable[DeltaEntry]) -> None:
+        """Add a :meth:`drain_delta` into this registry.
+
+        A metric unknown here is created from its entry's declaration;
+        a known one must agree on type, labels and bucket edges.
+        """
+        for name, declaration, series in delta:
+            self._resolve(name, declaration)._fold(series)
+
+    def _resolve(self, name: str, declaration: Declaration) -> _Metric:
+        """The metric ``declaration`` describes, created if unknown."""
+        kind, help_text, label_names, buckets = declaration
+        metric = self._metrics.get(name)
+        if (
+            metric is None or metric.type != kind
+            or metric.label_names != label_names
+        ):
+            # Create it, or raise the registration clash.
             cls = _METRIC_CLASSES.get(kind)
             if cls is None:
-                raise ValueError(
+                raise MetricsError(
                     "snapshot metric %r has unknown type %r" % (name, kind)
                 )
-            kwargs = {}
-            if kind == "histogram":
-                kwargs["buckets"] = tuple(entry.get("buckets", ()))
+            kwargs = {} if buckets is None else {"buckets": buckets}
             metric = self._get_or_create(
-                cls, name, str(entry.get("help", "")),
-                tuple(entry.get("label_names", ())), **kwargs
+                cls, name, help_text, label_names, **kwargs
             )
-            if kind == "histogram" and tuple(
-                entry.get("buckets", ())
-            ) != metric.buckets:
-                raise ValueError(
-                    "histogram %r bucket edges differ between snapshot "
-                    "and registry" % name
-                )
-            with metric._lock:
-                for item in entry.get("series", ()):
-                    key = tuple(str(value) for value in item["labels"])
-                    if kind == "histogram":
-                        cell = metric._series.get(key)
-                        if cell is None:
-                            if len(metric._series) >= metric.max_series:
-                                metric.overflowed += 1
-                                key = (OVERFLOW_LABEL,) * len(
-                                    metric.label_names
-                                )
-                                cell = metric._series.setdefault(
-                                    key, metric._zero()
-                                )
-                            else:
-                                cell = metric._series[key] = metric._zero()
-                        counts = item["counts"]
-                        if len(counts) != len(cell.counts):  # type: ignore[attr-defined]
-                            raise ValueError(
-                                "histogram %r bucket count mismatch" % name
-                            )
-                        for index, count in enumerate(counts):
-                            cell.counts[index] += count  # type: ignore[attr-defined]
-                        cell.sum += item["sum"]  # type: ignore[attr-defined]
-                        cell.count += item["count"]  # type: ignore[attr-defined]
-                    else:
-                        if key not in metric._series and (
-                            len(metric._series) >= metric.max_series
-                        ):
-                            metric.overflowed += 1
-                            key = (OVERFLOW_LABEL,) * len(metric.label_names)
-                        metric._series[key] = (
-                            metric._series.get(key, 0.0) + item["value"]  # type: ignore[operator]
-                        )
+        if buckets is not None and metric.buckets != buckets:  # type: ignore[attr-defined]
+            raise MetricsError(
+                "histogram %r bucket edges differ between snapshot "
+                "and registry" % name
+            )
+        return metric
 
     def clear(self) -> None:
-        """Zero every series (metric declarations survive); test seam."""
+        """Zero every series (metric declarations survive)."""
         for metric in self.metrics():
             metric._clear()
+
+
+def _snapshot_delta(metrics: Mapping[str, Any]) -> Iterator[DeltaEntry]:
+    """The entries of a JSON snapshot's ``metrics`` map, in delta form.
+
+    Each entry's series stay lazy, so a declaration is checked before
+    any of its series is read.
+    """
+    for name in sorted(metrics):
+        entry = metrics[name]
+        kind = entry.get("type")
+        histogram = kind == "histogram"
+        declaration = (
+            kind,
+            str(entry.get("help", "")),
+            tuple(entry.get("label_names", ())),
+            tuple(entry.get("buckets", ())) if histogram else None,
+        )
+        items = entry.get("series", ())
+        if histogram:
+            series: Iterable[Tuple[Any, ...]] = (
+                (tuple(str(value) for value in item["labels"]),
+                 item["counts"], item["sum"], item["count"])
+                for item in items
+            )
+        else:
+            series = (
+                (tuple(str(value) for value in item["labels"]), item["value"])
+                for item in items
+            )
+        yield name, declaration, series  # type: ignore[misc]
 
 
 def merge_snapshots(

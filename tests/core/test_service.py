@@ -16,6 +16,7 @@ import dataclasses
 import os
 import pickle
 import signal
+import time
 
 import pytest
 
@@ -24,10 +25,14 @@ from repro.core import service as service_module
 from repro.core.batch import simulate_batch
 from repro.core.engine import simulate
 from repro.core.service import SimulationService
-from repro.core.shm_transport import pack_result, unpack_result
+from repro.core.shm_transport import ResultLayout, pack_result, unpack_result
 from repro.errors import ServiceError
 from repro.experiments import common
-from repro.obs.registry import MetricsRegistry, get_registry
+from repro.obs.registry import (
+    DEFAULT_LATENCY_BUCKETS,
+    MetricsRegistry,
+    get_registry,
+)
 from repro.stimuli.patterns import random_vector_batch
 
 from test_backend_parity import random_netlist, random_stimulus
@@ -147,13 +152,20 @@ def test_warm_service_survives_many_batches(mult4):
         assert service.worker_restarts == 0
 
 
+def _registry_delta(action):
+    """Run ``action()``; returns its result and what it added to the
+    process registry, as a registry of its own."""
+    get_registry().snapshot(reset=True)
+    out = action()
+    delta = MetricsRegistry()
+    delta.merge_snapshot(get_registry().snapshot(reset=True))
+    return out, delta
+
+
 def _dispatched_chunks(submit):
     """Run ``submit()`` and count the chunks it dispatched, read from the
     ``halotis_service_chunk_vectors`` histogram in a registry delta."""
-    get_registry().snapshot(reset=True)
-    results = submit()
-    delta = MetricsRegistry()
-    delta.merge_snapshot(get_registry().snapshot(reset=True))
+    results, delta = _registry_delta(submit)
     return results, delta.get(
         "halotis_service_chunk_vectors"
     ).cumulative_counts()[-1]
@@ -322,6 +334,102 @@ def test_shm_buffer_grows_when_a_later_chunk_outgrows_it(mult4):
                 results[position], standalone, mult4,
                 context="%s vector %d" % (label, position),
             )
+
+
+# ----------------------------------------------------------------------
+# worker metrics: changed-series deltas folded into the parent
+# ----------------------------------------------------------------------
+
+def _counter_totals(registry, prefix):
+    """``{(metric, label values): value}`` of every counter under
+    ``prefix``."""
+    return {
+        (metric.name, key): value
+        for metric in registry.metrics()
+        if metric.type == "counter" and metric.name.startswith(prefix)
+        for key, value in metric.series().items()
+    }
+
+
+def _short_vectors(netlist, batch, seed):
+    names = [net.name for net in netlist.primary_inputs]
+    return random_vector_batch(names, batch=batch, count=2, period=3.0,
+                               base_seed=seed)
+
+
+def test_pooled_batch_counters_equal_in_process_counters(mult4):
+    """The workers' engine counters reach the parent's registry exactly:
+    the same totals as an in-process batch of the same vectors."""
+    stimuli = _short_vectors(mult4, 6, 67)
+    config = ddm_config(record_traces=False)
+    with SimulationService(
+        mult4, config=config, workers=2, engine_kind="compiled"
+    ) as service:
+        _, pooled = _registry_delta(lambda: service.run_batch(stimuli))
+    _, local = _registry_delta(lambda: simulate_batch(
+        mult4, stimuli, config=config, engine_kind="compiled"
+    ))
+    engine = _counter_totals(pooled, "halotis_engine_")
+    assert engine[("halotis_engine_runs_total", ("compiled",))] == 6.0
+    assert engine[
+        ("halotis_engine_events_executed_total", ("compiled",))
+    ] > 0
+    assert engine == _counter_totals(local, "halotis_engine_")
+    assert _counter_totals(pooled, "halotis_service_") == {
+        ("halotis_service_tasks_total", ("ok",)): 2.0,
+    }
+    for name in ("halotis_engine_run_seconds",
+                 "halotis_engine_phase_seconds"):
+        observed = [series["count"]
+                    for series in pooled.get(name).snapshot_series()]
+        assert observed, name
+        assert observed == [series["count"]
+                            for series in local.get(name).snapshot_series()]
+
+
+def test_parent_registry_learns_worker_metrics_from_the_first_delta(mult4):
+    """A parent registry that never saw the engine's phase histogram
+    gets it, with the worker's declaration, from the first delta."""
+    stimuli = common.paper_stimulus_batch()
+    with SimulationService(
+        mult4, config=ddm_config(), workers=1, engine_kind="compiled"
+    ) as service:
+        fresh = MetricsRegistry()
+        service._metrics.registry = fresh
+        service.submit_batch(stimuli).wait()
+    histogram = fresh.get("halotis_engine_phase_seconds")
+    assert histogram is not None
+    assert histogram.type == "histogram"
+    assert histogram.buckets == DEFAULT_LATENCY_BUCKETS
+    assert histogram.label_names == ("engine", "phase")
+    assert histogram.help == get_registry().get(
+        "halotis_engine_phase_seconds"
+    ).help
+    assert histogram.cumulative_counts(
+        engine="compiled", phase="initialize"
+    )[-1] == len(stimuli)
+
+
+def test_respawned_worker_deltas_still_merge(mult4):
+    stimuli = _short_vectors(mult4, 6, 71)
+    config = ddm_config(record_traces=False)
+    _, local = _registry_delta(lambda: simulate_batch(
+        mult4, stimuli, config=config, engine_kind="compiled"
+    ))
+    with SimulationService(
+        mult4, config=config, workers=2, engine_kind="compiled"
+    ) as service:
+        service.run_batch(stimuli)
+        victim = service._workers[0].process
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join(10.0)
+        _, pooled = _registry_delta(
+            lambda: service.submit_batch(stimuli).wait()
+        )
+        assert service.worker_restarts == 1
+    assert _counter_totals(pooled, "halotis_engine_") == _counter_totals(
+        local, "halotis_engine_"
+    )
 
 
 # ----------------------------------------------------------------------
@@ -610,6 +718,66 @@ def test_jobs_batch_poison_raises_service_error(mult4, tmp_path):
     _assert_no_pool_left()
 
 
+def test_send_into_a_dead_workers_pipe_restarts_and_requeues(mult4):
+    """Worker 0 is killed and reaped, but reports alive once more, so
+    dispatch sends its chunk into a pipe nobody reads.  The send fails;
+    the worker is respawned and the chunk requeued like any crash."""
+    input_names = [net.name for net in mult4.primary_inputs]
+    stimuli = random_vector_batch(
+        input_names, batch=6, count=2, period=3.0, base_seed=61
+    )
+    config = ddm_config()
+    chunk = 3
+    with SimulationService(
+        mult4, config=config, workers=2, engine_kind="compiled"
+    ) as service:
+        victim = service._workers[0].process
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join(10.0)
+        assert not victim.is_alive()
+
+        def alive_once():
+            del victim.is_alive  # back to the real method
+            return True
+
+        victim.is_alive = alive_once
+        job = service.submit_batch(stimuli, chunk=chunk)
+        deadline = time.monotonic() + 30.0
+        while not job.done:
+            assert time.monotonic() < deadline, "the batch never finished"
+            service._pump()
+        results = job.wait()
+        assert service.worker_restarts == 1
+        assert service.tasks_requeued == chunk
+    _assert_no_pool_left()
+    local = simulate_batch(mult4, stimuli, config=config,
+                           engine_kind="compiled")
+    for position in range(len(stimuli)):
+        assert_results_identical(
+            results[position], local[position], mult4,
+            context="vector %d" % position,
+        )
+
+
+class _Unpicklable:
+    """A stimulus that cannot cross to a worker."""
+
+    def __reduce__(self):
+        raise TypeError("this stimulus does not pickle")
+
+
+def test_unpicklable_stimulus_fails_its_batch_and_frees_the_worker(mult4):
+    with SimulationService(
+        mult4, config=ddm_config(record_traces=False), workers=1,
+        engine_kind="compiled",
+    ) as service:
+        with pytest.raises(ServiceError, match="could not be sent"):
+            service.submit_batch([_Unpicklable()]).wait()
+        assert service.worker_restarts == 0
+        stimuli = common.paper_stimulus_batch()
+        assert len(service.run_batch(stimuli)) == len(stimuli)
+
+
 def test_simulation_error_propagates_without_killing_workers(mult4):
     """A stimulus *exception* (vs. a crash) fails the batch cleanly."""
     input_names = [net.name for net in mult4.primary_inputs]
@@ -778,10 +946,12 @@ def test_pack_unpack_roundtrip_is_lossless(mult4):
         mult4, common.paper_stimulus(1), config=ddm_config(),
         engine_kind="compiled",
     )
-    payload, meta = pack_result(result)
-    assert meta["nbytes"] == len(payload)
+    layout = ResultLayout(mult4)
+    payload, record = pack_result(result, layout)
+    *_, nbytes = record
+    assert nbytes == len(payload)
     # Oversized buffer: unpack must honor nbytes, not buffer length.
-    rebuilt = unpack_result(meta, payload + b"\x00" * 64)
+    rebuilt = unpack_result(record, payload + b"\x00" * 64, layout)
     assert_results_identical(rebuilt, result, mult4, context="roundtrip")
     assert rebuilt.simulator is None
 
@@ -801,8 +971,9 @@ def test_unread_traces_survive_transport(mult4, transport):
     def move(result):
         if transport == "pickle":
             return pickle.loads(pickle.dumps(result))
-        payload, meta = pack_result(result)
-        return unpack_result(meta, payload)
+        layout = ResultLayout(mult4)
+        payload, record = pack_result(result, layout)
+        return unpack_result(record, payload, layout)
 
     read = run()
     for trace in read.traces:
@@ -817,8 +988,9 @@ def test_pack_unpack_handles_empty_traces(mult4):
         mult4, common.paper_stimulus(1),
         config=ddm_config(record_traces=False), engine_kind="compiled",
     )
-    payload, meta = pack_result(result)
+    layout = ResultLayout(mult4)
+    payload, record = pack_result(result, layout)
     assert payload == b""
-    rebuilt = unpack_result(meta, payload)
+    rebuilt = unpack_result(record, payload, layout)
     assert rebuilt.final_values == result.final_values
     assert len(rebuilt.traces) == 0

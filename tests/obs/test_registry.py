@@ -17,6 +17,7 @@ import threading
 
 import pytest
 
+from repro.errors import MetricsError, ReproError
 from repro.obs.registry import (
     DEFAULT_LATENCY_BUCKETS,
     OVERFLOW_LABEL,
@@ -330,3 +331,94 @@ def test_snapshot_schema_and_buckets_roundtrip(registry):
     assert series["counts"] == [0, 1, 0]
     assert series["count"] == 1
     assert math.isclose(series["sum"], 1.0)
+
+
+# ----------------------------------------------------------------------
+# changed-series deltas (what service workers ship per message)
+# ----------------------------------------------------------------------
+
+def test_drain_delta_ships_only_changed_series(registry):
+    runs = registry.counter("runs_total", "runs", ("engine",))
+    registry.counter("idle_total", "never touched")
+    latency = registry.histogram("h", "latency", buckets=(0.5, 1.5))
+    runs.inc(2, engine="a")
+    latency.observe(1.0)
+    delta = {name: (declaration, series)
+             for name, declaration, series in registry.drain_delta()}
+    assert set(delta) == {"runs_total", "h"}
+    assert delta["runs_total"] == (
+        ("counter", "runs", ("engine",), None), ((("a",), 2.0),)
+    )
+    declaration, [(key, counts, total, count)] = delta["h"]
+    assert declaration == ("histogram", "latency", (), (0.5, 1.5))
+    assert (key, list(counts), total, count) == ((), [0, 1, 0], 1.0, 1)
+    # The drain cleared what it shipped; nothing moved since.
+    assert registry.drain_delta() == []
+    runs.inc(engine="b")
+    assert [(name, series) for name, _, series in registry.drain_delta()] == [
+        ("runs_total", ((("b",), 1.0),))
+    ]
+
+
+def test_fold_delta_matches_merge_snapshot():
+    """Drained deltas folded in equal the same activity's snapshot
+    deltas merged in: one fold primitive behind both."""
+    via_delta, via_snapshot = MetricsRegistry(), MetricsRegistry()
+    for seed in (3, 4):
+        source = MetricsRegistry()
+        _activity(source, seed=seed)
+        twin = MetricsRegistry()
+        _activity(twin, seed=seed)
+        via_delta.fold_delta(source.drain_delta())
+        via_snapshot.merge_snapshot(twin.snapshot(reset=True))
+    assert via_delta.snapshot() == via_snapshot.snapshot()
+
+
+def test_fold_delta_declares_unknown_metrics(registry):
+    registry.histogram(
+        "phase_seconds", "per phase", ("engine", "phase"), buckets=(0.1, 1.0)
+    ).observe(0.5, engine="compiled", phase="drain")
+    parent = MetricsRegistry()
+    parent.fold_delta(registry.drain_delta())
+    histogram = parent.get("phase_seconds")
+    assert histogram.type == "histogram"
+    assert histogram.help == "per phase"
+    assert histogram.label_names == ("engine", "phase")
+    assert histogram.buckets == (0.1, 1.0)
+    assert histogram.cumulative_counts(engine="compiled", phase="drain") == [
+        0, 1, 1
+    ]
+
+
+def test_fold_delta_rejects_mismatched_declarations(registry):
+    registry.histogram("h", "", buckets=(1.0, 2.0)).observe(0.5)
+    registry.counter("m").inc()
+    delta = registry.drain_delta()
+    other = MetricsRegistry()
+    other.histogram("h", "", buckets=(1.0,))
+    with pytest.raises(MetricsError, match="bucket edges differ"):
+        other.fold_delta(delta)
+    other = MetricsRegistry()
+    other.gauge("m")
+    with pytest.raises(MetricsError, match="already registered"):
+        other.fold_delta(delta)
+
+
+def test_fold_delta_respects_the_cardinality_guard(registry):
+    counter = registry.counter("c_total", "", ("name",))
+    for name in ("a", "b", "c"):
+        counter.inc(name=name)
+    parent = MetricsRegistry()
+    parent.counter("c_total", "", ("name",), max_series=2)
+    parent.fold_delta(registry.drain_delta())
+    series = parent.get("c_total").series()
+    assert series[("a",)] == series[("b",)] == 1.0
+    assert series[(OVERFLOW_LABEL,)] == 1.0
+    assert parent.get("c_total").overflowed == 1
+
+
+def test_metrics_errors_are_repro_value_errors(registry):
+    with pytest.raises(MetricsError) as caught:
+        registry.counter("c_total").inc(-1)
+    assert isinstance(caught.value, ReproError)
+    assert isinstance(caught.value, ValueError)

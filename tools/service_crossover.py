@@ -1,17 +1,21 @@
 """Batch size at which a warm service pool beats in-process batching.
 
 Times the same batch of short vectors (mult4, 2-step random vectors,
-DDM, compiled engine, no traces) two ways and prints wall ms/vector
-for each batch size:
+DDM, compiled engine, no traces) two ways and prints, per vector and
+for each batch size, wall ms and CPU ms:
 
 * ``inproc``: ``simulate_batch()`` in this process, the best
   single-thread path;
 * ``service``: ``run_batch()`` on an already-warm ``SimulationService``
   with the default even split (one chunk per worker).
 
-The crossover is the smallest batch size from which the pool is faster
-at every larger size measured.  Each cell is the median of
-``--repeats`` runs, the two paths interleaved so clock drift hits both::
+CPU time is this process's (every thread) plus the pool workers',
+read from ``/proc/<pid>/task/*/schedstat`` (Linux), so the pool is
+charged for the work it spreads over other cores.  The crossover is
+the smallest batch size from which the pool is cheaper at every larger
+size measured, reported for wall time and for CPU time.  Each cell is
+the median of ``--repeats`` runs, the two paths interleaved so clock
+drift hits both::
 
     PYTHONPATH=src python tools/service_crossover.py --workers 2
 """
@@ -19,9 +23,11 @@ at every larger size measured.  Each cell is the median of
 from __future__ import annotations
 
 import argparse
+import multiprocessing
+import os
 import statistics
 import time
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.config import ddm_config
 from repro.core.batch import simulate_batch
@@ -30,10 +36,35 @@ from repro.experiments import common
 from repro.stimuli.patterns import random_vector_batch
 
 
-def _seconds(action: Callable[[], object]) -> float:
-    start = time.perf_counter()
+def _pool_cpu_seconds() -> float:
+    """CPU seconds used so far by this process and its live children."""
+    total = time.process_time()
+    for child in multiprocessing.active_children():
+        tasks = "/proc/%d/task" % child.pid
+        try:
+            for task in os.listdir(tasks):
+                with open(os.path.join(tasks, task, "schedstat")) as handle:
+                    total += int(handle.read().split()[0]) / 1e9
+        except (OSError, ValueError):
+            continue
+    return total
+
+
+def _costs(action: Callable[[], object]) -> Tuple[float, float]:
+    """``(wall, cpu)`` seconds of one call."""
+    wall, cpu = time.perf_counter(), _pool_cpu_seconds()
     action()
-    return time.perf_counter() - start
+    return time.perf_counter() - wall, _pool_cpu_seconds() - cpu
+
+
+def _crossover(wins: Sequence[Tuple[int, bool]]) -> str:
+    crossover = None
+    for size, won in reversed(wins):
+        if not won:
+            break
+        crossover = size
+    return ("N = %d" % crossover if crossover is not None
+            else "none in the sizes measured")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -49,8 +80,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     netlist.compile()
     config = ddm_config(record_traces=False)
     names = [net.name for net in netlist.primary_inputs]
-    print("%6s %12s %12s %7s" % ("N", "inproc_ms", "service_ms", "ratio"))
-    wins = []
+    print("%6s %10s %10s %6s %10s %10s %6s" % (
+        "N", "inproc_ms", "service_ms", "ratio",
+        "inproc_cpu", "service_cpu", "ratio",
+    ))
+    wall_wins, cpu_wins = [], []
     with SimulationService(netlist, config=config, workers=args.workers,
                            engine_kind="compiled") as service:
         for size in args.sizes:
@@ -69,22 +103,20 @@ def main(argv: Optional[List[str]] = None) -> int:
             pooled_run()
             inproc, pooled = [], []
             for _ in range(args.repeats):
-                inproc.append(_seconds(inproc_run))
-                pooled.append(_seconds(pooled_run))
-            inproc_ms = 1e3 * statistics.median(inproc) / size
-            service_ms = 1e3 * statistics.median(pooled) / size
-            wins.append((size, service_ms < inproc_ms))
-            print("%6d %12.3f %12.3f %7.2f"
-                  % (size, inproc_ms, service_ms, inproc_ms / service_ms))
-    crossover = None
-    for size, won in reversed(wins):
-        if not won:
-            break
-        crossover = size
-    print("crossover: %s" % (
-        "N = %d" % crossover if crossover is not None
-        else "none in the sizes measured"
-    ))
+                inproc.append(_costs(inproc_run))
+                pooled.append(_costs(pooled_run))
+            inproc_ms, inproc_cpu, service_ms, service_cpu = (
+                1e3 * statistics.median(run[k] for run in runs) / size
+                for runs in (inproc, pooled) for k in (0, 1)
+            )
+            wall_wins.append((size, service_ms < inproc_ms))
+            cpu_wins.append((size, service_cpu < inproc_cpu))
+            print("%6d %10.3f %10.3f %6.2f %10.3f %10.3f %6.2f" % (
+                size, inproc_ms, service_ms, inproc_ms / service_ms,
+                inproc_cpu, service_cpu, inproc_cpu / service_cpu,
+            ))
+    print("crossover (wall): %s" % _crossover(wall_wins))
+    print("crossover (cpu): %s" % _crossover(cpu_wins))
     return 0
 
 
