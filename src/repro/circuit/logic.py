@@ -10,6 +10,8 @@ from __future__ import annotations
 import enum
 from typing import Sequence, Union
 
+from ..errors import LogicError
+
 
 class GateFunction(enum.Enum):
     """The boolean function computed by a gate type.
@@ -88,12 +90,12 @@ class TableFunction:
     def __init__(self, name: str, table: Sequence[int]):
         size = len(table)
         if size == 0 or size & (size - 1):
-            raise ValueError(
+            raise LogicError(
                 "truth table length must be a power of two, got %d" % size
             )
         for entry in table:
             if entry not in (0, 1):
-                raise ValueError(
+                raise LogicError(
                     "truth table entries must be 0 or 1, got %r" % (entry,)
                 )
         self.name = name
@@ -129,18 +131,18 @@ def evaluate(function, values: Sequence[int]) -> int:
     :class:`TableFunction` stand-in.
 
     Raises:
-        ValueError: on an arity mismatch or a non-binary input value.
+        LogicError: on an arity mismatch or a non-binary input value.
     """
     arity = function.fixed_arity
     if arity is not None and len(values) != arity:
-        raise ValueError(
+        raise LogicError(
             "%s expects %d inputs, got %d" % (function.name, arity, len(values))
         )
     if not values:
-        raise ValueError("%s expects at least one input" % function.name)
+        raise LogicError("%s expects at least one input" % function.name)
     for value in values:
         if value not in (0, 1):
-            raise ValueError("logic values must be 0 or 1, got %r" % (value,))
+            raise LogicError("logic values must be 0 or 1, got %r" % (value,))
 
     if isinstance(function, TableFunction):
         index = 0
@@ -174,7 +176,7 @@ def evaluate(function, values: Sequence[int]) -> int:
         return int(not ((a or b) and c))
     if function is GateFunction.MAJ3:
         return int(sum(values) >= 2)
-    raise ValueError("unhandled gate function %r" % (function,))
+    raise LogicError("unhandled gate function %r" % (function,))
 
 
 def truth_table(function, arity: int) -> list[int]:
@@ -187,14 +189,14 @@ def truth_table(function, arity: int) -> list[int]:
     """
     if isinstance(function, TableFunction):
         if arity != function.arity:
-            raise ValueError(
+            raise LogicError(
                 "%s has fixed arity %d, got %d"
                 % (function.name, function.arity, arity)
             )
         return list(function.table)
     fixed = function.fixed_arity
     if fixed is not None and arity != fixed:
-        raise ValueError(
+        raise LogicError(
             "%s has fixed arity %d, got %d" % (function.name, fixed, arity)
         )
     table = []

@@ -197,6 +197,18 @@ def full_adder_nets(
     return total, carry
 
 
+def _partial_product_name(i: int, j: int) -> str:
+    """Name prefix of partial product ``pp[i][j]``.
+
+    Indices below 10 concatenate (``pp31``), the names every existing
+    golden and report uses; wider multipliers separate them so that
+    ``pp[1][10]`` and ``pp[11][0]`` cannot both become ``pp110``.
+    """
+    if i < 10 and j < 10:
+        return "pp%d%d" % (i, j)
+    return "pp%d_%d" % (i, j)
+
+
 def ripple_adder(
     width: int,
     library: Optional[CellLibrary] = None,
@@ -259,7 +271,7 @@ def array_multiplier(
     for i in range(width):
         row: List[Net] = []
         for j in range(width):
-            prefix = "pp%d%d" % (i, j)
+            prefix = _partial_product_name(i, j)
             if expanded:
                 row.append(and2_nets(builder, a_bus[j], b_bus[i], prefix))
             else:
@@ -319,7 +331,7 @@ def wallace_multiplier(
     columns: List[List[Net]] = [[] for _ in range(2 * width)]
     for i in range(width):
         for j in range(width):
-            prefix = "pp%d%d" % (i, j)
+            prefix = _partial_product_name(i, j)
             if expanded:
                 product = and2_nets(builder, a_bus[j], b_bus[i], prefix)
             else:

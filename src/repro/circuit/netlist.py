@@ -102,7 +102,8 @@ class GateInput:
         self.net = net
         self.vt = vt
         self.cap = cap
-        #: dense id across the netlist, assigned by the owning netlist.
+        #: dense id across the netlist, assigned by the owning netlist
+        #: when the gate is added (see :meth:`Netlist.add_gate`).
         self.uid = -1
 
     def __repr__(self) -> str:
@@ -154,6 +155,8 @@ class Netlist:
         self.gates: Dict[str, Gate] = {}
         self.primary_inputs: List[Net] = []
         self.primary_outputs: List[Net] = []
+        #: gate-input pins so far; the next pin added gets this uid.
+        self._num_gate_inputs = 0
         #: bumped on every structural change; lets ``compile()`` cache.
         self._structure_version = 0
         self._compiled_cache = None
@@ -224,10 +227,8 @@ class Netlist:
                 "gate %s: cell %s has %d pins, got %d nets"
                 % (name, cell.name, cell.num_inputs, len(input_list))
             )
-        gate = Gate(name, cell, output_net)
-        gate.index = len(self.gates)
-        for pin_index, net in enumerate(input_list):
-            pin = cell.pins[pin_index]
+        vts = []
+        for pin_index, pin in enumerate(cell.pins):
             vt = pin.vt
             if vt_overrides and pin_index in vt_overrides:
                 vt = vt_overrides[pin_index]
@@ -236,21 +237,25 @@ class Netlist:
                     "gate %s pin %d: threshold %.3f V outside (0, VDD)"
                     % (name, pin_index, vt)
                 )
-            gate_input = GateInput(gate, pin_index, net, vt=vt, cap=pin.cap)
+            vts.append(vt)
+        gate = Gate(name, cell, output_net)
+        gate.index = len(self.gates)
+        # Gates are only ever appended, so numbering each new gate's pins
+        # from the running count keeps uids dense and contiguous per gate
+        # in ``gates`` order without touching earlier gates.
+        base = self._num_gate_inputs
+        for pin_index, net in enumerate(input_list):
+            gate_input = GateInput(
+                gate, pin_index, net, vt=vts[pin_index], cap=cell.pins[pin_index].cap
+            )
+            gate_input.uid = base + pin_index
             gate.inputs.append(gate_input)
             net.fanouts.append(gate_input)
         output_net.driver = gate
         self.gates[name] = gate
-        self._renumber_inputs()
+        self._num_gate_inputs = base + len(input_list)
         self._structure_version += 1
         return gate
-
-    def _renumber_inputs(self) -> None:
-        uid = 0
-        for gate in self.gates.values():
-            for gate_input in gate.inputs:
-                gate_input.uid = uid
-                uid += 1
 
     # ------------------------------------------------------------------
     # queries
@@ -258,7 +263,7 @@ class Netlist:
 
     @property
     def num_gate_inputs(self) -> int:
-        return sum(len(gate.inputs) for gate in self.gates.values())
+        return self._num_gate_inputs
 
     def net(self, name: str) -> Net:
         try:
@@ -444,6 +449,7 @@ def _rebuild_netlist(state: Dict[str, object]) -> Netlist:
         netlist.nets[name] = net
     netlist.primary_inputs = [netlist.nets[n] for n in state["primary_inputs"]]
     netlist.primary_outputs = [netlist.nets[n] for n in state["primary_outputs"]]
+    uid = 0
     for name, cell, output_name, input_names, vts, caps, index in state["gates"]:
         output_net = netlist.nets[output_name]
         gate = Gate(name, cell, output_net)
@@ -456,11 +462,15 @@ def _rebuild_netlist(state: Dict[str, object]) -> Netlist:
                 vt=vts[pin_index],
                 cap=caps[pin_index],
             )
+            # Numbered as add_gate numbers them: one running count in
+            # gate order.
+            gate_input.uid = uid
+            uid += 1
             gate.inputs.append(gate_input)
             netlist.nets[input_name].fanouts.append(gate_input)
         output_net.driver = gate
         netlist.gates[name] = gate
-    netlist._renumber_inputs()
+    netlist._num_gate_inputs = uid
     netlist._structure_version = state["version"]
     compiled = state["compiled"]
     if compiled is not None and compiled.netlist is None:

@@ -164,8 +164,8 @@ class CompiledNetlist:
             gate.cell.function for gate in gates
         ]
         self.gate_output_net = array("q", [gate.output.index for gate in gates])
-        # Dense uids are assigned gate-by-gate (Netlist._renumber_inputs),
-        # so each gate's pins occupy a contiguous uid range.
+        # Dense uids are assigned gate-by-gate (Netlist.add_gate), so each
+        # gate's pins occupy a contiguous uid range.
         input_offsets = [0]
         for gate in gates:
             if [gi.uid for gi in gate.inputs] != list(
@@ -177,12 +177,19 @@ class CompiledNetlist:
                 )
             input_offsets.append(input_offsets[-1] + len(gate.inputs))
         self.gate_input_offsets = array("q", input_offsets)
-        self.gate_tables: List[Optional[List[int]]] = [
-            truth_table(gate.cell.function, len(gate.inputs))
-            if len(gate.inputs) <= _MAX_TABLE_ARITY
-            else None
-            for gate in gates
-        ]
+        # One truth table per (function, arity); every gate gets its own
+        # copy because fault injection swaps ``gate_tables[i]`` per gate.
+        tables: Dict[Tuple[GateFunctionLike, int], Optional[List[int]]] = {}
+        gate_tables: List[Optional[List[int]]] = []
+        for gate in gates:
+            key = (gate.cell.function, len(gate.inputs))
+            if key not in tables:
+                tables[key] = (
+                    truth_table(*key) if key[1] <= _MAX_TABLE_ARITY else None
+                )
+            table = tables[key]
+            gate_tables.append(None if table is None else list(table))
+        self.gate_tables = gate_tables
 
         # --- gate inputs (indexed by uid) ----------------------------
         vdd = self.vdd

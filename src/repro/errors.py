@@ -107,6 +107,15 @@ class MetricsError(ReproError, ValueError):
     """
 
 
+class LogicError(ReproError, ValueError):
+    """A gate function was evaluated or tabulated with bad arguments.
+
+    Raised by :mod:`repro.circuit.logic` for an arity mismatch, a
+    non-binary logic value, and a malformed explicit truth table.  It
+    stays a ``ValueError`` so callers catching that keep working.
+    """
+
+
 class StimulusError(ReproError):
     """A stimulus description is inconsistent with the circuit interface."""
 

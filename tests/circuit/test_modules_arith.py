@@ -93,3 +93,20 @@ def test_kogge_stone_simulates(mult4):
     total = sum(result.final_values["s%d" % k] << k for k in range(4))
     total |= result.final_values["cout"] << 4
     assert total == 17
+
+
+@pytest.mark.parametrize("width", [12, 16])
+@pytest.mark.parametrize(
+    "generator", [modules.array_multiplier, modules.wallace_multiplier]
+)
+def test_wide_multipliers_build_and_multiply(generator, width):
+    """Two-digit partial-product indices must not collide (pp[1][10]
+    and pp[11][0] once both became ``pp110``)."""
+    netlist = generator(width)
+    assert "pp1_10_nd" in netlist.gates and "pp11_0_nd" in netlist.gates
+    assert "pp91_nd" in netlist.gates  # single-digit names are unchanged
+    mask = (1 << width) - 1
+    for a, b in [(0, 0), (mask, mask), (mask, 1), (0x5A5 & mask, 0xC3C & mask)]:
+        values = dict(bus_assignment("a", width, a))
+        values.update(bus_assignment("b", width, b))
+        assert bus_value(evaluate_netlist(netlist, values), "s", 2 * width) == a * b
