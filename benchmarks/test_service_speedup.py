@@ -4,7 +4,7 @@
 so it pays, *per call*: a worker spawn, one netlist (un)pickle and one
 engine build per worker, and the pool's shutdown.  A long-lived service
 amortises all of that away: workers spawn once, engines build once,
-traces return through a reusable shared-memory buffer.  This benchmark
+and each chunk returns in one compact result message.  This benchmark
 drives the same many-short-vectors workload down both paths and asserts
 the warm service's per-vector time beats the cold per-call pool's — the
 scaling claim of the service, kept honest on every run.
@@ -58,12 +58,10 @@ def test_service_throughput(benchmark, bench_record):
     assert aggregate.events_executed > 0
     benchmark.extra_info["vectors"] = len(batch)
     benchmark.extra_info["workers"] = _WORKERS
-    benchmark.extra_info["transport"] = service.transport
     benchmark.extra_info["events_executed"] = aggregate.events_executed
     bench_record(
         "service-throughput",
-        config={"vectors": _VECTORS, "workers": _WORKERS, "seed": _SEED,
-                "transport": service.transport},
+        config={"vectors": _VECTORS, "workers": _WORKERS, "seed": _SEED},
         measured={"events_executed": aggregate.events_executed},
     )
 
@@ -125,19 +123,16 @@ def test_warm_service_beats_cold_sharding(benchmark, bench_record):
             return best_pair
 
         cold, warm = benchmark.pedantic(measure, rounds=1, iterations=1)
-        transport = service.transport
 
     speedup = cold / warm
     benchmark.extra_info["cold_sharded_s"] = round(cold, 6)
     benchmark.extra_info["warm_service_s"] = round(warm, 6)
     benchmark.extra_info["speedup"] = round(speedup, 3)
-    benchmark.extra_info["transport"] = transport
     benchmark.extra_info["cold_per_vector_s"] = round(cold / _VECTORS, 8)
     benchmark.extra_info["warm_per_vector_s"] = round(warm / _VECTORS, 8)
     bench_record(
         "service-speedup-warm-vs-cold",
-        config={"vectors": _VECTORS, "workers": _WORKERS, "seed": _SEED,
-                "transport": transport},
+        config={"vectors": _VECTORS, "workers": _WORKERS, "seed": _SEED},
         measured={"cold_sharded_s": round(cold, 6),
                   "warm_service_s": round(warm, 6),
                   "speedup": round(speedup, 3)},

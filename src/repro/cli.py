@@ -8,9 +8,8 @@ Subcommands:
   HALOTIS with random or explicit vectors; optional VCD dump.  Batch
   modes (``--batch`` / ``--vector-file``) run many vector sequences
   through one lowering, in-process or on a warm-engine worker pool
-  with ``--pool-workers`` (``--shm`` for shared-memory trace
-  transport); ``--stdin-vectors`` turns the command into a
-  long-running streaming service reading one JSON sequence per stdin
+  with ``--pool-workers``; ``--stdin-vectors`` turns the command into
+  a long-running streaming service reading one JSON sequence per stdin
   line.
 * ``serve`` — run the network simulation server: named netlists, each
   on its own warm worker pool, over a newline-delimited JSON protocol
@@ -175,13 +174,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run batch/streaming mode on a SimulationService with N "
         "warm workers (engines built once, reused across vectors) "
         "instead of in-process",
-    )
-    simulate_cmd.add_argument(
-        "--shm", action="store_true",
-        help="with --pool-workers: return traces through "
-        "multiprocessing.shared_memory record buffers instead of "
-        "pickling (bit-identical results; the default picks shared "
-        "memory automatically when the platform provides it)",
     )
     simulate_cmd.add_argument(
         "--batch-out", metavar="DIR",
@@ -514,9 +506,9 @@ def _cmd_simulate(args) -> int:
         return _cmd_simulate_stream(args, netlist, config)
     if args.batch is not None or args.vector_file:
         return _cmd_simulate_batch(args, netlist, config)
-    if args.batch_out or args.pool_workers is not None or args.shm:
+    if args.batch_out or args.pool_workers is not None:
         raise SimulationError(
-            "--pool-workers/--shm/--batch-out apply to batch mode only; "
+            "--pool-workers/--batch-out apply to batch mode only; "
             "add --batch N, --vector-file PATH or --stdin-vectors"
         )
     stimulus = random_vectors(
@@ -545,11 +537,6 @@ def _cmd_simulate_batch(args, netlist, config) -> int:
             "--vcd applies to single runs; use --batch-out with "
             "--batch-format csv for per-vector waveforms"
         )
-    if args.shm and args.pool_workers is None:
-        raise SimulationError(
-            "--shm selects the warm pool's result transport; add "
-            "--pool-workers N"
-        )
     if args.vector_file:
         stimuli = load_vector_batches(args.vector_file)
     else:
@@ -568,24 +555,20 @@ def _cmd_simulate_batch(args, netlist, config) -> int:
             config=config,
             workers=args.pool_workers,
             engine_kind=args.engine,
-            shm_transport=True if args.shm else None,
         ) as service:
             batch = simulate_batch(
                 netlist, stimuli, config=config, engine_kind=args.engine,
                 service=service,
             )
-            transport = service.transport
     else:
         batch = simulate_batch(
             netlist, stimuli, config=config, engine_kind=args.engine,
         )
-        transport = None
     print(circuit_stats.gather(netlist).format())
     print()
     print("mode: HALOTIS-%s (batch)" % args.mode.upper())
-    if transport is not None:
-        print("service: %d warm workers, %s transport"
-              % (args.pool_workers, transport))
+    if args.pool_workers is not None:
+        print("service: %d warm workers" % args.pool_workers)
     print(batch.format())
     if args.batch_out:
         written = write_batch_results(
@@ -628,7 +611,6 @@ def _cmd_simulate_stream(args, netlist, config) -> int:
         config=config,
         workers=workers,
         engine_kind=args.engine,
-        shm_transport=True if args.shm else None,
     ) as service:
         window: List = []
         for line_number, line in enumerate(sys.stdin, start=1):
@@ -670,9 +652,9 @@ def _cmd_simulate_remote(args, netlist, config) -> int:
             "--stdin-vectors and --connect are alternatives: pipe JSONL "
             "at the server's TCP port instead (see docs/architecture.md)"
         )
-    if args.pool_workers is not None or args.shm:
+    if args.pool_workers is not None:
         raise SimulationError(
-            "--pool-workers/--shm tune *local* execution; with "
+            "--pool-workers tunes *local* execution; with "
             "--connect the pool lives server-side (size it with "
             "'repro serve --pool-workers')"
         )

@@ -13,7 +13,7 @@ import importlib.util
 from typing import Optional
 
 from . import units
-from .errors import SimulationError
+from .errors import ConfigError
 
 #: Cached probe result; ``numpy_available()`` is the single source of
 #: truth every layer consults (and what tests monkeypatch to simulate a
@@ -116,11 +116,6 @@ class SimulationConfig:
             :class:`repro.core.service.SimulationService` — the
             persistent pool that keeps one warm engine per worker
             across batches.
-        shm_transport: how a service moves traces back from its
-            workers — True for ``multiprocessing.shared_memory`` record
-            buffers, False for pickling, None (the default) for shared
-            memory whenever the platform provides it.  Both transports
-            return bit-identical results.
         server_host: default bind/connect host for the network
             simulation server (:mod:`repro.server`).
         server_port: default TCP port for ``repro serve`` (0 asks the
@@ -162,7 +157,6 @@ class SimulationConfig:
     default_input_slew: float = 0.20
     batch_jobs: int = 1
     service_workers: int = 2
-    shm_transport: Optional[bool] = None
     server_host: str = "127.0.0.1"
     server_port: int = 8047
     server_max_netlists: int = 8
@@ -172,7 +166,7 @@ class SimulationConfig:
     collect_metrics: bool = True
 
     def validate(self) -> None:
-        """Raise ``ValueError`` for out-of-range settings.
+        """Raise :class:`~repro.errors.ConfigError` for out-of-range settings.
 
         Engine availability is checked here too, so a doomed
         configuration fails at validation time with a clear
@@ -184,7 +178,7 @@ class SimulationConfig:
         "unknown engine kind" error for those.
         """
         if not isinstance(self.engine_kind, str) or not self.engine_kind:
-            raise ValueError("engine_kind must be a non-empty string")
+            raise ConfigError("engine_kind must be a non-empty string")
         # Imported lazily: repro.core.engine imports this module at
         # import time, so the registry can only be consulted at call
         # time (no cycle; the module is cached after the first call).
@@ -195,38 +189,36 @@ class SimulationConfig:
         if engine_cls is not None:
             engine_cls.ensure_available()
         if self.max_events <= 0:
-            raise ValueError("max_events must be positive")
+            raise ConfigError("max_events must be positive")
         if self.min_delay <= 0.0:
-            raise ValueError("min_delay must be positive")
+            raise ConfigError("min_delay must be positive")
         if self.time_resolution < 0.0:
-            raise ValueError("time_resolution must be non-negative")
+            raise ConfigError("time_resolution must be non-negative")
         if self.check_sta_bounds and not self.record_traces:
-            raise ValueError(
+            raise ConfigError(
                 "check_sta_bounds needs record_traces=True (the oracle "
                 "verifies the recorded transitions)"
             )
         if self.default_input_slew <= 0.0:
-            raise ValueError("default_input_slew must be positive")
+            raise ConfigError("default_input_slew must be positive")
         if self.batch_jobs < 1:
-            raise ValueError("batch_jobs must be >= 1")
+            raise ConfigError("batch_jobs must be >= 1")
         if self.service_workers < 1:
-            raise ValueError("service_workers must be >= 1")
-        if self.shm_transport not in (None, True, False):
-            raise ValueError("shm_transport must be True, False or None")
+            raise ConfigError("service_workers must be >= 1")
         if not isinstance(self.server_host, str) or not self.server_host:
-            raise ValueError("server_host must be a non-empty string")
+            raise ConfigError("server_host must be a non-empty string")
         if not 0 <= self.server_port <= 65535:
-            raise ValueError("server_port must be in 0..65535")
+            raise ConfigError("server_port must be in 0..65535")
         if self.server_max_netlists < 1:
-            raise ValueError("server_max_netlists must be >= 1")
+            raise ConfigError("server_max_netlists must be >= 1")
         if self.server_queue_depth < 1:
-            raise ValueError("server_queue_depth must be >= 1")
+            raise ConfigError("server_queue_depth must be >= 1")
         if self.campaign_settle < 0.0:
-            raise ValueError("campaign_settle must be non-negative")
+            raise ConfigError("campaign_settle must be non-negative")
         if self.campaign_detect_epsilon < 0.0:
-            raise ValueError("campaign_detect_epsilon must be non-negative")
+            raise ConfigError("campaign_detect_epsilon must be non-negative")
         if self.collect_metrics not in (True, False):
-            raise ValueError("collect_metrics must be True or False")
+            raise ConfigError("collect_metrics must be True or False")
 
     def with_mode(self, delay_mode: DelayMode) -> SimulationConfig:
         """Return a copy differing only in ``delay_mode``.

@@ -13,7 +13,7 @@ Public surface:
 * :class:`repro.core.stats.SimulationStatistics` — Table 1 counters,
 * :func:`repro.core.batch.simulate_batch` — lower once, simulate many,
 * :class:`repro.core.service.SimulationService` — persistent warm
-  worker pool with shared-memory trace transport.
+  worker pool returning packed result records.
 """
 
 from .transition import Transition

@@ -18,7 +18,7 @@ once, then stream every vector through reused simulator state:
 * With ``service=...`` the batch runs on a live
   :class:`repro.core.service.SimulationService` — a persistent pool
   whose workers built their engines once and stay warm across calls,
-  returning traces through shared memory.  That is the steady-state
+  returning traces as packed records.  That is the steady-state
   path for serving many batches of the same circuit.
 * With ``jobs > 1`` the call opens an ephemeral service of ``jobs``
   workers, runs the batch on it and closes it: one multiprocess path,

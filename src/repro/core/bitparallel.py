@@ -88,7 +88,12 @@ from .. import config as _config_module
 from ..circuit.logic import evaluate as evaluate_function
 from ..circuit.netlist import Net, Netlist
 from ..config import InertialPolicy, SimulationConfig
-from ..errors import SimulationError, SimulationLimitError, StimulusError
+from ..errors import (
+    ConfigError,
+    SimulationError,
+    SimulationLimitError,
+    StimulusError,
+)
 from .compiled import CompiledNetlist
 from .engine import (
     EngineBase,
@@ -666,7 +671,7 @@ class _WordKernel:
         policy = config.inertial_policy
         if policy not in (InertialPolicy.EVENT_ORDER,
                           InertialPolicy.PEAK_VOLTAGE):
-            raise ValueError("unknown inertial policy %r" % (policy,))
+            raise ConfigError("unknown inertial policy %r" % (policy,))
         self._event_order = policy is InertialPolicy.EVENT_ORDER
         self._min_delay = config.min_delay
         self._resolution = config.time_resolution
@@ -1439,7 +1444,7 @@ class BitParallelSimulator(EngineBase):
         policy = self.config.inertial_policy
         if policy not in (InertialPolicy.EVENT_ORDER,
                           InertialPolicy.PEAK_VOLTAGE):
-            raise ValueError("unknown inertial policy %r" % (policy,))
+            raise ConfigError("unknown inertial policy %r" % (policy,))
 
     @classmethod
     def ensure_available(cls) -> None:

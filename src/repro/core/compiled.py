@@ -51,10 +51,12 @@ from ..circuit.logic import (
 from ..circuit.netlist import Net, Netlist
 from ..config import DelayMode, InertialPolicy, SimulationConfig
 from ..errors import (
+    ConfigError,
     InitializationError,
     SimulationError,
     SimulationLimitError,
     StimulusError,
+    WaveformError,
 )
 from .engine import EngineBase, FilteredEventRecord, register_engine
 from .trace import Row
@@ -867,7 +869,7 @@ class CompiledSimulator(EngineBase):
         super().__init__(netlist, config=config, queue_kind=queue_kind)
         policy = self.config.inertial_policy
         if policy not in (InertialPolicy.EVENT_ORDER, InertialPolicy.PEAK_VOLTAGE):
-            raise ValueError("unknown inertial policy %r" % (policy,))
+            raise ConfigError("unknown inertial policy %r" % (policy,))
         self._event_order = policy is InertialPolicy.EVENT_ORDER
         self._use_ddm = self.config.delay_mode is DelayMode.DDM
         self._min_delay = self.config.min_delay
@@ -1067,7 +1069,7 @@ class CompiledSimulator(EngineBase):
         if appenders is not None:
             if tau_out <= 0.0:
                 # what constructing the Transition would raise
-                raise ValueError("transition duration must be positive")
+                raise WaveformError("transition duration must be positive")
             appenders[out_net]((t50, tau_out, rising, factor, time_now))
         self._broadcast_indexed(out_net, t50, tau_out, rising)
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 
 from ..config import InertialPolicy
+from ..errors import ConfigError
 from .events import Event
 from .transition import Transition
 
@@ -68,7 +69,7 @@ def decide(
     if policy is InertialPolicy.PEAK_VOLTAGE:
         return _decide_peak(new_time, previous, transition, threshold_fraction, resolution)
 
-    raise ValueError("unknown inertial policy %r" % (policy,))
+    raise ConfigError("unknown inertial policy %r" % (policy,))
 
 
 def _decide_peak(

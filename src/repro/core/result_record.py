@@ -19,22 +19,20 @@ of packed trace bytes:
 
     ``(net_id, flags, t50, duration, degradation_factor, cause_time)``
 
-  (40 bytes), which the service writes into a reusable
-  ``multiprocessing.shared_memory`` buffer or, on the pickle transport,
-  sends inline in the message.
+  (40 bytes); a chunk's blocks travel back to back in the worker's
+  result message.
 
 The parent rebuilds the final values with the same key order from the
-:class:`ResultLayout` both sides derive from the netlist, so the two
-transports differ only in where the trace bytes travel and results are
-bit-identical by construction.  A result whose final values do not
-follow the netlist order ships its dict as is.
+:class:`ResultLayout` both sides derive from the netlist.  A result
+whose final values do not follow the netlist order ships its dict as
+is.
 
 Packing reads the traces' rows and unpacking rebuilds rows, so neither
 side builds a :class:`~repro.core.transition.Transition` nobody reads.
 The packing is *lossless*: every transition field survives bit-for-bit
 (floats cross as IEEE-754 doubles, ``None`` cause times as NaN) — the
 parity suite in ``tests/core/test_service.py`` pins this for every
-engine, both delay modes and both transports.
+engine and both delay modes.
 """
 
 from __future__ import annotations
@@ -127,9 +125,8 @@ def unpack_result(
 ) -> SimulationResult:
     """Rebuild a :class:`SimulationResult` from :func:`pack_result` output.
 
-    ``buffer`` is any bytes-like object (a ``memoryview`` over a shared
-    memory block, typically) holding at least the record's ``nbytes``
-    bytes of packed transitions.  Traces come back in original name
+    ``buffer`` is any bytes-like object holding at least the record's
+    ``nbytes`` bytes of packed transitions.  Traces come back in original name
     order with their transitions in original emission order.
     """
     stats, values, trace_names, initial, vdd, horizon, nbytes = record

@@ -15,11 +15,8 @@ circuit does not change between batches.
   (no feeder threads, no shared lock a dying worker could hold);
 * each result crosses as one compact record — statistics as a tuple,
   final values as a ``bytes`` row in netlist order — plus its packed
-  trace records (:mod:`repro.core.shm_transport`).  The trace bytes go
-  through a per-worker reusable ``multiprocessing.shared_memory``
-  buffer, or inline in the message where shared memory is unavailable
-  (or ``shm_transport=False``); the two transports differ only in that,
-  so they are bit-identical;
+  trace records (:mod:`repro.core.result_record`), all inline in the
+  chunk's one result message;
 * worker metrics come back as deltas of the series that changed since
   the worker's previous message, folded into the parent's registry;
 * a batch is split evenly into one chunk per worker by default, so it
@@ -30,9 +27,7 @@ circuit does not change between batches.
   ``max_task_retries`` without poisoning the service.
 
 The dispatch discipline is one-in-flight-per-worker: the parent hands a
-worker its next chunk only after consuming the previous result, which
-is exactly what makes the single reusable shm buffer per worker safe
-(the worker never overwrites records the parent has not read).
+worker its next chunk only after consuming the previous result.
 
 Typical use::
 
@@ -44,7 +39,7 @@ Typical use::
 or through the batch front end: ``simulate_batch(netlist, stimuli,
 service=service)``.  ``simulate_batch(..., jobs=N)`` with ``N > 1``
 opens an ephemeral service for one call, so one-shot and warm batches
-share this pool's chunking, transport and crash handling.
+share this pool's chunking, result records and crash handling.
 """
 
 from __future__ import annotations
@@ -52,7 +47,6 @@ from __future__ import annotations
 import collections
 import contextlib
 import itertools
-import os
 import time as _time
 import traceback as _traceback
 from multiprocessing.connection import wait as _wait_connections
@@ -65,19 +59,11 @@ from ..obs.log import get_logger
 from ..obs.registry import MetricsRegistry, get_registry
 from .batch import BatchResult, _publish_batch_metrics, even_chunk, run_chunk
 from .engine import SimulationResult, make_engine, resolve_engine_class
-from .shm_transport import ResultLayout, pack_result, unpack_chunk
-
-try:  # pragma: no cover - availability is platform-dependent
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover
-    _shared_memory = None
+from .result_record import ResultLayout, pack_result, unpack_chunk
 
 #: Parent-side poll interval while waiting for results; short enough to
 #: notice a dead worker promptly, long enough not to spin.
 _POLL_SECONDS = 0.05
-
-#: Distinguishes the shm buffers of multiple services in one process.
-_SERVICE_SEQ = itertools.count()
 
 _LOG = get_logger("service")
 
@@ -97,7 +83,6 @@ class _ServiceMetrics:
     __slots__ = (
         "registry", "tasks", "task_seconds", "queue_wait",
         "chunk_vectors", "restarts", "requeued", "exhausted",
-        "shm_fallbacks",
     )
 
     def __init__(self, registry: MetricsRegistry):
@@ -135,60 +120,11 @@ class _ServiceMetrics:
             "Chunks that failed their job after exhausting the "
             "crash-retry budget.",
         )
-        self.shm_fallbacks = registry.counter(
-            "halotis_service_shm_fallbacks_total",
-            "Services that fell back from shared-memory to pickle "
-            "transport because the platform lacks shm.",
-        )
-
-
-def _shm_available() -> bool:
-    """True when ``multiprocessing.shared_memory`` is usable here."""
-    return _shared_memory is not None
 
 
 # ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
-
-class _WorkerShmBuffer:
-    """One worker's reusable shared-memory result buffer.
-
-    Grown (to the next power of two) when a payload outgrows it; each
-    growth bumps the generation suffix so the parent can tell a fresh
-    segment from a cached attachment.  Safe to reuse between results
-    because the parent only dispatches a worker's next task after
-    reading its previous one.
-    """
-
-    def __init__(self, base_name: str):
-        self._base = base_name
-        self._shm = None
-        self._generation = 0
-
-    def write(self, payload: bytes) -> str:
-        """Copy ``payload`` into the buffer, growing it if needed;
-        returns the segment name holding the data."""
-        needed = max(len(payload), 1)
-        if self._shm is None or self._shm.size < needed:
-            self.destroy()
-            self._generation += 1
-            size = 1 << max(16, needed.bit_length())
-            self._shm = _shared_memory.SharedMemory(
-                create=True,
-                name="%sg%d" % (self._base, self._generation),
-                size=size,
-            )
-        self._shm.buf[: len(payload)] = payload
-        return self._shm.name
-
-    def destroy(self) -> None:
-        if self._shm is not None:
-            self._shm.close()
-            with contextlib.suppress(FileNotFoundError):
-                self._shm.unlink()  # pragma: no cover - parent may race us
-            self._shm = None
-
 
 def _worker_main(
     worker_id: int,
@@ -196,8 +132,6 @@ def _worker_main(
     config: SimulationConfig,
     queue_kind: str,
     engine_kind: str,
-    transport: str,
-    shm_base: str,
     tasks,
     results,
 ) -> None:
@@ -212,16 +146,13 @@ def _worker_main(
     :meth:`~repro.obs.registry.MetricsRegistry.drain_delta`, or None
     when metrics collection is off):
 
-    * ``("ok", job_id, indices, records, segment, inline, delta)`` — one
-      :mod:`~repro.core.shm_transport` record per vector; the chunk's
-      trace bytes sit back to back in shm ``segment``, or in ``inline``
-      (bytes) when ``segment`` is None;
+    * ``("ok", job_id, indices, records, payload, delta)`` — one
+      :mod:`~repro.core.result_record` record per vector; the chunk's
+      trace bytes sit back to back in ``payload``;
     * ``("error", job_id, index, type_name, text, delta)``.
 
-    One message per chunk keeps the single shm buffer safe to reuse (the
-    parent reads it before this worker gets its next task) and is the
-    point of chunking: the round trip is paid once per chunk, not once
-    per vector.  The chunk runs through
+    One message per chunk is the point of chunking: the round trip is
+    paid once per chunk, not once per vector.  The chunk runs through
     :func:`repro.core.batch.run_chunk`, the same runner as an in-process
     batch, so lockstep backends run the chunk as one lockstep kernel.
     On an error the rest of the chunk is abandoned — the parent fails
@@ -237,7 +168,6 @@ def _worker_main(
         netlist, config=config, queue_kind=queue_kind, engine_kind=engine_kind
     )
     layout = ResultLayout(netlist)
-    buffer = _WorkerShmBuffer(shm_base) if transport == "shm" else None
     # Engine metrics published by the chunk runs land in this worker's own
     # process-local registry; each result message carries the series that
     # changed since the previous one, which the parent adds into its
@@ -254,43 +184,34 @@ def _worker_main(
         else lambda: None
     )
 
-    try:
-        while True:
-            try:
-                task = tasks.recv()
-            except EOFError:  # the parent is gone
-                break
-            if task is None:
-                break
-            job_id, indices, stimuli, settle, seed = task
-            records = []
-            payloads = []
-            try:
-                for result in run_chunk(engine, stimuli, settle=settle,
-                                        seed=seed):
-                    payload, record = pack_result(result, layout)
-                    payloads.append(payload)
-                    records.append(record)
-            except Exception as error:  # noqa: BLE001 - forwarded to parent
-                # Results arrive in order: the first missing one failed.
-                results.send((
-                    "error", job_id, indices[len(records)],
-                    type(error).__name__,
-                    "%s\n%s" % (error, _traceback.format_exc()),
-                    drain(),
-                ))
-                continue
-            inline: Optional[bytes] = b"".join(payloads)
-            segment = None
-            if buffer is not None and inline:
-                segment = buffer.write(inline)
-                inline = None
+    while True:
+        try:
+            task = tasks.recv()
+        except EOFError:  # the parent is gone
+            break
+        if task is None:
+            break
+        job_id, indices, stimuli, settle, seed = task
+        records = []
+        payloads = []
+        try:
+            for result in run_chunk(engine, stimuli, settle=settle,
+                                    seed=seed):
+                payload, record = pack_result(result, layout)
+                payloads.append(payload)
+                records.append(record)
+        except Exception as error:  # noqa: BLE001 - forwarded to parent
+            # Results arrive in order: the first missing one failed.
             results.send((
-                "ok", job_id, indices, records, segment, inline, drain(),
+                "error", job_id, indices[len(records)],
+                type(error).__name__,
+                "%s\n%s" % (error, _traceback.format_exc()),
+                drain(),
             ))
-    finally:
-        if buffer is not None:
-            buffer.destroy()
+            continue
+        results.send((
+            "ok", job_id, indices, records, b"".join(payloads), drain(),
+        ))
 
 
 # ----------------------------------------------------------------------
@@ -329,8 +250,7 @@ class _Task:
 class _Worker:
     """Parent-side bookkeeping for one worker process."""
 
-    __slots__ = ("process", "tasks", "results", "generation",
-                 "current", "last_segment")
+    __slots__ = ("process", "tasks", "results", "generation", "current")
 
     def __init__(self, process, tasks, results, generation):
         self.process = process
@@ -342,8 +262,6 @@ class _Worker:
         self.generation = generation
         #: the task currently in flight on this worker (None = idle).
         self.current: Optional[_Task] = None
-        #: last shm segment name this worker reported (for crash cleanup).
-        self.last_segment: Optional[str] = None
 
 
 class BatchJob:
@@ -411,15 +329,11 @@ class SimulationService:
         netlist: the circuit; lowered once up front (for lowering
             backends) so every worker inherits the cached lowering.
         config: engine knobs for every worker (default
-            :class:`SimulationConfig`); also supplies ``workers`` /
-            ``shm_transport`` defaults via its ``service_workers`` /
-            ``shm_transport`` fields.
+            :class:`SimulationConfig`); its ``service_workers`` field
+            supplies the ``workers`` default.
         workers: worker-process count (>= 1).
         queue_kind: event-queue implementation for every worker.
         engine_kind: backend (defaults to ``config.engine_kind``).
-        shm_transport: True to move traces through shared memory, False
-            to pickle them, None (default) to use shared memory when the
-            platform provides it.  Both transports are bit-identical.
         max_task_retries: how many times one chunk may crash a worker
             before its batch fails with :class:`ServiceError`.
 
@@ -435,7 +349,6 @@ class SimulationService:
         workers: Optional[int] = None,
         queue_kind: str = "heap",
         engine_kind: Optional[str] = None,
-        shm_transport: Optional[bool] = None,
         max_task_retries: int = 2,
     ):
         import multiprocessing
@@ -446,7 +359,6 @@ class SimulationService:
         # no-op instead of raising AttributeError.
         self._closed = False
         self._workers: List[_Worker] = []
-        self._attachments: Dict[str, object] = {}
 
         self.netlist = netlist
         self.config = config if config is not None else SimulationConfig()
@@ -460,11 +372,6 @@ class SimulationService:
         if workers < 1:
             raise ServiceError("workers must be >= 1, got %d" % workers)
         self.workers = workers
-        if shm_transport is None:
-            shm_transport = self.config.shm_transport
-        if shm_transport is None:
-            shm_transport = _shm_available()
-        self.transport = "shm" if (shm_transport and _shm_available()) else "pickle"
         if max_task_retries < 0:
             raise ServiceError("max_task_retries must be >= 0")
         self.max_task_retries = max_task_retries
@@ -480,17 +387,6 @@ class SimulationService:
             if self.config.collect_metrics and registry.enabled
             else None
         )
-        if shm_transport and self.transport == "pickle":
-            # Requested shared memory, got pickle: not an error (results
-            # are bit-identical) but an operational surprise worth a
-            # counter and a log line — the per-result copy cost differs.
-            if self._metrics is not None:
-                self._metrics.shm_fallbacks.inc()
-            _LOG.warning(
-                "shared-memory transport unavailable; falling back to "
-                "pickle",
-                extra={"engine_kind": self.engine_kind},
-            )
 
         # Fail before spawning anything — an unknown kind, or a backend
         # whose optional dependency is missing (the vector engine
@@ -505,15 +401,6 @@ class SimulationService:
             self.lowering_seconds = _time.perf_counter() - start
 
         self._ctx = multiprocessing.get_context()
-        if self.transport == "shm":
-            # Start the resource tracker in the parent so every worker
-            # (forked or spawned) shares it: segment ownership can then
-            # move between processes without leak warnings at shutdown.
-            with contextlib.suppress(ImportError, AttributeError):
-                # pragma: no cover - tracker is posix-only
-                from multiprocessing import resource_tracker
-                resource_tracker.ensure_running()
-        self._shm_base = "hal%dx%d" % (os.getpid(), next(_SERVICE_SEQ))
         self._layout = ResultLayout(netlist)
         self._pending: collections.deque[_Task] = collections.deque()
         self._jobs: Dict[int, BatchJob] = {}
@@ -546,13 +433,13 @@ class SimulationService:
     def close(self, timeout: float = 5.0) -> None:
         """Shut the pool down; idempotent and bounded in time.
 
-        Live workers get a poison pill (and unlink their shm buffers on
-        the way out).  Stragglers escalate on a hard schedule — join
-        until ``timeout`` expires, then ``terminate()`` (SIGTERM), then
-        ``kill()`` (SIGKILL) — so ``close()`` returns within a small
-        multiple of ``timeout`` even when a worker is wedged in native
-        code, already dead, or was never fully started (a construction
-        failure leaves an empty pool, which closes as a no-op).
+        Live workers get a poison pill.  Stragglers escalate on a hard
+        schedule — join until ``timeout`` expires, then ``terminate()``
+        (SIGTERM), then ``kill()`` (SIGKILL) — so ``close()`` returns
+        within a small multiple of ``timeout`` even when a worker is
+        wedged in native code, already dead, or was never fully started
+        (a construction failure leaves an empty pool, which closes as a
+        no-op).
         """
         if self._closed:
             return
@@ -564,7 +451,7 @@ class SimulationService:
         #: Per-escalation grace; a terminated/killed process reaps in
         #: well under this unless the host is in serious trouble.
         grace = min(1.0, max(0.1, timeout / 4.0)) if timeout > 0 else 0.1
-        for worker_id, worker in enumerate(self._workers):
+        for worker in self._workers:
             worker.process.join(max(0.0, deadline - _time.monotonic()))
             if worker.process.is_alive():
                 worker.process.terminate()
@@ -572,15 +459,8 @@ class SimulationService:
             if worker.process.is_alive():  # pragma: no cover - SIGTERM masked
                 worker.process.kill()
                 worker.process.join(grace)
-            if worker.process.exitcode != 0:
-                # A worker that did not exit its loop cleanly never ran
-                # its shm destructor; unlink from the parent side.
-                self._unlink_worker_segments(worker_id, worker)
             worker.tasks.close()
             worker.results.close()
-        for attachment in self._attachments.values():
-            attachment.close()
-        self._attachments.clear()
 
     def _require_open(self) -> None:
         if self._closed:
@@ -606,7 +486,7 @@ class SimulationService:
         chunk of ``ceil(N / workers)`` vectors per worker, so the batch
         pays one round trip per worker rather than per vector.
         ``chunk=1`` gives finest-grained scheduling and crash retry.
-        Chunking only changes transport: results are bit-identical and
+        Chunking only changes scheduling: results are bit-identical and
         in input order whatever the chunk size.  A crash retries the
         whole chunk, so one poison vector re-runs its chunk-mates too.
         """
@@ -767,43 +647,21 @@ class SimulationService:
                 % (index, worker_id, type_name, detail)
             ))
             return
-        indices, records, segment, inline = message[2:6]
+        indices, records, payload = message[2:5]
         task = worker.current
         if task is not None and (task.job_id, task.indices) == (job_id, indices):
             worker.current = None
             self._observe_task(task, "ok")
-        if segment is not None and worker.last_segment != segment:
-            if worker.last_segment is not None:
-                # The worker grew (and unlinked) its buffer; drop our
-                # mapping of the abandoned segment.
-                stale = self._attachments.pop(worker.last_segment, None)
-                if stale is not None:
-                    stale.close()
-            worker.last_segment = segment
         if job is None or job._error is not None:
             return
-        buffer = inline if segment is None else self._attach(segment).buf
         for index, result in zip(
-            indices, unpack_chunk(records, buffer, self._layout)
+            indices, unpack_chunk(records, payload, self._layout)
         ):
             job._store(index, result)
         if job.done:
             # The handle keeps its own results; the registry must not
             # grow without bound over a long-running service.
             self._jobs.pop(job_id, None)
-
-    def _attach(self, segment: str):
-        """The parent's mapping of a worker's shm segment (cached)."""
-        shm = self._attachments.get(segment)
-        if shm is None:
-            # Attaching re-registers the name with the resource tracker;
-            # because the tracker was started before the workers forked
-            # it is shared, its cache is a set, and the duplicate is a
-            # no-op — whoever unlinks (worker on graceful shutdown, or
-            # _unlink_segment after a crash) clears the single entry.
-            shm = _shared_memory.SharedMemory(name=segment)
-            self._attachments[segment] = shm
-        return shm
 
     # -- metrics plumbing ----------------------------------------------
 
@@ -853,7 +711,6 @@ class SimulationService:
                 break
             self._handle_message(worker_id, message)
         dead.results.close()
-        self._unlink_worker_segments(worker_id, dead)
         self.worker_restarts += 1
         if self._metrics is not None:
             self._metrics.restarts.inc()
@@ -904,44 +761,6 @@ class SimulationService:
         )
         self._pending.appendleft(task)
 
-    def _unlink_worker_segments(self, worker_id: int, dead: _Worker) -> None:
-        """Clean up a dead worker's shm buffer, wherever growth left it.
-
-        A worker holds at most one live segment (growth unlinks the old
-        one before creating the next generation), but it may have grown
-        past the last name the parent saw — a crash before or while it
-        sent the result message.  Probing a
-        window of generation suffixes past the last known one costs a
-        handful of ENOENT lookups and closes that leak.
-        """
-        base = "%sw%dr%d" % (self._shm_base, worker_id, dead.generation)
-        known = 0
-        if dead.last_segment is not None:
-            self._unlink_segment(dead.last_segment)
-            prefix = base + "g"
-            if dead.last_segment.startswith(prefix):
-                try:
-                    known = int(dead.last_segment[len(prefix):])
-                except ValueError:  # pragma: no cover - names are ours
-                    known = 0
-        for generation in range(known + 1, known + 17):
-            self._unlink_segment("%sg%d" % (base, generation))
-
-    def _unlink_segment(self, segment: Optional[str]) -> None:
-        """Best-effort cleanup of a dead worker's shm segment."""
-        if segment is None or _shared_memory is None:
-            return
-        attachment = self._attachments.pop(segment, None)
-        if attachment is not None:
-            attachment.close()
-        try:
-            victim = _shared_memory.SharedMemory(name=segment)
-        except FileNotFoundError:
-            return
-        victim.close()
-        with contextlib.suppress(FileNotFoundError):
-            victim.unlink()  # pragma: no cover - tracker may race us
-
     # -- worker spawning -----------------------------------------------
 
     def _spawn_worker(self, worker_id: int, generation: int = 0) -> _Worker:
@@ -955,8 +774,6 @@ class SimulationService:
                 self.config,
                 self.queue_kind,
                 self.engine_kind,
-                self.transport,
-                "%sw%dr%d" % (self._shm_base, worker_id, generation),
                 tasks,
                 sender,
             ),

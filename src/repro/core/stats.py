@@ -17,6 +17,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict
 
+from ..errors import AnalysisError
+
 
 @dataclasses.dataclass
 class SimulationStatistics:
@@ -88,5 +90,5 @@ def overestimation_percent(reference_events: int, other_events: int) -> float:
     ``reference_events`` (DDM): ``(other/reference - 1) * 100``.
     """
     if reference_events <= 0:
-        raise ValueError("reference event count must be positive")
+        raise AnalysisError("reference event count must be positive")
     return (other_events / reference_events - 1.0) * 100.0

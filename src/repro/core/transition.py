@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ..errors import WaveformError
+
 
 class Transition:
     """One full-swing linear ramp on a net.
@@ -53,7 +55,7 @@ class Transition:
         cause_time: Optional[float] = None,
     ):
         if duration <= 0.0:
-            raise ValueError("transition duration must be positive")
+            raise WaveformError("transition duration must be positive")
         self.t50 = t50
         self.duration = duration
         self.rising = rising
@@ -93,11 +95,11 @@ class Transition:
         primitive of the kernel (paper Figure 3).
 
         Raises:
-            ValueError: if the fraction lies outside the open interval
+            WaveformError: if the fraction lies outside the open interval
                 (0, 1) — the extrapolated ramp never crosses the rails.
         """
         if not 0.0 < threshold_fraction < 1.0:
-            raise ValueError(
+            raise WaveformError(
                 "threshold fraction must be in (0, 1), got %r" % threshold_fraction
             )
         if self.rising:
@@ -135,7 +137,7 @@ class Transition:
         against the input threshold (DESIGN.md section 6).
         """
         if successor.rising == self.rising:
-            raise ValueError("pulse peak needs two opposite transitions")
+            raise WaveformError("pulse peak needs two opposite transitions")
         if self.duration <= 0.0:
             return 1.0
         progress = (successor.start - self.start) / self.duration

@@ -61,7 +61,12 @@ from ..circuit.logic import evaluate as evaluate_function
 from ..circuit.netlist import Net, Netlist
 from .. import config as _config_module
 from ..config import DelayMode, InertialPolicy, SimulationConfig
-from ..errors import SimulationError, SimulationLimitError, StimulusError
+from ..errors import (
+    ConfigError,
+    SimulationError,
+    SimulationLimitError,
+    StimulusError,
+)
 from .compiled import CompiledNetlist
 from .engine import (
     EngineBase,
@@ -202,7 +207,7 @@ class _VectorKernel:
         policy = config.inertial_policy
         if policy not in (InertialPolicy.EVENT_ORDER,
                           InertialPolicy.PEAK_VOLTAGE):
-            raise ValueError("unknown inertial policy %r" % (policy,))
+            raise ConfigError("unknown inertial policy %r" % (policy,))
         self._event_order = policy is InertialPolicy.EVENT_ORDER
         self._use_ddm = config.delay_mode is DelayMode.DDM
         self._min_delay = config.min_delay
@@ -1317,7 +1322,7 @@ class VectorSimulator(EngineBase):
         policy = self.config.inertial_policy
         if policy not in (InertialPolicy.EVENT_ORDER,
                           InertialPolicy.PEAK_VOLTAGE):
-            raise ValueError("unknown inertial policy %r" % (policy,))
+            raise ConfigError("unknown inertial policy %r" % (policy,))
         self._lane0 = _np.array([0], _np.int64)
 
     @classmethod

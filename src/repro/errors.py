@@ -11,6 +11,16 @@ class ReproError(Exception):
     """Base class for all errors raised by this library."""
 
 
+class ConfigError(ReproError, ValueError):
+    """A configuration setting is out of range or names nothing known.
+
+    Raised by :meth:`repro.config.SimulationConfig.validate`, by the
+    kernels for an unknown inertial policy, and by
+    :func:`repro.obs.log.configure_logging` for an unknown log level.
+    It stays a ``ValueError`` so callers catching that keep working.
+    """
+
+
 class NetlistError(ReproError):
     """Structural problem while building or validating a netlist."""
 
@@ -33,6 +43,17 @@ class CharacterizationError(ReproError):
 
 class SimulationError(ReproError):
     """The simulation kernel hit an unrecoverable condition."""
+
+
+class WaveformError(SimulationError, ValueError):
+    """A ramp transition was built or queried with impossible geometry.
+
+    Raised by :class:`repro.core.transition.Transition` for a
+    non-positive duration, a threshold fraction outside (0, 1) and a
+    pulse of two same-direction ramps, and by the compiled kernel when
+    it would record a non-positive duration.  It stays a ``ValueError``
+    so callers catching that keep working.
+    """
 
 
 class ServiceError(SimulationError):
@@ -130,5 +151,8 @@ class ParseError(ReproError):
         self.line_number = line_number
 
 
-class AnalysisError(ReproError):
-    """A post-processing analysis was asked something impossible."""
+class AnalysisError(ReproError, ValueError):
+    """A post-processing analysis was asked something impossible.
+
+    It stays a ``ValueError`` so callers catching that keep working.
+    """

@@ -21,6 +21,8 @@ import sys
 import time
 from typing import Optional, TextIO
 
+from ..errors import ConfigError
+
 __all__ = ["JsonLogFormatter", "configure_logging", "get_logger"]
 
 ROOT_LOGGER_NAME = "repro"
@@ -99,7 +101,7 @@ def configure_logging(
     """
     numeric = logging.getLevelName(level.upper())
     if not isinstance(numeric, int):
-        raise ValueError("unknown log level: %r" % level)
+        raise ConfigError("unknown log level: %r" % level)
     logger = logging.getLogger(ROOT_LOGGER_NAME)
     logger.setLevel(numeric)
     logger.propagate = False

@@ -615,7 +615,6 @@ class SimulationServer:
             mode=frame.get("mode", "ddm"),
             engine_kind=str(frame.get("engine", "compiled")),
             workers=workers,
-            shm_transport=frame.get("shm"),
             record_traces=bool(frame.get("record_traces", True)),
         )
         payload = entry.describe()

@@ -271,7 +271,6 @@ class SimulationClient:
         mode: str = "ddm",
         engine_kind: str = "compiled",
         workers: Optional[int] = None,
-        shm_transport: Optional[bool] = None,
         record_traces: bool = True,
     ) -> dict:
         fields: Dict[str, object] = {
@@ -283,8 +282,6 @@ class SimulationClient:
         }
         if workers is not None:
             fields["workers"] = workers
-        if shm_transport is not None:
-            fields["shm"] = shm_transport
         return self.call("register", **fields)  # type: ignore[return-value]
 
     def unregister(self, name: str) -> dict:

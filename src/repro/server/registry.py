@@ -97,7 +97,6 @@ class NetlistEntry:
         config: SimulationConfig,
         engine_kind: str,
         workers: int,
-        shm_transport: Optional[bool],
         fingerprint: str,
     ):
         self.name = name
@@ -105,7 +104,6 @@ class NetlistEntry:
         self.config = config
         self.engine_kind = engine_kind
         self.workers = workers
-        self.shm_transport = shm_transport
         self.fingerprint = fingerprint
         #: vectors queued or running on this entry (event-loop thread
         #: only); the registry's ``queue_depth`` bounds it.
@@ -144,7 +142,6 @@ class NetlistEntry:
                 config=self.config,
                 workers=self.workers,
                 engine_kind=self.engine_kind,
-                shm_transport=self.shm_transport,
             )
         return self._service.submit_batch(stimuli).wait()
 
@@ -242,7 +239,6 @@ class NetlistRegistry:
         mode: str = "ddm",
         engine_kind: str = "compiled",
         workers: Optional[int] = None,
-        shm_transport: Optional[bool] = None,
         record_traces: bool = True,
     ) -> tuple[NetlistEntry, bool]:
         """Register ``name``; returns ``(entry, created)``.
@@ -272,9 +268,9 @@ class NetlistRegistry:
             workers = self.default_workers
         if workers < 1:
             raise ServerError("workers must be >= 1", kind="bad-frame")
-        fingerprint = "%s|%s|%s|%d|%s|%s" % (
+        fingerprint = "%s|%s|%s|%d|%s" % (
             _source_fingerprint(source), mode, engine_kind, workers,
-            shm_transport, record_traces,
+            record_traces,
         )
 
         def _check_existing() -> Optional[NetlistEntry]:  # halolint: locked(_lock)
@@ -323,7 +319,6 @@ class NetlistRegistry:
             config=config,
             engine_kind=engine_kind,
             workers=workers,
-            shm_transport=shm_transport,
             fingerprint=fingerprint,
         )
         with self._lock:

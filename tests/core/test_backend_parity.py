@@ -17,6 +17,7 @@ import pytest
 from repro.circuit.builder import CircuitBuilder
 from repro.config import InertialPolicy, cdm_config, ddm_config
 from repro.core.engine import make_engine, simulate
+from repro.errors import WaveformError
 from repro.experiments import common
 from repro.stimuli.vectors import VectorSequence
 
@@ -189,7 +190,7 @@ def test_non_positive_duration_raises_at_emission(mult4, patched_lowering):
     engine.initialize({net.name: 0 for net in mult4.primary_inputs})
     engine.set_input("a0", 1, at_time=1.0)
     engine.set_input("b0", 1, at_time=1.0)
-    with pytest.raises(ValueError, match="transition duration must be positive"):
+    with pytest.raises(WaveformError, match="transition duration must be positive"):
         engine.run()
     assert engine.stats.transitions_emitted == 1
     assert sum(trace.raw_count() for trace in engine.traces) == 2  # sources

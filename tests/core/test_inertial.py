@@ -6,6 +6,7 @@ from repro.config import InertialPolicy
 from repro.core.events import Event
 from repro.core.inertial import decide
 from repro.core.transition import Transition
+from repro.errors import ConfigError
 
 RESOLUTION = 1e-6
 
@@ -132,5 +133,5 @@ def test_peak_policy_same_direction_falls_back_to_order():
 def test_unknown_policy_rejected():
     previous = _previous(1.0, rising=True)
     trailing = Transition(t50=2.0, duration=0.4, rising=False)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         decide("bogus", 1.5, previous, trailing, 0.5, RESOLUTION)

@@ -3,11 +3,10 @@
 The service's contract extends the batch contract: a vector simulated on
 a warm pooled worker is bit-identical — traces, raw transition streams,
 final values, every statistics counter except wall-clock — to a
-standalone ``simulate()``, *regardless of the result transport* (shared
-memory or pickle) and across worker crashes.  These tests pin that, plus
-the operational surface: crash detection with restart + requeue, retry
-budgets, close()/context-manager shutdown, and the shm-unavailable
-pickle fallback.
+standalone ``simulate()``, whatever the chunking and across worker
+crashes.  These tests pin that, plus the operational surface: crash
+detection with restart + requeue, retry budgets and close()/
+context-manager shutdown.
 """
 
 from __future__ import annotations
@@ -21,11 +20,10 @@ import time
 import pytest
 
 from repro.config import cdm_config, ddm_config
-from repro.core import service as service_module
 from repro.core.batch import simulate_batch
 from repro.core.engine import simulate
 from repro.core.service import SimulationService
-from repro.core.shm_transport import ResultLayout, pack_result, unpack_result
+from repro.core.result_record import ResultLayout, pack_result, unpack_result
 from repro.errors import ServiceError
 from repro.experiments import common
 from repro.obs.registry import (
@@ -64,20 +62,17 @@ def assert_results_identical(result, standalone, netlist, context=""):
 
 
 # ----------------------------------------------------------------------
-# parity: shm and pickle transports, both engines, both delay modes
+# parity: every exact engine, both delay modes
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("shm", [True, False], ids=["shm", "pickle"])
 @pytest.mark.parametrize("engine_kind", ["reference", "compiled", "vector"])
 @pytest.mark.parametrize("mode", ["ddm", "cdm"])
-def test_service_parity_with_standalone(mult4, mode, engine_kind, shm):
+def test_service_parity_with_standalone(mult4, mode, engine_kind):
     config = ddm_config() if mode == "ddm" else cdm_config()
     stimuli = common.paper_stimulus_batch()
     with SimulationService(
         mult4, config=config, workers=2, engine_kind=engine_kind,
-        shm_transport=shm,
     ) as service:
-        assert service.transport == ("shm" if shm else "pickle")
         batch = service.run_batch(stimuli)
     assert len(batch) == len(stimuli)
     for position, stimulus in enumerate(stimuli):
@@ -88,27 +83,6 @@ def test_service_parity_with_standalone(mult4, mode, engine_kind, shm):
         assert_results_identical(
             batch[position], standalone, mult4,
             context="%s/%s vector %d" % (mode, engine_kind, position),
-        )
-
-
-def test_shm_and_pickle_transports_bit_identical(mult4):
-    """The two transports of the *same* workload agree record-for-record."""
-    stimuli = common.paper_stimulus_batch()
-    config = ddm_config()
-    with SimulationService(
-        mult4, config=config, workers=2, engine_kind="compiled",
-        shm_transport=True,
-    ) as shm_service:
-        via_shm = shm_service.run_batch(stimuli)
-    with SimulationService(
-        mult4, config=config, workers=2, engine_kind="compiled",
-        shm_transport=False,
-    ) as pickle_service:
-        via_pickle = pickle_service.run_batch(stimuli)
-    for position in range(len(stimuli)):
-        assert_results_identical(
-            via_shm[position], via_pickle[position], mult4,
-            context="vector %d" % position,
         )
 
 
@@ -171,18 +145,15 @@ def _dispatched_chunks(submit):
     ).cumulative_counts()[-1]
 
 
-@pytest.mark.parametrize("shm", [True, False], ids=["shm", "pickle"])
-def test_chunked_batches_bit_identical_to_unchunked(mult4, shm):
-    """``chunk > 1`` is pure transport amortisation: results are
-    bit-identical to the per-vector dispatch on both transports, in
-    input order, including a ragged final chunk.  The default splits a
+def test_chunked_batches_bit_identical_to_unchunked(mult4):
+    """``chunk > 1`` is pure round-trip amortisation: results are
+    bit-identical to the per-vector dispatch, in input order, including a ragged final chunk.  The default splits a
     batch into one chunk per worker (fewer when N < workers)."""
     stimuli = common.paper_stimulus_batch() * 2  # 10 vectors, chunk 4 -> ragged
     config = ddm_config()
     workers = 2
     with SimulationService(
         mult4, config=config, workers=workers, engine_kind="compiled",
-        shm_transport=shm,
     ) as service:
         unchunked = service.submit_batch(stimuli, chunk=1).wait()
         chunked = service.submit_batch(stimuli, chunk=4).wait()
@@ -264,74 +235,44 @@ def test_as_completed_yields_every_vector(mult4):
         assert seen[index].final_values == standalone.final_values
 
 
-def test_shm_buffer_grows_for_large_traces(mult4):
-    """A payload past the initial 64 KiB segment forces buffer growth;
-    results stay bit-identical before, across and after the growth."""
+def test_traced_chunk_larger_than_a_pipe_buffer_is_bit_identical(mult4):
+    """A traced chunk whose result message outgrows the 64 KiB pipe
+    buffer arrives whole: as one two-vector chunk of ~45 KB per vector,
+    and as single ~75 KB vectors, before and after small chunks."""
     input_names = [net.name for net in mult4.primary_inputs]
-    small = random_vector_batch(
-        input_names, batch=2, count=2, period=2.0, base_seed=3
-    )
-    # ~75 KB of packed records on this workload: one growth step.
-    large = random_vector_batch(
-        input_names, batch=2, count=30, period=2.0, base_seed=3
-    )
-    with SimulationService(
-        mult4, config=ddm_config(), workers=1, engine_kind="compiled",
-        shm_transport=True,
-    ) as service:
-        ordered = service.submit_batch(small + large + small, chunk=1).wait()
-        worker = service._workers[0]
-        assert worker.last_segment is not None
-        assert worker.last_segment.endswith("g2"), (
-            "expected one buffer growth, last segment %r"
-            % worker.last_segment
-        )
-    for position, stimulus in enumerate(small + large + small):
-        standalone = simulate(
-            mult4, stimulus, config=ddm_config(), engine_kind="compiled"
-        )
-        assert_results_identical(
-            ordered[position], standalone, mult4,
-            context="growth vector %d" % position,
+    layout = ResultLayout(mult4)
+
+    def vectors(count):
+        return random_vector_batch(
+            input_names, batch=2, count=count, period=2.0, base_seed=3
         )
 
+    def standalone(stimuli):
+        return [
+            simulate(mult4, stimulus, config=ddm_config(),
+                     engine_kind="compiled")
+            for stimulus in stimuli
+        ]
 
-def test_shm_buffer_grows_when_a_later_chunk_outgrows_it(mult4):
-    """Under the default split a whole batch is one chunk on a single
-    worker: a later batch whose chunk outgrows the 64 KiB segment grows
-    the buffer, and results stay bit-identical across the growth."""
-    input_names = [net.name for net in mult4.primary_inputs]
-    small = random_vector_batch(
-        input_names, batch=2, count=2, period=2.0, base_seed=3
-    )
-    # ~45 KB of packed records per vector: each fits the initial
-    # segment, but the two-vector chunk does not.
-    large = random_vector_batch(
-        input_names, batch=2, count=15, period=2.0, base_seed=3
-    )
+    def record_bytes(results):
+        return [len(pack_result(result, layout)[0]) for result in results]
+
+    small, medium, large = vectors(2), vectors(15), vectors(30)
+    assert sum(record_bytes(standalone(medium))) > 64 * 1024
+    assert min(record_bytes(standalone(large))) > 64 * 1024
     with SimulationService(
         mult4, config=ddm_config(), workers=1, engine_kind="compiled",
-        shm_transport=True,
     ) as service:
-        before = service.submit_batch(small).wait()
-        worker = service._workers[0]
-        first_segment = worker.last_segment
-        assert first_segment is not None
-        grown = service.submit_batch(large).wait()
-        assert worker.last_segment != first_segment, (
-            "expected the buffer to grow, still on %r" % first_segment
-        )
-        after = service.submit_batch(small).wait()
-    for label, stimuli, results in (
-        ("before", small, before), ("grown", large, grown),
-        ("after", small, after),
-    ):
-        for position, stimulus in enumerate(stimuli):
-            standalone = simulate(
-                mult4, stimulus, config=ddm_config(), engine_kind="compiled"
-            )
+        rounds = [
+            ("small", small, service.submit_batch(small).wait()),
+            ("medium chunk", medium, service.submit_batch(medium).wait()),
+            ("large", large, service.submit_batch(large, chunk=1).wait()),
+            ("small after", small, service.submit_batch(small).wait()),
+        ]
+    for label, stimuli, results in rounds:
+        for position, want in enumerate(standalone(stimuli)):
             assert_results_identical(
-                results[position], standalone, mult4,
+                results[position], want, mult4,
                 context="%s vector %d" % (label, position),
             )
 
@@ -612,9 +553,8 @@ def test_exhausted_chunk_error_names_every_vector(mult4, tmp_path):
         assert service.worker_restarts == 2
 
 
-@pytest.mark.parametrize("shm", [True, False], ids=["shm", "pickle"])
 def test_crash_right_after_a_large_result_does_not_wedge_the_pool(
-    mult4, tmp_path, shm
+    mult4, tmp_path
 ):
     """A worker dies on the task that follows a result too large for one
     pipe write.  The result must not leave a lock behind that stops the
@@ -630,7 +570,6 @@ def test_crash_right_after_a_large_result_does_not_wedge_the_pool(
     )
     with SimulationService(
         mult4, config=ddm_config(), workers=1, engine_kind="compiled",
-        shm_transport=shm,
     ) as service:
         for round_ in range(20):
             service.submit_batch(large).wait()
@@ -667,14 +606,11 @@ def test_poison_stimulus_exhausts_retry_budget(mult4, tmp_path):
 
 
 def _assert_no_pool_left():
-    """An ephemeral ``jobs > 1`` pool leaves no worker process and no
-    shared-memory segment behind once its call returns."""
+    """An ephemeral ``jobs > 1`` pool leaves no worker process behind
+    once its call returns."""
     import multiprocessing
 
     assert multiprocessing.active_children() == []
-    if os.path.isdir("/dev/shm"):
-        prefix = "hal%dx" % os.getpid()
-        assert [n for n in os.listdir("/dev/shm") if n.startswith(prefix)] == []
 
 
 def test_jobs_batch_recovers_from_a_worker_crash(mult4, tmp_path):
@@ -871,7 +807,6 @@ def test_failed_construction_leaves_closeable_wreckage(mult4):
     service = SimulationService.__new__(SimulationService)
     service._closed = False
     service._workers = []
-    service._attachments = {}
     service.close()
     assert service.closed
 
@@ -909,32 +844,10 @@ def test_submit_rejects_empty_and_bad_workers(mult4):
 
 
 def test_config_service_knobs_flow_through(mult4):
-    config = ddm_config(service_workers=3, shm_transport=False,
-                        engine_kind="compiled")
+    config = ddm_config(service_workers=3, engine_kind="compiled")
     with SimulationService(mult4, config=config) as service:
         assert service.workers == 3
-        assert service.transport == "pickle"
         assert service.engine_kind == "compiled"
-
-
-def test_shm_unavailable_falls_back_to_pickle(mult4, monkeypatch):
-    """Platforms without shared memory still serve bit-identical results."""
-    monkeypatch.setattr(service_module, "_shared_memory", None)
-    stimuli = common.paper_stimulus_batch()
-    with SimulationService(
-        mult4, config=ddm_config(), workers=2, engine_kind="compiled",
-        shm_transport=True,  # requested, but unavailable
-    ) as service:
-        assert service.transport == "pickle"
-        batch = service.run_batch(stimuli)
-    for position, stimulus in enumerate(stimuli):
-        standalone = simulate(
-            mult4, stimulus, config=ddm_config(), engine_kind="compiled"
-        )
-        assert_results_identical(
-            batch[position], standalone, mult4,
-            context="fallback vector %d" % position,
-        )
 
 
 # ----------------------------------------------------------------------
@@ -956,10 +869,11 @@ def test_pack_unpack_roundtrip_is_lossless(mult4):
     assert rebuilt.simulator is None
 
 
-@pytest.mark.parametrize("transport", ["pickle", "shm"])
+@pytest.mark.parametrize("transport", ["pickle", "record"])
 def test_unread_traces_survive_transport(mult4, transport):
-    """Traces nobody has read yet cross either transport and then read
-    equal to the traces of a run that was read before it moved."""
+    """Traces nobody has read yet survive pickling and the packed result
+    record, and then read equal to the traces of a run that was read
+    before it moved."""
     stimulus = common.paper_stimulus(2)
 
     def run():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.stats import SimulationStatistics, overestimation_percent
+from repro.errors import AnalysisError
 
 
 def test_counters_start_at_zero():
@@ -49,5 +50,5 @@ def test_overestimation_matches_paper_rows():
 
 
 def test_overestimation_rejects_zero_reference():
-    with pytest.raises(ValueError):
+    with pytest.raises(AnalysisError):
         overestimation_percent(0, 100)

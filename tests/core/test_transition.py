@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.transition import Transition
+from repro.errors import WaveformError
 
 
 def test_geometry_basics():
@@ -19,9 +20,9 @@ def test_geometry_basics():
 
 
 def test_duration_must_be_positive():
-    with pytest.raises(ValueError):
+    with pytest.raises(WaveformError):
         Transition(t50=0.0, duration=0.0, rising=True)
-    with pytest.raises(ValueError):
+    with pytest.raises(WaveformError):
         Transition(t50=0.0, duration=-1.0, rising=True)
 
 

@@ -81,7 +81,6 @@ def test_repo_tree_is_clean_under_the_checked_in_baseline():
 
 
 def test_baseline_only_grandfathers_the_exception_long_tail():
-    """The checked-in baseline must stay HL005-only: new HL001-HL004
-    debt may not be silently grandfathered."""
-    baseline = Baseline.load(DEFAULT_BASELINE)
-    assert {entry["rule"] for entry in baseline.entries} == {"HL005"}
+    """The exception long tail is burnt down: the checked-in baseline
+    grandfathers no finding of any rule, so every finding gates."""
+    assert Baseline.load(DEFAULT_BASELINE).entries == []

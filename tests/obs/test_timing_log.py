@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.obs.log import configure_logging, get_logger
 from repro.obs.registry import MetricsRegistry
 from repro.obs.timing import PhaseTimer, timed
@@ -123,7 +124,7 @@ def test_configure_logging_is_idempotent():
 
 
 def test_configure_logging_rejects_unknown_level():
-    with pytest.raises(ValueError, match="unknown log level"):
+    with pytest.raises(ConfigError, match="unknown log level"):
         configure_logging(level="chatty")
 
 

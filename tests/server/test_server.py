@@ -21,6 +21,7 @@ import pytest
 
 from repro.circuit import bench_io
 from repro.config import DelayMode, cdm_config, ddm_config
+from repro.core.batch import simulate_batch
 from repro.core.engine import simulate
 from repro.errors import ServerError
 from repro.experiments import common
@@ -353,6 +354,31 @@ def test_register_is_idempotent_but_conflicts_on_mismatch(client):
         client.register("idem", {"kind": "builtin", "name": "c17"},
                         mode="cdm")
     assert knobs.value.kind == "conflict"
+
+
+def test_register_ignores_a_legacy_transport_field(client, c17):
+    """Older clients sent a boolean field to pick the pool's result
+    transport; the server ignores it and serves the exact in-process
+    results."""
+    registered = client.call(
+        "register", name="legacy-transport",
+        source={"kind": "builtin", "name": "c17"},
+        mode="ddm", engine="compiled", shm=True,
+    )
+    assert registered["created"] is True
+    stimuli = random_vector_batch(
+        [net.name for net in c17.primary_inputs],
+        batch=4, count=3, period=2.0, base_seed=17,
+    )
+    remote = client.simulate_batch("legacy-transport", stimuli)
+    local = simulate_batch(
+        c17, stimuli, config=ddm_config(), engine_kind="compiled"
+    )
+    for position in range(len(stimuli)):
+        assert_results_identical(
+            remote[position], local[position],
+            context="legacy register vector %d" % position,
+        )
 
 
 def test_unregister_frees_the_name(client, c17):

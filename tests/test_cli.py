@@ -160,7 +160,7 @@ def test_simulate_batch_jobs(capsys):
 def test_simulate_batch_pool_workers(capsys):
     assert main([
         "simulate", "--circuit", "c17", "--batch", "4", "--vectors", "2",
-        "--pool-workers", "2", "--shm", "--engine", "compiled",
+        "--pool-workers", "2", "--engine", "compiled",
     ]) == 0
     out = capsys.readouterr().out
     assert "service: 2 warm workers" in out
@@ -217,12 +217,14 @@ def test_stdin_vectors_reports_malformed_line(capsys, monkeypatch):
     assert "stdin line 1" in capsys.readouterr().err
 
 
-def test_shm_requires_pool_workers(capsys):
-    code = main([
-        "simulate", "--circuit", "c17", "--batch", "2", "--shm",
-    ])
-    assert code == 1
-    assert "--pool-workers" in capsys.readouterr().err
+def test_removed_transport_flag_is_an_argparse_error(capsys):
+    with pytest.raises(SystemExit) as caught:
+        main([
+            "simulate", "--circuit", "c17", "--batch", "2",
+            "--pool-workers", "2", "--shm",
+        ])
+    assert caught.value.code == 2
+    assert "unrecognized arguments: --shm" in capsys.readouterr().err
 
 
 def test_pool_workers_zero_is_rejected_everywhere(capsys):

@@ -11,6 +11,7 @@ from repro.config import (
     cdm_config,
     ddm_config,
 )
+from repro.errors import ConfigError, ReproError
 
 
 def test_default_config_is_ddm_event_order():
@@ -48,7 +49,6 @@ def test_with_mode_changes_only_mode():
         ("batch_jobs", -2),
         ("service_workers", 0),
         ("service_workers", -3),
-        ("shm_transport", "yes"),
         ("server_host", ""),
         ("server_port", -1),
         ("server_port", 70000),
@@ -58,8 +58,10 @@ def test_with_mode_changes_only_mode():
 )
 def test_validate_rejects_bad_values(field, value):
     config = dataclasses.replace(SimulationConfig(), **{field: value})
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError) as caught:
         config.validate()
+    assert isinstance(caught.value, ReproError)
+    assert isinstance(caught.value, ValueError)
 
 
 def test_configs_are_plain_dataclasses():
@@ -77,9 +79,7 @@ def test_batch_knob_defaults():
 def test_service_knob_defaults():
     config = SimulationConfig()
     assert config.service_workers == 2
-    assert config.shm_transport is None
-    ddm_config(service_workers=4, shm_transport=True).validate()
-    ddm_config(shm_transport=False).validate()
+    ddm_config(service_workers=4).validate()
 
 
 def test_server_knob_defaults():

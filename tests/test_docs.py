@@ -36,8 +36,8 @@ def test_docs_exist_and_are_linked_from_readme():
 
 def test_performance_doc_covers_every_tuning_knob():
     performance = (REPO_ROOT / "docs" / "performance.md").read_text()
-    for knob in ("engine_kind", "batch_jobs", "service_workers", "shm_transport", "--pool-workers",
-                 "--shm", "max_task_retries", "queue_kind"):
+    for knob in ("engine_kind", "batch_jobs", "service_workers",
+                 "--pool-workers", "max_task_retries", "queue_kind"):
         assert knob in performance, "performance.md does not cover %s" % knob
 
 
