@@ -61,13 +61,23 @@ def assert_results_identical(result, standalone, netlist, context=""):
         assert got_raw == want_raw, (context, name)
 
 
+# The pool once had two result transports, a shared-memory buffer and
+# the inline message, and the cases marked ``per_legacy_transport`` ran
+# once per transport.  The inline message is now the only one: both ids
+# run it, so each case keeps the name it has always had.
+per_legacy_transport = pytest.mark.parametrize(
+    "transport", ["shm", "pickle"]
+)
+
+
 # ----------------------------------------------------------------------
 # parity: every exact engine, both delay modes
 # ----------------------------------------------------------------------
 
+@per_legacy_transport
 @pytest.mark.parametrize("engine_kind", ["reference", "compiled", "vector"])
 @pytest.mark.parametrize("mode", ["ddm", "cdm"])
-def test_service_parity_with_standalone(mult4, mode, engine_kind):
+def test_service_parity_with_standalone(mult4, mode, engine_kind, transport):
     config = ddm_config() if mode == "ddm" else cdm_config()
     stimuli = common.paper_stimulus_batch()
     with SimulationService(
@@ -145,10 +155,12 @@ def _dispatched_chunks(submit):
     ).cumulative_counts()[-1]
 
 
-def test_chunked_batches_bit_identical_to_unchunked(mult4):
+@per_legacy_transport
+def test_chunked_batches_bit_identical_to_unchunked(mult4, transport):
     """``chunk > 1`` is pure round-trip amortisation: results are
-    bit-identical to the per-vector dispatch, in input order, including a ragged final chunk.  The default splits a
-    batch into one chunk per worker (fewer when N < workers)."""
+    bit-identical to the per-vector dispatch, in input order, including
+    a ragged final chunk.  The default splits a batch into one chunk per
+    worker (fewer when N < workers)."""
     stimuli = common.paper_stimulus_batch() * 2  # 10 vectors, chunk 4 -> ragged
     config = ddm_config()
     workers = 2
@@ -235,46 +247,52 @@ def test_as_completed_yields_every_vector(mult4):
         assert seen[index].final_values == standalone.final_values
 
 
-def test_traced_chunk_larger_than_a_pipe_buffer_is_bit_identical(mult4):
-    """A traced chunk whose result message outgrows the 64 KiB pipe
-    buffer arrives whole: as one two-vector chunk of ~45 KB per vector,
-    and as single ~75 KB vectors, before and after small chunks."""
-    input_names = [net.name for net in mult4.primary_inputs]
-    layout = ResultLayout(mult4)
+_PIPE_BUFFER = 64 * 1024
 
-    def vectors(count):
-        return random_vector_batch(
-            input_names, batch=2, count=count, period=2.0, base_seed=3
-        )
 
-    def standalone(stimuli):
-        return [
-            simulate(mult4, stimulus, config=ddm_config(),
-                     engine_kind="compiled")
-            for stimulus in stimuli
-        ]
+def _traced_vectors(netlist, count):
+    names = [net.name for net in netlist.primary_inputs]
+    return random_vector_batch(names, batch=2, count=count, period=2.0,
+                               base_seed=3)
 
-    def record_bytes(results):
-        return [len(pack_result(result, layout)[0]) for result in results]
 
-    small, medium, large = vectors(2), vectors(15), vectors(30)
-    assert sum(record_bytes(standalone(medium))) > 64 * 1024
-    assert min(record_bytes(standalone(large))) > 64 * 1024
+def _run_on_one_worker(netlist, batches, chunk=None):
+    """Run ``batches`` in turn on one warm worker, check every vector is
+    bit-identical to a standalone ``simulate()``, and return the packed
+    record bytes of each vector, batch by batch."""
+    layout = ResultLayout(netlist)
     with SimulationService(
-        mult4, config=ddm_config(), workers=1, engine_kind="compiled",
+        netlist, config=ddm_config(), workers=1, engine_kind="compiled",
     ) as service:
-        rounds = [
-            ("small", small, service.submit_batch(small).wait()),
-            ("medium chunk", medium, service.submit_batch(medium).wait()),
-            ("large", large, service.submit_batch(large, chunk=1).wait()),
-            ("small after", small, service.submit_batch(small).wait()),
-        ]
-    for label, stimuli, results in rounds:
-        for position, want in enumerate(standalone(stimuli)):
+        got = [service.submit_batch(b, chunk=chunk).wait() for b in batches]
+    for round_, (stimuli, results) in enumerate(zip(batches, got)):
+        for position, stimulus in enumerate(stimuli):
+            standalone = simulate(netlist, stimulus, config=ddm_config(),
+                                  engine_kind="compiled")
             assert_results_identical(
-                results[position], want, mult4,
-                context="%s vector %d" % (label, position),
+                results[position], standalone, netlist,
+                context="batch %d vector %d" % (round_, position),
             )
+    return [[len(pack_result(r, layout)[0]) for r in rs] for rs in got]
+
+
+def test_shm_buffer_grows_for_large_traces(mult4):
+    """Single vectors of ~75 KB of packed records, past the 64 KiB pipe
+    buffer, arrive whole between small ones.  (Named for the
+    shared-memory buffer that once carried these bytes.)"""
+    small, large = _traced_vectors(mult4, 2), _traced_vectors(mult4, 30)
+    [sizes] = _run_on_one_worker(mult4, [small + large + small], chunk=1)
+    assert min(sizes[2:4]) > _PIPE_BUFFER
+
+
+def test_shm_buffer_grows_when_a_later_chunk_outgrows_it(mult4):
+    """Under the default split a batch is one chunk on a single worker:
+    a later two-vector chunk of ~45 KB per vector, which together
+    outgrow the 64 KiB pipe buffer, arrives whole between small chunks.
+    (Named for the shared-memory buffer that once carried these bytes.)"""
+    small, large = _traced_vectors(mult4, 2), _traced_vectors(mult4, 15)
+    sizes = _run_on_one_worker(mult4, [small, large, small])[1]
+    assert max(sizes) < _PIPE_BUFFER < sum(sizes)
 
 
 # ----------------------------------------------------------------------
@@ -553,8 +571,9 @@ def test_exhausted_chunk_error_names_every_vector(mult4, tmp_path):
         assert service.worker_restarts == 2
 
 
+@per_legacy_transport
 def test_crash_right_after_a_large_result_does_not_wedge_the_pool(
-    mult4, tmp_path
+    mult4, tmp_path, transport
 ):
     """A worker dies on the task that follows a result too large for one
     pipe write.  The result must not leave a lock behind that stops the
