@@ -194,8 +194,7 @@ def run_chunk(
         return
     config = engine.config
     results = engine_cls.run_lockstep_batch(
-        engine.netlist, stimuli, config=config, settle=settle,
-        queue_kind=engine.queue_kind, seed=seed,
+        engine.netlist, stimuli, config=config, settle=settle, seed=seed,
     )
     if config.check_sta_bounds:
         # Lockstep kernels bypass run_stimulus (its oracle hook covers
@@ -215,7 +214,6 @@ def simulate_batch(
     stimuli: Sequence,
     config: Optional[SimulationConfig] = None,
     settle: float = 0.0,
-    queue_kind: str = "heap",
     seed: Optional[Mapping[str, int]] = None,
     engine_kind: Optional[str] = None,
     jobs: Optional[int] = None,
@@ -225,7 +223,7 @@ def simulate_batch(
 
     Every entry of ``stimuli`` follows the
     :class:`repro.stimuli.vectors.VectorSequence` protocol; ``config``,
-    ``settle``, ``queue_kind``, ``seed`` and ``engine_kind`` mean
+    ``settle``, ``seed`` and ``engine_kind`` mean
     exactly what they mean for :func:`repro.core.engine.simulate` and
     apply to every vector.  Result ``i`` is bit-identical to
     ``simulate(netlist, stimuli[i], ...)``.  The vectors run through
@@ -245,7 +243,7 @@ def simulate_batch(
     pool's engines do the work, nothing is re-lowered or re-spawned,
     and ``jobs`` is ignored (the service's own worker count applies).
     The service must have been built for the same netlist, and any
-    ``config``/``queue_kind``/``engine_kind`` given here must match the
+    ``config``/``engine_kind`` given here must match the
     service's — its workers were constructed with those knobs and
     cannot change them per call.
     """
@@ -254,8 +252,7 @@ def simulate_batch(
         raise SimulationError("simulate_batch() needs at least one stimulus")
     if service is not None:
         return _simulate_via_service(
-            service, netlist, stimuli, config, settle, queue_kind,
-            seed, engine_kind,
+            service, netlist, stimuli, config, settle, seed, engine_kind,
         )
     if config is None:
         config = SimulationConfig()
@@ -274,8 +271,7 @@ def simulate_batch(
 
         # The service pays the lowering once, before its workers fork.
         with SimulationService(
-            netlist, config=config, workers=jobs, queue_kind=queue_kind,
-            engine_kind=engine_kind,
+            netlist, config=config, workers=jobs, engine_kind=engine_kind,
         ) as pool:
             lowering_seconds = pool.lowering_seconds
             results = pool.submit_batch(stimuli, settle=settle, seed=seed).wait()
@@ -288,10 +284,7 @@ def simulate_batch(
             lowering_start = _time.perf_counter()
             netlist.compile()
             lowering_seconds = _time.perf_counter() - lowering_start
-        engine = make_engine(
-            netlist, config=config, queue_kind=queue_kind,
-            engine_kind=engine_kind,
-        )
+        engine = make_engine(netlist, config=config, engine_kind=engine_kind)
         results = list(run_chunk(engine, stimuli, settle=settle, seed=seed))
         mode = "inprocess"
 
@@ -399,7 +392,6 @@ def _simulate_via_service(
     stimuli: List,
     config: Optional[SimulationConfig],
     settle: float,
-    queue_kind: str,
     seed: Optional[Mapping[str, int]],
     engine_kind: Optional[str],
 ) -> BatchResult:
@@ -416,11 +408,6 @@ def _simulate_via_service(
         raise ServiceError(
             "config cannot change per call on a warm service; pass the "
             "config to SimulationService() instead"
-        )
-    if queue_kind != service.queue_kind:
-        raise ServiceError(
-            "queue_kind %r does not match the service's %r"
-            % (queue_kind, service.queue_kind)
         )
     if engine_kind is not None and engine_kind != service.engine_kind:
         raise ServiceError(

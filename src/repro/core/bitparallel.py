@@ -80,8 +80,6 @@ words — count bit ``p`` of all lanes in one word row — which the
 from __future__ import annotations
 
 import time as _time
-from bisect import insort as _insort
-from heapq import heappop as _heappop, heappush as _heappush
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .. import config as _config_module
@@ -94,7 +92,14 @@ from ..errors import (
     SimulationLimitError,
     StimulusError,
 )
-from .compiled import CompiledNetlist
+from .compiled import (
+    _EXECUTED,
+    _PENDING,
+    E_STATE,
+    E_TIME,
+    CompiledNetlist,
+    _CompiledHeapQueue,
+)
 from .engine import (
     EngineBase,
     FilteredEventRecord,
@@ -130,116 +135,16 @@ def _require_numpy() -> None:
 # and the two coincide.
 (W_TIME, W_SEQ, W_UID, W_MASK, W_RISING, W_T50, W_DUR, W_STATE,
  W_CROSS) = range(9)
-_PENDING, _CANCELLED, _EXECUTED = 0, 1, 2
 
 
-# ----------------------------------------------------------------------
-# word-event queues (same disciplines and lifecycle as the compiled
-# backend's, over word entries)
-# ----------------------------------------------------------------------
-
-class _WordHeapQueue:
-    """Binary heap with lazy cancellation, over word entries."""
-
-    def __init__(self):
-        self._heap: List[list] = []
-        self._live = 0
-
-    def __len__(self) -> int:
-        return self._live
-
-    def __bool__(self) -> bool:
-        return self._live > 0
-
-    def push(self, entry: list) -> None:
-        _heappush(self._heap, entry)
-        self._live += 1
-
-    def cancel(self, entry: list) -> None:
-        if entry[W_STATE] == _PENDING:
-            entry[W_STATE] = _CANCELLED
-            self._live -= 1
-
-    def pop(self) -> Optional[list]:
-        heap = self._heap
-        while heap:
-            entry = _heappop(heap)
-            if entry[W_STATE] == _CANCELLED:
-                continue
-            self._live -= 1
-            return entry
-        return None
-
-    def peek_time(self) -> Optional[float]:
-        heap = self._heap
-        while heap and heap[0][W_STATE] == _CANCELLED:
-            _heappop(heap)
-        return heap[0][W_TIME] if heap else None
-
-    def clear(self) -> None:
-        self._heap.clear()
-        self._live = 0
-
-
-def _descending_key(entry: list) -> Tuple[float, int]:
-    return (-entry[W_TIME], -entry[W_SEQ])
-
-
-class _WordSortedQueue:
-    """Descending sorted list (earliest entry last, O(1) pops)."""
-
-    def __init__(self):
-        self._entries: List[list] = []
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __bool__(self) -> bool:
-        return bool(self._entries)
-
-    def push(self, entry: list) -> None:
-        _insort(self._entries, entry, key=_descending_key)
-
-    def cancel(self, entry: list) -> None:
-        if entry[W_STATE] != _PENDING:
-            return
-        entry[W_STATE] = _CANCELLED
-        # Eager removal keeps peek_time O(1); the entry is findable by
-        # its (unique) sort key.
-        entries = self._entries
-        position = len(entries) - 1
-        while position >= 0 and entries[position] is not entry:
-            position -= 1
-        if position >= 0:
-            entries.pop(position)
-
-    def pop(self) -> Optional[list]:
-        entries = self._entries
-        return entries.pop() if entries else None
-
-    def peek_time(self) -> Optional[float]:
-        entries = self._entries
-        return entries[-1][W_TIME] if entries else None
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-
-_WORD_QUEUES = {
-    "heap": _WordHeapQueue,
-    "sorted-list": _WordSortedQueue,
-}
-
-
-def _make_word_queue(queue_kind: str):
-    try:
-        factory = _WORD_QUEUES[queue_kind]
-    except KeyError:
-        raise SimulationError(
-            "unknown queue kind %r (choose from %s)"
-            % (queue_kind, sorted(_WORD_QUEUES))
-        ) from None
-    return factory()
+# The word kernel queues its entries on the compiled backend's list-entry
+# heap, which reads only the time and state slots; fail at import if the
+# two layouts ever stop agreeing on them.
+if (W_TIME, W_STATE) != (E_TIME, E_STATE):  # pragma: no cover
+    raise SimulationError(
+        "word-entry layout disagrees with compiled entries on the "
+        "time/state slots the shared heap reads"
+    )
 
 
 # ----------------------------------------------------------------------
@@ -654,19 +559,20 @@ class _WordKernel:
     All dynamic logic state is lane words; the static tables come from
     one frozen :meth:`CompiledNetlist.as_numpy` export.  The kernel is
     driven from the outside through ``queue``/:meth:`execute` so the
-    registered single-stimulus engine (via :meth:`EngineBase.run`) and
-    the lockstep batch driver share one hot path.
+    registered single-stimulus engine (via :meth:`EngineBase.run`, which
+    passes in its own queue) and the lockstep batch driver share one hot
+    path.
     """
 
     def __init__(self, compiled: CompiledNetlist, config: SimulationConfig,
-                 lanes: int, queue):
+                 lanes: int, queue: Optional[_CompiledHeapQueue] = None):
         _require_numpy()
         export = compiled.as_numpy()
         self.compiled = compiled
         self.config = config
         self.lanes = lanes
         self.full_mask = (1 << lanes) - 1
-        self.queue = queue
+        self.queue = queue if queue is not None else _CompiledHeapQueue()
 
         policy = config.inertial_policy
         if policy not in (InertialPolicy.EVENT_ORDER,
@@ -1413,8 +1319,6 @@ class BitParallelSimulator(EngineBase):
         config: engine knobs (the default is HALOTIS-DDM; note the
             degradation model is out of this backend's tier — delays
             follow the CDM arcs either way).
-        queue_kind: word-event queue implementation (same names as the
-            other backends: ``"heap"`` or ``"sorted-list"``).
         compiled: optional pre-built :class:`CompiledNetlist` (must wrap
             ``netlist``); lets many simulators share one lowering.
     """
@@ -1430,7 +1334,6 @@ class BitParallelSimulator(EngineBase):
         self,
         netlist: Netlist,
         config: Optional[SimulationConfig] = None,
-        queue_kind: str = "heap",
         compiled: Optional[CompiledNetlist] = None,
     ):
         self.ensure_available()
@@ -1440,7 +1343,7 @@ class BitParallelSimulator(EngineBase):
             )
         self._cn = compiled if compiled is not None else netlist.compile()
         self._kernel: Optional[_WordKernel] = None
-        super().__init__(netlist, config=config, queue_kind=queue_kind)
+        super().__init__(netlist, config=config)
         policy = self.config.inertial_policy
         if policy not in (InertialPolicy.EVENT_ORDER,
                           InertialPolicy.PEAK_VOLTAGE):
@@ -1458,7 +1361,6 @@ class BitParallelSimulator(EngineBase):
         stimuli: Sequence,
         config: Optional[SimulationConfig] = None,
         settle: float = 0.0,
-        queue_kind: str = "heap",
         seed: Optional[Mapping[str, int]] = None,
     ) -> List[SimulationResult]:
         """All N stimuli through one word kernel on a single clock.
@@ -1473,10 +1375,7 @@ class BitParallelSimulator(EngineBase):
         if config is None:
             config = SimulationConfig()
         config.validate()
-        kernel = _WordKernel(
-            netlist.compile(), config, len(stimuli),
-            queue=_make_word_queue(queue_kind),
-        )
+        kernel = _WordKernel(netlist.compile(), config, len(stimuli))
         driver = _WordLockstepDriver(netlist, kernel, stimuli, settle, seed)
         return driver.run()
 
@@ -1522,10 +1421,9 @@ class BitParallelSimulator(EngineBase):
         ``initialize()``."""
         self._kernel = None
 
-    def _make_queue(self, queue_kind: str):
-        # Validated here so a bad kind fails at make_engine() time like
-        # the other backends; the kernel drives this same queue object.
-        return _make_word_queue(queue_kind)
+    def _new_queue(self):
+        # The kernel drives this same queue object.
+        return _CompiledHeapQueue()
 
     # -- lifecycle hooks -----------------------------------------------
 

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import heapq
 from array import array
-from bisect import bisect_left, insort
 from math import exp as _exp
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -725,11 +724,17 @@ class CompiledNetlist:
 
 
 # ----------------------------------------------------------------------
-# event queues over compiled entries
+# the event queue over list entries
 # ----------------------------------------------------------------------
 
 class _CompiledHeapQueue:
-    """Binary heap with lazy cancellation, over list entries."""
+    """Binary heap with lazy cancellation, over list entries.
+
+    Entries order by their ``(time, seq)`` head slots (``seq`` is unique,
+    so comparisons never reach the payload) and carry their lifecycle in
+    slot ``E_STATE``.  The bit-parallel engine's word entries share the
+    time and state slots and use this class too.
+    """
 
     def __init__(self):
         self._heap: List[list] = []
@@ -773,61 +778,6 @@ class _CompiledHeapQueue:
         self._live = 0
 
 
-def _descending_key(entry: list) -> Tuple[float, int]:
-    return (-entry[E_TIME], -entry[E_SEQ])
-
-
-class _CompiledSortedQueue:
-    """Descending-sorted list (earliest last, so pop is O(1)); mirrors
-    :class:`repro.core.event_queue.SortedListQueue` for the ablation."""
-
-    def __init__(self):
-        self._entries: List[list] = []
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __bool__(self) -> bool:
-        return bool(self._entries)
-
-    def push(self, entry: list) -> None:
-        insort(self._entries, entry, key=_descending_key)
-
-    def cancel(self, entry: list) -> None:
-        if entry[E_STATE] != _PENDING:
-            return
-        entry[E_STATE] = _CANCELLED
-        position = bisect_left(
-            self._entries, _descending_key(entry), key=_descending_key
-        )
-        if (
-            position < len(self._entries)
-            and self._entries[position] is entry
-        ):
-            del self._entries[position]
-        else:  # pragma: no cover - defensive; keys are unique by seq
-            self._entries = [e for e in self._entries if e is not entry]
-
-    def pop(self) -> Optional[list]:
-        if not self._entries:
-            return None
-        return self._entries.pop()
-
-    def peek_time(self) -> Optional[float]:
-        if not self._entries:
-            return None
-        return self._entries[-1][E_TIME]
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-
-_COMPILED_QUEUES = {
-    "heap": _CompiledHeapQueue,
-    "sorted-list": _CompiledSortedQueue,
-}
-
-
 # ----------------------------------------------------------------------
 # the compiled backend
 # ----------------------------------------------------------------------
@@ -845,8 +795,6 @@ class CompiledSimulator(EngineBase):
         netlist: the circuit; lowered on construction unless a
             pre-lowered ``compiled`` is supplied.
         config: engine knobs (the default is HALOTIS-DDM).
-        queue_kind: event-queue implementation (same names as the
-            reference backend: ``"heap"`` or ``"sorted-list"``).
         compiled: optional pre-built :class:`CompiledNetlist` (must wrap
             ``netlist``); lets many simulators share one lowering.
     """
@@ -858,7 +806,6 @@ class CompiledSimulator(EngineBase):
         self,
         netlist: Netlist,
         config: Optional[SimulationConfig] = None,
-        queue_kind: str = "heap",
         compiled: Optional[CompiledNetlist] = None,
     ):
         if compiled is not None and compiled.netlist is not netlist:
@@ -866,7 +813,7 @@ class CompiledSimulator(EngineBase):
                 "compiled netlist does not wrap the given netlist"
             )
         self._cn = compiled if compiled is not None else netlist.compile()
-        super().__init__(netlist, config=config, queue_kind=queue_kind)
+        super().__init__(netlist, config=config)
         policy = self.config.inertial_policy
         if policy not in (InertialPolicy.EVENT_ORDER, InertialPolicy.PEAK_VOLTAGE):
             raise ConfigError("unknown inertial policy %r" % (policy,))
@@ -900,15 +847,8 @@ class CompiledSimulator(EngineBase):
     def compiled_netlist(self) -> CompiledNetlist:
         return self._cn
 
-    def _make_queue(self, queue_kind: str):
-        try:
-            factory = _COMPILED_QUEUES[queue_kind]
-        except KeyError:
-            raise SimulationError(
-                "unknown queue kind %r (choose from %s)"
-                % (queue_kind, sorted(_COMPILED_QUEUES))
-            ) from None
-        return factory()
+    def _new_queue(self) -> _CompiledHeapQueue:
+        return _CompiledHeapQueue()
 
     # ------------------------------------------------------------------
     # lifecycle hooks

@@ -55,7 +55,7 @@ from . import inertial
 from .cdm import ConventionalDelayModel
 from .ddm import DegradationDelayModel
 from .delay_model import DelayModel, DelayRequest
-from .event_queue import make_queue
+from .event_queue import BinaryHeapQueue
 from .events import Event
 from .state import KernelState, build_state
 from .stats import SimulationStatistics
@@ -80,9 +80,9 @@ class FilteredEventRecord:
 # engine registry
 # ----------------------------------------------------------------------
 
-#: Registry of simulation backends, mirroring ``QUEUE_KINDS``.  Keys are
-#: the values accepted by ``SimulationConfig.engine_kind``, ``simulate()``
-#: and the CLI's ``--engine`` option.
+#: Registry of simulation backends.  Keys are the values accepted by
+#: ``SimulationConfig.engine_kind``, ``simulate()`` and the CLI's
+#: ``--engine`` option.
 ENGINE_KINDS: Dict[str, Type[EngineBase]] = {}
 
 
@@ -130,7 +130,6 @@ def resolve_engine_class(engine_kind: str) -> Type[EngineBase]:
 def make_engine(
     netlist: Netlist,
     config: Optional[SimulationConfig] = None,
-    queue_kind: str = "heap",
     engine_kind: Optional[str] = None,
 ) -> EngineBase:
     """Instantiate a simulation backend by name.
@@ -142,7 +141,7 @@ def make_engine(
         engine_kind = config.engine_kind if config is not None else "reference"
     factory = resolve_engine_class(engine_kind)
     factory.ensure_available()
-    return factory(netlist, config=config, queue_kind=queue_kind)
+    return factory(netlist, config=config)
 
 
 # ----------------------------------------------------------------------
@@ -230,14 +229,12 @@ class EngineBase(abc.ABC):
         self,
         netlist: Netlist,
         config: Optional[SimulationConfig] = None,
-        queue_kind: str = "heap",
     ):
         self.netlist = netlist
         self.config = config if config is not None else SimulationConfig()
         self.config.validate()
         self.vdd = netlist.vdd
-        self.queue_kind = queue_kind
-        self.queue = self._make_queue(queue_kind)
+        self.queue = self._new_queue()
         self.stats = SimulationStatistics()
         self.traces = TraceSet(self.vdd)
         self.filtered_log: list[FilteredEventRecord] = []
@@ -247,9 +244,9 @@ class EngineBase(abc.ABC):
 
     # -- hooks ---------------------------------------------------------
 
-    def _make_queue(self, queue_kind: str):
-        """Build the event queue (validated against ``QUEUE_KINDS``)."""
-        return make_queue(queue_kind)
+    def _new_queue(self):
+        """Build the event queue the shared run/step loops drive."""
+        return BinaryHeapQueue()
 
     @abc.abstractmethod
     def _build_state(
@@ -490,7 +487,6 @@ class HalotisSimulator(EngineBase):
         config: engine knobs; the default is HALOTIS-DDM.
         delay_model: explicit delay model; overrides ``config.delay_mode``
             when given (used by delay-model unit tests).
-        queue_kind: event-queue implementation (``"heap"`` default).
     """
 
     cli_blurb = "readable object-graph kernel, the default"
@@ -500,9 +496,8 @@ class HalotisSimulator(EngineBase):
         netlist: Netlist,
         config: Optional[SimulationConfig] = None,
         delay_model: Optional[DelayModel] = None,
-        queue_kind: str = "heap",
     ):
-        super().__init__(netlist, config=config, queue_kind=queue_kind)
+        super().__init__(netlist, config=config)
         if delay_model is not None:
             self.delay_model = delay_model
         elif self.config.delay_mode is DelayMode.DDM:
@@ -916,7 +911,6 @@ def simulate(
     stimulus,
     config: Optional[SimulationConfig] = None,
     settle: float = 0.0,
-    queue_kind: str = "heap",
     seed: Optional[Mapping[str, int]] = None,
     engine_kind: Optional[str] = None,
 ) -> SimulationResult:
@@ -930,7 +924,5 @@ def simulate(
     vector's effects propagate out.  ``engine_kind`` picks the backend
     (see ``ENGINE_KINDS``); None defers to ``config.engine_kind``.
     """
-    simulator = make_engine(
-        netlist, config=config, queue_kind=queue_kind, engine_kind=engine_kind
-    )
+    simulator = make_engine(netlist, config=config, engine_kind=engine_kind)
     return run_stimulus(simulator, stimulus, settle=settle, seed=seed)

@@ -1,20 +1,18 @@
-"""Time-ordered event queues.
+"""The reference engine's time-ordered event queue.
 
 The kernel needs three operations: push, pop-earliest, and *cancel* — the
-annihilation rule of the paper's Figure 4 removes pending events.  The
-default :class:`BinaryHeapQueue` implements cancellation lazily (cancelled
-events stay in the heap and are skipped on pop), which keeps push/pop at
-O(log n) and cancel at O(1).
-
-:class:`SortedListQueue` is a deliberately simple O(n)-insert
-implementation kept as a cross-check oracle and for the queue ablation
-benchmark (``ablC``); both classes share the same interface and must order
-events identically (property-tested).
+annihilation rule of the paper's Figure 4 removes pending events.
+:class:`BinaryHeapQueue` implements cancellation lazily (cancelled events
+stay in the heap and are skipped on pop), which keeps push/pop at
+O(log n) and cancel at O(1).  Events pop in ``(time, seq)`` order; the
+property test in ``tests/core/test_event_queue.py`` pins that against a
+plain ``min``-over-a-list reference.  The compiled and bit-parallel
+engines order their list entries with the same discipline in
+:class:`repro.core.compiled._CompiledHeapQueue`.
 """
 
 from __future__ import annotations
 
-import bisect
 import heapq
 from typing import List, Optional
 
@@ -71,77 +69,3 @@ class BinaryHeapQueue:
     def clear(self) -> None:
         self._heap.clear()
         self._live = 0
-
-
-class SortedListQueue:
-    """Insertion-sorted event queue (oracle / ablation implementation).
-
-    Keeps the pending events sorted in *descending* time order, so the
-    earliest event sits at the end of the list and ``pop`` is an O(1)
-    ``list.pop()`` (popping from the front would shift the whole list on
-    every event).  Cancellation removes the event eagerly.  O(n) insert
-    and cancel, O(1) pop.
-    """
-
-    def __init__(self):
-        # entries are (-time, -seq, event): ascending order on the
-        # negated key is descending time order, with the earliest last.
-        self._events: List[tuple] = []
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-    def __bool__(self) -> bool:
-        return bool(self._events)
-
-    def push(self, event: Event) -> None:
-        if event.cancelled:
-            raise SimulationError("cannot schedule a cancelled event")
-        bisect.insort(self._events, (-event.time, -event.seq, event))
-
-    def cancel(self, event: Event) -> None:
-        if event.executed:
-            raise SimulationError("cannot cancel an executed event")
-        if event.cancelled:
-            return
-        event.cancel()
-        position = bisect.bisect_left(self._events, (-event.time, -event.seq))
-        if (
-            position < len(self._events)
-            and self._events[position][2] is event
-        ):
-            del self._events[position]
-        else:  # pragma: no cover - defensive; keys are unique by seq
-            self._events = [entry for entry in self._events if entry[2] is not event]
-
-    def pop(self) -> Optional[Event]:
-        if not self._events:
-            return None
-        _time, _seq, event = self._events.pop()
-        return event
-
-    def peek_time(self) -> Optional[float]:
-        if not self._events:
-            return None
-        return -self._events[-1][0]
-
-    def clear(self) -> None:
-        self._events.clear()
-
-
-#: Registry used by the engine's ``queue_kind`` option.
-QUEUE_KINDS = {
-    "heap": BinaryHeapQueue,
-    "sorted-list": SortedListQueue,
-}
-
-
-def make_queue(kind: str = "heap"):
-    """Instantiate an event queue by name (``"heap"`` or ``"sorted-list"``)."""
-    try:
-        factory = QUEUE_KINDS[kind]
-    except KeyError:
-        raise SimulationError(
-            "unknown queue kind %r (choose from %s)" % (kind, sorted(QUEUE_KINDS))
-        ) from None
-    return factory()

@@ -130,7 +130,6 @@ def _worker_main(
     worker_id: int,
     netlist: Netlist,
     config: SimulationConfig,
-    queue_kind: str,
     engine_kind: str,
     tasks,
     results,
@@ -164,9 +163,7 @@ def _worker_main(
     workers would send from a feeder thread under a cross-process lock,
     which a worker dying just after a send can leave held for good.
     """
-    engine = make_engine(
-        netlist, config=config, queue_kind=queue_kind, engine_kind=engine_kind
-    )
+    engine = make_engine(netlist, config=config, engine_kind=engine_kind)
     layout = ResultLayout(netlist)
     # Engine metrics published by the chunk runs land in this worker's own
     # process-local registry; each result message carries the series that
@@ -332,7 +329,6 @@ class SimulationService:
             :class:`SimulationConfig`); its ``service_workers`` field
             supplies the ``workers`` default.
         workers: worker-process count (>= 1).
-        queue_kind: event-queue implementation for every worker.
         engine_kind: backend (defaults to ``config.engine_kind``).
         max_task_retries: how many times one chunk may crash a worker
             before its batch fails with :class:`ServiceError`.
@@ -347,7 +343,6 @@ class SimulationService:
         netlist: Netlist,
         config: Optional[SimulationConfig] = None,
         workers: Optional[int] = None,
-        queue_kind: str = "heap",
         engine_kind: Optional[str] = None,
         max_task_retries: int = 2,
     ):
@@ -363,7 +358,6 @@ class SimulationService:
         self.netlist = netlist
         self.config = config if config is not None else SimulationConfig()
         self.config.validate()
-        self.queue_kind = queue_kind
         self.engine_kind = (
             engine_kind if engine_kind is not None else self.config.engine_kind
         )
@@ -772,7 +766,6 @@ class SimulationService:
                 worker_id,
                 self.netlist,
                 self.config,
-                self.queue_kind,
                 self.engine_kind,
                 tasks,
                 sender,

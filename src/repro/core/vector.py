@@ -52,7 +52,6 @@ Two front doors:
 from __future__ import annotations
 
 import time as _time
-from bisect import insort as _insort
 from heapq import heappop, heappush
 from math import exp as _exp, inf as _inf
 from typing import Dict, List, Mapping, Optional, Sequence
@@ -100,33 +99,6 @@ def _require_numpy() -> None:
     # message is the one shared with SimulationConfig.validate().
     if _np is None or not _config_module.numpy_available():
         raise SimulationError(_config_module.NUMPY_REQUIRED_MESSAGE)
-
-
-#: Queue disciplines the kernel implements per lane (the same names as
-#: ``QUEUE_KINDS``, with lane-local implementations).
-_VECTOR_QUEUE_KINDS = ("heap", "sorted-list")
-
-
-def _check_queue_kind(queue_kind: str) -> None:
-    """The single validation (and error string) for both entry points:
-    engine construction and kernel construction."""
-    if queue_kind not in _VECTOR_QUEUE_KINDS:
-        raise SimulationError(
-            "unknown queue kind %r for the vector engine (choose from "
-            "%s)" % (queue_kind, list(_VECTOR_QUEUE_KINDS))
-        )
-
-
-def _sorted_queue_key(entry) -> tuple:
-    return (-entry[0], -entry[1])
-
-
-def _push_sorted(queue: list, entry) -> None:
-    _insort(queue, entry, key=_sorted_queue_key)
-
-
-def _pop_sorted(queue: list):
-    return queue.pop()
 
 
 # ----------------------------------------------------------------------
@@ -185,25 +157,12 @@ class _VectorKernel:
     """
 
     def __init__(self, compiled: CompiledNetlist, config: SimulationConfig,
-                 lanes: int, queue_kind: str = "heap"):
+                 lanes: int):
         _require_numpy()
         x = compiled.as_numpy()
         self.compiled = compiled
         self.config = config
         self.lanes = lanes
-        # Per-lane queue discipline: a binary heap, or the descending
-        # sorted list of the event-queue ablation (earliest entry last,
-        # so pops are O(1) either way).  Identical (time, seq) order.
-        _check_queue_kind(queue_kind)
-        if queue_kind == "heap":
-            self._queue_push = heappush
-            self._head = 0
-            self._head_pop = heappop
-        else:
-            self._queue_push = _push_sorted
-            self._head = -1
-            self._head_pop = _pop_sorted
-
         policy = config.inertial_policy
         if policy not in (InertialPolicy.EVENT_ORDER,
                           InertialPolicy.PEAK_VOLTAGE):
@@ -380,28 +339,24 @@ class _VectorKernel:
         (-1 when there is none)."""
         heap = self.heaps[lane]
         state = self.pool.state
-        head = self._head
-        pop = self._head_pop
         while heap:
-            entry = heap[head]
+            entry = heap[0]
             if state[entry[2]] != _PENDING:
-                pop(heap)
+                heappop(heap)
                 continue
             if entry[0] > until:
                 return -1
-            pop(heap)
+            heappop(heap)
             return entry[2]
         return -1
 
     def peek_time(self, lane: int) -> Optional[float]:
         heap = self.heaps[lane]
         state = self.pool.state
-        head = self._head
-        pop = self._head_pop
         while heap:
-            entry = heap[head]
+            entry = heap[0]
             if state[entry[2]] != _PENDING:
-                pop(heap)
+                heappop(heap)
                 continue
             return entry[0]
         return None
@@ -733,7 +688,7 @@ class _VectorKernel:
             pool.state[eid] = _PENDING
             pool.prev[eid] = previous
             top_flat[top_index] = eid
-            self._queue_push(heap, (event_time, seq, eid))
+            heappush(heap, (event_time, seq, eid))
             scheduled += 1
         self.seq[lane] = seq
         self.events_scheduled[lane] += scheduled
@@ -877,12 +832,11 @@ class _VectorKernel:
         self.top_eid_flat[top_new] = new_ids
 
         heaps = self.heaps
-        push = self._queue_push
         for lane, when, order, eid in zip(
             lane_new.tolist(), event_time[survives].tolist(),
             seqs[survives].tolist(), new_ids.tolist(),
         ):
-            push(heaps[lane], (when, order, eid))
+            heappush(heaps[lane], (when, order, eid))
 
     def _peak_voltage_time(
         self,
@@ -1292,8 +1246,6 @@ class VectorSimulator(EngineBase):
         netlist: the circuit; lowered on construction unless a
             pre-lowered ``compiled`` is supplied.
         config: engine knobs (the default is HALOTIS-DDM).
-        queue_kind: per-lane event-queue implementation (same names as
-            the other backends: ``"heap"`` or ``"sorted-list"``).
         compiled: optional pre-built :class:`CompiledNetlist` (must wrap
             ``netlist``); lets many simulators share one lowering.
     """
@@ -1308,7 +1260,6 @@ class VectorSimulator(EngineBase):
         self,
         netlist: Netlist,
         config: Optional[SimulationConfig] = None,
-        queue_kind: str = "heap",
         compiled: Optional[CompiledNetlist] = None,
     ):
         self.ensure_available()
@@ -1318,7 +1269,7 @@ class VectorSimulator(EngineBase):
             )
         self._cn = compiled if compiled is not None else netlist.compile()
         self._kernel: Optional[_VectorKernel] = None
-        super().__init__(netlist, config=config, queue_kind=queue_kind)
+        super().__init__(netlist, config=config)
         policy = self.config.inertial_policy
         if policy not in (InertialPolicy.EVENT_ORDER,
                           InertialPolicy.PEAK_VOLTAGE):
@@ -1337,7 +1288,6 @@ class VectorSimulator(EngineBase):
         stimuli: Sequence,
         config: Optional[SimulationConfig] = None,
         settle: float = 0.0,
-        queue_kind: str = "heap",
         seed: Optional[Mapping[str, int]] = None,
     ) -> List[SimulationResult]:
         """All N stimuli through one kernel, one wave at a time.
@@ -1353,9 +1303,7 @@ class VectorSimulator(EngineBase):
         if config is None:
             config = SimulationConfig()
         config.validate()
-        kernel = _VectorKernel(
-            netlist.compile(), config, len(stimuli), queue_kind=queue_kind
-        )
+        kernel = _VectorKernel(netlist.compile(), config, len(stimuli))
         driver = _LockstepDriver(netlist, kernel, stimuli, settle, seed)
         return driver.run()
 
@@ -1369,10 +1317,7 @@ class VectorSimulator(EngineBase):
         patched lowering needs a fresh kernel on next ``initialize()``."""
         self._kernel = None
 
-    def _make_queue(self, queue_kind: str):
-        # Validated here (not only at kernel construction) so a bad
-        # kind fails at make_engine() time like the other backends.
-        _check_queue_kind(queue_kind)
+    def _new_queue(self):
         return _LaneZeroQueue(self)
 
     # ------------------------------------------------------------------
@@ -1386,9 +1331,7 @@ class VectorSimulator(EngineBase):
     ) -> None:
         dc = self._cn.dc_values(input_values, seed)
         if self._kernel is None:
-            self._kernel = _VectorKernel(
-                self._cn, self.config, 1, queue_kind=self.queue_kind
-            )
+            self._kernel = _VectorKernel(self._cn, self.config, 1)
         self._kernel.reset(_np.array([dc], _np.int64))
 
     def _after_initialize(self) -> None:

@@ -91,7 +91,6 @@ def run_halotis(
     which: int,
     mode: DelayMode,
     record_traces: bool = True,
-    queue_kind: str = "heap",
     engine_kind: str = "reference",
 ) -> SimulationResult:
     """Simulate a paper sequence with HALOTIS-DDM or HALOTIS-CDM.
@@ -108,7 +107,6 @@ def run_halotis(
         multiplier_netlist(),
         paper_stimulus(which),
         config=config,
-        queue_kind=queue_kind,
         engine_kind=engine_kind,
     )
 
@@ -123,7 +121,6 @@ def paper_stimulus_batch(period: float = PERIOD,
 def run_halotis_batch(
     mode: DelayMode,
     record_traces: bool = True,
-    queue_kind: str = "heap",
     engine_kind: str = "reference",
     jobs: int = 1,
 ) -> BatchResult:
@@ -146,7 +143,6 @@ def run_halotis_batch(
         multiplier_netlist(),
         paper_stimulus_batch(),
         config=config,
-        queue_kind=queue_kind,
         engine_kind=engine_kind,
         jobs=jobs,
     )

@@ -410,14 +410,12 @@ def run_campaign(
         epsilon: edge-time diff tolerance (default
             ``config.campaign_detect_epsilon``).
     """
-    queue_kind = "heap"
     if service is not None:
         # The golden run must use the knobs the pool's mutants run on.
         if config is None:
             config = service.config
         if engine_kind is None:
             engine_kind = service.engine_kind
-        queue_kind = service.queue_kind
     if config is None:
         config = SimulationConfig()
     config.validate()
@@ -437,13 +435,12 @@ def run_campaign(
         # before any simulation is spent on the golden run.
         results = simulate_batch(
             netlist, mutants, config=config, settle=settle,
-            queue_kind=queue_kind, engine_kind=engine_kind, jobs=jobs,
-            service=service,
+            engine_kind=engine_kind, jobs=jobs, service=service,
         ).results
     wall_seconds = _time.perf_counter() - start
     golden = simulate(
         netlist, stimulus, config=config, settle=settle,
-        queue_kind=queue_kind, engine_kind=engine_kind,
+        engine_kind=engine_kind,
     )
 
     report = classify_results(

@@ -205,18 +205,17 @@ def test_peak_voltage_policy_parity():
 
 
 def test_queue_kind_parity_cross_backend(mult4):
-    """sorted-list compiled == heap reference on the paper workload."""
+    """The compiled engine's list-entry heap orders the second paper
+    workload exactly like the reference engine's event heap."""
     from repro.stimuli.vectors import PAPER_SEQUENCE_2, multiplication_sequence
 
     stimulus = multiplication_sequence(PAPER_SEQUENCE_2)
-    heap_ref = simulate(
-        mult4, stimulus, config=ddm_config(), queue_kind="heap",
-        engine_kind="reference",
+    reference = simulate(
+        mult4, stimulus, config=ddm_config(), engine_kind="reference"
     )
-    sorted_com = simulate(
-        mult4, stimulus, config=ddm_config(), queue_kind="sorted-list",
-        engine_kind="compiled",
+    compiled = simulate(
+        mult4, stimulus, config=ddm_config(), engine_kind="compiled"
     )
-    assert heap_ref.stats.events_executed == sorted_com.stats.events_executed
+    assert reference.stats.events_executed == compiled.stats.events_executed
     for name in mult4.nets:
-        assert heap_ref.traces[name].edges() == sorted_com.traces[name].edges()
+        assert reference.traces[name].edges() == compiled.traces[name].edges()

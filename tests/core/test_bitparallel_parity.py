@@ -26,8 +26,9 @@ numpy = pytest.importorskip("numpy")
 
 from repro.config import DelayMode, InertialPolicy, cdm_config, ddm_config
 from repro.core.batch import simulate_batch
+from repro.core.bitparallel import BitParallelSimulator
 from repro.core.engine import simulate
-from repro.errors import SimulationError, SimulationLimitError
+from repro.errors import SimulationLimitError
 from repro.experiments import common
 from repro.stimuli.patterns import random_vector_batch
 from repro.stimuli.vectors import (
@@ -108,16 +109,21 @@ def test_peak_voltage_policy_cdm_identity():
 
 
 def test_sorted_list_queue_cdm_identity(mult4):
+    """The word engine queues on the compiled engine's list-entry heap
+    (the name predates the removal of the sorted list queue) and stays
+    bit-identical to the reference engine's event heap."""
+    from repro.core.compiled import _CompiledHeapQueue
+
     stimulus = multiplication_sequence(PAPER_SEQUENCE_2)
-    heap_ref = simulate(
-        mult4, stimulus, config=cdm_config(), queue_kind="heap",
-        engine_kind="reference",
+    reference = simulate(
+        mult4, stimulus, config=cdm_config(), engine_kind="reference"
     )
-    sorted_word = simulate(
-        mult4, stimulus, config=cdm_config(), queue_kind="sorted-list",
-        engine_kind="bitparallel",
+    word = simulate(
+        mult4, stimulus, config=cdm_config(), engine_kind="bitparallel"
     )
-    assert_results_bit_identical(heap_ref, sorted_word, mult4)
+    assert type(word.simulator.queue) is _CompiledHeapQueue
+    assert word.simulator.kernel.queue is word.simulator.queue
+    assert_results_bit_identical(reference, word, mult4)
 
 
 # ----------------------------------------------------------------------
@@ -218,17 +224,13 @@ def test_lockstep_activity_matches_packed_popcount(mult4):
     equals packed_activity_summary() (word popcounts, no unpacking)."""
     from repro.analysis.activity import packed_activity_summary
     from repro.core.bitparallel import _WordKernel, _WordLockstepDriver
-    from repro.core.bitparallel import _make_word_queue
 
     input_names = [net.name for net in mult4.primary_inputs]
     stimuli = random_vector_batch(
         input_names, batch=32, count=3, period=2.5, base_seed=3
     )
     config = cdm_config(record_traces=False)
-    kernel = _WordKernel(
-        mult4.compile(), config, len(stimuli),
-        queue=_make_word_queue("heap"),
-    )
+    kernel = _WordKernel(mult4.compile(), config, len(stimuli))
     driver = _WordLockstepDriver(mult4, kernel, stimuli, 0.0, None)
     results = driver.run()
 
@@ -261,14 +263,17 @@ def test_lockstep_batch_honors_max_events(mult4):
 
 
 def test_bitparallel_rejects_unknown_queue_kind(mult4):
-    with pytest.raises(SimulationError) as excinfo:
+    """The lockstep path takes no event-queue option any more."""
+    stimuli = [multiplication_sequence(PAPER_SEQUENCE_1)]
+    with pytest.raises(TypeError):
         simulate_batch(
-            mult4, [multiplication_sequence(PAPER_SEQUENCE_1)],
-            config=cdm_config(), engine_kind="bitparallel",
-            queue_kind="fibonacci",
+            mult4, stimuli, config=cdm_config(), engine_kind="bitparallel",
+            queue_kind="heap",
         )
-    assert "heap" in str(excinfo.value)
-    assert "sorted-list" in str(excinfo.value)
+    with pytest.raises(TypeError):
+        BitParallelSimulator.run_lockstep_batch(
+            mult4, stimuli, config=cdm_config(), queue_kind="heap"
+        )
 
 
 def test_bitparallel_engine_reuse_across_stimuli(mult4):

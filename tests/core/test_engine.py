@@ -191,16 +191,18 @@ def test_determinism(mult4):
 
 
 def test_queue_kinds_agree(mult4):
+    """The two heaps — the reference engine's over ``Event`` objects and
+    the compiled engine's over list entries — pop in the same order."""
     from repro.stimuli.vectors import multiplication_sequence, PAPER_SEQUENCE_1
 
     stimulus = multiplication_sequence(PAPER_SEQUENCE_1)
-    heap = simulate(mult4, stimulus, config=ddm_config(), queue_kind="heap")
-    listq = simulate(
-        mult4, stimulus, config=ddm_config(), queue_kind="sorted-list"
+    events = simulate(mult4, stimulus, config=ddm_config())
+    entries = simulate(
+        mult4, stimulus, config=ddm_config(), engine_kind="compiled"
     )
-    assert heap.stats.events_executed == listq.stats.events_executed
+    assert events.stats.events_executed == entries.stats.events_executed
     for name in ("s0", "s5", "s7"):
-        assert heap.traces[name].edges() == listq.traces[name].edges()
+        assert events.traces[name].edges() == entries.traces[name].edges()
 
 
 def test_peak_policy_runs_and_differs_little(mult4):

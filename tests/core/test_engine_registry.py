@@ -1,14 +1,16 @@
 """The engine backend registry and per-backend config knobs.
 
 Covers the satellite requirements: unknown ``engine_kind`` raises a
-:class:`SimulationError` naming the valid kinds, and both backends honor
-``queue_kind``, ``max_events`` and ``record_filtered``.
+:class:`SimulationError` naming the valid kinds, every backend honors
+``max_events`` and ``record_filtered``, and no entry point takes an
+event-queue option (the binary heap is the only queue).
 """
 
 import pytest
 
 from repro.circuit import modules
-from repro.config import SimulationConfig, ddm_config
+from repro.config import SimulationConfig, cdm_config, ddm_config
+from repro.core.batch import simulate_batch
 from repro.core.compiled import CompiledNetlist, CompiledSimulator
 from repro.core.engine import (
     ENGINE_KINDS,
@@ -17,6 +19,7 @@ from repro.core.engine import (
     make_engine,
     simulate,
 )
+from repro.core.service import SimulationService
 from repro.errors import SimulationError, SimulationLimitError
 from repro.stimuli.vectors import VectorSequence
 
@@ -75,29 +78,40 @@ def test_config_validates_engine_kind_type():
 
 @pytest.mark.parametrize("engine_kind", ALL_KINDS)
 def test_backends_reject_unknown_queue_kind(chain3, engine_kind):
-    with pytest.raises(SimulationError) as excinfo:
-        make_engine(chain3, queue_kind="fibonacci", engine_kind=engine_kind)
-    assert "heap" in str(excinfo.value)
-    assert "sorted-list" in str(excinfo.value)
+    """The event-queue option is gone: the engine factory, the batch
+    entry point and the warm pool all refuse it as an unknown keyword
+    (the pool before it spawns a worker)."""
+    with pytest.raises(TypeError):
+        make_engine(chain3, queue_kind="heap", engine_kind=engine_kind)
+    with pytest.raises(TypeError):
+        simulate_batch(
+            chain3, [_ring_stimulus(chain3)], queue_kind="heap",
+            engine_kind=engine_kind,
+        )
+    with pytest.raises(TypeError):
+        SimulationService(
+            chain3, workers=1, queue_kind="heap", engine_kind=engine_kind
+        )
 
 
 @pytest.mark.parametrize("engine_kind", ALL_KINDS)
 def test_backends_honor_queue_kind(chain3, engine_kind):
+    """Every backend runs the one event queue, a binary heap in
+    ``(time, seq)`` order: its results equal the reference engine's
+    (CDM, where every backend is bit-identical), and no engine keeps a
+    queue-kind attribute."""
     stimulus = _ring_stimulus(chain3)
-    heap = simulate(
-        chain3, stimulus, config=ddm_config(), queue_kind="heap",
-        engine_kind=engine_kind,
+    reference = simulate(
+        chain3, stimulus, config=cdm_config(), engine_kind="reference"
     )
-    sorted_list = simulate(
-        chain3, stimulus, config=ddm_config(), queue_kind="sorted-list",
-        engine_kind=engine_kind,
+    result = simulate(
+        chain3, stimulus, config=cdm_config(), engine_kind=engine_kind
     )
-    assert heap.stats.events_executed == sorted_list.stats.events_executed
-    assert heap.stats.events_filtered == sorted_list.stats.events_filtered
+    assert result.stats.events_executed == reference.stats.events_executed
+    assert result.stats.events_filtered == reference.stats.events_filtered
     for name in chain3.nets:
-        assert heap.traces[name].edges() == sorted_list.traces[name].edges()
-    assert heap.simulator.queue_kind == "heap"
-    assert sorted_list.simulator.queue_kind == "sorted-list"
+        assert result.traces[name].edges() == reference.traces[name].edges()
+    assert not hasattr(result.simulator, "queue_kind")
 
 
 @pytest.mark.parametrize("engine_kind", ALL_KINDS)

@@ -1,31 +1,101 @@
-"""Event queues: ordering, cancellation, implementation agreement."""
+"""Event queues: ordering, cancellation, agreement with a plain reference.
+
+The reference engine's :class:`BinaryHeapQueue` and the compiled and
+bit-parallel engines' list-entry heap must pop in ``(time, seq)`` order
+under any interleaving of push, cancel (the annihilation rule) and pop.
+Both are checked against :class:`ReferenceQueue`, a plain list kept in
+``(time, seq)`` order by ``list.sort`` — too simple to be wrong, and
+itself pinned by the ordering tests below, which run over it as well.
+"""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.event_queue import (
-    BinaryHeapQueue,
-    QUEUE_KINDS,
-    SortedListQueue,
-    make_queue,
+from repro.config import DelayMode
+from repro.core.compiled import (
+    _EXECUTED,
+    _PENDING,
+    E_SEQ,
+    E_STATE,
+    E_TIME,
+    _CompiledHeapQueue,
 )
+from repro.core.engine import simulate
+from repro.core.event_queue import BinaryHeapQueue
 from repro.core.events import Event
 from repro.errors import SimulationError
+from repro.experiments import common
+
+
+class ReferenceQueue:
+    """The oracle: live events in a plain list re-sorted by
+    ``(time, seq)`` on every push, popped from the front, a cancelled
+    event removed at once."""
+
+    def __init__(self):
+        self._events = []
+
+    def __len__(self):
+        return len(self._events)
+
+    def __bool__(self):
+        return bool(self._events)
+
+    def push(self, event):
+        if event.cancelled:
+            raise SimulationError("cannot schedule a cancelled event")
+        self._events.append(event)
+        self._events.sort(key=lambda e: e.sort_key)
+
+    def cancel(self, event):
+        if event.executed:
+            raise SimulationError("cannot cancel an executed event")
+        if not event.cancelled:
+            event.cancel()
+            self._events.remove(event)
+
+    def pop(self):
+        if not self._events:
+            return None
+        return self._events.pop(0)
+
+    def peek_time(self):
+        if not self._events:
+            return None
+        return self._events[0].time
+
+    def clear(self):
+        self._events.clear()
 
 
 def _event(time, seq):
     return Event(time=time, seq=seq, gate_input=None, transition=None, value=1)
 
 
-@pytest.fixture(params=sorted(QUEUE_KINDS))
+def _entry(time, seq):
+    """A compiled-layout event entry: ``[time, seq, uid, value, t50,
+    dur, rising, state]``."""
+    return [time, seq, 0, 1, time, 0.1, True, _PENDING]
+
+
+@pytest.fixture(params=[BinaryHeapQueue, ReferenceQueue],
+                ids=["heap", "sorted-list"])
 def queue(request):
-    return make_queue(request.param)
+    return request.param()
 
 
-def test_make_queue_rejects_unknown():
-    with pytest.raises(SimulationError):
-        make_queue("fibonacci")
+def test_make_queue_rejects_unknown(mult4):
+    """No entry point picks a queue any more: the one-call wrapper and
+    the experiment runners refuse a queue option as an unknown keyword
+    before they simulate anything."""
+    stimulus = common.paper_stimulus(1)
+    with pytest.raises(TypeError):
+        simulate(mult4, stimulus, queue_kind="heap")
+    with pytest.raises(TypeError):
+        common.run_halotis(1, DelayMode.DDM, queue_kind="heap")
+    with pytest.raises(TypeError):
+        common.run_halotis_batch(DelayMode.DDM, queue_kind="heap")
 
 
 def test_fifo_for_equal_times(queue):
@@ -111,20 +181,22 @@ def test_clear(queue):
     assert queue.peek_time() is None
 
 
-@given(
-    st.lists(
-        st.tuples(
-            st.floats(min_value=0.0, max_value=100.0),
-            st.sampled_from(["push", "cancel", "pop"]),
-        ),
-        max_size=60,
-    )
+#: Random push/cancel/pop interleavings; a cancel picks a live event.
+OPERATIONS = st.lists(
+    st.tuples(
+        st.floats(min_value=0.0, max_value=100.0),
+        st.sampled_from(["push", "cancel", "pop"]),
+    ),
+    max_size=60,
 )
+
+
+@given(OPERATIONS)
 def test_implementations_agree(operations):
-    """Heap and sorted-list queues produce identical pop sequences under
+    """The heap and the reference produce identical pop sequences under
     any interleaving of push/cancel/pop."""
     heap = BinaryHeapQueue()
-    oracle = SortedListQueue()
+    oracle = ReferenceQueue()
     heap_live = []
     oracle_live = []
     seq = 0
@@ -166,5 +238,85 @@ def test_implementations_agree(operations):
         results_oracle.append(
             None if oracle_popped is None else oracle_popped.sort_key
         )
+        if heap_popped is None and oracle_popped is None:
+            break  # a miscounted len() must fail below, not spin here
     assert results_heap == results_oracle
     assert len(heap) == len(oracle) == 0
+
+
+# ----------------------------------------------------------------------
+# the list-entry heap of the compiled and bit-parallel engines
+# ----------------------------------------------------------------------
+
+def _run_list_entry_heap(operations, peek):
+    """Drive one interleaving through the list-entry heap and the
+    reference side by side; with ``peek``, compare ``peek_time()`` after
+    every step (which drops cancelled heads early, so ``pop`` meets none
+    of them — hence both modes)."""
+    heap = _CompiledHeapQueue()
+    oracle = ReferenceQueue()
+    live = []  # (entry, event) pairs pushed and neither popped nor cancelled
+    seq = 0
+    popped = []
+    expected = []
+
+    def pop_both():
+        """Pop both queues; False once neither has an event left."""
+        entry = heap.pop()
+        event = oracle.pop()
+        popped.append(None if entry is None else (entry[E_TIME], entry[E_SEQ]))
+        expected.append(None if event is None else event.sort_key)
+        if entry is not None:
+            entry[E_STATE] = _EXECUTED  # as the kernels mark it
+        live[:] = [pair for pair in live if pair[0] is not entry]
+        return entry is not None or event is not None
+
+    for time, action in operations:
+        if action == "push":
+            seq += 1
+            pair = (_entry(time, seq), _event(time, seq))
+            heap.push(pair[0])
+            oracle.push(pair[1])
+            live.append(pair)
+        elif action == "cancel" and live:
+            entry, event = live.pop(seq % len(live))
+            heap.cancel(entry)
+            oracle.cancel(event)
+        elif action == "pop":
+            pop_both()
+        assert len(heap) == len(oracle)
+        assert bool(heap) == bool(oracle)
+        if peek:
+            assert heap.peek_time() == oracle.peek_time()
+    while (heap or oracle) and pop_both():
+        pass  # a miscounted len() fails below instead of spinning here
+    assert popped == expected
+    assert len(heap) == len(oracle) == 0
+    assert heap.pop() is None
+    assert heap.peek_time() is None
+
+
+@given(OPERATIONS)
+def test_list_entry_heap_agrees_with_reference(operations):
+    _run_list_entry_heap(operations, peek=False)
+    _run_list_entry_heap(operations, peek=True)
+
+
+def test_list_entry_heap_counts_live_entries_and_peeks_past_cancelled():
+    heap = _CompiledHeapQueue()
+    first, second, third = (_entry(t, s) for s, t in ((1, 1.0), (2, 2.0), (3, 3.0)))
+    for entry in (third, first, second):
+        heap.push(entry)
+    assert len(heap) == 3
+    heap.cancel(first)
+    heap.cancel(first)  # idempotent
+    assert len(heap) == 2
+    assert heap.peek_time() == 2.0
+    heap.cancel(second)
+    assert len(heap) == 1
+    assert heap.peek_time() == 3.0
+    assert heap.pop() is third
+    assert not heap
+    assert len(heap) == 0
+    assert heap.pop() is None
+    assert heap.peek_time() is None

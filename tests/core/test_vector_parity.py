@@ -24,7 +24,8 @@ numpy = pytest.importorskip("numpy")
 from repro.config import InertialPolicy, cdm_config, ddm_config
 from repro.core.batch import simulate_batch
 from repro.core.engine import simulate
-from repro.errors import SimulationError, SimulationLimitError
+from repro.core.vector import VectorSimulator
+from repro.errors import SimulationLimitError
 from repro.stimuli.patterns import random_vector_batch
 from repro.stimuli.vectors import (
     PAPER_SEQUENCE_1,
@@ -119,17 +120,17 @@ def test_peak_voltage_policy_parity():
 
 
 def test_sorted_list_queue_parity(mult4):
-    """sorted-list vector == heap reference on the paper workload."""
+    """vector == reference on the second paper workload (the name
+    predates the removal of the sorted list queue; the per-lane heaps
+    are the only queue now)."""
     stimulus = multiplication_sequence(PAPER_SEQUENCE_2)
-    heap_ref = simulate(
-        mult4, stimulus, config=ddm_config(), queue_kind="heap",
-        engine_kind="reference",
+    reference = simulate(
+        mult4, stimulus, config=ddm_config(), engine_kind="reference"
     )
-    sorted_vec = simulate(
-        mult4, stimulus, config=ddm_config(), queue_kind="sorted-list",
-        engine_kind="vector",
+    vector = simulate(
+        mult4, stimulus, config=ddm_config(), engine_kind="vector"
     )
-    assert_results_bit_identical(heap_ref, sorted_vec, mult4)
+    assert_results_bit_identical(reference, vector, mult4)
 
 
 # ----------------------------------------------------------------------
@@ -238,14 +239,17 @@ def test_lockstep_batch_honors_max_events(mult4):
 
 
 def test_vector_rejects_unknown_queue_kind(mult4):
-    with pytest.raises(SimulationError) as excinfo:
+    """The lockstep path takes no event-queue option any more."""
+    stimuli = [multiplication_sequence(PAPER_SEQUENCE_1)]
+    with pytest.raises(TypeError):
         simulate_batch(
-            mult4, [multiplication_sequence(PAPER_SEQUENCE_1)],
-            config=ddm_config(), engine_kind="vector",
-            queue_kind="fibonacci",
+            mult4, stimuli, config=ddm_config(), engine_kind="vector",
+            queue_kind="heap",
         )
-    assert "heap" in str(excinfo.value)
-    assert "sorted-list" in str(excinfo.value)
+    with pytest.raises(TypeError):
+        VectorSimulator.run_lockstep_batch(
+            mult4, stimuli, config=ddm_config(), queue_kind="heap"
+        )
 
 
 def test_vector_engine_reuse_across_stimuli(mult4):

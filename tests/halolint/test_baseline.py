@@ -1,19 +1,29 @@
-"""Baseline round trip: suppress, stay suppressed, un-suppress, fire."""
+"""No baseline: a finding gates until its code is fixed or its own line
+carries a reviewable ``# halolint: allow(...)``.
+
+There is no baseline file to grandfather findings into. These tests pin
+the round-trip properties a baseline used to have on the one
+suppression left, the per-line ``allow()`` directive: it silences only
+its own line and rule, it travels with that line, removing it makes the
+finding fire again, and a stray baseline file silences nothing.
+"""
 
 from __future__ import annotations
 
 import json
 
-import pytest
 from conftest import findings_for
 
-from tools.halolint import Baseline, run
-from tools.halolint.baseline import fingerprint
+from tools.halolint import run
 
 MOD = "src/repro/core/consumer.py"
 BAD = {MOD: """
     def tweak(compiled):
         compiled.arc_rise[3] = 0.5
+"""}
+ALLOWED = {MOD: """
+    def tweak(compiled):
+        compiled.arc_rise[3] = 0.5  # halolint: allow(HL001)
 """}
 
 
@@ -23,98 +33,82 @@ def test_round_trip_suppress_then_unsuppress(lint_tree, tmp_path):
     assert not first.ok
     assert first.exit_code() == 2
 
-    # 2. Grandfather it; the same tree now passes, finding accounted.
-    baseline_path = tmp_path / "baseline.json"
-    Baseline.from_findings(first.all_findings).save(baseline_path)
-    baseline = Baseline.load(baseline_path)
-    second = run(tmp_path, baseline=baseline)
+    # 2. Allow it on its line; the same tree now passes.
+    second = lint_tree(ALLOWED)
     assert second.ok
     assert second.exit_code() == 0
-    assert second.grandfathered == len(first.all_findings)
-    assert second.stale_baseline == []
 
-    # 3. Un-suppress (empty the baseline): it fires again, identically.
-    third = run(tmp_path, baseline=Baseline())
+    # 3. Drop the directive: it fires again, identically.
+    third = lint_tree(BAD)
     assert third.exit_code() == 2
     assert [f.message for f in third.report.findings] == [
         f.message for f in first.report.findings
     ]
 
 
-def test_fingerprint_survives_line_shifts(lint_tree, tmp_path):
-    first = lint_tree(BAD)
-    baseline = Baseline.from_findings(first.all_findings)
-
+def test_fingerprint_survives_line_shifts(lint_tree):
     shifted = {MOD: """
         # A comment pushing everything down.
 
 
         def tweak(compiled):
-            compiled.arc_rise[3] = 0.5
+            compiled.arc_rise[3] = 0.5  # halolint: allow(HL001)
     """}
-    second = lint_tree(shifted, baseline=baseline)
-    assert second.ok
-    assert second.grandfathered == 1
-
-
-def test_fixed_finding_reports_a_stale_entry(lint_tree, tmp_path):
-    first = lint_tree(BAD)
-    baseline = Baseline.from_findings(first.all_findings)
-
-    fixed = {MOD: """
-        def tweak(compiled):
-            return compiled
-    """}
-    second = lint_tree(fixed, baseline=baseline)
-    assert second.ok
-    assert second.grandfathered == 0
-    assert second.stale_baseline == [
-        fingerprint(first.all_findings[0])
-    ]
+    assert lint_tree(shifted).ok
 
 
 def test_baseline_only_swallows_its_own_fingerprints(lint_tree):
-    first = lint_tree(BAD)
-    baseline = Baseline.from_findings(first.all_findings)
-
     worse = {MOD: """
         def tweak(compiled):
-            compiled.arc_rise[3] = 0.5
+            compiled.arc_rise[3] = 0.5  # halolint: allow(HL001)
             compiled.arc_fall[3] = 0.5
     """}
-    second = lint_tree(worse, baseline=baseline)
-    assert second.exit_code() == 2
-    (fresh,) = findings_for(second, "HL001")
+    result = lint_tree(worse)
+    assert result.exit_code() == 2
+    (fresh,) = findings_for(result, "HL001")
     assert "arc_fall" in fresh.message
 
 
-def test_malformed_baseline_is_rejected(tmp_path):
-    path = tmp_path / "baseline.json"
-    path.write_text(json.dumps({"version": 99, "entries": []}))
-    with pytest.raises(ValueError, match="not a halolint baseline"):
-        Baseline.load(path)
+def test_malformed_baseline_is_rejected(lint_tree):
+    """A directive that is misspelt or names another rule silences
+    nothing."""
+    for comment in ("# halolint: allow HL001", "# halolint allow(HL001)",
+                    "# halolint: allow(HL005)", "# halolint: allow()"):
+        source = {MOD: """
+            def tweak(compiled):
+                compiled.arc_rise[3] = 0.5  %s
+        """ % comment}
+        result = lint_tree(source)
+        assert result.exit_code() == 2, comment
+        assert len(findings_for(result, "HL001")) == 1, comment
 
 
-def test_missing_baseline_is_empty(tmp_path):
-    assert Baseline.load(tmp_path / "nope.json").fingerprints == set()
+def test_missing_baseline_is_empty(lint_tree, tmp_path):
+    """A baseline file left in the tree is not read: its entry
+    grandfathers nothing."""
+    (finding,) = lint_tree(BAD).report.findings
+    stray = tmp_path / "tools" / "halolint" / "baseline.json"
+    stray.parent.mkdir(parents=True)
+    stray.write_text(json.dumps({"version": 1, "entries": [{
+        "rule": finding.rule, "file": finding.file,
+        "message": finding.message,
+    }]}))
+    result = run(tmp_path)
+    assert result.exit_code() == 2
+    assert [f.message for f in result.report.findings] == [finding.message]
 
 
 def test_each_entry_absorbs_one_finding(lint_tree):
-    # Two findings share one fingerprint (same rule, file and message);
-    # a one-entry baseline grandfathers one of them, not both.
+    # Two findings with the same rule, file and message; allowing one
+    # line leaves the other gating.
     twice = {MOD: """
         def tweak(compiled):
-            compiled.arc_rise[3] = 0.5
+            compiled.arc_rise[3] = 0.5  # halolint: allow(HL001)
 
         def tweak_again(compiled):
             compiled.arc_rise[3] = 0.5
     """}
-    first = lint_tree(BAD)
-    baseline = Baseline.from_findings(first.all_findings)
-    assert len(baseline.entries) == 1
-
-    second = lint_tree(twice, baseline=baseline)
-    assert second.exit_code() == 2
-    assert second.grandfathered == 1
-    assert len(findings_for(second, "HL001")) == 1
-    assert second.stale_baseline == []
+    result = lint_tree(twice)
+    assert result.exit_code() == 2
+    (fresh,) = findings_for(result, "HL001")
+    assert fresh.line == 6

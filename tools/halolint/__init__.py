@@ -10,14 +10,13 @@ public exception contract (HL005).
 It is stdlib-only (``ast`` + ``symtable``-level reasoning written by
 hand) and reports through the same :class:`repro.analysis.findings`
 model as the circuit checks, so ``python -m tools.halolint`` shares the
-exit-code contract of ``repro lint``: non-baseline errors → 2, clean
-(or fully grandfathered) → 0.
+exit-code contract of ``repro lint``: errors → 2, clean → 0.  Every
+finding gates; there is no baseline that could grandfather one.
 
 Layout::
 
     engine.py     project scanning (files, ASTs, comment annotations)
     registry.py   the rule registry (@rule) the doc drift guard reads
-    baseline.py   grandfathered-finding fingerprints
     cli.py        ``python -m tools.halolint`` front end
     rules/        one module per HL00x rule
 """
@@ -36,12 +35,10 @@ try:  # pragma: no cover - import side effect
 except ImportError:  # pragma: no cover
     sys.path.insert(0, str(_SRC))
 
-from .baseline import Baseline  # noqa: E402,F401
 from .engine import LintResult, Project, run  # noqa: E402,F401
 from .registry import RULES, Rule, rule  # noqa: E402,F401
 
 __all__ = [
-    "Baseline",
     "LintResult",
     "Project",
     "RULES",

@@ -1,24 +1,21 @@
 """Command-line front end: ``python -m tools.halolint``.
 
-Exit codes follow the shared finding contract: 0 when every finding is
-grandfathered (or there are none), 2 when fresh findings gate the run.
+Exit codes follow the shared finding contract: 0 when there are no
+findings (or only warnings), 2 when an error finding gates the run.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from .baseline import Baseline
 from .engine import LintResult, run
 from .registry import RULES, load_rules
 
 #: tools/halolint/cli.py → the repository root.
 REPO_ROOT = Path(__file__).resolve().parents[2]
-DEFAULT_BASELINE = Path(__file__).resolve().parent / "baseline.json"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -33,19 +30,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--root", type=Path, default=REPO_ROOT,
         help="project root for relative paths and doc lookups",
-    )
-    parser.add_argument(
-        "--baseline", type=Path, default=DEFAULT_BASELINE,
-        help="baseline file of grandfathered findings "
-        "(default: tools/halolint/baseline.json)",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore the baseline: every finding gates",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="grandfather all current findings into --baseline and exit 0",
     )
     parser.add_argument(
         "--disable", action="append", default=[], metavar="RULE",
@@ -70,13 +54,6 @@ def _print_human(result: LintResult) -> None:
         len(result.rules_run),
         len(result.report.findings),
     )
-    if result.grandfathered:
-        tail += ", %d grandfathered" % result.grandfathered
-    if result.stale_baseline:
-        tail += ", %d stale baseline entr%s (prune them)" % (
-            len(result.stale_baseline),
-            "y" if len(result.stale_baseline) == 1 else "ies",
-        )
     print(tail)
 
 
@@ -90,25 +67,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
 
     paths: Optional[List[Path]] = list(args.paths) or None
-    baseline = (
-        Baseline() if args.no_baseline or args.write_baseline
-        else Baseline.load(args.baseline)
-    )
-    result = run(
-        args.root, paths=paths, baseline=baseline, disabled=args.disable
-    )
-
-    if args.write_baseline:
-        Baseline.from_findings(result.all_findings).save(args.baseline)
-        print(
-            "wrote %d entr%s to %s" % (
-                len(result.all_findings),
-                "y" if len(result.all_findings) == 1 else "ies",
-                args.baseline,
-            ),
-            file=sys.stderr,
-        )
-        return 0
+    result = run(args.root, paths=paths, disabled=args.disable)
 
     if args.as_json:
         print(json.dumps(result.to_dict(), indent=2))

@@ -29,7 +29,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.analysis.findings import Finding, FindingReport, Severity
 
-from .baseline import Baseline
 from .registry import iter_rules
 
 _DIRECTIVE = re.compile(
@@ -160,18 +159,10 @@ class Project:
 
 @dataclasses.dataclass
 class LintResult:
-    """Everything one lint run produced.
-
-    ``report`` carries the *non-baseline* findings (the ones that gate);
-    ``grandfathered`` counts findings matched (and swallowed) by the
-    baseline; ``stale_baseline`` lists baseline fingerprints that no
-    longer match anything — a nudge to re-narrow the baseline.
-    """
+    """Everything one lint run produced; every finding in ``report``
+    gates the run."""
 
     report: FindingReport
-    all_findings: List[Finding]
-    grandfathered: int
-    stale_baseline: List[str]
     rules_run: List[str]
     files_scanned: int
 
@@ -184,8 +175,6 @@ class LintResult:
 
     def to_dict(self) -> Dict[str, object]:
         payload = self.report.to_dict()
-        payload["grandfathered"] = self.grandfathered
-        payload["stale_baseline"] = list(self.stale_baseline)
         payload["rules"] = list(self.rules_run)
         payload["files_scanned"] = self.files_scanned
         return payload
@@ -194,7 +183,6 @@ class LintResult:
 def run(
     root: Path,
     paths: Optional[Sequence[Path]] = None,
-    baseline: Optional[Baseline] = None,
     disabled: Iterable[str] = (),
 ) -> LintResult:
     """Scan ``paths`` under ``root`` and run every registered rule."""
@@ -215,14 +203,8 @@ def run(
                 continue
             findings.append(finding)
     findings.sort(key=lambda f: (f.file or "", f.line or 0, f.rule))
-    if baseline is None:
-        baseline = Baseline()
-    fresh, grandfathered, stale = baseline.split(findings)
     return LintResult(
-        report=FindingReport(findings=fresh),
-        all_findings=findings,
-        grandfathered=grandfathered,
-        stale_baseline=stale,
+        report=FindingReport(findings=findings),
         rules_run=rules_run,
         files_scanned=len(project.files),
     )
