@@ -9,7 +9,7 @@ because dynamic power is proportional to activity.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from ..core.stats import SimulationStatistics, overestimation_percent
 from ..core.trace import NetTrace, TraceSet
@@ -35,13 +35,6 @@ class ActivitySummary:
 
     total_transitions: int
     per_net: Dict[str, int]
-
-    def top_nets(self, count: int = 10) -> List[Tuple[str, int]]:
-        """The ``count`` most active nets as (name, toggles) pairs."""
-        return sorted(
-            self.per_net.items(), key=lambda item: (-item[1], item[0])
-        )[:count]
-
 
 def activity_summary(
     stats: Iterable[SimulationStatistics],

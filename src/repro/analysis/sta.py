@@ -275,7 +275,7 @@ def analyze(
             ``default_input_slew`` as a point interval.
         arc_slack: extra per-arc upper-bound slack in ns (engines whose
             batch contract holds events back declare this through
-            ``EngineBase.sta_time_slack``).
+            ``EngineBase.sta_batch_time_slack``).
         k_paths: how many critical launch-to-endpoint paths to extract.
 
     Raises:

@@ -179,6 +179,10 @@ class SimulationConfig:
         """
         if not isinstance(self.engine_kind, str) or not self.engine_kind:
             raise ConfigError("engine_kind must be a non-empty string")
+        if not isinstance(self.inertial_policy, InertialPolicy):
+            raise ConfigError(
+                "unknown inertial policy %r" % (self.inertial_policy,)
+            )
         # Imported lazily: repro.core.engine imports this module at
         # import time, so the registry can only be consulted at call
         # time (no cycle; the module is cached after the first call).

@@ -181,9 +181,10 @@ def run_chunk(
     Faulted stimuli (:mod:`repro.faults`) patch the shared lowering per
     vector, while a lockstep kernel runs all lanes over *one* lowering,
     so any fault in the chunk forces the per-vector loop (whose fault
-    hook injects/restores around each vector).  Results are yielded one
-    by one, so a caller catching an exception knows which vector raised
-    it.
+    hook injects/restores around each vector); on a lockstep backend
+    that loop runs on the compiled kernel the backend inherits.  Results
+    are yielded one by one, so a caller catching an exception knows
+    which vector raised it.
     """
     engine_cls = type(engine)
     if not engine_cls.lockstep_batches or any(

@@ -59,14 +59,16 @@ pending word events of one gate input coalesce within a small *batch
 hold* window (the netlist's mean base arc delay; zero at N = 1) that
 re-aligns staggered wavefronts so a wide batch stays word-parallel.  A
 single-direction word event (always the case at N = 1) performs exactly
-the compiled CDM engine's float operations in the same order, so the
-registered single-stimulus backend is bit-identical to
-``engine_kind="compiled"`` under ``cdm_config()`` — pinned by
-``tests/core/test_bitparallel_parity.py``.  Per-lane **logic values**
-are exact for every lane count: parity-tested bit for bit against the
-reference engine.  Waveform timing of multi-lane batches is
-approximate; use ``"vector"`` when per-lane analog timing matters and
-``"bitparallel"`` for two-valued activity / coverage workloads.
+the compiled CDM engine's float operations in the same order, so a
+one-lane batch is bit-identical to ``engine_kind="compiled"`` under
+``cdm_config()`` — pinned by ``tests/core/test_bitparallel_parity.py``.
+A single stimulus outside a batch (``simulate()``, faulted chunks) runs
+on the compiled kernel that :class:`BitParallelSimulator` inherits, in
+CDM mode whatever the config says.  Per-lane **logic values** are exact
+for every lane count: parity-tested bit for bit against the reference
+engine.  Waveform timing of multi-lane batches is approximate; use
+``"vector"`` when per-lane analog timing matters and ``"bitparallel"``
+for two-valued activity / coverage workloads.
 
 Per-lane statistics (events, filtered counts, per-net toggles) cost the
 hot path one list append of the event's lane mask; all per-lane
@@ -84,28 +86,20 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .. import config as _config_module
 from ..circuit.logic import evaluate as evaluate_function
-from ..circuit.netlist import Net, Netlist
-from ..config import InertialPolicy, SimulationConfig
-from ..errors import (
-    ConfigError,
-    SimulationError,
-    SimulationLimitError,
-    StimulusError,
-)
+from ..circuit.netlist import Netlist
+from ..config import DelayMode, InertialPolicy, SimulationConfig
+from ..errors import SimulationError, SimulationLimitError, StimulusError
 from .compiled import (
     _EXECUTED,
     _PENDING,
     E_STATE,
     E_TIME,
     CompiledNetlist,
+    CompiledSimulator,
     _CompiledHeapQueue,
 )
-from .engine import (
-    EngineBase,
-    FilteredEventRecord,
-    SimulationResult,
-    register_engine,
-)
+from .engine import SimulationResult, register_engine
+from .inertial import peak_voltage_time
 from .stats import SimulationStatistics
 from .trace import TraceSet
 from .transition import Transition
@@ -258,19 +252,6 @@ def _unpack_masks(masks: Sequence[int], lanes: int):
         axis=1,
         bitorder="little",
     )[:, :lanes]
-
-
-def _mask_lane_counts(masks: Sequence[int], lanes: int):
-    """Recorded masks -> per-lane counts, as an int64 numpy array."""
-    if not masks:
-        return _np.zeros(lanes, _np.int64)
-    return _unpack_masks(masks, lanes).sum(axis=0, dtype=_np.int64)
-
-
-def _lane_total(masks: Sequence[int], lane: int) -> int:
-    """One lane's count out of a recorded mask list (no numpy)."""
-    bit = 1 << lane
-    return sum(1 for mask in masks if mask & bit)
 
 
 def _multi_mask_lane_counts(mask_lists: Sequence[Sequence[int]],
@@ -553,37 +534,44 @@ class _LaneResult(SimulationResult):
 # the word kernel
 # ----------------------------------------------------------------------
 
+def _batch_hold(compiled: CompiledNetlist, lanes: int) -> float:
+    """The word-merge hold of a ``lanes``-wide batch: the lowering's
+    mean CDM base arc delay, zero for a single lane."""
+    if lanes <= 1 or not compiled.num_inputs:
+        return 0.0
+    return sum(
+        arc[0]
+        for arcs in (compiled.arc_rise, compiled.arc_fall)
+        for arc in arcs
+    ) / (2.0 * compiled.num_inputs)
+
+
 class _WordKernel:
     """One HALOTIS-CDM event kernel over N lane-packed stimuli.
 
     All dynamic logic state is lane words; the static tables come from
-    one frozen :meth:`CompiledNetlist.as_numpy` export.  The kernel is
-    driven from the outside through ``queue``/:meth:`execute` so the
-    registered single-stimulus engine (via :meth:`EngineBase.run`, which
-    passes in its own queue) and the lockstep batch driver share one hot
-    path.
+    one frozen :meth:`CompiledNetlist.as_numpy` export.  The lockstep
+    batch driver runs it through :meth:`run_until`, and word events
+    queue on the compiled engine's list-entry heap.
     """
 
     def __init__(self, compiled: CompiledNetlist, config: SimulationConfig,
-                 lanes: int, queue: Optional[_CompiledHeapQueue] = None):
+                 lanes: int):
         _require_numpy()
         export = compiled.as_numpy()
         self.compiled = compiled
         self.config = config
         self.lanes = lanes
         self.full_mask = (1 << lanes) - 1
-        self.queue = queue if queue is not None else _CompiledHeapQueue()
+        self.queue = _CompiledHeapQueue()
 
-        policy = config.inertial_policy
-        if policy not in (InertialPolicy.EVENT_ORDER,
-                          InertialPolicy.PEAK_VOLTAGE):
-            raise ConfigError("unknown inertial policy %r" % (policy,))
-        self._event_order = policy is InertialPolicy.EVENT_ORDER
+        self._event_order = (
+            config.inertial_policy is InertialPolicy.EVENT_ORDER
+        )
         self._min_delay = config.min_delay
         self._resolution = config.time_resolution
         self._max_events = config.max_events
         self._record_traces = config.record_traces
-        self._record_filtered = config.record_filtered
 
         # Static tables.  Plain-list mirrors of the export: the event
         # loop indexes with Python ints, where numpy scalar boxing
@@ -610,19 +598,12 @@ class _WordKernel:
         # different crossings; scheduling each word event one typical
         # base delay late lets those arrivals merge into the pending
         # word instead of opening fresh events, which is where the
-        # whole-batch event collapse comes from.  Zero at N = 1, so the
-        # single-stimulus backend stays bit-identical to compiled CDM;
+        # whole-batch event collapse comes from.  Zero at N = 1, so a
+        # one-lane batch stays bit-identical to compiled CDM;
         # for batches it is part of the CDM-grade timing contract
         # (logic values are unaffected: scheduled transitions per
         # (input, lane) alternate and the inertial rule removes pairs).
-        if lanes > 1 and compiled.num_inputs:
-            self._hold = sum(
-                arc[0]
-                for arcs in (compiled.arc_rise, compiled.arc_fall)
-                for arc in arcs
-            ) / (2.0 * compiled.num_inputs)
-        else:
-            self._hold = 0.0
+        self._hold = _batch_hold(compiled, lanes)
 
         # Truth tables -> word-op programs (memoised across kernels).
         table_offsets = export["gate_table_offsets"].tolist()
@@ -656,12 +637,8 @@ class _WordKernel:
         self.emitted_masks: List[int] = []
         self.source_masks: List[int] = []
         self.toggle_events: List[Tuple[int, int]] = []
-        self.toggles_dirty = False
-        self._toggle_counts = None
         #: per lane: list of NetTrace indexed by net id (None = off).
         self.trace_lists: List[Optional[list]] = [None] * lanes
-        #: per lane: destination for FilteredEventRecords (None = off).
-        self.filtered_logs: List[Optional[list]] = [None] * lanes
 
     # -- lifecycle -----------------------------------------------------
 
@@ -732,8 +709,6 @@ class _WordKernel:
         self.source_masks = []
         #: flat (net_index, change_mask) toggle log, grouped at the end.
         self.toggle_events: List[Tuple[int, int]] = []
-        self.toggles_dirty = False
-        self._toggle_counts = None
 
     # -- the hot path --------------------------------------------------
 
@@ -819,7 +794,6 @@ class _WordKernel:
 
         self.emitted_masks.append(change)
         self.toggle_events.append((out_net, change))
-        self.toggles_dirty = True
         if self._record_traces:
             trace_lists = self.trace_lists
             net_name = self.compiled.net_names[out_net]
@@ -884,9 +858,10 @@ class _WordKernel:
                         or previous_rising == previous[W_MASK]
                     )
                     if single and previous_single:
-                        decided = self._peak_voltage_time(
-                            crossing, previous, t50, duration, rising,
-                            fraction,
+                        decided = peak_voltage_time(
+                            crossing, previous[W_TIME], previous_rising != 0,
+                            previous[W_T50], previous[W_DUR], t50,
+                            duration, rising, fraction, resolution,
                         )
                         annihilate = decided is None
                         event_time = crossing if decided is None else decided
@@ -904,11 +879,6 @@ class _WordKernel:
                             queue.cancel(previous)
                             stack.pop()
                         self.filtered_masks.append(overlap)
-                        if self._record_filtered:
-                            self._log_filtered(
-                                overlap, uid, net_index, now,
-                                previous[W_TIME], crossing,
-                            )
                         new_mask &= ~overlap
                         new_rising &= ~overlap
                         if new_mask == 0:
@@ -952,57 +922,6 @@ class _WordKernel:
             self.scheduled_masks.append(new_mask)
         self.seq = seq
 
-    def _peak_voltage_time(
-        self,
-        crossing: float,
-        previous: list,
-        t50: float,
-        duration: float,
-        rising: bool,
-        fraction: float,
-    ) -> Optional[float]:
-        """Scalar PEAK_VOLTAGE rule (compiled backend's, verbatim);
-        None means annihilate.  Only reached when both word events are
-        single-direction."""
-        leading_rising = previous[W_RISING] != 0
-        if leading_rising == rising:
-            if crossing <= previous[W_TIME] + self._resolution:
-                return None
-            return crossing
-        leading_duration = previous[W_DUR]
-        if leading_duration <= 0.0:  # pragma: no cover - durations > 0
-            peak = 1.0
-        else:
-            progress = (
-                (t50 - 0.5 * duration)
-                - (previous[W_T50] - 0.5 * leading_duration)
-            ) / leading_duration
-            peak = min(1.0, max(0.0, progress))
-        threshold_progress = fraction if leading_rising else 1.0 - fraction
-        if peak <= threshold_progress:
-            return None
-        corrected = crossing - (1.0 - peak) * duration
-        return max(corrected, previous[W_TIME] + self._resolution)
-
-    def _log_filtered(self, overlap: int, uid: int, net_index: int,
-                      now: float, previous_time: float,
-                      new_time: float) -> None:
-        compiled = self.compiled
-        gate_name = compiled.gate_names[compiled.input_gate[uid]]
-        pin_index = compiled.input_pin[uid]
-        net_name = compiled.net_names[net_index]
-        for lane in _iter_lanes(overlap):
-            log = self.filtered_logs[lane]
-            if log is not None:
-                log.append(FilteredEventRecord(
-                    time_now=now,
-                    gate_name=gate_name,
-                    pin_index=pin_index,
-                    net_name=net_name,
-                    previous_event_time=previous_time,
-                    new_event_time=new_time,
-                ))
-
     def run_until(self, until: Optional[float]) -> None:
         """Pop and execute word events up to and including ``until``."""
         queue = self.queue
@@ -1021,71 +940,6 @@ class _WordKernel:
 
     # -- per-lane extraction -------------------------------------------
 
-    def toggle_matrix(self):
-        """Per-net per-lane toggle counts, ``(num_nets, lanes)`` int64.
-
-        Aggregates the flat ``toggle_events`` log in a few numpy ops
-        (unpack every change mask, scatter-add onto the net axis);
-        cached until the next recorded toggle.
-        """
-        if self._toggle_counts is not None and not self.toggles_dirty:
-            return self._toggle_counts
-        counts = _toggle_count_matrix(
-            self.toggle_events, self.num_nets, self.lanes
-        )
-        self._toggle_counts = counts
-        self.toggles_dirty = False
-        return counts
-
-    def lane_stats(self, lane: int) -> SimulationStatistics:
-        """One lane's counters totalled from the recorded mask lists."""
-        stats = SimulationStatistics()
-        stats.events_executed = _lane_total(self.executed_masks, lane)
-        stats.events_scheduled = _lane_total(self.scheduled_masks, lane)
-        stats.events_filtered = _lane_total(self.filtered_masks, lane)
-        stats.late_events = _lane_total(self.late_masks, lane)
-        stats.transitions_emitted = _lane_total(self.emitted_masks, lane)
-        stats.source_transitions = _lane_total(self.source_masks, lane)
-        bit = 1 << lane
-        names = self.compiled.net_names
-        toggles: Dict[str, int] = {}
-        for index, mask in self.toggle_events:
-            if mask & bit:
-                name = names[index]
-                toggles[name] = toggles.get(name, 0) + 1
-        stats.net_toggles = toggles
-        return stats
-
-    def all_lane_toggles(self) -> List[Dict[str, int]]:
-        """Per-lane ``net_toggles`` dicts for every lane at once.
-
-        The vectorised twin of N :meth:`lane_stats` calls, built from
-        one :meth:`toggle_matrix` pass.
-        """
-        return _per_lane_toggle_dicts(
-            self.toggle_matrix(), self.compiled.net_names, self.lanes
-        )
-
-    def lane_counts(self, masks: Sequence[int]):
-        """All lanes' counts of one recorded mask list (int64 array)."""
-        return _mask_lane_counts(masks, self.lanes)
-
-    def lane_value(self, lane: int, net_index: int) -> int:
-        return (self.net_val[net_index] >> lane) & 1
-
-    def lane_final_values(self, lane: int) -> Dict[str, int]:
-        names = self.compiled.net_names
-        return {
-            name: (self.net_val[index] >> lane) & 1
-            for index, name in enumerate(names)
-        }
-
-    def all_lane_final_values(self) -> List[Dict[str, int]]:
-        """Every lane's final net values in one unpack pass."""
-        names = self.compiled.net_names
-        columns = _unpack_masks(self.net_val, self.lanes).T.tolist()
-        return [dict(zip(names, column)) for column in columns]
-
     # -- packed exports ------------------------------------------------
 
     def word_op_counts(self) -> Dict[str, int]:
@@ -1102,7 +956,9 @@ class _WordKernel:
         popcounts the words instead of walking unpacked traces.
         """
         names = self.compiled.net_names
-        matrix = self.toggle_matrix()
+        matrix = _toggle_count_matrix(
+            self.toggle_events, self.num_nets, self.lanes
+        )
         packed: Dict[str, List[object]] = {}
         for index in _np.flatnonzero(matrix.any(axis=1)).tolist():
             packed[names[index]] = _counts_to_planes(matrix[index])
@@ -1272,7 +1128,6 @@ class _WordLockstepDriver:
                 kernel.net_val[index] ^= bit
                 kernel.source_masks.append(bit)
                 kernel.toggle_events.append((index, bit))
-                kernel.toggles_dirty = True
                 traces = kernel.trace_lists[lane]
                 if traces is not None:
                     traces[index].append(Transition(
@@ -1299,31 +1154,30 @@ class _WordLockstepDriver:
 # ----------------------------------------------------------------------
 
 @register_engine("bitparallel")
-class BitParallelSimulator(EngineBase):
-    """The word-level lane-packed kernel behind the engine protocol.
+class BitParallelSimulator(CompiledSimulator):
+    """The word-level lane-packed kernel's registered engine.
 
-    As a registered backend this class simulates one stimulus at a time
-    (a one-lane kernel, where the word timing contract degenerates to
-    exact compiled-CDM behaviour), so it slots into everything that
-    consumes ``ENGINE_KINDS`` — ``simulate()``, service workers, the
-    network server, the CLI.  Its reason to exist is the **lockstep
-    batch** class method used by :func:`repro.core.batch.simulate_batch`,
-    which packs all N vectors of a batch into lane words and advances
-    them through one word-event kernel; per-lane logic values are
+    A single stimulus runs on the inherited compiled kernel in CDM mode
+    (``config.with_mode(DelayMode.CDM)``: the tier this backend
+    declares), so this class slots into everything that consumes
+    ``ENGINE_KINDS`` — ``simulate()``, service workers, the network
+    server, the CLI.  Its reason to exist is the **lockstep batch**
+    class method used by :func:`repro.core.batch.simulate_batch`, which
+    packs all N vectors of a batch into lane words and advances them
+    through one word-event kernel; per-lane logic values are
     bit-identical to the reference backend (timing is CDM-grade — see
     the module docstring for the declared accuracy tier).
 
     Args:
         netlist: the circuit; lowered on construction unless a
             pre-lowered ``compiled`` is supplied.
-        config: engine knobs (the default is HALOTIS-DDM; note the
-            degradation model is out of this backend's tier — delays
-            follow the CDM arcs either way).
+        config: engine knobs (the default is HALOTIS-DDM; the engine
+            runs a CDM copy of it, since degradation is out of this
+            backend's tier).
         compiled: optional pre-built :class:`CompiledNetlist` (must wrap
             ``netlist``); lets many simulators share one lowering.
     """
 
-    lowers_netlist = True
     lockstep_batches = True
     cli_blurb = (
         "packs whole batches into lane words, logic-exact with "
@@ -1336,18 +1190,12 @@ class BitParallelSimulator(EngineBase):
         config: Optional[SimulationConfig] = None,
         compiled: Optional[CompiledNetlist] = None,
     ):
-        self.ensure_available()
-        if compiled is not None and compiled.netlist is not netlist:
-            raise SimulationError(
-                "compiled netlist does not wrap the given netlist"
-            )
-        self._cn = compiled if compiled is not None else netlist.compile()
-        self._kernel: Optional[_WordKernel] = None
-        super().__init__(netlist, config=config)
-        policy = self.config.inertial_policy
-        if policy not in (InertialPolicy.EVENT_ORDER,
-                          InertialPolicy.PEAK_VOLTAGE):
-            raise ConfigError("unknown inertial policy %r" % (policy,))
+        if config is None:
+            config = SimulationConfig()
+        super().__init__(
+            netlist, config=config.with_mode(DelayMode.CDM),
+            compiled=compiled,
+        )
 
     @classmethod
     def ensure_available(cls) -> None:
@@ -1379,12 +1227,6 @@ class BitParallelSimulator(EngineBase):
         driver = _WordLockstepDriver(netlist, kernel, stimuli, settle, seed)
         return driver.run()
 
-    def sta_time_slack(self) -> float:
-        """Oracle slack: the single-stimulus engine runs with a 1-lane
-        kernel whose batch hold is zero, so no allowance is needed."""
-        kernel = self._kernel
-        return kernel._hold if kernel is not None else 0.0
-
     @classmethod
     def sta_batch_time_slack(cls, netlist: Netlist, lanes: int) -> float:
         """Oracle slack for a lockstep batch: the word-merge hold.
@@ -1394,139 +1236,4 @@ class BitParallelSimulator(EngineBase):
         per level, so the STA oracle widens every arc's upper bound by
         the same amount.
         """
-        if lanes <= 1:
-            return 0.0
-        compiled = netlist.compile()
-        if not compiled.num_inputs:
-            return 0.0
-        return sum(
-            arc[0]
-            for arcs in (compiled.arc_rise, compiled.arc_fall)
-            for arc in arcs
-        ) / (2.0 * compiled.num_inputs)
-
-    @property
-    def compiled_netlist(self) -> CompiledNetlist:
-        return self._cn
-
-    @property
-    def kernel(self) -> Optional[_WordKernel]:
-        """The underlying word kernel (None before ``initialize()``)."""
-        return self._kernel
-
-    def rebind_lowering(self) -> None:
-        """Drop the cached kernel: it reads the ``as_numpy()`` export
-        (and memoises its word program content-keyed) at construction,
-        so a patched lowering needs a fresh kernel on next
-        ``initialize()``."""
-        self._kernel = None
-
-    def _new_queue(self):
-        # The kernel drives this same queue object.
-        return _CompiledHeapQueue()
-
-    # -- lifecycle hooks -----------------------------------------------
-
-    def _build_state(
-        self,
-        input_values: Dict[str, int],
-        seed: Optional[Dict[str, int]],
-    ) -> None:
-        dc = self._cn.dc_values(input_values, seed)
-        if self._kernel is None:
-            self._kernel = _WordKernel(
-                self._cn, self.config, 1, queue=self.queue
-            )
-        self._kernel.reset(dc)  # one lane: each 0/1 value is its lane word
-
-    def _after_initialize(self) -> None:
-        kernel = self._kernel
-        kernel.now = self.now
-        kernel.filtered_logs[0] = self.filtered_log
-        if self.config.record_traces:
-            kernel.trace_lists[0] = [
-                self.traces[name] for name in self._cn.net_names
-            ]
-        else:
-            kernel.trace_lists[0] = None
-
-    # -- stimulus hooks ------------------------------------------------
-
-    def _pi_value(self, net: Net) -> int:
-        return self._kernel.net_val[net.index] & 1
-
-    def _commit_pi_value(self, net: Net, value: int) -> None:
-        kernel = self._kernel
-        kernel.net_val[net.index] = (
-            (kernel.net_val[net.index] & ~1) | value
-        )
-
-    def _count_toggle(self, net: Net) -> None:
-        kernel = self._kernel
-        kernel.toggle_events.append((net.index, 1))
-        kernel.toggles_dirty = True
-
-    def _broadcast_transition(self, transition: Transition, net: Net) -> None:
-        kernel = self._kernel
-        kernel.now = self.now
-        kernel.broadcast(
-            net.index, 1, 1 if transition.rising else 0,
-            transition.t50, transition.duration,
-        )
-
-    # -- the event loop ------------------------------------------------
-
-    def _execute(self, entry: list) -> None:
-        kernel = self._kernel
-        kernel.execute(entry)
-        self.now = kernel.now
-
-    def _wave_counters(self):
-        kernel = self._kernel
-        if kernel is None:
-            return None
-        return (
-            kernel.word_events_executed,
-            _mask_popcount(kernel.executed_masks),
-        )
-
-    def _after_run(self) -> None:
-        # Mirror lane 0 of the kernel's counters into the result-facing
-        # SimulationStatistics (source_transitions is maintained by
-        # EngineBase.set_input and stays untouched; the degradation
-        # counters stay 0 — this tier never degrades).
-        kernel = self._kernel
-        stats = self.stats
-        stats.events_executed = _lane_total(kernel.executed_masks, 0)
-        stats.events_scheduled = _lane_total(kernel.scheduled_masks, 0)
-        stats.events_filtered = _lane_total(kernel.filtered_masks, 0)
-        stats.late_events = _lane_total(kernel.late_masks, 0)
-        stats.transitions_emitted = _lane_total(kernel.emitted_masks, 0)
-        names = self._cn.net_names
-        toggles: Dict[str, int] = {}
-        for index, mask in kernel.toggle_events:
-            if mask & 1:
-                name = names[index]
-                toggles[name] = toggles.get(name, 0) + 1
-        stats.net_toggles = toggles
-
-    # -- inspection ----------------------------------------------------
-
-    def value(self, net_name: str) -> int:
-        """Committed logic value of a net at the current time."""
-        self._require_ready()
-        net = self.netlist.net(net_name)
-        index = net.index
-        constant = self._cn.net_constant[index]
-        if constant is not None:
-            return constant
-        if self._cn.net_is_pi[index]:
-            return self._kernel.net_val[index] & 1
-        if self._cn.net_driver[index] < 0:
-            raise SimulationError("net %r has no driver" % net_name)
-        return self._kernel.net_val[index] & 1
-
-    def values(self) -> Dict[str, int]:
-        """Committed logic values of every net (``netlist.nets`` order)."""
-        self._require_ready()
-        return self._cn.named_values([word & 1 for word in self._kernel.net_val])
+        return _batch_hold(netlist.compile(), lanes)

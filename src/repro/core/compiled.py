@@ -50,7 +50,6 @@ from ..circuit.logic import (
 from ..circuit.netlist import Net, Netlist
 from ..config import DelayMode, InertialPolicy, SimulationConfig
 from ..errors import (
-    ConfigError,
     InitializationError,
     SimulationError,
     SimulationLimitError,
@@ -58,6 +57,7 @@ from ..errors import (
     WaveformError,
 )
 from .engine import EngineBase, FilteredEventRecord, register_engine
+from .inertial import peak_voltage_time
 from .trace import Row
 from .transition import Transition
 
@@ -814,10 +814,9 @@ class CompiledSimulator(EngineBase):
             )
         self._cn = compiled if compiled is not None else netlist.compile()
         super().__init__(netlist, config=config)
-        policy = self.config.inertial_policy
-        if policy not in (InertialPolicy.EVENT_ORDER, InertialPolicy.PEAK_VOLTAGE):
-            raise ConfigError("unknown inertial policy %r" % (policy,))
-        self._event_order = policy is InertialPolicy.EVENT_ORDER
+        self._event_order = (
+            self.config.inertial_policy is InertialPolicy.EVENT_ORDER
+        )
         self._use_ddm = self.config.delay_mode is DelayMode.DDM
         self._min_delay = self.config.min_delay
         self._resolution = self.config.time_resolution
@@ -1046,8 +1045,10 @@ class CompiledSimulator(EngineBase):
                     else:
                         event_time = crossing
                 else:
-                    event_time = self._peak_voltage_time(
-                        crossing, previous, t50, duration, rising, fraction
+                    event_time = peak_voltage_time(
+                        crossing, previous[E_TIME], previous[E_RISING],
+                        previous[E_T50], previous[E_DUR], t50, duration,
+                        rising, fraction, resolution,
                     )
                 if event_time is None:
                     queue.cancel(previous)
@@ -1083,42 +1084,6 @@ class CompiledSimulator(EngineBase):
             stack.append(entry)
             stats.events_scheduled += 1
         self._seq = seq
-
-    def _peak_voltage_time(
-        self,
-        crossing: float,
-        previous: list,
-        t50: float,
-        duration: float,
-        rising: bool,
-        fraction: float,
-    ) -> Optional[float]:
-        """Scalar PEAK_VOLTAGE rule; None means annihilate.
-
-        Mirrors :func:`repro.core.inertial._decide_peak` over the raw
-        ramp parameters carried by the previous entry.
-        """
-        leading_rising = previous[E_RISING]
-        if leading_rising == rising:
-            # Same-direction transitions cannot bound a pulse; fall back
-            # to the event-order rule.
-            if crossing <= previous[E_TIME] + self._resolution:
-                return None
-            return crossing
-        leading_duration = previous[E_DUR]
-        if leading_duration <= 0.0:  # pragma: no cover - durations are > 0
-            peak = 1.0
-        else:
-            progress = (
-                (t50 - 0.5 * duration)
-                - (previous[E_T50] - 0.5 * leading_duration)
-            ) / leading_duration
-            peak = min(1.0, max(0.0, progress))
-        threshold_progress = fraction if leading_rising else 1.0 - fraction
-        if peak <= threshold_progress:
-            return None
-        corrected = crossing - (1.0 - peak) * duration
-        return max(corrected, previous[E_TIME] + self._resolution)
 
     # ------------------------------------------------------------------
     # inspection

@@ -18,24 +18,29 @@ Primary-input stimuli enter through exactly the same broadcast path, so a
 runt pulse applied at a primary input is filtered per-input like any
 internally generated glitch.
 
-Two interchangeable *backends* implement this algorithm (see
-``ENGINE_KINDS``):
+Two kernels implement this algorithm, both on :class:`EngineBase`
+(lifecycle, stimulus, inspection and the :func:`simulate` facade):
 
 * ``"reference"`` — :class:`HalotisSimulator`, the readable object-graph
   kernel below, walking ``Netlist``/``Gate``/``GateInput`` objects;
 * ``"compiled"`` — :class:`repro.core.compiled.CompiledSimulator`, an
-  array-lowered kernel whose hot path touches only integers and floats;
+  array-lowered kernel whose hot path touches only integers and floats.
+
+Two more registered kinds (see ``ENGINE_KINDS``) subclass the compiled
+engine and add a lockstep batch kernel (see ``lockstep_batches``); a
+single stimulus runs on the compiled kernel:
+
 * ``"vector"`` — :class:`repro.core.vector.VectorSimulator`, a numpy
   N-lane kernel that advances whole batches in lockstep (requires
-  numpy; see ``lockstep_batches``);
+  numpy);
 * ``"bitparallel"`` — :class:`repro.core.bitparallel.BitParallelSimulator`,
   a word-level kernel packing one stimulus per *bit* of a lane word
-  (requires numpy; logic-exact with CDM-grade timing — see
-  ``docs/architecture.md`` for the declared accuracy tiers).
+  (requires numpy; logic-exact with CDM-grade timing, and CDM for
+  single stimuli — see ``docs/architecture.md`` for the declared
+  accuracy tiers).
 
-All backends share :class:`EngineBase` (lifecycle, stimulus, inspection
-and the :func:`simulate` facade).  The first three are property-tested
-to produce bit-identical traces and statistics; ``"bitparallel"`` is
+The two kernels and the vector lanes are property-tested to produce
+bit-identical traces and statistics; bit-parallel lanes are
 property-tested to produce bit-identical per-lane logic values.
 """
 
@@ -190,17 +195,6 @@ class EngineBase(abc.ABC):
         time with an actionable message, never mid-simulation.
         """
 
-    def sta_time_slack(self) -> float:
-        """Per-arc upper-bound slack, in ns, the STA oracle must grant
-        this engine instance (default: none).
-
-        Backends whose scheduling contract can legitimately hold an
-        event back beyond the nominal arc delay (the bit-parallel
-        word-merge hold) report that per-level allowance here so
-        ``check_sta_bounds`` stays a zero-false-positive sanitizer.
-        """
-        return 0.0
-
     @classmethod
     def sta_batch_time_slack(cls, netlist: Netlist, lanes: int) -> float:
         """Per-arc oracle slack for a ``run_lockstep_batch`` of
@@ -211,19 +205,6 @@ class EngineBase(abc.ABC):
         the verification of those results needs.
         """
         return 0.0
-
-    def rebind_lowering(self) -> None:
-        """Drop any backend state derived from the cached lowering
-        (default: nothing to drop).
-
-        The fault-injection layer (:mod:`repro.faults.inject`) patches
-        the shared :class:`~repro.core.compiled.CompiledNetlist` tables
-        in place and calls this before the next ``initialize()`` so
-        backends that snapshot the lowering at kernel-construction time
-        (vector, bitparallel) rebuild from the patched arrays.  The
-        reference and compiled engines read cells/tables live per event
-        and need no action.
-        """
 
     def __init__(
         self,
@@ -280,17 +261,6 @@ class EngineBase(abc.ABC):
 
     def _after_run(self) -> None:
         """Backend hook invoked after every ``run()``/``step()``."""
-
-    def _wave_counters(self) -> Optional[Tuple[int, int]]:
-        """``(waves, lanes)`` executed since the last ``initialize()``
-        by a lockstep kernel (None for scalar backends).
-
-        A *wave* is one vectorised execution step; *lanes* counts the
-        per-lane events it carried.  Read once per run by the metrics
-        publication in :func:`run_stimulus` — backends keep these as
-        plain ints so the hot path never touches a metric object.
-        """
-        return None
 
     # -- lifecycle -----------------------------------------------------
 
@@ -879,8 +849,7 @@ def run_stimulus(
         wall = timer.elapsed()
         publish_engine_metrics(
             simulator.kind, counts, runs=1, run_seconds=wall,
-            phases=phases, waves=simulator._wave_counters(),
-            registry=registry,
+            phases=phases, registry=registry,
         )
         result.metrics = {
             "engine": simulator.kind,
@@ -897,11 +866,7 @@ def run_stimulus(
         from ..analysis.sta import verify_result
 
         verify_result(
-            simulator.netlist,
-            stimulus,
-            result,
-            simulator.config,
-            arc_slack=simulator.sta_time_slack(),
+            simulator.netlist, stimulus, result, simulator.config
         )
     return result
 

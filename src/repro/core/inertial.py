@@ -21,6 +21,7 @@ Two policies are provided:
 from __future__ import annotations
 
 import dataclasses
+from typing import Optional
 
 from ..config import InertialPolicy
 from ..errors import ConfigError
@@ -109,3 +110,45 @@ def _decide_peak(
     corrected = new_time - (1.0 - peak_progress) * transition.duration
     corrected = max(corrected, previous.time + resolution)
     return InertialDecision(annihilate=False, event_time=corrected)
+
+
+def peak_voltage_time(
+    crossing: float,
+    previous_time: float,
+    leading_rising: bool,
+    leading_t50: float,
+    leading_duration: float,
+    t50: float,
+    duration: float,
+    rising: bool,
+    fraction: float,
+    resolution: float,
+) -> Optional[float]:
+    """The PEAK_VOLTAGE rule over raw ramp parameters; None means
+    annihilate, otherwise the (corrected) time of the new event.
+
+    The array kernels (compiled, vector, bit-parallel) call this with
+    the fields of their own pending entry: its event time and its ramp
+    (``leading_*``).  It performs :func:`_decide_peak`'s float
+    operations in the same order, so every kernel stays bit-identical
+    to the reference engine, which keeps :func:`_decide_peak` as the
+    independent oracle.
+    """
+    if leading_rising == rising:
+        # Same-direction transitions cannot bound a pulse; fall back to
+        # the event-order rule.
+        if crossing <= previous_time + resolution:
+            return None
+        return crossing
+    if leading_duration <= 0.0:  # pragma: no cover - durations are > 0
+        peak = 1.0
+    else:
+        progress = (
+            (t50 - 0.5 * duration) - (leading_t50 - 0.5 * leading_duration)
+        ) / leading_duration
+        peak = min(1.0, max(0.0, progress))
+    threshold_progress = fraction if leading_rising else 1.0 - fraction
+    if peak <= threshold_progress:
+        return None
+    corrected = crossing - (1.0 - peak) * duration
+    return max(corrected, previous_time + resolution)

@@ -35,18 +35,16 @@ kernels — numpy float64 arithmetic is bit-identical to CPython's for
 the last ulp on some inputs.  Masked lanes simply skip work; they
 never change another lane's arithmetic.
 
-Two front doors:
-
-* ``engine_kind="vector"`` on :func:`repro.core.engine.simulate` (and
-  everywhere else ``ENGINE_KINDS`` reaches — service workers, the
-  server registry, the CLI): :class:`VectorSimulator`, the standard
-  single-stimulus :class:`EngineBase` protocol driving a one-lane
-  kernel.  Correct everywhere, but the numpy dispatch overhead per
-  single-event wave makes it *slower* than ``"compiled"`` at N=1.
-* ``simulate_batch(..., engine_kind="vector")``: the lockstep fast
-  path (:meth:`VectorSimulator.run_lockstep_batch`) — all N vectors in
-  one kernel, which is where the throughput lives
-  (``benchmarks/test_vector_speedup.py``).
+The kernel has one front door, ``simulate_batch(...,
+engine_kind="vector")``: the lockstep fast path
+(:meth:`VectorSimulator.run_lockstep_batch`) runs all N vectors in one
+kernel, which is where the throughput lives
+(``benchmarks/test_vector_speedup.py``).  Everything else that reaches
+``ENGINE_KINDS`` with ``"vector"`` — :func:`repro.core.engine.simulate`,
+faulted chunks, the CLI — runs one stimulus at a time, and
+:class:`VectorSimulator` does that on the compiled kernel it inherits:
+with one lane there is nothing to amortise, and the results are the
+same bits.
 """
 
 from __future__ import annotations
@@ -57,22 +55,13 @@ from math import exp as _exp, inf as _inf
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..circuit.logic import evaluate as evaluate_function
-from ..circuit.netlist import Net, Netlist
+from ..circuit.netlist import Netlist
 from .. import config as _config_module
 from ..config import DelayMode, InertialPolicy, SimulationConfig
-from ..errors import (
-    ConfigError,
-    SimulationError,
-    SimulationLimitError,
-    StimulusError,
-)
-from .compiled import CompiledNetlist
-from .engine import (
-    EngineBase,
-    FilteredEventRecord,
-    SimulationResult,
-    register_engine,
-)
+from ..errors import SimulationError, SimulationLimitError, StimulusError
+from .compiled import CompiledNetlist, CompiledSimulator
+from .engine import SimulationResult, register_engine
+from .inertial import peak_voltage_time
 from .stats import SimulationStatistics
 from .trace import TraceSet
 from .transition import Transition
@@ -87,8 +76,8 @@ _PENDING, _CANCELLED, _EXECUTED = 0, 1, 2
 
 #: Waves at or below this many active lanes run the scalar per-event
 #: path: numpy dispatch costs ~60 µs per wave regardless of width, so
-#: thin waves (the single-lane engine wrapper, lockstep tail drains)
-#: are cheaper event by event.  Both paths perform the identical IEEE
+#: thin waves (narrow batches, lockstep tail drains) are cheaper event
+#: by event.  Both paths perform the identical IEEE
 #: operation sequence and are pinned against each other by the parity
 #: suites.
 _SCALAR_WAVE_CUTOFF = 8
@@ -151,9 +140,8 @@ class _VectorKernel:
     All dynamic state is ``(lanes, …)``-shaped numpy; the static
     circuit tables come from one :meth:`CompiledNetlist.as_numpy`
     export (read-only, shared).  The kernel itself is driven from the
-    outside — :meth:`pop_runnable` + :meth:`execute_wave` — so the
-    single-lane engine wrapper and the lockstep batch driver share one
-    hot path.
+    outside, by the lockstep batch driver, through :meth:`pop_runnable`
+    and :meth:`execute_wave`.
     """
 
     def __init__(self, compiled: CompiledNetlist, config: SimulationConfig,
@@ -163,17 +151,14 @@ class _VectorKernel:
         self.compiled = compiled
         self.config = config
         self.lanes = lanes
-        policy = config.inertial_policy
-        if policy not in (InertialPolicy.EVENT_ORDER,
-                          InertialPolicy.PEAK_VOLTAGE):
-            raise ConfigError("unknown inertial policy %r" % (policy,))
-        self._event_order = policy is InertialPolicy.EVENT_ORDER
+        self._event_order = (
+            config.inertial_policy is InertialPolicy.EVENT_ORDER
+        )
         self._use_ddm = config.delay_mode is DelayMode.DDM
         self._min_delay = config.min_delay
         self._resolution = config.time_resolution
         self._max_events = config.max_events
         self._record_traces = config.record_traces
-        self._record_filtered = config.record_filtered
 
         # Static tables (all read-only, straight from the export).
         self.vt_fraction = x["vt_fraction"]
@@ -192,9 +177,6 @@ class _VectorKernel:
         # (2, num_inputs, 6): arc_stack[edge, uid] with edge 1 = rising,
         # so one gather replaces a two-sided where() in the hot path.
         self.arc_stack = _np.stack([self.arc_fall, self.arc_rise])
-        self.net_is_pi = x["net_is_pi"]
-        self.net_constant = x["net_constant"]
-        self.net_driver = x["net_driver"]
         self.gate_has_table = (
             self.gate_table_offsets[1:] > self.gate_table_offsets[:-1]
         )
@@ -251,15 +233,12 @@ class _VectorKernel:
         self.top_eid_flat = self.top_eid.reshape(-1)
         self.pool = _EventPool()
         self.heaps: List[list] = [[] for _ in range(lanes)]
-        self.toggles_dirty = False
         # Observability: plain ints bumped once per wave (two adds; the
         # registry is only touched after the run — docs/observability.md).
         self.waves_executed = 0
         self.lanes_executed = 0
         #: per lane: NetTrace list indexed by net id (None = not recording).
         self.trace_lists: List[Optional[list]] = [None] * lanes
-        #: per lane: destination for FilteredEventRecords.
-        self.filtered_logs: List[list] = [[] for _ in range(lanes)]
 
     # -- lifecycle -----------------------------------------------------
 
@@ -328,7 +307,6 @@ class _VectorKernel:
         self.pool.reset()
         for heap in self.heaps:
             heap.clear()
-        self.toggles_dirty = False
         self.waves_executed = 0
         self.lanes_executed = 0
 
@@ -349,20 +327,6 @@ class _VectorKernel:
             heappop(heap)
             return entry[2]
         return -1
-
-    def peek_time(self, lane: int) -> Optional[float]:
-        heap = self.heaps[lane]
-        state = self.pool.state
-        while heap:
-            entry = heap[0]
-            if state[entry[2]] != _PENDING:
-                heappop(heap)
-                continue
-            return entry[0]
-        return None
-
-    def clear_lane(self, lane: int) -> None:
-        self.heaps[lane].clear()
 
     # -- the hot path --------------------------------------------------
 
@@ -494,7 +458,6 @@ class _VectorKernel:
         out_net = self.gate_output_net[gate]
         self.transitions_emitted[lanes] += 1
         self.toggles_flat[lanes * self.num_nets + out_net] += 1
-        self.toggles_dirty = True
         if factor is not None:
             degraded = factor < 1.0
             if degraded.any():
@@ -595,7 +558,6 @@ class _VectorKernel:
         out_net = self._gon_list[gate]
         self.transitions_emitted[lane] += 1
         self.toggles[lane, out_net] += 1
-        self.toggles_dirty = True
         if factor < 1.0:
             self.transitions_degraded[lane] += 1
             if factor <= 0.0:
@@ -646,23 +608,15 @@ class _VectorKernel:
                     else:
                         event_time = crossing
                 else:
-                    event_time = self._peak_voltage_time(
-                        crossing, previous, t50, duration, rising, fraction
+                    event_time = peak_voltage_time(
+                        crossing, previous_time, bool(pool.rising[previous]),
+                        float(pool.t50[previous]), float(pool.dur[previous]),
+                        t50, duration, rising, fraction, resolution,
                     )
                 if event_time is None:
                     pool.state[previous] = _CANCELLED
-                    top_flat[top_index] = previous = int(pool.prev[previous])
+                    top_flat[top_index] = pool.prev[previous]
                     self.events_filtered[lane] += 1
-                    if self._record_filtered:
-                        compiled = self.compiled
-                        self.filtered_logs[lane].append(FilteredEventRecord(
-                            time_now=now,
-                            gate_name=compiled.gate_names[self._ig_list[uid]],
-                            pin_index=self._ip_list[uid],
-                            net_name=compiled.net_names[net_index],
-                            previous_event_time=previous_time,
-                            new_event_time=crossing,
-                        ))
                     continue
             else:
                 event_time = crossing
@@ -744,10 +698,13 @@ class _VectorKernel:
         else:
             annihilate = _np.zeros(total, _np.bool_)
             for j in _np.flatnonzero(previous_pending).tolist():
-                decided = self._peak_voltage_time(
-                    float(crossing[j]), int(previous[j]), float(t50_rep[j]),
+                eid = int(previous[j])
+                decided = peak_voltage_time(
+                    float(crossing[j]), float(pool.time[eid]),
+                    bool(pool.rising[eid]), float(pool.t50[eid]),
+                    float(pool.dur[eid]), float(t50_rep[j]),
                     float(dur_rep[j]), bool(rising_rep[j]),
-                    float(fraction[j]),
+                    float(fraction[j]), self._resolution,
                 )
                 if decided is None:
                     annihilate[j] = True
@@ -777,26 +734,6 @@ class _VectorKernel:
             pool.state[cancelled] = _CANCELLED
             self.top_eid_flat[top_flat[annihilate]] = pool.prev[cancelled]
             _np.add.at(self.events_filtered, lane_rep[annihilate], 1)
-            if self._record_filtered:
-                compiled = self.compiled
-                for j in _np.flatnonzero(annihilate).tolist():
-                    input_uid = int(uid[j])
-                    self.filtered_logs[int(lane_rep[j])].append(
-                        FilteredEventRecord(
-                            time_now=float(now_rep[j]),
-                            gate_name=compiled.gate_names[
-                                int(self.input_gate[input_uid])
-                            ],
-                            pin_index=int(self.input_pin[input_uid]),
-                            net_name=compiled.net_names[
-                                int(net_idx[segment[j]])
-                            ],
-                            previous_event_time=float(
-                                pool.time[int(previous[j])]
-                            ),
-                            new_event_time=float(crossing[j]),
-                        )
-                    )
 
         survives = ~annihilate
         count = int(survives.sum())
@@ -838,55 +775,7 @@ class _VectorKernel:
         ):
             heappush(heaps[lane], (when, order, eid))
 
-    def _peak_voltage_time(
-        self,
-        crossing: float,
-        previous_eid: int,
-        t50: float,
-        duration: float,
-        rising: bool,
-        fraction: float,
-    ) -> Optional[float]:
-        """Scalar PEAK_VOLTAGE rule; None means annihilate.
-
-        Mirrors ``CompiledSimulator._peak_voltage_time`` over the pool
-        columns of the previous entry (Python-float arithmetic, so the
-        ablation policy stays bit-identical too).
-        """
-        pool = self.pool
-        leading_rising = bool(pool.rising[previous_eid])
-        previous_time = float(pool.time[previous_eid])
-        if leading_rising == rising:
-            if crossing <= previous_time + self._resolution:
-                return None
-            return crossing
-        leading_duration = float(pool.dur[previous_eid])
-        if leading_duration <= 0.0:  # pragma: no cover - durations are > 0
-            peak = 1.0
-        else:
-            progress = (
-                (t50 - 0.5 * duration)
-                - (float(pool.t50[previous_eid]) - 0.5 * leading_duration)
-            ) / leading_duration
-            peak = min(1.0, max(0.0, progress))
-        threshold_progress = fraction if leading_rising else 1.0 - fraction
-        if peak <= threshold_progress:
-            return None
-        corrected = crossing - (1.0 - peak) * duration
-        return max(corrected, previous_time + self._resolution)
-
     # -- inspection ----------------------------------------------------
-
-    def lane_value(self, lane: int, net_index: int, net_name: str) -> int:
-        constant = int(self.net_constant[net_index])
-        if constant >= 0:
-            return constant
-        if self.net_is_pi[net_index]:
-            return int(self.pi[lane, net_index])
-        driver = int(self.net_driver[net_index])
-        if driver < 0:
-            raise SimulationError("net %r has no driver" % net_name)
-        return int(self.gate_out[lane, driver])
 
     def lane_final_values(self, lane: int) -> Dict[str, int]:
         """Committed value of every net in one lane, as plain ints."""
@@ -1131,7 +1020,6 @@ class _LockstepDriver:
             kernel.pi[lane, net.index] = value
             kernel.source_transitions[lane] += 1
             kernel.toggles[lane, net.index] += 1
-            kernel.toggles_dirty = True
             traces = kernel.trace_lists[lane]
             if traces is not None:
                 traces[net.index].append(Transition(
@@ -1184,97 +1072,23 @@ class _LockstepDriver:
 # the registered backend
 # ----------------------------------------------------------------------
 
-class _LaneZeroQueue:
-    """EngineBase-facing queue facade over lane 0 of the kernel.
-
-    The kernel owns the real per-lane heaps; this adapter lets the
-    shared :meth:`EngineBase.run`/`step` loops drive them.  Popped
-    "events" are pool event ids (plain ints).
-    """
-
-    def __init__(self, simulator: VectorSimulator):
-        self._simulator = simulator
-
-    def _kernel(self) -> Optional[_VectorKernel]:
-        return self._simulator._kernel
-
-    def __len__(self) -> int:
-        kernel = self._kernel()
-        if kernel is None:
-            return 0
-        state = kernel.pool.state
-        return sum(
-            1 for entry in kernel.heaps[0] if state[entry[2]] == _PENDING
-        )
-
-    def __bool__(self) -> bool:
-        kernel = self._kernel()
-        return kernel is not None and kernel.peek_time(0) is not None
-
-    def clear(self) -> None:
-        kernel = self._kernel()
-        if kernel is not None:
-            kernel.clear_lane(0)
-
-    def peek_time(self) -> Optional[float]:
-        kernel = self._kernel()
-        if kernel is None:
-            return None
-        return kernel.peek_time(0)
-
-    def pop(self) -> Optional[int]:
-        kernel = self._kernel()
-        if kernel is None:
-            return None
-        eid = kernel.pop_runnable(0, _inf)
-        return None if eid < 0 else eid
-
-
 @register_engine("vector")
-class VectorSimulator(EngineBase):
-    """The numpy N-lane kernel behind the standard engine protocol.
+class VectorSimulator(CompiledSimulator):
+    """The numpy N-lane lockstep kernel's registered engine.
 
-    As a registered backend this class simulates one stimulus at a time
-    (a one-lane kernel), so it slots into everything that consumes
-    ``ENGINE_KINDS`` — ``simulate()``, service workers, the network
-    server, the CLI.  Its reason to exist is the **lockstep batch**
-    class method used by :func:`repro.core.batch.simulate_batch`, which
-    advances all N vectors of a batch through one kernel; per-lane
+    A single stimulus runs on the inherited compiled kernel, so this
+    class slots into everything that consumes ``ENGINE_KINDS`` —
+    ``simulate()``, service workers, the network server, the CLI.  Its
+    reason to exist is the **lockstep batch** class method used by
+    :func:`repro.core.batch.simulate_batch`, which advances all N
+    vectors of a batch through one :class:`_VectorKernel`; per-lane
     results are bit-identical to the reference backend either way.
-
-    Args:
-        netlist: the circuit; lowered on construction unless a
-            pre-lowered ``compiled`` is supplied.
-        config: engine knobs (the default is HALOTIS-DDM).
-        compiled: optional pre-built :class:`CompiledNetlist` (must wrap
-            ``netlist``); lets many simulators share one lowering.
     """
 
-    lowers_netlist = True
     lockstep_batches = True
     cli_blurb = (
         "numpy N-lane kernel, steps whole batches in lockstep; needs numpy"
     )
-
-    def __init__(
-        self,
-        netlist: Netlist,
-        config: Optional[SimulationConfig] = None,
-        compiled: Optional[CompiledNetlist] = None,
-    ):
-        self.ensure_available()
-        if compiled is not None and compiled.netlist is not netlist:
-            raise SimulationError(
-                "compiled netlist does not wrap the given netlist"
-            )
-        self._cn = compiled if compiled is not None else netlist.compile()
-        self._kernel: Optional[_VectorKernel] = None
-        super().__init__(netlist, config=config)
-        policy = self.config.inertial_policy
-        if policy not in (InertialPolicy.EVENT_ORDER,
-                          InertialPolicy.PEAK_VOLTAGE):
-            raise ConfigError("unknown inertial policy %r" % (policy,))
-        self._lane0 = _np.array([0], _np.int64)
 
     @classmethod
     def ensure_available(cls) -> None:
@@ -1306,113 +1120,3 @@ class VectorSimulator(EngineBase):
         kernel = _VectorKernel(netlist.compile(), config, len(stimuli))
         driver = _LockstepDriver(netlist, kernel, stimuli, settle, seed)
         return driver.run()
-
-    @property
-    def compiled_netlist(self) -> CompiledNetlist:
-        return self._cn
-
-    def rebind_lowering(self) -> None:
-        """Drop the cached kernel: it snapshots the ``as_numpy()``
-        export (arc stack copy + list mirrors) at construction, so a
-        patched lowering needs a fresh kernel on next ``initialize()``."""
-        self._kernel = None
-
-    def _new_queue(self):
-        return _LaneZeroQueue(self)
-
-    # ------------------------------------------------------------------
-    # lifecycle hooks
-    # ------------------------------------------------------------------
-
-    def _build_state(
-        self,
-        input_values: Dict[str, int],
-        seed: Optional[Dict[str, int]],
-    ) -> None:
-        dc = self._cn.dc_values(input_values, seed)
-        if self._kernel is None:
-            self._kernel = _VectorKernel(self._cn, self.config, 1)
-        self._kernel.reset(_np.array([dc], _np.int64))
-
-    def _after_initialize(self) -> None:
-        kernel = self._kernel
-        kernel.now[0] = self.now
-        kernel.filtered_logs[0] = self.filtered_log
-        if self.config.record_traces:
-            kernel.trace_lists[0] = [
-                self.traces[name] for name in self._cn.net_names
-            ]
-        else:
-            kernel.trace_lists[0] = None
-
-    # ------------------------------------------------------------------
-    # stimulus hooks
-    # ------------------------------------------------------------------
-
-    def _pi_value(self, net: Net) -> int:
-        return int(self._kernel.pi[0, net.index])
-
-    def _commit_pi_value(self, net: Net, value: int) -> None:
-        self._kernel.pi[0, net.index] = value
-
-    def _count_toggle(self, net: Net) -> None:
-        kernel = self._kernel
-        kernel.toggles[0, net.index] += 1
-        kernel.toggles_dirty = True
-
-    def _broadcast_transition(self, transition: Transition, net: Net) -> None:
-        kernel = self._kernel
-        kernel.now[0] = self.now
-        kernel.broadcast_scalar(
-            0, net.index, transition.t50, transition.duration,
-            transition.rising, self.now,
-        )
-
-    # ------------------------------------------------------------------
-    # the event loop
-    # ------------------------------------------------------------------
-
-    def _execute(self, eid: int) -> None:
-        kernel = self._kernel
-        kernel.execute_wave(self._lane0, _np.array([eid], _np.int64))
-        self.now = float(kernel.now[0])
-
-    def _wave_counters(self):
-        kernel = self._kernel
-        if kernel is None:
-            return None
-        return (kernel.waves_executed, kernel.lanes_executed)
-
-    def _after_run(self) -> None:
-        # Mirror the kernel's per-lane counters into the result-facing
-        # SimulationStatistics (source_transitions is maintained by
-        # EngineBase.set_input and stays untouched).
-        kernel = self._kernel
-        stats = self.stats
-        stats.events_executed = int(kernel.events_executed[0])
-        stats.events_scheduled = int(kernel.events_scheduled[0])
-        stats.events_filtered = int(kernel.events_filtered[0])
-        stats.late_events = int(kernel.late_events[0])
-        stats.transitions_emitted = int(kernel.transitions_emitted[0])
-        stats.transitions_degraded = int(kernel.transitions_degraded[0])
-        stats.transitions_fully_degraded = int(
-            kernel.transitions_fully_degraded[0]
-        )
-        if kernel.toggles_dirty:
-            kernel.toggles_dirty = False
-            stats.net_toggles = kernel.lane_toggles(0)
-
-    # ------------------------------------------------------------------
-    # inspection
-    # ------------------------------------------------------------------
-
-    def value(self, net_name: str) -> int:
-        """Committed logic value of a net at the current time."""
-        self._require_ready()
-        net = self.netlist.net(net_name)
-        return self._kernel.lane_value(0, net.index, net_name)
-
-    def values(self) -> Dict[str, int]:
-        """Committed logic values of every net (``netlist.nets`` order)."""
-        self._require_ready()
-        return self._kernel.lane_final_values(0)

@@ -194,26 +194,6 @@ class _GoldenDiff:
         )
 
 
-def classify_outcome(
-    netlist: Netlist,
-    golden: SimulationResult,
-    mutant: SimulationResult,
-    fault: FaultSpec,
-    index: int,
-    epsilon: float = 0.0,
-) -> MutantOutcome:
-    """Diff one mutant result against the golden run.
-
-    Works from whatever the results carry: traces when recorded (full
-    edge-list diff), final values always.  Both results must come from
-    the same engine kind — diffing across timing contracts would turn
-    contract differences into fake detections.  To classify many
-    mutants against one golden run, :func:`classify_results` does the
-    golden-side work once.
-    """
-    return _GoldenDiff(netlist, golden, epsilon).classify(mutant, fault, index)
-
-
 @dataclasses.dataclass
 class DependabilityReport:
     """Aggregated campaign result.

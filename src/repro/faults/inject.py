@@ -132,16 +132,6 @@ class FaultInjection:
     def __exit__(self, *_exc_info: object) -> None:
         self.restore()
 
-    @property
-    def is_permanent(self) -> bool:
-        """True when the fault patches the lowering (vs. run-time SET)."""
-        return self.fault.kind in (
-            FaultKind.STUCK_AT_0,
-            FaultKind.STUCK_AT_1,
-            FaultKind.BIT_FLIP,
-            FaultKind.DELAY_DRIFT,
-        )
-
     def _driver(self) -> Gate:
         net = self.netlist.nets.get(self.fault.net)
         if net is None:
@@ -269,8 +259,6 @@ def run_faulted_stimulus(
     config = simulator.config
     saved_check = config.check_sta_bounds
     injection.apply()
-    if injection.is_permanent:
-        simulator.rebind_lowering()
     config.check_sta_bounds = False
     try:
         if faulted.fault.kind is FaultKind.SET_PULSE:
@@ -284,10 +272,6 @@ def run_faulted_stimulus(
     finally:
         config.check_sta_bounds = saved_check
         injection.restore()
-        if injection.is_permanent:
-            # Drop the kernel built over the patched tables so the next
-            # initialize() of this (reused, warm) engine rebuilds clean.
-            simulator.rebind_lowering()
     return result
 
 

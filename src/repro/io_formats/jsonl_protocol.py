@@ -228,8 +228,3 @@ def _decode_rows(transitions: Sequence[Sequence[float]]) -> List[Row]:
             raise ValueError("transition duration must be positive")
         rows.append((t50, duration, bool(rising), degradation, cause))
     return rows
-
-
-def result_line(result: SimulationResult) -> str:
-    """One JSONL line holding the lossless form of ``result``."""
-    return json.dumps(result_to_dict(result))

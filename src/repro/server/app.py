@@ -337,10 +337,6 @@ class SimulationServer:
         return stopped
 
     @property
-    def background_thread(self) -> Optional[threading.Thread]:
-        return self._thread
-
-    @property
     def uptime_seconds(self) -> float:
         return time.monotonic() - self._started
 

@@ -3,14 +3,15 @@
 The declared accuracy tier (docs/architecture.md) is pinned from both
 sides:
 
-* **N = 1 is fully bit-identical to CDM.**  A single-lane word kernel
-  performs exactly the compiled CDM engine's float operations in the
-  same order, so ``simulate(engine_kind="bitparallel")`` under *any*
-  config must equal the reference engine under the same config with
-  ``delay_mode`` forced to CDM — statistics, traces, transition streams
-  and filtered-event logs included.  Exercised on the randomized
-  circuit zoo under both source delay modes, both inertial policies and
-  both queue kinds.
+* **A single stimulus is fully bit-identical to CDM.**
+  ``simulate(engine_kind="bitparallel")`` runs the compiled kernel in
+  CDM mode, so under *any* config it must equal the reference engine
+  under the same config with ``delay_mode`` forced to CDM — statistics,
+  traces, transition streams and filtered-event logs included.
+  Exercised on the randomized circuit zoo under both source delay modes
+  and both inertial policies.  A one-lane lockstep word kernel performs
+  exactly the compiled CDM engine's float operations in the same order,
+  so it is pinned to the same identity.
 * **Every lane of a lockstep batch is logic-exact.**  Per-lane final
   values are bit-identical to a standalone reference run of the same
   stimulus; event *times* follow the word contract (one shared clock,
@@ -61,13 +62,13 @@ def assert_cdm_bit_identity(netlist, stimulus, config):
 
 
 # ----------------------------------------------------------------------
-# single-stimulus full bit-identity (the registered EngineBase backend)
+# single-stimulus full bit-identity (the registered engine)
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: "seed%d" % c[0])
 @pytest.mark.parametrize("mode", ["ddm", "cdm"])
 def test_random_circuit_cdm_identity(case, mode):
-    """Any config: the one-lane word kernel IS the compiled-CDM kernel.
+    """Any config: a single bitparallel run IS a compiled-CDM run.
 
     ``delay_mode=DDM`` on a bitparallel config is accepted but degrades
     to CDM timing (degradation is out of the tier) — exactly what the
@@ -109,20 +110,20 @@ def test_peak_voltage_policy_cdm_identity():
 
 
 def test_sorted_list_queue_cdm_identity(mult4):
-    """The word engine queues on the compiled engine's list-entry heap
-    (the name predates the removal of the sorted list queue) and stays
-    bit-identical to the reference engine's event heap."""
+    """A one-lane lockstep word kernel queues on the compiled engine's
+    list-entry heap (the name predates the removal of the sorted list
+    queue) and stays bit-identical to the reference engine's event
+    heap."""
+    from repro.core.bitparallel import _WordKernel, _WordLockstepDriver
     from repro.core.compiled import _CompiledHeapQueue
 
     stimulus = multiplication_sequence(PAPER_SEQUENCE_2)
     reference = simulate(
         mult4, stimulus, config=cdm_config(), engine_kind="reference"
     )
-    word = simulate(
-        mult4, stimulus, config=cdm_config(), engine_kind="bitparallel"
-    )
-    assert type(word.simulator.queue) is _CompiledHeapQueue
-    assert word.simulator.kernel.queue is word.simulator.queue
+    kernel = _WordKernel(mult4.compile(), cdm_config(), 1)
+    (word,) = _WordLockstepDriver(mult4, kernel, [stimulus], 0.0, None).run()
+    assert type(kernel.queue) is _CompiledHeapQueue
     assert_results_bit_identical(reference, word, mult4)
 
 
@@ -293,12 +294,9 @@ def test_bitparallel_engine_reuse_across_stimuli(mult4):
 
 def test_word_op_counts_exported(mult4):
     """Every truth-table gate lowers to a (small) word-op program."""
-    from repro.core.engine import make_engine
+    from repro.core.bitparallel import _WordKernel
 
-    engine = make_engine(mult4, config=cdm_config(),
-                         engine_kind="bitparallel")
-    engine.initialize({net.name: 0 for net in mult4.primary_inputs})
-    counts = engine.kernel.word_op_counts()
+    counts = _WordKernel(mult4.compile(), cdm_config(), 2).word_op_counts()
     assert set(counts) == set(mult4.gates)
     # INV is one op (x ^ F); NAND2 is two (x & y, then ^ F).
     assert all(0 <= ops <= 8 for ops in counts.values())

@@ -138,11 +138,9 @@ def test_warm_engine_dc_reads_patched_tables_live(kind, mult4, fault_kind):
     engine = make_engine(mult4, config=_config(), engine_kind=kind)
     assert _engine_dc(kind, mult4, inputs, engine=engine) == healthy
     with FaultInjection(mult4, FaultSpec(kind=fault_kind, net=target)):
-        engine.rebind_lowering()
         faulted = evaluate_netlist(mult4, inputs)  # the oracle reads gate.cell
         assert faulted[target] == 0
         assert _engine_dc(kind, mult4, inputs, engine=engine) == faulted
-    engine.rebind_lowering()
     assert _engine_dc(kind, mult4, inputs, engine=engine) == healthy
 
 

@@ -9,7 +9,7 @@ event-queue option (the binary heap is the only queue).
 import pytest
 
 from repro.circuit import modules
-from repro.config import SimulationConfig, cdm_config, ddm_config
+from repro.config import DelayMode, SimulationConfig, cdm_config, ddm_config
 from repro.core.batch import simulate_batch
 from repro.core.compiled import CompiledNetlist, CompiledSimulator
 from repro.core.engine import (
@@ -17,6 +17,7 @@ from repro.core.engine import (
     EngineBase,
     HalotisSimulator,
     make_engine,
+    run_stimulus,
     simulate,
 )
 from repro.core.service import SimulationService
@@ -39,6 +40,62 @@ def test_registry_has_both_backends():
     assert ENGINE_KINDS["compiled"] is CompiledSimulator
     for cls in ENGINE_KINDS.values():
         assert issubclass(cls, EngineBase)
+    # Two kernels: every other backend builds on one of them.
+    direct = {
+        kind for kind, cls in ENGINE_KINDS.items()
+        if EngineBase in cls.__bases__
+    }
+    assert direct == {"reference", "compiled"}
+
+
+@pytest.mark.parametrize("engine_kind", ["vector", "bitparallel"])
+def test_lockstep_kinds_run_single_stimuli_on_the_compiled_kernel(
+    chain3, engine_kind
+):
+    """make_engine() of a lockstep kind is a CompiledSimulator that keeps
+    its registry kind, its lockstep batch path and its availability
+    check."""
+    pytest.importorskip("numpy")
+    engine = make_engine(chain3, config=ddm_config(), engine_kind=engine_kind)
+    cls = type(engine)
+    assert isinstance(engine, CompiledSimulator)
+    assert cls.__bases__ == (CompiledSimulator,)
+    assert cls is ENGINE_KINDS[engine_kind]
+    assert engine.kind == engine_kind
+    assert cls.lockstep_batches
+    result = run_stimulus(engine, _ring_stimulus(chain3))
+    assert result.simulator is engine
+    assert result.metrics["engine"] == engine_kind
+
+
+def test_bitparallel_engine_built_from_ddm_config_runs_cdm():
+    """CDM is the tier bitparallel declares: its engine runs a CDM copy
+    of a DDM config (the caller's config is untouched) and equals the
+    compiled engine under CDM, filtered-event log included."""
+    pytest.importorskip("numpy")
+    from repro.stimuli.vectors import PAPER_SEQUENCE_1, multiplication_sequence
+
+    netlist = modules.array_multiplier(4)
+    stimulus = multiplication_sequence(PAPER_SEQUENCE_1)
+    config = ddm_config(record_filtered=True)
+    engine = make_engine(netlist, config=config, engine_kind="bitparallel")
+    assert engine.config.delay_mode is DelayMode.CDM
+    assert config.delay_mode is DelayMode.DDM
+    got = run_stimulus(engine, stimulus)
+    want = simulate(
+        netlist, stimulus, config=config.with_mode(DelayMode.CDM),
+        engine_kind="compiled",
+    )
+    ddm = simulate(netlist, stimulus, config=config, engine_kind="compiled")
+    assert got.stats.transitions_degraded == 0
+    assert ddm.stats.transitions_degraded > 0
+    for field in ("events_executed", "events_filtered", "late_events",
+                  "transitions_emitted", "net_toggles"):
+        assert getattr(got.stats, field) == getattr(want.stats, field)
+    assert got.final_values == want.final_values
+    for name in netlist.nets:
+        assert got.traces[name].edges() == want.traces[name].edges()
+    assert engine.filtered_log == want.simulator.filtered_log
 
 
 def test_registered_kind_attribute_matches_key():

@@ -1,18 +1,19 @@
 """Vector (numpy N-lane) backend parity: vector ≡ reference ≡ compiled.
 
 The vector engine is only allowed to be *faster at scale*, never
-different: for every stimulus, every lane of a lockstep batch — and the
-single-lane engine behind plain ``simulate()`` — must produce
-bit-identical event counts, statistics, edge lists, raw transition
-streams and filtered-event logs.  Exercised on the randomized circuit
-zoo of ``test_backend_parity`` under both delay modes, both inertial
-policies, both queue kinds, and through the batch front end (in-process
-lockstep and on a ``jobs > 1`` worker pool).
+different: for every stimulus, every lane of a lockstep batch must
+produce bit-identical event counts, statistics, edge lists and raw
+transition streams, and a plain ``simulate()`` (which runs on the
+inherited compiled kernel) must match the reference engine with its
+filtered-event log included.  Exercised on the randomized circuit zoo
+of ``test_backend_parity`` under both delay modes, both inertial
+policies, and through the batch front end (in-process lockstep and on a
+``jobs > 1`` worker pool).
 
-The two kernel paths — vectorised waves and the thin-wave scalar
-fallback — are both covered: lockstep batches over eight-plus lanes run
-wide waves, while single-stimulus runs and drain tails take the scalar
-path.
+The two lockstep kernel paths — vectorised waves and the thin-wave
+scalar fallback — are both covered: lockstep batches over eight-plus
+lanes run wide waves, while narrow batches and drain tails take the
+scalar path.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ def assert_vector_parity(netlist, stimulus, config):
 
 
 # ----------------------------------------------------------------------
-# single-stimulus parity (the registered EngineBase backend)
+# single-stimulus parity (the registered engine)
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: "seed%d" % c[0])
@@ -121,8 +122,7 @@ def test_peak_voltage_policy_parity():
 
 def test_sorted_list_queue_parity(mult4):
     """vector == reference on the second paper workload (the name
-    predates the removal of the sorted list queue; the per-lane heaps
-    are the only queue now)."""
+    predates the removal of the sorted list queue)."""
     stimulus = multiplication_sequence(PAPER_SEQUENCE_2)
     reference = simulate(
         mult4, stimulus, config=ddm_config(), engine_kind="reference"
@@ -254,7 +254,7 @@ def test_vector_rejects_unknown_queue_kind(mult4):
 
 def test_vector_engine_reuse_across_stimuli(mult4):
     """One VectorSimulator re-initialised per stimulus (the service
-    worker pattern) resets all lane state."""
+    worker pattern) resets all state."""
     from repro.core.engine import make_engine, run_stimulus
 
     engine = make_engine(mult4, config=ddm_config(), engine_kind="vector")

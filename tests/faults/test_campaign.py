@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from repro.config import SimulationConfig, cdm_config
+from repro.config import DelayMode, SimulationConfig, cdm_config
 from repro.core.engine import ENGINE_KINDS, simulate
 from repro.core.service import SimulationService
 from repro.errors import FaultError, ServiceError
@@ -23,7 +23,11 @@ from repro.faults.faultload import (
     generate_faultload,
 )
 from repro.faults.inject import FaultedStimulus, lowering_fingerprint
-from repro.stimuli.vectors import VectorSequence, multiplication_sequence
+from repro.stimuli.vectors import (
+    PAPER_SEQUENCE_1,
+    VectorSequence,
+    multiplication_sequence,
+)
 
 from test_properties import circuit_params, random_netlist, random_stimulus
 
@@ -161,6 +165,33 @@ def test_service_campaign_matches_in_process(mult4):
             )
     assert pooled.via == "service"
     assert _outcome_key(pooled) == _outcome_key(local)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("kind", ["vector", "bitparallel"])
+def test_lockstep_kind_campaign_equals_compiled(mult4, kind, jobs):
+    """Mutant chunks run vector by vector, so a lockstep kind's campaign
+    runs on the compiled kernel, in process and in pool workers alike:
+    vector equals compiled under the same config, bitparallel equals
+    compiled under CDM (its declared tier)."""
+    pytest.importorskip("numpy")
+    stimulus = multiplication_sequence(PAPER_SEQUENCE_1)
+    faultload = generate_faultload(
+        mult4, 10, seed=3, window=(0.0, stimulus.horizon)
+    )
+    config = _config()
+    report = run_campaign(
+        mult4, faultload, stimulus, config=config, engine_kind=kind,
+        jobs=jobs,
+    )
+    if kind == "bitparallel":
+        config = config.with_mode(DelayMode.CDM)
+    compiled = run_campaign(
+        mult4, faultload, stimulus, config=config, engine_kind="compiled"
+    )
+    assert report.engine_kind == kind
+    assert report.counts() == compiled.counts()
+    assert _outcome_key(report) == _outcome_key(compiled)
 
 
 def test_campaign_reuses_a_caller_owned_service(c17):

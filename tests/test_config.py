@@ -54,6 +54,8 @@ def test_with_mode_changes_only_mode():
         ("server_port", 70000),
         ("server_max_netlists", 0),
         ("server_queue_depth", 0),
+        # a policy's value is not a policy: validate() is the one check
+        ("inertial_policy", "event-order"),
     ],
 )
 def test_validate_rejects_bad_values(field, value):
