@@ -11,7 +11,9 @@ sides:
   Exercised on the randomized circuit zoo under both source delay modes
   and both inertial policies.  A one-lane lockstep word kernel performs
   exactly the compiled CDM engine's float operations in the same order,
-  so it is pinned to the same identity.
+  so every one of these checks also runs it (a one-lane
+  ``simulate_batch``) and pins it to the same identity, filtered-event
+  logs aside (lockstep results carry none).
 * **Every lane of a lockstep batch is logic-exact.**  Per-lane final
   values are bit-identical to a standalone reference run of the same
   stimulus; event *times* follow the word contract (one shared clock,
@@ -58,6 +60,13 @@ def assert_cdm_bit_identity(netlist, stimulus, config):
     assert (
         reference.simulator.filtered_log == word.simulator.filtered_log
     )
+    # A one-lane lockstep batch drives the word kernel itself: it must
+    # perform the compiled CDM engine's float operations in order too.
+    (lane,) = simulate_batch(netlist, [stimulus], config=config,
+                             engine_kind="bitparallel")
+    assert lane.simulator is None  # ran on the word kernel
+    assert_results_bit_identical(reference, lane, netlist,
+                                 context="one-lane word kernel")
     return reference, word
 
 
@@ -107,6 +116,22 @@ def test_peak_voltage_policy_cdm_identity():
         inertial_policy=InertialPolicy.PEAK_VOLTAGE, record_filtered=True
     )
     assert_cdm_bit_identity(netlist, stimulus, config)
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda c: "seed%d" % c[0])
+def test_random_circuit_peak_voltage_cdm_identity(case):
+    """PEAK_VOLTAGE over the zoo, four stimuli per circuit: several keep
+    a pulse whose peak passes the threshold, so the one-lane word
+    kernel's corrected-time branch is pinned as well as annihilation."""
+    seed, num_inputs, num_gates, vectors = case
+    netlist = random_netlist(seed, num_inputs, num_gates)
+    input_names = [net.name for net in netlist.primary_inputs]
+    config = cdm_config(
+        inertial_policy=InertialPolicy.PEAK_VOLTAGE, record_filtered=True
+    )
+    for k in range(4):
+        stimulus = random_stimulus(seed * 31 + k, input_names, vectors)
+        assert_cdm_bit_identity(netlist, stimulus, config)
 
 
 def test_sorted_list_queue_cdm_identity(mult4):

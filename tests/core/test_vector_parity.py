@@ -3,17 +3,18 @@
 The vector engine is only allowed to be *faster at scale*, never
 different: for every stimulus, every lane of a lockstep batch must
 produce bit-identical event counts, statistics, edge lists and raw
-transition streams, and a plain ``simulate()`` (which runs on the
-inherited compiled kernel) must match the reference engine with its
-filtered-event log included.  Exercised on the randomized circuit zoo
-of ``test_backend_parity`` under both delay modes, both inertial
-policies, and through the batch front end (in-process lockstep and on a
-``jobs > 1`` worker pool).
+transition streams.  Every single-stimulus check runs the stimulus
+twice: through a plain ``simulate()`` (which runs on the inherited
+compiled kernel and must match the reference engine with its
+filtered-event log included) and as a one-lane lockstep batch.
+Exercised on the randomized circuit zoo of ``test_backend_parity``
+under both delay modes, both inertial policies, and through the batch
+front end (in-process lockstep and on a ``jobs > 1`` worker pool).
 
 The two lockstep kernel paths — vectorised waves and the thin-wave
-scalar fallback — are both covered: lockstep batches over eight-plus
-lanes run wide waves, while narrow batches and drain tails take the
-scalar path.
+scalar fallback — are both covered, under both inertial policies:
+lockstep batches over eight-plus lanes run wide waves, while narrow
+batches and drain tails take the scalar path.
 """
 
 from __future__ import annotations
@@ -73,7 +74,8 @@ def assert_results_bit_identical(reference, vector, netlist, context=""):
 
 
 def assert_vector_parity(netlist, stimulus, config):
-    """simulate(engine_kind="vector") ≡ reference, logs included."""
+    """simulate(engine_kind="vector") ≡ reference, logs included, and a
+    one-lane lockstep batch (the scalar wave path) ≡ reference."""
     reference = simulate(netlist, stimulus, config=config,
                          engine_kind="reference")
     vector = simulate(netlist, stimulus, config=config, engine_kind="vector")
@@ -81,6 +83,11 @@ def assert_vector_parity(netlist, stimulus, config):
     assert (
         reference.simulator.filtered_log == vector.simulator.filtered_log
     )
+    (lane,) = simulate_batch(netlist, [stimulus], config=config,
+                             engine_kind="vector")
+    assert lane.simulator is None  # ran on the lockstep kernel
+    assert_results_bit_identical(reference, lane, netlist,
+                                 context="one-lane lockstep")
     return reference, vector
 
 
@@ -124,13 +131,7 @@ def test_sorted_list_queue_parity(mult4):
     """vector == reference on the second paper workload (the name
     predates the removal of the sorted list queue)."""
     stimulus = multiplication_sequence(PAPER_SEQUENCE_2)
-    reference = simulate(
-        mult4, stimulus, config=ddm_config(), engine_kind="reference"
-    )
-    vector = simulate(
-        mult4, stimulus, config=ddm_config(), engine_kind="vector"
-    )
-    assert_results_bit_identical(reference, vector, mult4)
+    assert_vector_parity(mult4, stimulus, ddm_config())
 
 
 # ----------------------------------------------------------------------
@@ -183,6 +184,59 @@ def test_wide_lockstep_batch_crosses_scalar_cutoff(mult4):
         assert_results_bit_identical(
             compiled, batch[position], mult4, context="lane %d" % position
         )
+
+
+@pytest.mark.parametrize("case", CASES[:10], ids=lambda c: "seed%d" % c[0])
+@pytest.mark.parametrize("mode", ["ddm", "cdm"])
+def test_peak_voltage_lockstep_parity(case, mode):
+    """PEAK_VOLTAGE through a 10-lane lockstep batch: every lane ≡ its
+    reference run, through both the wide and the scalar wave path.
+    Under CDM several circuits keep a pulse whose peak passes the
+    threshold, so the corrected-time branch runs too."""
+    seed, num_inputs, num_gates, vectors = case
+    netlist = random_netlist(seed, num_inputs, num_gates)
+    input_names = [net.name for net in netlist.primary_inputs]
+    stimuli = [
+        random_stimulus(seed * 31 + k, input_names, vectors)
+        for k in range(10)
+    ]
+    config = (ddm_config if mode == "ddm" else cdm_config)(
+        inertial_policy=InertialPolicy.PEAK_VOLTAGE
+    )
+    batch = simulate_batch(netlist, stimuli, config=config,
+                           engine_kind="vector")
+    for position, stimulus in enumerate(stimuli):
+        reference = simulate(netlist, stimulus, config=config,
+                             engine_kind="reference")
+        assert_results_bit_identical(
+            reference, batch[position], netlist,
+            context="lane %d" % position,
+        )
+
+
+@pytest.mark.parametrize("mode", ["ddm", "cdm"])
+def test_wide_peak_voltage_lockstep_batch(mult4, mode):
+    """The 24-lane multiplier batch of the cutoff test under
+    PEAK_VOLTAGE: the wide-wave and scalar peak-voltage decisions both
+    match the compiled engine bit for bit."""
+    input_names = [net.name for net in mult4.primary_inputs]
+    stimuli = random_vector_batch(
+        input_names, batch=24, count=2, period=2.0, base_seed=5, tail=3.0
+    )
+    config = (ddm_config if mode == "ddm" else cdm_config)(
+        inertial_policy=InertialPolicy.PEAK_VOLTAGE
+    )
+    batch = simulate_batch(mult4, stimuli, config=config,
+                           engine_kind="vector")
+    filtered = 0
+    for position, stimulus in enumerate(stimuli):
+        compiled = simulate(mult4, stimulus, config=config,
+                            engine_kind="compiled")
+        filtered += compiled.stats.events_filtered
+        assert_results_bit_identical(
+            compiled, batch[position], mult4, context="lane %d" % position
+        )
+    assert filtered > 0
 
 
 def test_sharded_lockstep_matches_in_process(mult4):
