@@ -23,7 +23,7 @@ Per-cell device widths also realise the skewed inverters ``INV_LT`` /
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Tuple
+from typing import Dict
 
 import numpy as np
 

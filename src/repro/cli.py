@@ -50,7 +50,7 @@ from .analysis.sta import analyze as sta_analyze
 from .circuit import validate as circuit_validate
 from .circuit import bench_io, stats as circuit_stats
 from .circuit.library import default_library
-from .config import DelayMode, SimulationConfig, cdm_config, ddm_config
+from .config import SimulationConfig, cdm_config, ddm_config
 # importing .core.engine initialises the repro.core package, which
 # registers every backend in ENGINE_KINDS
 from .core.batch import simulate_batch

@@ -179,6 +179,8 @@ class SimulationConfig:
         """
         if not isinstance(self.engine_kind, str) or not self.engine_kind:
             raise ConfigError("engine_kind must be a non-empty string")
+        if not isinstance(self.delay_mode, DelayMode):
+            raise ConfigError("unknown delay mode %r" % (self.delay_mode,))
         if not isinstance(self.inertial_policy, InertialPolicy):
             raise ConfigError(
                 "unknown inertial policy %r" % (self.inertial_policy,)

@@ -180,16 +180,24 @@ def run_chunk(
 
     Faulted stimuli (:mod:`repro.faults`) patch the shared lowering per
     vector, while a lockstep kernel runs all lanes over *one* lowering,
-    so any fault in the chunk forces the per-vector loop (whose fault
-    hook injects/restores around each vector); on a lockstep backend
-    that loop runs on the compiled kernel the backend inherits.  Results
-    are yielded one by one, so a caller catching an exception knows
-    which vector raised it.
+    so a chunk with any fault in it goes to
+    :func:`repro.faults.differential.run_faulted_chunk` instead: on the
+    compiled kernel (which the lockstep backends inherit) each mutant
+    re-runs only its fault's fanout cone against a golden run the
+    engine records once; other engines and the cases listed there
+    replay vector by vector, injecting and restoring around each.
+    Results are yielded one by one, so a caller catching an exception
+    knows which vector raised it.
     """
     engine_cls = type(engine)
-    if not engine_cls.lockstep_batches or any(
-        getattr(stimulus, "fault", None) is not None for stimulus in stimuli
-    ):
+    if any(getattr(stimulus, "fault", None) is not None for stimulus in stimuli):
+        # Lazy: faults sits above core.  Building a FaultedStimulus
+        # imports the faults package, which loads this module too.
+        from ..faults.differential import run_faulted_chunk
+
+        yield from run_faulted_chunk(engine, stimuli, settle=settle, seed=seed)
+        return
+    if not engine_cls.lockstep_batches:
         for stimulus in stimuli:
             yield run_stimulus(engine, stimulus, settle=settle, seed=seed)
         return

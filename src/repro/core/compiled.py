@@ -39,7 +39,17 @@ from __future__ import annotations
 import heapq
 from array import array
 from math import exp as _exp
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from ..circuit.evaluate import MAX_RELAX_SWEEPS
 from ..circuit.logic import (
@@ -60,6 +70,9 @@ from .engine import EngineBase, FilteredEventRecord, register_engine
 from .inertial import peak_voltage_time
 from .trace import Row
 from .transition import Transition
+
+if TYPE_CHECKING:
+    from ..faults.differential import DifferentialRunner
 
 #: Largest gate arity lowered to a dense truth table; wider gates (only
 #: reachable through hand-built cells) fall back to function dispatch.
@@ -490,6 +503,19 @@ class CompiledNetlist:
         sweep = self.dc_sweep()
         if sweep is None:
             return self.dc_relax(row, seed)
+        return self.dc_update(row, sweep)
+
+    def dc_update(
+        self, row: List[int], sweep: Sequence[Tuple[int, int, Tuple[int, ...]]]
+    ) -> List[int]:
+        """Re-evaluate the gates of ``sweep`` into ``row``, in place.
+
+        ``sweep`` is :meth:`dc_sweep` or a subset of it in the same
+        (topological) order; every net a listed gate reads that no
+        listed gate drives must already hold its steady value.  The
+        differential fault simulator (:mod:`repro.faults.differential`)
+        re-solves one fault's fanout cone this way.
+        """
         tables = self.gate_tables
         for gate, out_net, in_nets in sweep:
             table = tables[gate]
@@ -777,6 +803,12 @@ class _CompiledHeapQueue:
         self._heap.clear()
         self._live = 0
 
+    def preload(self, heap: List[list]) -> None:
+        """Replace the contents with ``heap``, a list already in heap
+        order (a sorted list is one) of pending entries."""
+        self._heap = heap
+        self._live = len(heap)
+
 
 # ----------------------------------------------------------------------
 # the compiled backend
@@ -841,6 +873,10 @@ class CompiledSimulator(EngineBase):
         self._toggles: List[int] = []
         self._toggles_dirty = False
         self._trace_appenders: Optional[List] = None
+        #: the differential fault simulator over this engine (see
+        #: :mod:`repro.faults.differential`), built by the first chunk
+        #: that holds faulted stimuli and kept with its golden runs.
+        self._differential: Optional[DifferentialRunner] = None
 
     @property
     def compiled_netlist(self) -> CompiledNetlist:

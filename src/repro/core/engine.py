@@ -254,6 +254,12 @@ class EngineBase(abc.ABC):
     def _execute(self, event) -> None:
         """Process one event popped from the queue."""
 
+    def _broadcast_pulse(self, transition: Transition, net: Net) -> None:
+        """Broadcast an injected SET pulse edge on ``net`` (see
+        :func:`repro.faults.inject.play`); the default treats it like a
+        stimulus edge."""
+        self._broadcast_transition(transition, net)
+
     def _count_toggle(self, net: Net) -> None:
         """Record one emitted/source transition on ``net`` for the
         switching-activity statistics."""

@@ -54,7 +54,7 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..circuit.netlist import Netlist
 from ..config import SimulationConfig
-from ..errors import ServiceError, SimulationError
+from ..errors import ServiceError
 from ..obs.log import get_logger
 from ..obs.registry import MetricsRegistry, get_registry
 from .batch import BatchResult, _publish_batch_metrics, even_chunk, run_chunk

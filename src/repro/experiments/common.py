@@ -9,7 +9,7 @@ simulated window, exactly the x-axis of Figures 6 and 7.
 from __future__ import annotations
 
 import functools
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 from ..analog.simulator import AnalogResult, AnalogSimulator
 from ..circuit import modules

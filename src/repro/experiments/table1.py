@@ -14,7 +14,7 @@ The shape claims the paper makes (and our benchmarks assert):
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List
+from typing import Dict
 
 from ..analysis.activity import ActivityComparison, compare_activity
 from ..analysis.report import Table

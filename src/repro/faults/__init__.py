@@ -33,6 +33,11 @@ from .campaign import (
     run_campaign,
 )
 
+# Imported here so a process that builds faulted stimuli has the cone
+# runner loaded before it forks pool workers (run_chunk imports it on
+# a worker's first faulted chunk).
+from . import differential  # noqa: F401
+
 __all__ = [
     "FaultKind",
     "FaultSpec",

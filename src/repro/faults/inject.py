@@ -43,6 +43,7 @@ from ..core.engine import EngineBase, SimulationResult, run_stimulus
 from ..core.stats import SimulationStatistics
 from ..core.transition import Transition
 from ..errors import FaultError
+from ..obs.timing import PhaseTimer
 from ..stimuli.vectors import VectorSequence
 from .faultload import FaultKind, FaultSpec
 
@@ -166,22 +167,26 @@ class FaultInjection:
                 gate.cell,
                 arcs={key: arc.scaled(factor) for key, arc in gate.cell.arcs.items()},
             )
+            c_load = compiled.net_load[gate.output.index]
             for gate_input in gate.inputs:
                 uid = gate_input.uid
                 rise = compiled.arc_rise[uid]
                 fall = compiled.arc_fall[uid]
                 self._saved_arcs.append((uid, rise, fall))
                 # (tp0, d_slew, tau, s_slew, tau_deg, t0_coef): the
-                # load-folded tp0/tau entries scale exactly like the
-                # cell's d0/d_load/s0/s_load coefficients do.
-                compiled.arc_rise[uid] = (
-                    rise[0] * factor, rise[1], rise[2] * factor,
-                    rise[3], rise[4], rise[5],
-                )
-                compiled.arc_fall[uid] = (
-                    fall[0] * factor, fall[1], fall[2] * factor,
-                    fall[3], fall[4], fall[5],
-                )
+                # tp0/tau entries are re-folded from the scaled cell arcs
+                # the way the lowering folds them, so they round exactly
+                # as the reference engine's delays do; the degradation
+                # entries do not scale.
+                for rising, table, old in (
+                    (True, compiled.arc_rise, rise),
+                    (False, compiled.arc_fall, fall),
+                ):
+                    arc = gate.cell.arc(gate_input.index, rising)
+                    table[uid] = (
+                        arc.d0 + arc.d_load * c_load, old[1],
+                        arc.s0 + arc.s_load * c_load, old[3], old[4], old[5],
+                    )
         else:
             arity = len(gate.inputs)
             table = compiled.gate_tables[index]
@@ -282,56 +287,78 @@ def _run_with_pulse(
     settle: float,
     seed: Optional[Mapping[str, int]],
 ) -> SimulationResult:
-    """The run_stimulus loop with a SET pulse spliced into the timeline.
-
-    At ``fault.time`` the target net's committed value is read and the
-    complement is broadcast to the net's fanouts as an ordinary ramp;
-    ``fault.width`` later the original value is broadcast back.  The
-    driving gate keeps its state — only the receivers see the pulse —
-    so downstream survival is decided entirely by the inertial filter
-    and the degradation model, which is the HALOTIS-specific point of
-    SET campaigns.
-    """
-    net = simulator.netlist.net(fault.net)
-    slew = min(simulator.config.default_input_slew, fault.width)
-    pulse_value: List[int] = []
-
-    def fire(at_time: float, restore: bool) -> None:
-        if restore:
-            if not pulse_value:
-                return
-            value = pulse_value[0]
-        else:
-            value = 1 - simulator.value(fault.net)
-            pulse_value.append(1 - value)
-        simulator._broadcast_transition(
-            Transition(
-                t50=at_time,
-                duration=slew,
-                rising=value == 1,
-                net_name=fault.net,
-            ),
-            net,
-        )
-
-    pulses = [(fault.time, False), (fault.time + fault.width, True)]
+    """The run_stimulus loop with a SET pulse spliced into the timeline
+    (see :func:`play`)."""
     simulator.stats = SimulationStatistics()
     simulator.initialize(stimulus.initial_values(simulator.netlist), seed=seed)
-    for at_time, assignments, change_slew in stimulus.iter_changes():
-        while pulses and pulses[0][0] <= at_time:
-            pulse_time, restore = pulses.pop(0)
-            simulator.run(until=pulse_time)
-            fire(pulse_time, restore)
-        simulator.run(until=at_time)
-        simulator.apply_word(assignments, at_time, change_slew)
-    for pulse_time, restore in pulses:
-        simulator.run(until=pulse_time)
-        fire(pulse_time, restore)
-    simulator.run(until=stimulus.horizon + settle)
-    simulator.run()
+    play(simulator, stimulus, settle, fault)
     return SimulationResult(
         traces=simulator.traces,
         stats=simulator.stats,
         final_values=simulator.values(),
         simulator=simulator,
     )
+
+
+def play(
+    simulator: EngineBase,
+    stimulus: VectorSequence,
+    settle: float,
+    fault: Optional[FaultSpec] = None,
+    apply_stimulus: bool = True,
+    timer: Optional[PhaseTimer] = None,
+) -> None:
+    """Play ``stimulus`` on an initialised engine: every change, then
+    settle past the horizon and drain, as
+    :func:`repro.core.engine.run_stimulus` does.
+
+    When ``fault`` is a SET pulse, at ``fault.time`` the target net's
+    committed value is read and the complement is broadcast to the
+    net's fanouts as an ordinary ramp; ``fault.width`` later the
+    original value is broadcast back.  The driving gate keeps its state
+    — only the receivers see the pulse — so downstream survival is
+    decided entirely by the inertial filter and the degradation model,
+    which is the HALOTIS-specific point of SET campaigns.  A pulse at a
+    change instant fires before the change is applied.
+
+    A cone run (:mod:`repro.faults.differential`) passes
+    ``apply_stimulus=False``: its queue already holds every stimulus
+    event its gates see.
+    """
+    if timer is None:
+        timer = PhaseTimer(enabled=False)
+    pulses: List[Tuple[float, bool]] = []
+    held: List[int] = []  # the net's value when the pulse starts
+    if fault is not None and fault.kind is FaultKind.SET_PULSE:
+        pulses = [(fault.time, False), (fault.time + fault.width, True)]
+        net = simulator.netlist.net(fault.net)
+        slew = min(simulator.config.default_input_slew, fault.width)
+
+    def fire(at_time: float, restore: bool) -> None:
+        if not restore:
+            held.append(simulator.value(net.name))
+        value = held[0] if restore else 1 - held[0]
+        simulator._broadcast_pulse(
+            Transition(
+                t50=at_time, duration=slew, rising=value == 1,
+                net_name=net.name,
+            ),
+            net,
+        )
+
+    with timer.phase("stimulus"):
+        for at_time, assignments, change_slew in stimulus.iter_changes():
+            while pulses and pulses[0][0] <= at_time:
+                pulse_time, restore = pulses.pop(0)
+                simulator.run(until=pulse_time)
+                fire(pulse_time, restore)
+            simulator.run(until=at_time)
+            if apply_stimulus:
+                simulator.apply_word(assignments, at_time, change_slew)
+        for pulse_time, restore in pulses:
+            simulator.run(until=pulse_time)
+            fire(pulse_time, restore)
+    with timer.phase("settle"):
+        simulator.run(until=stimulus.horizon + settle)
+    with timer.phase("drain"):
+        simulator.run()

@@ -56,6 +56,8 @@ def test_with_mode_changes_only_mode():
         ("server_queue_depth", 0),
         # a policy's value is not a policy: validate() is the one check
         ("inertial_policy", "event-order"),
+        # nor is a mode's value a mode (it would silently run CDM)
+        ("delay_mode", "ddm"),
     ],
 )
 def test_validate_rejects_bad_values(field, value):
