@@ -72,6 +72,7 @@ from .trace import Row
 from .transition import Transition
 
 if TYPE_CHECKING:
+    from ..circuit.cells import TimingArcSpec
     from ..faults.differential import DifferentialRunner
 
 #: Largest gate arity lowered to a dense truth table; wider gates (only
@@ -212,10 +213,7 @@ class CompiledNetlist:
         input_pin = array("q", bytes(8 * self.num_inputs))
         input_net = array("q", bytes(8 * self.num_inputs))
         # Per-(input uid, output edge) delay-arc parameters with the
-        # gate's constant output load folded in:
-        # ``tp0 = tp0_base + d_slew*tau_in``, ``tau_out = tau_base +
-        # s_slew*tau_in``, ``tau_deg = vdd*(A + B*CL)`` (paper eq. 2) and
-        # ``T0 = t0_coef*tau_in`` (paper eq. 3).
+        # gate's constant output load folded in (see fold_arc).
         arc_rise: List[Tuple[float, float, float, float, float, float]] = [None] * self.num_inputs  # type: ignore[list-item]
         arc_fall: List[Tuple[float, float, float, float, float, float]] = [None] * self.num_inputs  # type: ignore[list-item]
         for gate in gates:
@@ -226,21 +224,12 @@ class CompiledNetlist:
                 input_gate[uid] = gate.index
                 input_pin[uid] = gate_input.index
                 input_net[uid] = gate_input.net.index
-                for rising in (False, True):
-                    arc = gate.cell.arc(gate_input.index, rising)
-                    degradation = arc.degradation
-                    params = (
-                        arc.d0 + arc.d_load * c_load,
-                        arc.d_slew,
-                        arc.s0 + arc.s_load * c_load,
-                        arc.s_slew,
-                        vdd * (degradation.a + degradation.b * c_load),
-                        0.5 - degradation.c / vdd,
-                    )
-                    if rising:
-                        arc_rise[uid] = params
-                    else:
-                        arc_fall[uid] = params
+                arc_fall[uid] = self.fold_arc(
+                    gate.cell.arc(gate_input.index, False), c_load
+                )
+                arc_rise[uid] = self.fold_arc(
+                    gate.cell.arc(gate_input.index, True), c_load
+                )
         self.vt_fraction = vt_fraction
         self.input_gate = input_gate
         self.input_pin = input_pin
@@ -422,6 +411,28 @@ class CompiledNetlist:
         for net, name in zip(self.pi_ids, self.pi_names):
             row[net] = input_values[name]
         return row
+
+    def fold_arc(
+        self, arc: TimingArcSpec, c_load: float
+    ) -> Tuple[float, float, float, float, float, float]:
+        """``arc``'s ``arc_rise``/``arc_fall`` entry under the constant
+        output load ``c_load``: ``(tp0_base, d_slew, tau_base, s_slew,
+        tau_deg, t0_coef)``, from which the kernel takes ``tp0 =
+        tp0_base + d_slew*tau_in``, ``tau_out = tau_base +
+        s_slew*tau_in``, ``tau_deg = vdd*(A + B*CL)`` (paper eq. 2) and
+        ``T0 = t0_coef*tau_in`` (paper eq. 3).  The one folding rule:
+        a fault patch that re-folds an arc must round exactly as the
+        lowering does."""
+        degradation = arc.degradation
+        vdd = self.vdd
+        return (
+            arc.d0 + arc.d_load * c_load,
+            arc.d_slew,
+            arc.s0 + arc.s_load * c_load,
+            arc.s_slew,
+            vdd * (degradation.a + degradation.b * c_load),
+            0.5 - degradation.c / vdd,
+        )
 
     def dc_sweep(self) -> Optional[List[Tuple[int, int, Tuple[int, ...]]]]:
         """``(gate, output net, input nets)`` in topological order, or
@@ -875,7 +886,7 @@ class CompiledSimulator(EngineBase):
         self._trace_appenders: Optional[List] = None
         #: the differential fault simulator over this engine (see
         #: :mod:`repro.faults.differential`), built by the first chunk
-        #: that holds faulted stimuli and kept with its golden runs.
+        #: that holds faulted stimuli and kept with its golden record.
         self._differential: Optional[DifferentialRunner] = None
 
     @property

@@ -28,13 +28,14 @@ pool.
 
 On the compiled-family engines every path runs a mutant on its fault's
 fanout cone only: the engine records the golden run of the base
-stimulus once, on the first chunk that holds one of its mutants, and
-each mutant re-runs just the fault net's driver and the gates
-downstream of it against that record
+stimulus once, on the first chunk that holds at least
+:data:`~repro.faults.differential.MIN_MUTANTS_TO_RECORD` (8) of its
+mutants, and each mutant re-runs just the fault net's driver and the
+gates downstream of it against that record
 (:mod:`~repro.faults.differential`).  Results, statistics and engine
 metrics are bit-identical to full runs; the ``reference`` engine, a
-lone faulted ``simulate()`` and a few other cases listed there take the
-full run.  The golden run diffed here is still a plain ``simulate()``.
+lone faulted ``simulate()``, smaller chunks before the record exists
+and a few other cases listed there take the full run.  The golden run diffed here is still a plain ``simulate()``.
 """
 
 from __future__ import annotations

@@ -37,7 +37,8 @@ for a SET pulse, phase 2 for a stimulus change and ``j`` counting such
 broadcasts.  A kernel entry that executes at the instant of the
 broadcast it descends from (a SET pulse's late-clamped events and
 their late-clamped children) runs after that broadcast, so it inherits
-the phase: its children are keyed ``((t_exec, phase, j, k), n)``.
+the phase: its children are keyed ``((t_exec, phase, j, k), n)``, which
+sorts after the broadcast's own ``((now, phase, j), n)``.
 
 These keys order events exactly as the insertion counter does.  At one
 instant the kernel first drains every event already queued for it
@@ -51,9 +52,15 @@ a cone-only run, and the cone run reproduces the full run's tie order.
 ``tests/faults/test_differential.py`` checks both halves: keys rise in
 insertion order, and every mutant matches its full run field by field.
 
-Building and comparing the keys makes a keyed run about 1.6x the plain
-kernel's CPU, so only the recording run and the cone runs use them;
-unfaulted runs keep the plain kernel.
+Each key stores its ancestor chain flat (:class:`CausalKey`), about
+three entries per gate on the causal path, so building and storing one
+costs O(logic depth).  Nested parents would share the chain and build
+in O(1), but ties would then compare one ancestor at a time, and cone
+runs measured 1.25-2x slower with them (slower than full runs on
+mult10), so the chain stays flat; the record's memory is measured in
+docs/performance.md.  A keyed run costs
+about 1.5-1.9x the plain kernel's CPU, so only the recording run and
+the cone runs use the keys; unfaulted runs keep the plain kernel.
 
 **When the full run is used instead.**  The ``reference`` engine;
 cyclic lowerings (no topological DC sweep to re-solve a cone);
@@ -62,22 +69,27 @@ sequence); a DC ``seed``; a base stimulus that is not a
 :class:`~repro.stimuli.vectors.VectorSequence`; a fault net that is not
 gate-driven; a golden run that fails; a cone run that raises; and a
 synthesized event total that reaches ``max_events``, so the full run
-raises the same :class:`~repro.errors.SimulationLimitError`.  A lone
-faulted ``simulate()`` never gets here: one mutant cannot amortise the
-recording.
+raises the same :class:`~repro.errors.SimulationLimitError`.  A
+recording costs more than a full run and each cone is built on first
+use, so a chunk records a base stimulus only while it still holds
+:data:`MIN_MUTANTS_TO_RECORD` mutants of it; fewer (a lone faulted
+``simulate()`` among them) take full runs unless the golden record
+already exists.
 
-**Cache.**  An engine keeps the golden runs of its last few base
-stimuli, keyed by the stimulus' value, ``settle`` and the trace knobs.
-Each chunk first compares the lowering's patchable tables with the
-snapshot the records were made under and drops them all on a
-difference or when ``Netlist.compile()`` returns a new lowering (after
+**The golden record.**  An engine keeps the golden run of one base
+stimulus: the last one recorded, compared by value and ``settle``.  A
+different base stimulus replaces it, but not while the chunk still
+holds mutants of the recorded one, so a chunk that interleaves two
+base stimuli never re-records back and forth.  Each chunk first
+compares the lowering's patchable tables with the snapshot the record
+was made under and drops it on a difference or when
+``Netlist.compile()`` returns a new lowering (after
 ``invalidate_lowering()``).  A fault injection restores the very
-objects it replaced, so a mutant never invalidates the cache.
+objects it replaced, so a mutant never invalidates the record.
 """
 
 from __future__ import annotations
 
-import collections
 import heapq
 from itertools import compress
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -92,7 +104,7 @@ from ..core.engine import (
     run_stimulus,
 )
 from ..core.stats import SimulationStatistics
-from ..core.trace import Row, TraceSet
+from ..core.trace import TraceSet
 from ..core.transition import Transition
 from ..errors import ReproError
 from ..obs.registry import MetricsRegistry, get_registry
@@ -108,8 +120,11 @@ STIMULUS_PHASE = 2
 #: fault kinds whose patch changes the DC solution inside the cone.
 _LOGIC_KINDS = (FaultKind.STUCK_AT_0, FaultKind.STUCK_AT_1, FaultKind.BIT_FLIP)
 
-#: golden runs an engine keeps (one per base stimulus).
-_MAX_RECORDS = 8
+#: mutants of one base stimulus a chunk must still hold to record its
+#: golden run.  A cold chunk of this many breaks even on c17 and wins
+#: on the multipliers (docs/performance.md); fewer would run slower
+#: than their full runs.
+MIN_MUTANTS_TO_RECORD = 8
 
 
 class CausalKey(Tuple[Tuple[object, ...], int]):
@@ -181,7 +196,8 @@ class RecordingKernel(CausalKernel):
     """A keyed full run that also keeps what cone runs need: every
     executed entry per pin, degraded and fully degraded emissions and
     the last execution time per gate, and scheduled, filtered and late
-    events per broadcasting net."""
+    events per broadcasting net.  After :meth:`record` the kernel is the
+    golden record itself."""
 
     def _build_state(
         self, input_values: Dict[str, int], seed: Optional[Dict[str, int]]
@@ -222,15 +238,45 @@ class RecordingKernel(CausalKernel):
         self.net_filtered[net_index] += stats.events_filtered - filtered
         self.net_late[net_index] += stats.late_events - late
 
+    def record(self, stimulus: VectorSequence, settle: float) -> None:
+        """Make the golden run of ``stimulus``: the DC state a cone run
+        starts from, the run itself, and the indexes cone runs read."""
+        self.initialize(stimulus.initial_values(self.netlist))
+        self.dc_inputs = list(self._input_values)
+        self.dc_gate_out = list(self._gate_out)
+        self.dc_row = list(self._pi)
+        play(self, stimulus, settle)
+        cn = self._cn
+        self.final_values = self.values()
+        self.sweep = cn.dc_sweep() or []  # runners never record cyclic lowerings
+        self.names = self.traces.names()
+        self.initial = self.traces.initial_values()
+        self.index = {name: slot for slot, name in enumerate(self.names)}
+        #: trace slot of each net id (traced runs only).
+        self.slot_of_net = (
+            [self.index[name] for name in cn.net_names] if self.names else []
+        )
+        self.gates_by_last_time = sorted(
+            range(cn.num_gates), key=self.gate_last_time.__getitem__,
+            reverse=True,
+        )
+        self._cones: Dict[int, _Cone] = {}
+
+    def cone(self, driver: int) -> _Cone:
+        """The cone of the gate ``driver``, built on first use."""
+        cone = self._cones.get(driver)
+        if cone is None:
+            cone = self._cones[driver] = _Cone(self, driver)
+        return cone
+
 
 class _Cone:
     """One fault net's fanout cone, with the golden run's share of it."""
 
-    __slots__ = ("driver", "sweep", "pins", "heap", "share", "outside_time")
+    __slots__ = ("sweep", "pins", "heap", "share", "outside_time")
 
-    def __init__(self, golden: _Golden, driver: int):
-        cn = golden.cn
-        self.driver = driver
+    def __init__(self, golden: RecordingKernel, driver: int):
+        cn = golden.compiled_netlist
         gate_out_net = cn.gate_output_net
         offsets = cn.fanout_offsets
         targets = cn.fanout_targets
@@ -264,7 +310,7 @@ class _Cone:
         #: golden events on side inputs, in heap order.
         self.heap = [entry for uid in side for entry in executed[uid]]
         heapq.heapify(self.heap)
-        toggles = golden.toggles
+        toggles = golden._toggles
         gates = [step[0] for step in self.sweep]
         nets = [step[1] for step in self.sweep]
         self.share = (
@@ -284,52 +330,8 @@ class _Cone:
                 break
 
 
-class _Golden:
-    """One recorded golden run and the cones computed against it."""
-
-    def __init__(self, recorder: RecordingKernel, dc_inputs: List[int],
-                 dc_gate_out: List[int], dc_row: List[int]):
-        cn = self.cn = recorder.compiled_netlist
-        self.sweep = cn.dc_sweep() or []  # runners never record cyclic lowerings
-        self.dc_inputs = dc_inputs
-        self.dc_gate_out = dc_gate_out
-        self.dc_row = dc_row
-        self.stats = recorder.stats
-        self.toggles: List[int] = recorder._toggles
-        self.final_pi: List[int] = recorder._pi
-        self.final_gate_out: List[int] = recorder._gate_out
-        self.final_values = recorder.values()
-        traces = recorder.traces
-        self.names = traces.names()
-        self.index = {name: slot for slot, name in enumerate(self.names)}
-        #: trace slot of each net id (traced runs only).
-        self.slot_of_net = (
-            [self.index[name] for name in cn.net_names] if self.names else []
-        )
-        self.initial: List[int] = traces.initial_values()
-        self.rows: List[List[Row]] = traces.row_lists()
-        self.executed = recorder.executed
-        self.net_scheduled = recorder.net_scheduled
-        self.net_filtered = recorder.net_filtered
-        self.net_late = recorder.net_late
-        self.gate_degraded = recorder.gate_degraded
-        self.gate_fully = recorder.gate_fully
-        self.gate_last_time = recorder.gate_last_time
-        self.gates_by_last_time = sorted(
-            range(self.cn.num_gates), key=self.gate_last_time.__getitem__,
-            reverse=True,
-        )
-        self._cones: Dict[int, _Cone] = {}
-
-    def cone(self, driver: int) -> _Cone:
-        cone = self._cones.get(driver)
-        if cone is None:
-            cone = self._cones[driver] = _Cone(self, driver)
-        return cone
-
-
-def _stimulus_key(stimulus: VectorSequence) -> Tuple[object, ...]:
-    """A hashable value of a base stimulus."""
+def _stimulus_value(stimulus: VectorSequence) -> Tuple[object, ...]:
+    """A comparable value of a base stimulus."""
     return (
         stimulus.slew, stimulus.defaults, stimulus.horizon,
         tuple((time, tuple(sorted(assignments.items())))
@@ -338,7 +340,7 @@ def _stimulus_key(stimulus: VectorSequence) -> Tuple[object, ...]:
 
 
 class DifferentialRunner:
-    """Golden records and cone runs for one compiled-family engine."""
+    """The golden record and cone runs of one compiled-family engine."""
 
     def __init__(self, engine: CompiledSimulator):
         self.engine = engine
@@ -346,14 +348,13 @@ class DifferentialRunner:
         self.cone_kernel = _ConeKernel(
             engine.netlist, config=engine.config, compiled=self.cn
         )
-        self._records: collections.OrderedDict[
-            Tuple[object, ...], Optional[_Golden]
-        ] = collections.OrderedDict()
         self._snapshot: Optional[Tuple[object, ...]] = None
-        #: ``(stimulus, settle, record)`` of the last lookup this chunk.
-        self._last: Optional[Tuple[VectorSequence, float, Optional[_Golden]]] = None
-        #: golden runs recorded so far (inspection and tests).
-        self.recordings = 0
+        #: ``(stimulus value, settle)`` of the golden record.
+        self._base: Optional[Tuple[object, ...]] = None
+        #: the golden record; None when there is none or it failed.
+        self.golden: Optional[RecordingKernel] = None
+        #: eligible mutants per base the current chunk has still to run.
+        self._pending: Dict[Tuple[object, ...], int] = {}
 
     def usable(self) -> bool:
         """False when every mutant must take the full run: a cyclic
@@ -363,14 +364,17 @@ class DifferentialRunner:
             and not self.engine.config.record_filtered
         )
 
-    def begin_chunk(self) -> None:
-        """Drop the golden records if the lowering changed since they
-        were made (a new lowering, or tables patched in place)."""
+    def begin_chunk(
+        self, stimuli: Sequence[object], settle: float
+    ) -> List[Optional[Tuple[object, ...]]]:
+        """Drop the golden record if the lowering changed since it was
+        made (a new lowering, or tables patched in place), and return
+        each stimulus' base, ``(stimulus value, settle)``, or None when
+        it must take the full run."""
         cn = self.cn
-        self._last = None
         current = self.engine.netlist.compile()
         snapshot = self._snapshot
-        if (
+        if not (
             snapshot is not None
             and snapshot[0] is current
             and cn.gate_tables == snapshot[1]
@@ -378,74 +382,83 @@ class DifferentialRunner:
             and cn.arc_rise == snapshot[3]
             and cn.arc_fall == snapshot[4]
         ):
-            return
-        self._records.clear()
-        self._snapshot = (
-            current,
-            [None if table is None else list(table) for table in cn.gate_tables],
-            list(cn.gate_functions),
-            list(cn.arc_rise),
-            list(cn.arc_fall),
-        )
+            self._base = self.golden = None
+            self._snapshot = (
+                current,
+                [None if table is None else list(table)
+                 for table in cn.gate_tables],
+                list(cn.gate_functions),
+                list(cn.arc_rise),
+                list(cn.arc_fall),
+            )
+        nets = self.engine.netlist.nets
+        values: Dict[int, Tuple[object, ...]] = {}
+        bases: List[Optional[Tuple[object, ...]]] = []
+        pending: Dict[Tuple[object, ...], int] = {}
+        for item in stimuli:
+            base = None
+            if isinstance(item, FaultedStimulus):
+                stimulus = item.stimulus
+                net = nets.get(item.fault.net)
+                if (type(stimulus) is VectorSequence and net is not None
+                        and net.driver is not None):
+                    base = values.get(id(stimulus))
+                    if base is None:
+                        base = (_stimulus_value(stimulus), settle)
+                        if base == self._base:
+                            base = self._base  # compared by identity below
+                        values[id(stimulus)] = base
+                    pending[base] = pending.get(base, 0) + 1
+            bases.append(base)
+        self._pending = pending
+        return bases
 
-    def golden(
-        self, stimulus: VectorSequence, settle: float
-    ) -> Optional[_Golden]:
-        """The golden record of ``stimulus``, recorded on first use;
-        None when it cannot be recorded (the full run decides)."""
-        last = self._last
-        if last is not None and last[0] is stimulus and last[1] == settle:
-            return last[2]
-        config = self.engine.config
-        key = (_stimulus_key(stimulus), settle, config.record_traces,
-               config.default_input_slew)
-        records = self._records
-        if key in records:
-            record = records[key]
-        else:
-            try:
-                record = self._record(stimulus, settle)
-            except ReproError:
-                record = None
-            records[key] = record
-            if len(records) > _MAX_RECORDS:
-                records.popitem(last=False)
-        self._last = (stimulus, settle, record)
-        return record
-
-    def _record(self, stimulus: VectorSequence, settle: float) -> _Golden:
+    def _golden_for(
+        self, stimulus: VectorSequence, base: Tuple[object, ...]
+    ) -> Optional[RecordingKernel]:
+        """The golden record of ``base``, recorded here when the chunk
+        still holds enough of its mutants and none of the recorded
+        base's; None when the full run must decide."""
+        pending = self._pending
+        left = pending[base]
+        pending[base] = left - 1
+        recorded = self._base
+        if base is recorded:
+            return self.golden
+        if left < MIN_MUTANTS_TO_RECORD or (
+            recorded is not None and pending.get(recorded)
+        ):
+            return None
         engine = self.engine
-        recorder = RecordingKernel(
+        golden: Optional[RecordingKernel] = RecordingKernel(
             engine.netlist, config=engine.config, compiled=self.cn
         )
-        recorder.initialize(stimulus.initial_values(recorder.netlist))
-        dc_inputs = list(recorder._input_values)
-        dc_gate_out = list(recorder._gate_out)
-        dc_row = list(recorder._pi)
-        play(recorder, stimulus, settle)
-        self.recordings += 1
-        return _Golden(recorder, dc_inputs, dc_gate_out, dc_row)
+        try:
+            golden.record(stimulus, base[1])
+        except ReproError:
+            golden = None
+        self._base, self.golden = base, golden
+        return golden
 
     def run(
-        self, faulted: FaultedStimulus, settle: float
+        self, faulted: FaultedStimulus, base: Tuple[object, ...]
     ) -> Optional[SimulationResult]:
         """The mutant's result from its cone alone, or None when the
         full run must decide (see the module docstring)."""
-        fault = faulted.fault
-        net = self.engine.netlist.nets.get(fault.net)
-        if net is None or net.driver is None:
-            return None
-        if type(faulted.stimulus) is not VectorSequence:
-            return None
-        golden = self.golden(faulted.stimulus, settle)
+        stimulus = faulted.stimulus
+        golden = self._golden_for(stimulus, base)
         if golden is None:
             return None
-        cone = golden.cone(net.driver.index)
-        injection = FaultInjection(self.engine.netlist, fault)
+        fault = faulted.fault
+        netlist = self.engine.netlist
+        driver = netlist.nets[fault.net].driver
+        if driver is None:  # begin_chunk passes gate-driven nets only
+            return None
+        cone = golden.cone(driver.index)
+        injection = FaultInjection(netlist, fault)
         try:
             injection.apply()
-            return self._run_cone(golden, cone, faulted.stimulus, settle,
-                                  fault)
+            return self._run_cone(golden, cone, stimulus, base[1], fault)
         except ReproError:
             return None
         finally:
@@ -453,7 +466,7 @@ class DifferentialRunner:
 
     def _run_cone(
         self,
-        golden: _Golden,
+        golden: RecordingKernel,
         cone: _Cone,
         stimulus: VectorSequence,
         settle: float,
@@ -501,7 +514,7 @@ class DifferentialRunner:
             kernel.now = 0.0
             kernel._ready = True
             if config.record_traces:
-                rows = [list(net_rows) for net_rows in golden.rows]
+                rows = [list(net_rows) for net_rows in golden.traces.row_lists()]
                 for _gate, out_net, _in_nets in cone.sweep:
                     rows[golden.slot_of_net[out_net]] = []
                 kernel.traces = TraceSet.from_rows(
@@ -522,7 +535,7 @@ class DifferentialRunner:
         )
         if total_executed >= kernel._max_events:
             return None  # the full run raises or ends right at the budget
-        toggles = list(golden.toggles)
+        toggles = list(golden._toggles)
         cone_toggles = kernel._toggles
         for _gate, out_net, _in_nets in cone.sweep:
             toggles[out_net] = cone_toggles[out_net]
@@ -556,14 +569,14 @@ class DifferentialRunner:
         # Leave the kernel in the full run's final state: golden values
         # outside the cone, the cone run's inside.
         final_values = golden.final_values.copy()
-        final_gate_out = list(golden.final_gate_out)
+        final_gate_out = list(golden._gate_out)
         net_names = cn.net_names
         for gate, out_net, _in_nets in cone.sweep:
             final_values[net_names[out_net]] = final_gate_out[gate] = (
                 gate_out[gate]
             )
         kernel._gate_out = final_gate_out
-        kernel._pi = list(golden.final_pi)
+        kernel._pi = list(golden._pi)
         traces = kernel.traces
         if cone.outside_time > traces.horizon:
             traces.horizon = cone.outside_time
@@ -617,12 +630,15 @@ def run_faulted_chunk(
     everything else replays through :func:`repro.core.engine.run_stimulus`.
     """
     runner = differential_runner(engine) if seed is None else None
-    if runner is not None:
-        runner.begin_chunk()
-    for stimulus in stimuli:
+    if runner is None:
+        for stimulus in stimuli:
+            yield run_stimulus(engine, stimulus, settle=settle, seed=seed)
+        return
+    bases = runner.begin_chunk(stimuli, settle)
+    for stimulus, base in zip(stimuli, bases):
         result = None
-        if runner is not None and isinstance(stimulus, FaultedStimulus):
-            result = runner.run(stimulus, settle)
+        if base is not None and isinstance(stimulus, FaultedStimulus):
+            result = runner.run(stimulus, base)
         if result is None:
-            result = run_stimulus(engine, stimulus, settle=settle, seed=seed)
+            result = run_stimulus(engine, stimulus, settle=settle)
         yield result

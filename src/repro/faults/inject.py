@@ -173,20 +173,14 @@ class FaultInjection:
                 rise = compiled.arc_rise[uid]
                 fall = compiled.arc_fall[uid]
                 self._saved_arcs.append((uid, rise, fall))
-                # (tp0, d_slew, tau, s_slew, tau_deg, t0_coef): the
-                # tp0/tau entries are re-folded from the scaled cell arcs
-                # the way the lowering folds them, so they round exactly
-                # as the reference engine's delays do; the degradation
-                # entries do not scale.
-                for rising, table, old in (
-                    (True, compiled.arc_rise, rise),
-                    (False, compiled.arc_fall, fall),
-                ):
-                    arc = gate.cell.arc(gate_input.index, rising)
-                    table[uid] = (
-                        arc.d0 + arc.d_load * c_load, old[1],
-                        arc.s0 + arc.s_load * c_load, old[3], old[4], old[5],
-                    )
+                # Re-folded from the scaled cell arcs, so the delays
+                # round exactly as the reference engine's do.
+                compiled.arc_rise[uid] = compiled.fold_arc(
+                    gate.cell.arc(gate_input.index, True), c_load
+                )
+                compiled.arc_fall[uid] = compiled.fold_arc(
+                    gate.cell.arc(gate_input.index, False), c_load
+                )
         else:
             arity = len(gate.inputs)
             table = compiled.gate_tables[index]

@@ -14,13 +14,15 @@ Three layers of checks:
   statistics counter, ``net_toggles``, final values and every trace
   field, on mult4, mult6, wallace4 and c17, DDM and CDM, traces on and
   off;
-* **cache and fallbacks** — the golden record is re-made exactly when
-  the lowering changes, and every fallback gives the full run's result
-  or error.
+* **golden record and fallbacks** — the golden record is re-made
+  exactly when the lowering changes, a chunk records only when it holds
+  enough mutants of one base stimulus, and every fallback gives the
+  full run's result or error.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import sys
 from pathlib import Path
@@ -40,7 +42,7 @@ from repro.core.engine import (
 )
 from repro.core.stats import SimulationStatistics
 from repro.errors import SimulationLimitError
-from repro.faults.differential import RecordingKernel
+from repro.faults.differential import MIN_MUTANTS_TO_RECORD, RecordingKernel
 from repro.faults.faultload import FaultKind, FaultSpec, generate_faultload
 from repro.faults.inject import FaultedStimulus, FaultInjection, play
 from repro.obs.registry import MetricsRegistry, get_registry
@@ -222,7 +224,7 @@ def test_cone_runs_match_full_runs_and_reference(circuit, mode, traced):
     engine = make_engine(netlist, config=config, engine_kind="compiled")
     cone = list(run_chunk(engine, mutants, settle=settle))
     runner = engine._differential
-    assert runner is not None and runner.recordings == 1
+    assert runner is not None and runner.golden is not None
     assert all(result.simulator is runner.cone_kernel for result in cone)
 
     full_engine = make_engine(netlist, config=config, engine_kind="compiled")
@@ -278,7 +280,7 @@ def test_campaign_engine_counters_match_full_runs():
 
 
 # ----------------------------------------------------------------------
-# golden cache and fallbacks
+# golden record and fallbacks
 # ----------------------------------------------------------------------
 
 def _chunk_matches_full(engine, mutants, **kwargs):
@@ -297,26 +299,26 @@ def _cache_case():
     mutants = [FaultedStimulus(stimulus, fault) for fault in faults]
     engine = make_engine(netlist, config=ddm_config(), engine_kind="compiled")
     _chunk_matches_full(engine, mutants[:10])
-    runner = engine._differential
-    assert runner.recordings == 1
+    golden = engine._differential.golden
+    assert golden is not None
     # Every mutant patched and restored the lowering: no re-recording.
     _chunk_matches_full(engine, mutants[10:])
-    assert runner.recordings == 1
-    return netlist, engine, mutants
+    assert engine._differential.golden is golden
+    return netlist, engine, mutants, golden
 
 
 def test_golden_is_remade_after_invalidate_lowering():
-    netlist, engine, mutants = _cache_case()
+    netlist, engine, mutants, golden = _cache_case()
     netlist.invalidate_lowering()
     _chunk_matches_full(engine, mutants[:10])
-    assert engine._differential.recordings == 2
+    assert engine._differential.golden not in (None, golden)
 
 
 def test_golden_is_remade_after_an_in_place_patch(patched_lowering):
-    netlist, engine, mutants = _cache_case()
+    netlist, engine, mutants, golden = _cache_case()
     patched_lowering(netlist)  # snapshot only: the tables are unchanged
     _chunk_matches_full(engine, mutants[:4])
-    assert engine._differential.recordings == 1
+    assert engine._differential.golden is golden
 
     def slow_first_gate(compiled):
         for table in (compiled.arc_rise, compiled.arc_fall):
@@ -326,7 +328,52 @@ def test_golden_is_remade_after_an_in_place_patch(patched_lowering):
 
     patched_lowering(netlist, slow_first_gate)
     _chunk_matches_full(engine, mutants[:10])
-    assert engine._differential.recordings == 2
+    assert engine._differential.golden not in (None, golden)
+
+
+def _cone_runs(engine, results):
+    runner = engine._differential
+    return [result.simulator is runner.cone_kernel for result in results]
+
+
+def test_small_chunks_record_only_enough_mutants():
+    """A chunk with fewer mutants of a base stimulus than pay for a
+    recording takes full runs, unless the record already exists."""
+    netlist, stimulus, faults = _campaign("mult4")
+    mutants = [FaultedStimulus(stimulus, fault) for fault in faults]
+    engine = make_engine(netlist, config=ddm_config(), engine_kind="compiled")
+    few = mutants[:MIN_MUTANTS_TO_RECORD - 1]
+    assert not any(_cone_runs(engine, _chunk_matches_full(engine, few)))
+    assert engine._differential.golden is None
+    enough = mutants[:MIN_MUTANTS_TO_RECORD]
+    assert all(_cone_runs(engine, _chunk_matches_full(engine, enough)))
+    golden = engine._differential.golden
+    assert golden is not None
+    assert all(_cone_runs(engine, _chunk_matches_full(engine, mutants[-1:])))
+    assert engine._differential.golden is golden
+
+
+def test_interleaved_base_stimuli_do_not_re_record():
+    """The record is kept while the chunk still needs it; a later chunk
+    of another base stimulus replaces it."""
+    netlist, first, faults = _campaign("mult4")
+    second = random_vectors(
+        [net.name for net in netlist.primary_inputs], count=3, period=3.0,
+        seed=8, slew=0.3,
+    )
+    mixed = [
+        FaultedStimulus(stimulus, fault)
+        for fault in faults[:MIN_MUTANTS_TO_RECORD]
+        for stimulus in (first, second)
+    ]
+    engine = make_engine(netlist, config=ddm_config(), engine_kind="compiled")
+    cone = _cone_runs(engine, _chunk_matches_full(engine, mixed))
+    assert cone == [True, False] * MIN_MUTANTS_TO_RECORD
+    golden = engine._differential.golden
+    again = [FaultedStimulus(second, fault)
+             for fault in faults[:MIN_MUTANTS_TO_RECORD]]
+    assert all(_cone_runs(engine, _chunk_matches_full(engine, again)))
+    assert engine._differential.golden not in (None, golden)
 
 
 def test_reference_engine_takes_full_runs(c17):
@@ -385,6 +432,10 @@ def test_event_budget_surfaces_the_full_runs_error():
     config = ddm_config(max_events=golden.stats.events_executed)
     engine = make_engine(netlist, config=config, engine_kind="compiled")
     full = make_engine(netlist, config=config, engine_kind="compiled")
+    with contextlib.suppress(SimulationLimitError):
+        list(run_chunk(engine, [FaultedStimulus(stimulus, fault)
+                                for fault in faults]))
+    assert engine._differential.golden is not None  # records the budget
     outcomes = {"error": 0, "cone": 0}
     for fault in faults:
         mutant = FaultedStimulus(stimulus, fault)
@@ -411,4 +462,5 @@ def test_failed_golden_run_falls_back_to_full_runs():
     with pytest.raises(SimulationLimitError):
         run_stimulus(engine, mutant)
     with pytest.raises(SimulationLimitError):
-        list(run_chunk(engine, [mutant]))
+        list(run_chunk(engine, [mutant] * MIN_MUTANTS_TO_RECORD))
+    assert engine._differential.golden is None
