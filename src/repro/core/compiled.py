@@ -855,8 +855,8 @@ class CompiledSimulator(EngineBase):
             raise SimulationError(
                 "compiled netlist does not wrap the given netlist"
             )
-        self._cn = compiled if compiled is not None else netlist.compile()
         super().__init__(netlist, config=config)
+        self._bind(compiled if compiled is not None else netlist.compile())
         self._event_order = (
             self.config.inertial_policy is InertialPolicy.EVENT_ORDER
         )
@@ -864,17 +864,6 @@ class CompiledSimulator(EngineBase):
         self._min_delay = self.config.min_delay
         self._resolution = self.config.time_resolution
         self._max_events = self.config.max_events
-        # Hot-path copies of the lowered index arrays as plain lists:
-        # list indexing returns the stored (already-boxed) objects, where
-        # ``array`` indexing re-boxes a fresh int/float per access.
-        cn = self._cn
-        self._fanout_offsets = list(cn.fanout_offsets)
-        self._fanout_targets = list(cn.fanout_targets)
-        self._vt_fraction = list(cn.vt_fraction)
-        self._input_gate = list(cn.input_gate)
-        self._input_net = list(cn.input_net)
-        self._gate_offsets = list(cn.gate_input_offsets)
-        self._gate_out_net = list(cn.gate_output_net)
         # dynamic state (built by _build_state)
         self._input_values: List[int] = []
         self._gate_out: List[int] = []
@@ -884,10 +873,38 @@ class CompiledSimulator(EngineBase):
         self._toggles: List[int] = []
         self._toggles_dirty = False
         self._trace_appenders: Optional[List] = None
+
+    def _bind(self, cn: CompiledNetlist) -> None:
+        """Run on the lowering ``cn`` from now on."""
+        self._cn = cn
+        # Hot-path copies of the lowered index arrays as plain lists:
+        # list indexing returns the stored (already-boxed) objects, where
+        # ``array`` indexing re-boxes a fresh int/float per access.
+        self._fanout_offsets = list(cn.fanout_offsets)
+        self._fanout_targets = list(cn.fanout_targets)
+        self._vt_fraction = list(cn.vt_fraction)
+        self._input_gate = list(cn.input_gate)
+        self._input_net = list(cn.input_net)
+        self._gate_offsets = list(cn.gate_input_offsets)
+        self._gate_out_net = list(cn.gate_output_net)
         #: the differential fault simulator over this engine (see
         #: :mod:`repro.faults.differential`), built by the first chunk
         #: that holds faulted stimuli and kept with its golden record.
         self._differential: Optional[DifferentialRunner] = None
+
+    def _sync_lowering(self) -> CompiledNetlist:
+        """``netlist.compile()``'s lowering, which the engine runs on.
+
+        A lowering replaced since the engine last ran (after
+        ``Netlist.invalidate_lowering()`` or a structural edit) is
+        bound here, dropping the differential runner built over the
+        old one, so the engine never runs on a stale lowering while
+        fault injection patches the current one.
+        """
+        cn = self.netlist.compile()
+        if cn is not self._cn:
+            self._bind(cn)
+        return cn
 
     @property
     def compiled_netlist(self) -> CompiledNetlist:
@@ -905,7 +922,7 @@ class CompiledSimulator(EngineBase):
         input_values: Dict[str, int],
         seed: Optional[Dict[str, int]],
     ) -> None:
-        cn = self._cn
+        cn = self._sync_lowering()
         dc = cn.dc_values(input_values, seed)
         self._input_values = [dc[net] for net in self._input_net]
         self._gate_out = [dc[net] for net in self._gate_out_net]
@@ -1115,6 +1132,10 @@ class CompiledSimulator(EngineBase):
                     continue
             else:
                 event_time = crossing
+                if len(stack) > 1:
+                    # Every entry here has executed, and only the top
+                    # one is ever read again.
+                    del stack[:-1]
                 if previous is not None and crossing <= previous[E_TIME]:
                     # The predecessor already executed; we cannot unwind
                     # the past, so the restoring event runs immediately.

@@ -49,7 +49,7 @@ from __future__ import annotations
 import abc
 import dataclasses
 import time as _time
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Type
+from typing import Callable, Dict, List, Mapping, Optional, Tuple, Type
 
 from ..circuit.logic import evaluate as evaluate_function
 from ..circuit.netlist import Net, Netlist
@@ -256,8 +256,7 @@ class EngineBase(abc.ABC):
 
     def _broadcast_pulse(self, transition: Transition, net: Net) -> None:
         """Broadcast an injected SET pulse edge on ``net`` (see
-        :func:`repro.faults.inject.play`); the default treats it like a
-        stimulus edge."""
+        :func:`play`); the default treats it like a stimulus edge."""
         self._broadcast_transition(transition, net)
 
     def _count_toggle(self, net: Net) -> None:
@@ -678,7 +677,7 @@ class SimulationResult:
     final_values: Dict[str, int]
     simulator: Optional[EngineBase]
     #: per-run observability summary (phase breakdown, counter totals),
-    #: filled by :func:`run_stimulus` when ``config.collect_metrics``
+    #: filled by :func:`finish_run` when ``config.collect_metrics``
     #: and the process metrics registry are enabled; None otherwise.
     #: Deliberately NOT part of SimulationStatistics: the parity suites
     #: compare statistics field by field across engines and transports,
@@ -733,7 +732,7 @@ def publish_engine_metrics(
     ``counts`` maps :class:`SimulationStatistics` field names to totals;
     ``waves`` is the ``(waves, lanes)`` pair of a lockstep kernel.  The
     caller is responsible for the enabled check — this function always
-    publishes.  Shared by :func:`run_stimulus` and the vector /
+    publishes.  Shared by :func:`finish_run` and the vector /
     bit-parallel lockstep drivers so the metric names cannot drift.
     """
     from ..obs import get_registry
@@ -798,8 +797,8 @@ def run_stimulus(
     """Run one complete ``stimulus`` through ``simulator``.
 
     (Re-)initialises the engine from the stimulus' DC assignment, plays
-    every change, settles past the horizon and drains the queue — the
-    loop behind :func:`simulate`, exposed separately so batched runs
+    it (:func:`play`) and builds the result (:func:`finish_run`) — the
+    run behind :func:`simulate`, exposed separately so batched runs
     (:func:`repro.core.batch.simulate_batch`) can push many stimuli
     through one reused engine.  The engine's statistics object is
     replaced (not reset) so every returned result owns its counters.
@@ -807,55 +806,139 @@ def run_stimulus(
     A stimulus carrying a ``fault`` attribute (a
     :class:`repro.faults.inject.FaultedStimulus`) is routed through the
     fault-injection layer, which patches the lowering, replays the base
-    stimulus and guarantees restoration — one hook here covers every
-    execution path (simulate(), in-process batches, shard workers,
-    service workers), exactly like the STA-oracle hook below.
+    stimulus through :func:`replay` and guarantees restoration — one
+    hook here covers every execution path (simulate(), in-process
+    batches, service workers).
     """
-    fault = getattr(stimulus, "fault", None)
-    if fault is not None:
+    if getattr(stimulus, "fault", None) is not None:
         from ..faults.inject import run_faulted_stimulus
 
         return run_faulted_stimulus(simulator, stimulus, settle=settle, seed=seed)
-    collect = simulator.config.collect_metrics
-    if collect:
-        # One hook covers every execution path (simulate(), in-process
-        # batches, shard workers, service workers) — the same funnel the
-        # fault and STA-oracle hooks use.  All sampling is per *run*:
-        # a handful of perf_counter stamps plus one counter batch below,
-        # nothing per event (benchmarks/test_obs_overhead.py gates it).
-        from ..obs import get_registry
+    return replay(simulator, stimulus, settle, seed)
 
-        registry = get_registry()
-        collect = registry.enabled
-    timer = _PhaseTimer(enabled=collect)
+
+def replay(
+    simulator: EngineBase,
+    stimulus,
+    settle: float = 0.0,
+    seed: Optional[Mapping[str, int]] = None,
+    pulse: Optional[Tuple[str, float, float]] = None,
+) -> SimulationResult:
+    """:func:`run_stimulus` without the fault dispatch: initialise,
+    :func:`play` (with ``pulse``, if any) and :func:`finish_run`."""
+    timer = run_timer(simulator.config)
     simulator.stats = SimulationStatistics()
     with timer.phase("initialize"):
         simulator.initialize(
             stimulus.initial_values(simulator.netlist), seed=seed
         )
-    changes: Iterable[Tuple[float, Mapping[str, int], Optional[float]]]
-    changes = stimulus.iter_changes()
+    play(simulator, stimulus, settle, pulse=pulse, timer=timer)
+    return finish_run(simulator, stimulus, timer)
+
+
+def run_timer(config: SimulationConfig) -> _PhaseTimer:
+    """The phase timer of one run: enabled when the run publishes
+    metrics (``config.collect_metrics`` and the process registry on).
+
+    All sampling is per *run*: a handful of perf_counter stamps plus
+    one counter batch in :func:`finish_run`, nothing per event
+    (benchmarks/test_obs_overhead.py gates it).
+    """
+    if not config.collect_metrics:
+        return _PhaseTimer(enabled=False)
+    from ..obs import get_registry
+
+    return _PhaseTimer(enabled=get_registry().enabled)
+
+
+def play(
+    simulator: EngineBase,
+    stimulus,
+    settle: float,
+    pulse: Optional[Tuple[str, float, float]] = None,
+    apply_stimulus: bool = True,
+    timer: Optional[_PhaseTimer] = None,
+) -> None:
+    """Play ``stimulus`` on an initialised engine: every change, then
+    settle past the horizon and drain the queue.  The one loop that
+    replays a stimulus: plain and faulted runs, golden recordings and
+    cone runs (:mod:`repro.faults.differential`) all come through here.
+
+    ``pulse`` is a SET pulse ``(net, time, width)``: at ``time`` the
+    net's committed value is read and the complement is broadcast to
+    the net's fanouts as an ordinary ramp; ``width`` later the original
+    value is broadcast back.  The driving gate keeps its state — only
+    the receivers see the pulse — so downstream survival is decided
+    entirely by the inertial filter and the degradation model, which is
+    the HALOTIS-specific point of SET campaigns.  A pulse at a change
+    instant fires before the change is applied.
+
+    A cone run passes ``apply_stimulus=False``: its queue already holds
+    every stimulus event its gates see.
+    """
+    if timer is None:
+        timer = _PhaseTimer(enabled=False)
+    edges: List[Tuple[float, bool]] = []
+    held: List[int] = []  # the net's value when the pulse starts
+    if pulse is not None:
+        net_name, start, width = pulse
+        net = simulator.netlist.net(net_name)
+        slew = min(simulator.config.default_input_slew, width)
+        edges = [(start, False), (start + width, True)]
+
+    def fire(at_time: float, restore: bool) -> None:
+        simulator.run(until=at_time)
+        if not restore:
+            held.append(simulator.value(net.name))
+        value = held[0] if restore else 1 - held[0]
+        simulator._broadcast_pulse(
+            Transition(
+                t50=at_time, duration=slew, rising=value == 1,
+                net_name=net.name,
+            ),
+            net,
+        )
+
     with timer.phase("stimulus"):
-        for at_time, assignments, slew in changes:
+        for at_time, assignments, change_slew in stimulus.iter_changes():
+            while edges and edges[0][0] <= at_time:
+                fire(*edges.pop(0))
             simulator.run(until=at_time)
-            simulator.apply_word(assignments, at_time, slew)
+            if apply_stimulus:
+                simulator.apply_word(assignments, at_time, change_slew)
+        for edge in edges:
+            fire(*edge)
     with timer.phase("settle"):
         simulator.run(until=stimulus.horizon + settle)
     with timer.phase("drain"):
         simulator.run()  # drain any events scheduled past the horizon
+
+
+def finish_run(
+    simulator: EngineBase, stimulus, timer: _PhaseTimer
+) -> SimulationResult:
+    """The one epilogue of a run: the result of ``simulator``'s current
+    state, its metrics and the STA oracle.
+
+    When ``timer`` is enabled the run's counters are published under
+    ``simulator.kind`` and summarised in ``result.metrics``.  The STA
+    oracle (``config.check_sta_bounds``) runs only when no fault is
+    active: a mutant's waveforms legitimately escape the *healthy*
+    circuit's static envelope — that escape is often exactly the
+    detection signal — so an ``OracleError`` would be a false alarm.
+    """
     result = SimulationResult(
         traces=simulator.traces,
         stats=simulator.stats,
         final_values=simulator.values(),
         simulator=simulator,
     )
-    if collect:
+    if timer.enabled:
         counts = _stat_counts(result.stats)
         phases = timer.phases()
         wall = timer.elapsed()
         publish_engine_metrics(
-            simulator.kind, counts, runs=1, run_seconds=wall,
-            phases=phases, registry=registry,
+            simulator.kind, counts, runs=1, run_seconds=wall, phases=phases,
         )
         result.metrics = {
             "engine": simulator.kind,
@@ -863,17 +946,14 @@ def run_stimulus(
             "phases": phases,
             "counters": counts,
         }
-    if simulator.config.check_sta_bounds:
-        # Every execution path funnels through here — simulate(),
-        # in-process batches, shard workers and service workers (the
-        # config pickles across) — so one hook covers them all.  Only
-        # the lockstep batch entry point needs its own (see
-        # repro.core.batch).  Imported lazily: analysis sits above core.
+    config = simulator.config
+    if config.check_sta_bounds and getattr(stimulus, "fault", None) is None:
+        # Only the lockstep batch entry point needs its own oracle pass
+        # (see repro.core.batch).  Imported lazily: analysis sits above
+        # core.
         from ..analysis.sta import verify_result
 
-        verify_result(
-            simulator.netlist, stimulus, result, simulator.config
-        )
+        verify_result(simulator.netlist, stimulus, result, config)
     return result
 
 

@@ -9,13 +9,12 @@ simulated window, exactly the x-axis of Figures 6 and 7.
 from __future__ import annotations
 
 import functools
-from typing import List, Optional
+from typing import List
 
 from ..analog.simulator import AnalogResult, AnalogSimulator
 from ..circuit import modules
 from ..circuit.netlist import Netlist
 from ..config import DelayMode, SimulationConfig, cdm_config, ddm_config
-from ..core.batch import BatchResult, simulate_batch
 from ..core.engine import SimulationResult, simulate
 from ..stimuli.vectors import (
     PAPER_SEQUENCE_1,
@@ -116,94 +115,6 @@ def paper_stimulus_batch(period: float = PERIOD,
     """Both paper sequences as one batch (index 0 = Figure 6, 1 = Figure 7)."""
     return [paper_stimulus(which, period=period, slew=slew)
             for which in sorted(SEQUENCE_OPERANDS)]
-
-
-def run_halotis_batch(
-    mode: DelayMode,
-    record_traces: bool = True,
-    engine_kind: str = "reference",
-    jobs: int = 1,
-) -> BatchResult:
-    """Both paper sequences through one lowering via
-    :func:`repro.core.batch.simulate_batch`.
-
-    Result ``which - 1`` equals ``run_halotis(which, ...)`` under the
-    engine's own contract: bit-identical for the exact-timing engines
-    (``engine_kind="vector"`` runs both sequences as one N=2 lockstep
-    batch), final values and settled words for ``"bitparallel"``, whose
-    event times follow the word contract (docs/architecture.md).
-    ``jobs > 1`` runs the two sequences on an ephemeral worker pool.
-    """
-    config = ddm_config() if mode is DelayMode.DDM else cdm_config()
-    if not record_traces:
-        config = SimulationConfig(
-            delay_mode=config.delay_mode, record_traces=False
-        )
-    return simulate_batch(
-        multiplier_netlist(),
-        paper_stimulus_batch(),
-        config=config,
-        engine_kind=engine_kind,
-        jobs=jobs,
-    )
-
-
-def run_halotis_remote(
-    mode: DelayMode,
-    record_traces: bool = True,
-    engine_kind: str = "compiled",
-    workers: int = 2,
-    address: Optional[str] = None,
-) -> BatchResult:
-    """Both paper sequences through a *network* simulation server.
-
-    ``address`` (``"host:port"``) targets an already-running
-    ``repro serve`` instance — the deployment shape where one warm
-    server answers many experiment drivers; ``None`` spins up a private
-    in-process server on an ephemeral port just for this call.  Either
-    way the multiplier is registered as a builtin (the server rebuilds
-    the identical Figure 5 netlist) and result ``which - 1`` is
-    bit-identical to ``run_halotis(which, ...)`` with the same knobs —
-    the wire changes where simulation happens, never what it computes.
-    """
-    import time
-
-    from ..server.app import SimulationServer
-    from ..server.client import SimulationClient, parse_address
-
-    stimuli = paper_stimulus_batch()
-    name = "mult4.%s.%s" % (mode.value, engine_kind)
-
-    def run_on(client: SimulationClient) -> BatchResult:
-        client.register(
-            name,
-            {"kind": "builtin", "name": "mult4"},
-            mode=mode.value,
-            engine_kind=engine_kind,
-            workers=workers,
-            record_traces=record_traces,
-        )
-        start = time.perf_counter()
-        results = client.simulate_batch(name, stimuli)
-        return BatchResult(
-            results=results,
-            engine_kind=engine_kind,
-            jobs=workers,
-            lowering_seconds=0.0,
-            wall_seconds=time.perf_counter() - start,
-        )
-
-    if address is not None:
-        host, port = parse_address(address)
-        with SimulationClient(host, port) as client:
-            return run_on(client)
-    server = SimulationServer(port=0, pool_workers=workers)
-    server.start_background(30.0)
-    try:
-        with SimulationClient(server.host, server.port) as client:
-            return run_on(client)
-    finally:
-        server.stop_and_join(30.0)
 
 
 def run_analog(which: int, dt: float = ANALOG_DT,

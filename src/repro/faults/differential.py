@@ -82,10 +82,11 @@ different base stimulus replaces it, but not while the chunk still
 holds mutants of the recorded one, so a chunk that interleaves two
 base stimuli never re-records back and forth.  Each chunk first
 compares the lowering's patchable tables with the snapshot the record
-was made under and drops it on a difference or when
+was made under and drops it on a difference.  When
 ``Netlist.compile()`` returns a new lowering (after
-``invalidate_lowering()``).  A fault injection restores the very
-objects it replaced, so a mutant never invalidates the record.
+``invalidate_lowering()``) the engine rebinds to it and drops its
+runner, record included.  A fault injection restores the very objects
+it replaced, so a mutant never invalidates the record.
 """
 
 from __future__ import annotations
@@ -99,19 +100,18 @@ from ..core.compiled import E_SEQ, E_TIME, E_UID, CompiledSimulator
 from ..core.engine import (
     EngineBase,
     SimulationResult,
-    _stat_counts,
-    publish_engine_metrics,
+    finish_run,
+    play,
     run_stimulus,
+    run_timer,
 )
 from ..core.stats import SimulationStatistics
 from ..core.trace import TraceSet
 from ..core.transition import Transition
 from ..errors import ReproError
-from ..obs.registry import MetricsRegistry, get_registry
-from ..obs.timing import PhaseTimer
 from ..stimuli.vectors import VectorSequence
-from .faultload import FaultKind, FaultSpec
-from .inject import FaultedStimulus, FaultInjection, play
+from .faultload import FaultKind
+from .inject import FaultedStimulus, FaultInjection, pulse_of
 
 #: broadcast phases at one instant (kernel broadcasts are phase 0).
 SET_PHASE = 1
@@ -185,11 +185,18 @@ class CausalKernel(CompiledSimulator):
 
 
 class _ConeKernel(CausalKernel):
-    """Runs cones.  The per-net toggle dict is built by the runner from
-    golden and cone counts, so the per-run rebuild is skipped."""
+    """Runs cones.  The runner builds the per-net toggle dict and the
+    final values from golden and cone data, so the per-run rebuilds
+    are skipped."""
+
+    #: the last cone run's final values (set by the runner).
+    final_values: Dict[str, int]
 
     def _after_run(self) -> None:
         pass
+
+    def values(self) -> Dict[str, int]:
+        return self.final_values
 
 
 class RecordingKernel(CausalKernel):
@@ -348,6 +355,9 @@ class DifferentialRunner:
         self.cone_kernel = _ConeKernel(
             engine.netlist, config=engine.config, compiled=self.cn
         )
+        # A cone result stands in for the engine's full run, metrics
+        # included.
+        self.cone_kernel.kind = engine.kind
         self._snapshot: Optional[Tuple[object, ...]] = None
         #: ``(stimulus value, settle)`` of the golden record.
         self._base: Optional[Tuple[object, ...]] = None
@@ -367,24 +377,22 @@ class DifferentialRunner:
     def begin_chunk(
         self, stimuli: Sequence[object], settle: float
     ) -> List[Optional[Tuple[object, ...]]]:
-        """Drop the golden record if the lowering changed since it was
-        made (a new lowering, or tables patched in place), and return
-        each stimulus' base, ``(stimulus value, settle)``, or None when
-        it must take the full run."""
+        """Drop the golden record if the lowering's tables were patched
+        in place since it was made, and return each stimulus' base,
+        ``(stimulus value, settle)``, or None when it must take the full
+        run.  (A new lowering gets a new runner: see
+        :func:`differential_runner`.)"""
         cn = self.cn
-        current = self.engine.netlist.compile()
         snapshot = self._snapshot
         if not (
             snapshot is not None
-            and snapshot[0] is current
-            and cn.gate_tables == snapshot[1]
-            and cn.gate_functions == snapshot[2]
-            and cn.arc_rise == snapshot[3]
-            and cn.arc_fall == snapshot[4]
+            and cn.gate_tables == snapshot[0]
+            and cn.gate_functions == snapshot[1]
+            and cn.arc_rise == snapshot[2]
+            and cn.arc_fall == snapshot[3]
         ):
             self._base = self.golden = None
             self._snapshot = (
-                current,
                 [None if table is None else list(table)
                  for table in cn.gate_tables],
                 list(cn.gate_functions),
@@ -458,7 +466,7 @@ class DifferentialRunner:
         injection = FaultInjection(netlist, fault)
         try:
             injection.apply()
-            return self._run_cone(golden, cone, stimulus, base[1], fault)
+            return self._run_cone(golden, cone, faulted, base[1])
         except ReproError:
             return None
         finally:
@@ -468,23 +476,14 @@ class DifferentialRunner:
         self,
         golden: RecordingKernel,
         cone: _Cone,
-        stimulus: VectorSequence,
+        faulted: FaultedStimulus,
         settle: float,
-        fault: FaultSpec,
     ) -> Optional[SimulationResult]:
-        engine = self.engine
         cn = self.cn
         kernel = self.cone_kernel
         config = kernel.config
-        pulse = fault.kind is FaultKind.SET_PULSE
-        # Metrics as the full run publishes them: run_stimulus for
-        # permanent faults, nothing for a SET pulse.
-        registry: Optional[MetricsRegistry] = None
-        if config.collect_metrics and not pulse:
-            registry = get_registry()
-            if not registry.enabled:
-                registry = None
-        timer = PhaseTimer(enabled=registry is not None)
+        fault = faulted.fault
+        timer = run_timer(config)
         stats = kernel.stats = SimulationStatistics()
 
         with timer.phase("initialize"):
@@ -524,8 +523,8 @@ class DifferentialRunner:
                 kernel.traces = TraceSet(kernel.vdd)
             kernel._after_initialize()
 
-        play(kernel, stimulus, settle, fault=fault, apply_stimulus=False,
-             timer=timer)
+        play(kernel, faulted.stimulus, settle, pulse=pulse_of(fault),
+             apply_stimulus=False, timer=timer)
 
         base = golden.stats
         (executed, scheduled, filtered, late, emitted, degraded,
@@ -575,6 +574,7 @@ class DifferentialRunner:
             final_values[net_names[out_net]] = final_gate_out[gate] = (
                 gate_out[gate]
             )
+        kernel.final_values = final_values
         kernel._gate_out = final_gate_out
         kernel._pi = list(golden._pi)
         traces = kernel.traces
@@ -582,34 +582,15 @@ class DifferentialRunner:
             traces.horizon = cone.outside_time
         kernel.now = traces.horizon
         kernel.stats = result_stats
-        result = SimulationResult(
-            traces=traces,
-            stats=result_stats,
-            final_values=final_values,
-            simulator=kernel,
-        )
-        if registry is not None:
-            counts = _stat_counts(result_stats)
-            phases = timer.phases()
-            wall = timer.elapsed()
-            publish_engine_metrics(
-                engine.kind, counts, runs=1, run_seconds=wall,
-                phases=phases, registry=registry,
-            )
-            result.metrics = {
-                "engine": engine.kind,
-                "wall_seconds": wall,
-                "phases": phases,
-                "counters": counts,
-            }
-        return result
+        return finish_run(kernel, faulted, timer)
 
 
 def differential_runner(engine: EngineBase) -> Optional[DifferentialRunner]:
-    """The engine's runner (built on first use), or None when its
-    faulted stimuli always take the full run."""
+    """The engine's runner over its current lowering (built on first
+    use), or None when its faulted stimuli always take the full run."""
     if not isinstance(engine, CompiledSimulator):
         return None
+    engine._sync_lowering()
     runner = engine._differential
     if runner is None:
         runner = engine._differential = DifferentialRunner(engine)

@@ -25,9 +25,10 @@ layer — DC init, per-event evaluation, re-lowering — computes the same
 mutated function from one object.
 
 SET pulses have no static patch at all: they are injected *into the
-running engine* by broadcasting a flip/restore transition pair at the
-fault instant, so the pulse fights the same inertial filter and
-degradation model as any legitimate glitch.
+running engine* by :func:`repro.core.engine.play`, which broadcasts a
+flip/restore transition pair at the fault instant, so the pulse fights
+the same inertial filter and degradation model as any legitimate
+glitch.
 """
 
 from __future__ import annotations
@@ -39,11 +40,8 @@ from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 from ..circuit.cells import CellSpec
 from ..circuit.logic import GateFunctionLike, TableFunction
 from ..circuit.netlist import Gate, Netlist
-from ..core.engine import EngineBase, SimulationResult, run_stimulus
-from ..core.stats import SimulationStatistics
-from ..core.transition import Transition
+from ..core.engine import EngineBase, SimulationResult, replay
 from ..errors import FaultError
-from ..obs.timing import PhaseTimer
 from ..stimuli.vectors import VectorSequence
 from .faultload import FaultKind, FaultSpec
 
@@ -154,7 +152,7 @@ class FaultInjection:
         kind = self.fault.kind
         if kind in (FaultKind.NONE, FaultKind.SET_PULSE):
             # NONE is the identity mutant; SET pulses inject at run time
-            # (see _run_with_pulse) — neither touches the lowering.
+            # (see pulse_of) — neither touches the lowering.
             self.applied = True
             return
         gate = self._driver()
@@ -248,111 +246,19 @@ def run_faulted_stimulus(
     """Inject, run the base stimulus, restore — the faulted counterpart
     of :func:`repro.core.engine.run_stimulus` (which dispatches here).
 
-    The STA oracle is suspended for the faulted run: a mutant's
-    waveforms legitimately escape the *healthy* circuit's static
-    envelope — that escape is often exactly the detection signal — so
-    ``OracleError`` would be a false alarm, not a bug report.  The flag
-    is restored with the lowering in the same ``finally``.
+    The run is :func:`repro.core.engine.replay` of ``faulted`` itself,
+    with its SET pulse if it carries one, so its metrics are published
+    like any run's and the STA oracle skips it (a fault is active).
     """
-    injection = FaultInjection(simulator.netlist, faulted.fault)
-    config = simulator.config
-    saved_check = config.check_sta_bounds
-    injection.apply()
-    config.check_sta_bounds = False
-    try:
-        if faulted.fault.kind is FaultKind.SET_PULSE:
-            result = _run_with_pulse(
-                simulator, faulted.stimulus, faulted.fault, settle, seed
-            )
-        else:
-            result = run_stimulus(
-                simulator, faulted.stimulus, settle=settle, seed=seed
-            )
-    finally:
-        config.check_sta_bounds = saved_check
-        injection.restore()
-    return result
-
-
-def _run_with_pulse(
-    simulator: EngineBase,
-    stimulus: VectorSequence,
-    fault: FaultSpec,
-    settle: float,
-    seed: Optional[Mapping[str, int]],
-) -> SimulationResult:
-    """The run_stimulus loop with a SET pulse spliced into the timeline
-    (see :func:`play`)."""
-    simulator.stats = SimulationStatistics()
-    simulator.initialize(stimulus.initial_values(simulator.netlist), seed=seed)
-    play(simulator, stimulus, settle, fault)
-    return SimulationResult(
-        traces=simulator.traces,
-        stats=simulator.stats,
-        final_values=simulator.values(),
-        simulator=simulator,
-    )
-
-
-def play(
-    simulator: EngineBase,
-    stimulus: VectorSequence,
-    settle: float,
-    fault: Optional[FaultSpec] = None,
-    apply_stimulus: bool = True,
-    timer: Optional[PhaseTimer] = None,
-) -> None:
-    """Play ``stimulus`` on an initialised engine: every change, then
-    settle past the horizon and drain, as
-    :func:`repro.core.engine.run_stimulus` does.
-
-    When ``fault`` is a SET pulse, at ``fault.time`` the target net's
-    committed value is read and the complement is broadcast to the
-    net's fanouts as an ordinary ramp; ``fault.width`` later the
-    original value is broadcast back.  The driving gate keeps its state
-    — only the receivers see the pulse — so downstream survival is
-    decided entirely by the inertial filter and the degradation model,
-    which is the HALOTIS-specific point of SET campaigns.  A pulse at a
-    change instant fires before the change is applied.
-
-    A cone run (:mod:`repro.faults.differential`) passes
-    ``apply_stimulus=False``: its queue already holds every stimulus
-    event its gates see.
-    """
-    if timer is None:
-        timer = PhaseTimer(enabled=False)
-    pulses: List[Tuple[float, bool]] = []
-    held: List[int] = []  # the net's value when the pulse starts
-    if fault is not None and fault.kind is FaultKind.SET_PULSE:
-        pulses = [(fault.time, False), (fault.time + fault.width, True)]
-        net = simulator.netlist.net(fault.net)
-        slew = min(simulator.config.default_input_slew, fault.width)
-
-    def fire(at_time: float, restore: bool) -> None:
-        if not restore:
-            held.append(simulator.value(net.name))
-        value = held[0] if restore else 1 - held[0]
-        simulator._broadcast_pulse(
-            Transition(
-                t50=at_time, duration=slew, rising=value == 1,
-                net_name=net.name,
-            ),
-            net,
+    with FaultInjection(simulator.netlist, faulted.fault):
+        return replay(
+            simulator, faulted, settle, seed, pulse=pulse_of(faulted.fault)
         )
 
-    with timer.phase("stimulus"):
-        for at_time, assignments, change_slew in stimulus.iter_changes():
-            while pulses and pulses[0][0] <= at_time:
-                pulse_time, restore = pulses.pop(0)
-                simulator.run(until=pulse_time)
-                fire(pulse_time, restore)
-            simulator.run(until=at_time)
-            if apply_stimulus:
-                simulator.apply_word(assignments, at_time, change_slew)
-        for pulse_time, restore in pulses:
-            simulator.run(until=pulse_time)
-            fire(pulse_time, restore)
-    with timer.phase("settle"):
-        simulator.run(until=stimulus.horizon + settle)
-    with timer.phase("drain"):
-        simulator.run()
+
+def pulse_of(fault: FaultSpec) -> Optional[Tuple[str, float, float]]:
+    """``(net, time, width)`` of a SET pulse, the form
+    :func:`repro.core.engine.play` takes; None for every other kind."""
+    if fault.kind is FaultKind.SET_PULSE:
+        return (fault.net, fault.time, fault.width)
+    return None

@@ -16,10 +16,9 @@ from .registry import (
     MetricsRegistry,
     enabled,
     get_registry,
-    merge_snapshots,
     set_enabled,
 )
-from .timing import PhaseTimer, timed
+from .timing import PhaseTimer
 
 __all__ = [
     "Counter",
@@ -31,12 +30,10 @@ __all__ = [
     "get_registry",
     "set_enabled",
     "enabled",
-    "merge_snapshots",
     "render",
     "render_snapshot",
     "parse_text",
     "PhaseTimer",
-    "timed",
     "JsonLogFormatter",
     "configure_logging",
     "get_logger",

@@ -68,7 +68,6 @@ __all__ = [
     "get_registry",
     "set_enabled",
     "enabled",
-    "merge_snapshots",
     "Declaration",
     "DeltaEntry",
 ]
@@ -617,16 +616,6 @@ def _snapshot_delta(metrics: Mapping[str, Any]) -> Iterator[DeltaEntry]:
                 for item in items
             )
         yield name, declaration, series  # type: ignore[misc]
-
-
-def merge_snapshots(
-    snapshots: Iterable[Mapping[str, object]]
-) -> Dict[str, object]:
-    """Fold N snapshots into one (a fresh throwaway registry does it)."""
-    registry = MetricsRegistry()
-    for snapshot in snapshots:
-        registry.merge_snapshot(snapshot)
-    return registry.snapshot()
 
 
 #: The process-default registry every instrumented layer publishes to.

@@ -1,4 +1,4 @@
-"""Phase timers and a ``@timed`` decorator for hot-path-safe sampling.
+"""Phase timers for hot-path-safe sampling.
 
 The discipline enforced across the codebase: time is *sampled* with
 ``perf_counter()`` stamps at phase boundaries and *published* once per
@@ -7,15 +7,10 @@ run/task/request.  Nothing here belongs inside a per-event loop.
 
 from __future__ import annotations
 
-import functools
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar
+from typing import Dict, List, Optional, Tuple
 
-from .registry import Histogram, MetricsRegistry, get_registry
-
-__all__ = ["PhaseTimer", "timed"]
-
-F = TypeVar("F", bound=Callable[..., Any])
+__all__ = ["PhaseTimer"]
 
 
 class PhaseTimer:
@@ -28,7 +23,7 @@ class PhaseTimer:
             ...
         with timer.phase("stimulus"):
             ...
-        timer.publish(histogram, engine=kind)   # one observe per phase
+        timer.phases()   # {"initialize": seconds, "stimulus": seconds}
 
     When disabled, ``phase()`` returns a shared no-op context manager
     and the whole object costs two attribute checks per phase — cheap
@@ -63,14 +58,6 @@ class PhaseTimer:
             out[name] = out.get(name, 0.0) + seconds
         return out
 
-    def publish(self, histogram: Histogram, **labels: str) -> None:
-        """One ``observe`` per distinct phase, labelled ``phase=<name>``
-        on top of the caller's labels."""
-        if not self.enabled:
-            return
-        for name, seconds in self.phases().items():
-            histogram.observe(seconds, phase=name, **labels)
-
 
 class _Phase:
     __slots__ = ("_timer", "_name", "_t0")
@@ -91,42 +78,3 @@ class _Phase:
 
 
 _NOOP_PHASE = _Phase(None)
-
-
-def timed(
-    name: str,
-    help_text: str = "",
-    registry: Optional[MetricsRegistry] = None,
-    **labels: str,
-) -> Callable[[F], F]:
-    """Decorator: observe the wrapped call's wall time into a histogram.
-
-    The histogram is resolved lazily on first call (so decorating at
-    import time never races registry setup) and the labels are fixed at
-    decoration time — use it on coarse operations (a CLI subcommand, a
-    maintenance sweep), never inside per-event code.
-    """
-
-    def decorate(func: F) -> F:
-        holder: List[Histogram] = []
-
-        @functools.wraps(func)
-        def wrapper(*args: Any, **kwargs: Any) -> Any:
-            target = registry if registry is not None else get_registry()
-            if not target.enabled:
-                return func(*args, **kwargs)
-            if not holder:
-                holder.append(
-                    target.histogram(
-                        name, help_text, label_names=tuple(sorted(labels))
-                    )
-                )
-            t0 = time.perf_counter()
-            try:
-                return func(*args, **kwargs)
-            finally:
-                holder[0].observe(time.perf_counter() - t0, **labels)
-
-        return wrapper  # type: ignore[return-value]
-
-    return decorate

@@ -98,3 +98,32 @@ def test_vt_override_path_is_covered_by_add_gate_bump():
     fresh = builder.netlist.compile()
     assert fresh is not stale
     assert fresh.vt_fraction[0] == pytest.approx(0.31)
+
+
+def test_engine_built_before_invalidate_lowering_runs_the_new_loads():
+    """A compiled engine built before ``invalidate_lowering()`` runs on
+    the new lowering, so a direct ``wire_cap`` edit reaches it exactly
+    as it reaches the reference engine."""
+    from repro.circuit import modules
+    from repro.config import ddm_config
+    from repro.core.engine import make_engine, run_stimulus, simulate
+    from repro.stimuli.patterns import random_vectors
+
+    netlist = modules.array_multiplier(4)
+    stimulus = random_vectors(
+        [net.name for net in netlist.primary_inputs], count=6, period=3.0,
+        seed=3,
+    )
+    engine = make_engine(netlist, config=ddm_config(), engine_kind="compiled")
+    before = run_stimulus(engine, stimulus)
+    for net in netlist.nets.values():
+        if net.driver is not None:
+            net.wire_cap += 0.05
+    netlist.invalidate_lowering()
+    after = run_stimulus(engine, stimulus)
+    reference = simulate(netlist, stimulus, config=ddm_config(),
+                         engine_kind="reference")
+    rows = [list(net_rows) for net_rows in after.traces.row_lists()]
+    assert rows == [list(r) for r in reference.traces.row_lists()]
+    assert rows != [list(r) for r in before.traces.row_lists()]
+    assert after.stats.events_executed == reference.stats.events_executed

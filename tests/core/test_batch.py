@@ -121,13 +121,15 @@ def test_batch_reuses_one_engine(mult4):
     [("compiled", 1), ("vector", 1), ("bitparallel", 1), ("compiled", 2)],
 )
 def test_batch_matches_run_halotis(engine_kind, jobs):
-    """The experiments layer's batch variant equals its single-run twin
+    """A batch of both paper sequences equals ``run_halotis`` of each
     under each engine's own contract: the exact-timing engines match
     event for event, bitparallel (word timing) on final values and
     settled words only."""
     for mode in (DelayMode.DDM, DelayMode.CDM):
-        batch = common.run_halotis_batch(
-            mode, engine_kind=engine_kind, jobs=jobs
+        batch = simulate_batch(
+            common.multiplier_netlist(), common.paper_stimulus_batch(),
+            config=ddm_config() if mode is DelayMode.DDM else cdm_config(),
+            engine_kind=engine_kind, jobs=jobs,
         )
         assert (batch.engine_kind, batch.jobs) == (engine_kind, jobs)
         for which in (1, 2):

@@ -115,3 +115,25 @@ def test_source_transition_slew_override(chain3):
     transition = simulator.set_input("in", 1, at_time=1.0, slew=0.5)
     assert transition.duration == 0.5
     assert transition.t50 == pytest.approx(1.25)
+
+
+def test_compiled_pin_stacks_keep_only_live_entries():
+    """A compiled run keeps, per pin, the last executed entry (the only
+    executed one the inertial rule reads again) and the entries pushed
+    after it, not every event of the run: this mult10 run executes
+    87,792 events over 1,920 pins."""
+    from repro.core.engine import make_engine, run_stimulus
+    from repro.stimuli.patterns import random_vectors
+
+    netlist = modules.array_multiplier(10)
+    stimulus = random_vectors(
+        [net.name for net in netlist.primary_inputs], count=60, period=8.0,
+        seed=1,
+    )
+    engine = make_engine(netlist, config=ddm_config(record_traces=False),
+                         engine_kind="compiled")
+    result = run_stimulus(engine, stimulus)
+    sizes = [len(stack) for stack in engine._stacks]
+    assert result.stats.events_executed > 40 * len(sizes)
+    assert sum(sizes) <= 2 * len(sizes)
+    assert max(sizes) <= 4

@@ -87,15 +87,13 @@ def queue(request):
 
 def test_make_queue_rejects_unknown(mult4):
     """No entry point picks a queue any more: the one-call wrapper and
-    the experiment runners refuse a queue option as an unknown keyword
+    the experiment runner refuse a queue option as an unknown keyword
     before they simulate anything."""
     stimulus = common.paper_stimulus(1)
     with pytest.raises(TypeError):
         simulate(mult4, stimulus, queue_kind="heap")
     with pytest.raises(TypeError):
         common.run_halotis(1, DelayMode.DDM, queue_kind="heap")
-    with pytest.raises(TypeError):
-        common.run_halotis_batch(DelayMode.DDM, queue_kind="heap")
 
 
 def test_fifo_for_equal_times(queue):

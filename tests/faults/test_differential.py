@@ -37,6 +37,7 @@ from repro.core.engine import (
     _ENGINE_COUNTERS,
     SimulationResult,
     make_engine,
+    play,
     run_stimulus,
     simulate,
 )
@@ -44,7 +45,7 @@ from repro.core.stats import SimulationStatistics
 from repro.errors import SimulationLimitError
 from repro.faults.differential import MIN_MUTANTS_TO_RECORD, RecordingKernel
 from repro.faults.faultload import FaultKind, FaultSpec, generate_faultload
-from repro.faults.inject import FaultedStimulus, FaultInjection, play
+from repro.faults.inject import FaultedStimulus, FaultInjection, pulse_of
 from repro.obs.registry import MetricsRegistry, get_registry
 from repro.stimuli.patterns import random_vectors
 from repro.stimuli.vectors import (
@@ -95,7 +96,8 @@ def _keyed_run(netlist, stimulus, config, settle=0.0, fault=None):
         injection.apply()
     try:
         kernel.initialize(stimulus.initial_values(netlist))
-        play(kernel, stimulus, settle, fault=fault)
+        play(kernel, stimulus, settle,
+             pulse=None if fault is None else pulse_of(fault))
     finally:
         if injection is not None:
             injection.restore()
@@ -252,31 +254,64 @@ def test_bitparallel_cone_runs_match_its_full_runs():
         assert _observed(result) == _observed(run_stimulus(engine, mutant))
 
 
+def _engine_totals(run):
+    """What ``run()`` adds to each compiled-engine counter."""
+    names = ["halotis_engine_runs_total"] + [
+        name for _field, name, _help in _ENGINE_COUNTERS
+    ]
+    get_registry().snapshot(reset=True)
+    results = run()
+    delta = MetricsRegistry()
+    delta.merge_snapshot(get_registry().snapshot(reset=True))
+    totals = {
+        name: delta.get(name).value(engine="compiled")
+        for name in names if delta.get(name) is not None
+    }
+    return totals, results
+
+
 def test_campaign_engine_counters_match_full_runs():
     """Cone results publish the engine counters the full runs publish."""
     netlist, stimulus, faults = _campaign("mult4")
     mutants = [FaultedStimulus(stimulus, fault) for fault in faults]
     config = ddm_config(record_traces=False)
-    names = ["halotis_engine_runs_total"] + [
-        name for _field, name, _help in _ENGINE_COUNTERS
-    ]
-
-    def totals(run):
-        get_registry().snapshot(reset=True)
-        run()
-        delta = MetricsRegistry()
-        delta.merge_snapshot(get_registry().snapshot(reset=True))
-        return {
-            name: delta.get(name).value(engine="compiled")
-            for name in names if delta.get(name) is not None
-        }
-
     engine = make_engine(netlist, config=config, engine_kind="compiled")
-    full = totals(lambda: [run_stimulus(engine, m) for m in mutants])
+    full, _ = _engine_totals(lambda: [run_stimulus(engine, m) for m in mutants])
     cone_engine = make_engine(netlist, config=config, engine_kind="compiled")
-    cone = totals(lambda: list(run_chunk(cone_engine, mutants)))
+    cone, _ = _engine_totals(lambda: list(run_chunk(cone_engine, mutants)))
     assert cone == full
     assert full["halotis_engine_events_executed_total"] > 0
+
+
+def test_every_mutant_counts_one_engine_run():
+    """SET-pulse mutants run through the same epilogue as every other
+    run: each mutant, full or cone, moves ``halotis_engine_runs_total``
+    by one and carries ``result.metrics``."""
+    netlist, stimulus, faults = _campaign("mult4")
+    mutants = [FaultedStimulus(stimulus, fault) for fault in faults]
+    pulses = [m for m in mutants if m.fault.kind is FaultKind.SET_PULSE]
+    assert len(pulses) >= MIN_MUTANTS_TO_RECORD
+    config = ddm_config(record_traces=False)
+    engine = make_engine(netlist, config=config, engine_kind="compiled")
+    cone_engine = make_engine(netlist, config=config, engine_kind="compiled")
+    for chunk in (mutants, pulses):
+        full, full_results = _engine_totals(
+            lambda: [run_stimulus(engine, m) for m in chunk]  # noqa: B023
+        )
+        cone, cone_results = _engine_totals(
+            lambda: list(run_chunk(cone_engine, chunk))  # noqa: B023
+        )
+        assert all(result.simulator is cone_engine._differential.cone_kernel
+                   for result in cone_results)
+        assert full["halotis_engine_runs_total"] == len(chunk)
+        assert cone["halotis_engine_runs_total"] == len(chunk)
+        for mutant, ran, coned in zip(chunk, full_results, cone_results):
+            for result in (ran, coned):
+                assert result.metrics is not None, mutant.fault.describe()
+                assert result.metrics["engine"] == "compiled"
+                assert result.metrics["counters"]["events_executed"] == (
+                    result.stats.events_executed
+                )
 
 
 # ----------------------------------------------------------------------
@@ -312,6 +347,17 @@ def test_golden_is_remade_after_invalidate_lowering():
     netlist.invalidate_lowering()
     _chunk_matches_full(engine, mutants[:10])
     assert engine._differential.golden not in (None, golden)
+
+
+def test_chunk_after_invalidate_lowering_matches_a_fresh_engine():
+    """After ``invalidate_lowering()`` an engine's chunks run on the new
+    lowering, the one fault injection patches."""
+    netlist, engine, mutants, _golden = _cache_case()
+    netlist.invalidate_lowering()
+    fresh = make_engine(netlist, config=ddm_config(), engine_kind="compiled")
+    for mutant, stale, new in zip(mutants, run_chunk(engine, mutants[:10]),
+                                  run_chunk(fresh, mutants[:10])):
+        assert _observed(stale) == _observed(new), mutant.fault.describe()
 
 
 def test_golden_is_remade_after_an_in_place_patch(patched_lowering):

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 
 from repro.circuit import modules
-from repro.config import SimulationConfig
-from repro.core.engine import ENGINE_KINDS, simulate
+from repro.config import SimulationConfig, ddm_config
+from repro.core.engine import ENGINE_KINDS, make_engine, run_stimulus, simulate
 from repro.errors import FaultError
 from repro.faults.faultload import FaultKind, FaultSpec, generate_faultload
 from repro.faults.inject import (
@@ -15,6 +15,7 @@ from repro.faults.inject import (
     FaultInjection,
     lowering_fingerprint,
 )
+from repro.stimuli.patterns import random_vectors
 from repro.stimuli.vectors import VectorSequence
 
 from test_properties import circuit_params, random_netlist, random_stimulus
@@ -237,3 +238,27 @@ def test_context_manager_round_trips(c17):
     with FaultInjection(c17, fault):
         assert lowering_fingerprint(c17) != before
     assert lowering_fingerprint(c17) == before
+
+
+def test_engine_built_before_invalidate_lowering_runs_the_fault():
+    """Injection patches ``netlist.compile()``'s current lowering; an
+    engine built before ``invalidate_lowering()`` runs on that lowering
+    too, so its faulted run is not silently fault-free."""
+    netlist = modules.array_multiplier(4)
+    stimulus = random_vectors(
+        [net.name for net in netlist.primary_inputs], count=6, period=3.0,
+        seed=3,
+    )
+    engine = make_engine(netlist, config=ddm_config(), engine_kind="compiled")
+    golden = run_stimulus(engine, stimulus)
+    netlist.invalidate_lowering()
+    mutant = FaultedStimulus(stimulus, FaultSpec(FaultKind.BIT_FLIP, "s0"))
+    stale = run_stimulus(engine, mutant)
+    fresh = run_stimulus(
+        make_engine(netlist, config=ddm_config(), engine_kind="compiled"),
+        mutant,
+    )
+    assert fresh.final_values != golden.final_values  # the fault shows
+    assert stale.final_values == fresh.final_values
+    assert stale.stats.net_toggles == fresh.stats.net_toggles
+    assert stale.stats.events_executed == fresh.stats.events_executed

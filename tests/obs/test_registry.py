@@ -22,7 +22,6 @@ from repro.obs.registry import (
     DEFAULT_LATENCY_BUCKETS,
     OVERFLOW_LABEL,
     MetricsRegistry,
-    merge_snapshots,
 )
 
 
@@ -286,12 +285,19 @@ def test_merge_is_associative_and_commutative():
     for seed, registry in enumerate(registries, start=7):
         _activity(registry, seed=seed)
     snaps = [registry.snapshot() for registry in registries]
+
+    def merged(snapshots):
+        registry = MetricsRegistry()
+        for snapshot in snapshots:
+            registry.merge_snapshot(snapshot)
+        return registry.snapshot()
+
     orderings = [
-        merge_snapshots([snaps[0], snaps[1], snaps[2]]),
-        merge_snapshots([snaps[2], snaps[0], snaps[1]]),
-        merge_snapshots([snaps[1], snaps[2], snaps[0]]),
+        merged([snaps[0], snaps[1], snaps[2]]),
+        merged([snaps[2], snaps[0], snaps[1]]),
+        merged([snaps[1], snaps[2], snaps[0]]),
         # associativity: fold a pre-merged pair in
-        merge_snapshots([merge_snapshots([snaps[1], snaps[0]]), snaps[2]]),
+        merged([merged([snaps[1], snaps[0]]), snaps[2]]),
     ]
     for other in orderings[1:]:
         assert other == orderings[0]

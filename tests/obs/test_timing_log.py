@@ -1,4 +1,4 @@
-"""Phase timers, the ``@timed`` decorator, and structured logging."""
+"""Phase timers and structured logging."""
 
 from __future__ import annotations
 
@@ -11,8 +11,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.obs.log import configure_logging, get_logger
-from repro.obs.registry import MetricsRegistry
-from repro.obs.timing import PhaseTimer, timed
+from repro.obs.timing import PhaseTimer
 
 
 # ----------------------------------------------------------------------
@@ -42,70 +41,11 @@ def test_phase_timer_disabled_records_nothing():
     assert timer.elapsed() == 0.0
 
 
-def test_phase_timer_publish_labels_each_phase():
-    registry = MetricsRegistry()
-    histogram = registry.histogram(
-        "phase_seconds", "", ("engine", "phase"), buckets=(10.0,)
-    )
-    timer = PhaseTimer()
-    timer.record("initialize", 0.25)
-    timer.record("settle", 0.5)
-    timer.record("settle", 0.5)
-    timer.publish(histogram, engine="compiled")
-    series = histogram.series()
-    assert set(series) == {("compiled", "initialize"), ("compiled", "settle")}
-    # same-name phases fold into ONE observation of the summed time
-    settle = series[("compiled", "settle")]
-    assert settle.count == 1
-    assert settle.sum == pytest.approx(1.0)
-
-
 def test_phase_timer_records_on_exception():
     timer = PhaseTimer()
     with pytest.raises(RuntimeError), timer.phase("doomed"):
         raise RuntimeError("boom")
     assert "doomed" in timer.phases()
-
-
-# ----------------------------------------------------------------------
-# @timed
-# ----------------------------------------------------------------------
-
-def test_timed_decorator_observes_into_registry():
-    registry = MetricsRegistry()
-
-    @timed("op_seconds", "op wall time", registry=registry, op="sweep")
-    def operation(x):
-        return x * 2
-
-    assert operation(21) == 42
-    assert operation(1) == 2
-    histogram = registry.get("op_seconds")
-    assert histogram.type == "histogram"
-    assert histogram.cumulative_counts(op="sweep")[-1] == 2
-
-
-def test_timed_decorator_observes_failures_too():
-    registry = MetricsRegistry()
-
-    @timed("op_seconds", registry=registry, op="doomed")
-    def operation():
-        raise ValueError("boom")
-
-    with pytest.raises(ValueError):
-        operation()
-    assert registry.get("op_seconds").cumulative_counts(op="doomed")[-1] == 1
-
-
-def test_timed_decorator_disabled_registry_passthrough():
-    registry = MetricsRegistry(enabled=False)
-
-    @timed("op_seconds", registry=registry)
-    def operation():
-        return "ok"
-
-    assert operation() == "ok"
-    assert registry.get("op_seconds") is None  # never even created
 
 
 # ----------------------------------------------------------------------

@@ -545,10 +545,14 @@ def test_stats_and_ping_surface(client):
 # the experiments front end
 # ----------------------------------------------------------------------
 
-def test_run_halotis_remote_matches_local(server):
-    address = "%s:%d" % (server.host, server.port)
+def test_run_halotis_remote_matches_local(client):
+    """Both paper sequences through the server, as one batch frame over
+    a builtin mult4 registration, equal the local ``run_halotis``."""
     for mode in (DelayMode.DDM, DelayMode.CDM):
-        batch = common.run_halotis_remote(mode, address=address)
+        name = "paper-mult4.%s" % mode.value
+        client.register(name, {"kind": "builtin", "name": "mult4"},
+                        mode=mode.value, engine_kind="compiled", workers=2)
+        batch = client.simulate_batch(name, common.paper_stimulus_batch())
         for which in (1, 2):
             single = common.run_halotis(which, mode, engine_kind="compiled")
             result = batch[which - 1]
