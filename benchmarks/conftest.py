@@ -32,7 +32,7 @@ BENCH_RECORD_SCHEMA = 1
 def bench_record(benchmark):
     """Attach the shared BENCH record to this benchmark's extra_info.
 
-    Usage: ``bench_record("vector-speedup", config={...workload
+    Usage: ``bench_record("bitparallel-speedup", config={...workload
     knobs...}, measured={...numbers the gate asserted on...})``.
     ``config`` values are free-form JSON scalars; ``measured`` values
     must be numbers — that is what trajectory tooling plots.

@@ -51,8 +51,7 @@ from .core.engine import (
     run_stimulus,
     simulate,
 )
-from .core.compiled import CompiledNetlist, CompiledSimulator
-from .core.vector import VectorSimulator
+from .core.compiled import CompiledNetlist, CompiledSimulator, VectorSimulator
 from .core.batch import BatchResult, simulate_batch
 from .core.service import BatchJob, SimulationService
 from .core.cdm import ConventionalDelayModel

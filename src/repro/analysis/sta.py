@@ -273,9 +273,9 @@ def analyze(
         input_slew: ``(low, high)`` interval of primary-input ramp
             durations the windows must cover; None uses the config's
             ``default_input_slew`` as a point interval.
-        arc_slack: extra per-arc upper-bound slack in ns (engines whose
-            batch contract holds events back declare this through
-            ``EngineBase.sta_batch_time_slack``).
+        arc_slack: extra per-arc upper-bound slack in ns (the
+            bit-parallel lockstep batch holds word events back by up to
+            its word-merge hold and passes that hold here).
         k_paths: how many critical launch-to-endpoint paths to extract.
 
     Raises:

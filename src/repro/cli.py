@@ -498,7 +498,7 @@ def _cmd_simulate(args) -> int:
         return _cmd_simulate_remote(args, netlist, config)
     config.check_sta_bounds = args.check_sta
     # Record the chosen backend on the config and validate up front, so
-    # an unusable selection (--engine vector without numpy) fails here
+    # an unusable selection (--engine bitparallel without numpy) fails here
     # with one clear error instead of mid-simulation.
     config.engine_kind = args.engine
     config.validate()

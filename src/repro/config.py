@@ -31,12 +31,9 @@ def numpy_required_message(engine_kind: str) -> str:
     )
 
 
-#: Backwards-compatible constant: the ``"vector"`` engine's message.
-NUMPY_REQUIRED_MESSAGE = numpy_required_message("vector")
-
-
 def numpy_available() -> bool:
-    """True when numpy can be imported (the ``"vector"`` engine needs it)."""
+    """True when numpy can be imported (the ``"bitparallel"`` engine
+    needs it)."""
     global _NUMPY_SPEC_FOUND
     if _NUMPY_SPEC_FOUND is None:
         _NUMPY_SPEC_FOUND = importlib.util.find_spec("numpy") is not None
@@ -77,16 +74,15 @@ class SimulationConfig:
         inertial_policy: per-input pulse-filtering rule (see
             :class:`InertialPolicy`).
         engine_kind: simulation backend — ``"reference"`` (object-graph
-            kernel), ``"compiled"`` (array-lowered kernel),
-            ``"vector"`` (numpy N-lane lockstep kernel; requires
-            numpy) or ``"bitparallel"`` (word-level lane-packed kernel;
-            requires numpy); the full set is
-            ``repro.core.engine.ENGINE_KINDS``.  The first three
+            kernel), ``"compiled"`` (array-lowered kernel) or
+            ``"bitparallel"`` (word-level lane-packed kernel; requires
+            numpy); the full set is
+            ``repro.core.engine.ENGINE_KINDS``.  The first two
             produce bit-identical waveforms; ``"bitparallel"`` is
             logic-exact with CDM-grade timing (see
             ``docs/architecture.md``).  ``"compiled"`` is the fastest
-            single run, ``"vector"`` the fastest exact batch,
-            ``"bitparallel"`` the fastest activity/coverage batch.
+            exact run, single or batched, ``"bitparallel"`` the
+            fastest activity/coverage batch.
         max_events: hard budget of executed events; exceeding it raises
             :class:`repro.errors.SimulationLimitError`.  Guards against
             zero-delay oscillation in looped circuits.

@@ -31,8 +31,7 @@ from .engine import (
     run_stimulus,
     simulate,
 )
-from .compiled import CompiledNetlist, CompiledSimulator
-from .vector import VectorSimulator
+from .compiled import CompiledNetlist, CompiledSimulator, VectorSimulator
 from .bitparallel import BitParallelSimulator
 from .batch import BatchResult, simulate_batch
 from .service import BatchJob, SimulationService

@@ -165,24 +165,21 @@ def run_chunk(
     """Run one chunk of vectors on ``engine``, yielding results in order.
 
     The single chunk runner behind in-process :func:`simulate_batch` and
-    every :class:`~repro.core.service.SimulationService` worker.  Backends
-    with ``lockstep_batches`` advance a fault-free chunk through one
-    kernel: ``engine_kind="vector"`` through one numpy N-lane kernel
-    (:meth:`repro.core.vector.VectorSimulator.run_lockstep_batch`),
-    bit-identical per vector with the per-event Python cost amortised
-    across lanes, and ``engine_kind="bitparallel"`` one vector per *bit*
+    every :class:`~repro.core.service.SimulationService` worker.  A
+    backend with ``lockstep_batches`` (``engine_kind="bitparallel"``)
+    advances a fault-free chunk through one kernel, one vector per *bit*
     of a lane word
-    (:meth:`repro.core.bitparallel.BitParallelSimulator.run_lockstep_batch`)
-    — per-lane logic values stay bit-identical while event timing follows
-    that backend's CDM-grade word contract (docs/architecture.md).  Every
-    other chunk replays vector by vector through
-    :func:`repro.core.engine.run_stimulus`.
+    (:meth:`repro.core.bitparallel.BitParallelSimulator.run_lockstep_batch`,
+    which also runs the STA oracle over the batch) — per-lane logic
+    values stay bit-identical while event timing follows that backend's
+    CDM-grade word contract (docs/architecture.md).  Every other chunk
+    replays vector by vector through :func:`repro.core.engine.run_stimulus`.
 
     Faulted stimuli (:mod:`repro.faults`) patch the shared lowering per
     vector, while a lockstep kernel runs all lanes over *one* lowering,
     so a chunk with any fault in it goes to
     :func:`repro.faults.differential.run_faulted_chunk` instead: on the
-    compiled kernel (which the lockstep backends inherit) each mutant
+    compiled kernel (which the lockstep backend inherits) each mutant
     re-runs only its fault's fanout cone against a golden run the
     engine records once; other engines and the cases listed there
     replay vector by vector, injecting and restoring around each.
@@ -197,25 +194,14 @@ def run_chunk(
 
         yield from run_faulted_chunk(engine, stimuli, settle=settle, seed=seed)
         return
-    if not engine_cls.lockstep_batches:
-        for stimulus in stimuli:
-            yield run_stimulus(engine, stimulus, settle=settle, seed=seed)
-        return
-    config = engine.config
-    results = engine_cls.run_lockstep_batch(
-        engine.netlist, stimuli, config=config, settle=settle, seed=seed,
-    )
-    if config.check_sta_bounds:
-        # Lockstep kernels bypass run_stimulus (its oracle hook covers
-        # every other path), so verify here.  Word engines merge lanes
-        # into shared events, so each lane's transitions are bounded by
-        # the *chunk-wide* launch/slew hull, not its own stimulus' —
-        # pass the union, plus the class's declared per-arc hold slack.
-        _verify_lockstep_results(
-            engine.netlist, stimuli, results, config,
-            engine_cls.sta_batch_time_slack(engine.netlist, len(stimuli)),
+    if engine_cls.lockstep_batches:
+        yield from engine_cls.run_lockstep_batch(
+            engine.netlist, stimuli, config=engine.config, settle=settle,
+            seed=seed,
         )
-    yield from results
+        return
+    for stimulus in stimuli:
+        yield run_stimulus(engine, stimulus, settle=settle, seed=seed)
 
 
 def simulate_batch(
@@ -236,7 +222,7 @@ def simulate_batch(
     exactly what they mean for :func:`repro.core.engine.simulate` and
     apply to every vector.  Result ``i`` is bit-identical to
     ``simulate(netlist, stimuli[i], ...)``.  The vectors run through
-    :func:`run_chunk`, so backends with ``lockstep_batches`` take their
+    :func:`run_chunk`, so a backend with ``lockstep_batches`` takes its
     lockstep fast path.
 
     ``jobs`` (default ``config.batch_jobs``) > 1 runs the batch on an
@@ -313,7 +299,7 @@ def _publish_batch_metrics(batch: BatchResult, mode: str) -> None:
     """Batch-level throughput metrics, once per :func:`simulate_batch`.
 
     Per-vector engine counters are published elsewhere (``run_stimulus``
-    per vector, or the lockstep drivers per batch); this layer only adds
+    per vector, or the lockstep driver per batch); this layer only adds
     what the batch alone knows: vector count, end-to-end wall clock and
     the lowering split.  Labelled by engine and by ``mode``
     (``"inprocess"`` or ``"service"``) so the worker pool's overhead is
@@ -358,41 +344,6 @@ def _publish_batch_metrics(batch: BatchResult, mode: str) -> None:
             if batch.wall_seconds > 0 else 0.0
         ),
     }
-
-
-def _verify_lockstep_results(
-    netlist: Netlist,
-    stimuli: List,
-    results: List,
-    config,
-    arc_slack: float,
-) -> None:
-    """STA-oracle pass over a lockstep batch (check_sta_bounds=True).
-
-    Builds the batch-wide launch-time and input-slew hulls — a merged
-    word event may carry another lane's launch time or ramp duration —
-    then verifies every lane's result against windows widened to that
-    hull.  Imported lazily: analysis sits above core.
-    """
-    from ..analysis.sta import _stimulus_launches, verify_result
-
-    launches: List[float] = []
-    slews: List[float] = []
-    for stimulus in stimuli:
-        stimulus_launches, stimulus_slews = _stimulus_launches(
-            stimulus, config
-        )
-        launches.extend(stimulus_launches)
-        slews.extend(stimulus_slews)
-    launch_window = (min(launches), max(launches)) if launches else None
-    input_slew = (min(slews), max(slews)) if slews else None
-    for stimulus, result in zip(stimuli, results):
-        verify_result(
-            netlist, stimulus, result, config,
-            arc_slack=arc_slack,
-            launch_window=launch_window,
-            input_slew=input_slew,
-        )
 
 
 def _simulate_via_service(

@@ -1,13 +1,11 @@
 """Bit-parallel word-level simulation backend ("bitparallel" engine).
 
-The vector engine (:mod:`repro.core.vector`) amortises the Python
-interpreter over N lanes but still performs N lanes' worth of float
-arithmetic per wave.  GSIM-style RTL simulators show the remaining
-orders of magnitude come from collapsing per-signal work into whole
-machine-word bitwise operations.  This module applies that idea to the
-HALOTIS event kernel: **one stimulus vector per bit** of a lane word,
-every gate evaluated for all lanes at once with a handful of AND / OR /
-XOR / MUX word operations.
+GSIM-style RTL simulators show that the orders of magnitude a batch
+can win over N scalar runs come from collapsing per-signal work into
+whole machine-word bitwise operations.  This module applies that idea
+to the HALOTIS event kernel: **one stimulus vector per bit** of a lane
+word, every gate evaluated for all lanes at once with a handful of
+AND / OR / XOR / MUX word operations.
 
 Representation
 --------------
@@ -67,8 +65,8 @@ on the compiled kernel that :class:`BitParallelSimulator` inherits, in
 CDM mode whatever the config says.  Per-lane **logic values** are exact
 for every lane count: parity-tested bit for bit against the reference
 engine.  Waveform timing of multi-lane batches is approximate; use
-``"vector"`` when per-lane analog timing matters and ``"bitparallel"``
-for two-valued activity / coverage workloads.
+``"compiled"`` when per-lane analog timing matters and
+``"bitparallel"`` for two-valued activity / coverage workloads.
 
 Per-lane statistics (events, filtered counts, per-net toggles) cost the
 hot path one list append of the event's lane mask; all per-lane
@@ -1010,12 +1008,12 @@ def _publish_word_metrics(kernel: _WordKernel, wall: float) -> None:
 class _WordLockstepDriver:
     """Plays N stimuli through one word kernel on a single clock.
 
-    Unlike the vector engine's per-lane clocks, the word kernel shares
-    one time axis: stimulus changes from every lane are merged into one
-    sorted schedule and same-time changes of one net collapse into one
-    word source event — that collapse is where the whole-batch speedup
-    comes from.  Per-lane logic values stay exact; per-lane event times
-    follow the word contract (module docstring).
+    The word kernel has one time axis for all lanes: stimulus changes
+    from every lane are merged into one sorted schedule and same-time
+    changes of one net collapse into one word source event — that
+    collapse is where the whole-batch speedup comes from.  Per-lane
+    logic values stay exact; per-lane event times follow the word
+    contract (module docstring).
     """
 
     def __init__(self, netlist: Netlist, kernel: _WordKernel,
@@ -1217,7 +1215,9 @@ class BitParallelSimulator(CompiledSimulator):
         engine_kind="bitparallel")``; result ``i`` carries lane ``i``'s
         logic values (bit-identical to ``simulate(netlist, stimuli[i],
         ...)`` on any backend) under the word timing contract.  Every
-        result carries ``simulator=None`` (like sharded batches).
+        result carries ``simulator=None`` (like sharded batches).  With
+        ``config.check_sta_bounds`` every lane is verified against the
+        batch hull (:func:`_verify_batch`).
         """
         cls.ensure_available()
         if config is None:
@@ -1225,15 +1225,45 @@ class BitParallelSimulator(CompiledSimulator):
         config.validate()
         kernel = _WordKernel(netlist.compile(), config, len(stimuli))
         driver = _WordLockstepDriver(netlist, kernel, stimuli, settle, seed)
-        return driver.run()
+        results = driver.run()
+        if config.check_sta_bounds:
+            _verify_batch(netlist, stimuli, results, config)
+        return results
 
-    @classmethod
-    def sta_batch_time_slack(cls, netlist: Netlist, lanes: int) -> float:
-        """Oracle slack for a lockstep batch: the word-merge hold.
 
-        Mirrors the ``_WordKernel`` hold — one mean CDM base delay per
-        word event — which delays an event's entry by at most that much
-        per level, so the STA oracle widens every arc's upper bound by
-        the same amount.
-        """
-        return _batch_hold(netlist.compile(), lanes)
+def _verify_batch(
+    netlist: Netlist,
+    stimuli: Sequence,
+    results: List[SimulationResult],
+    config: SimulationConfig,
+) -> None:
+    """STA-oracle pass over a lockstep batch (``check_sta_bounds``).
+
+    The batch bypasses ``run_stimulus``, whose oracle hook covers every
+    other path.  A merged word event may carry another lane's launch
+    time or ramp duration, so every lane is verified against windows
+    widened to the batch-wide launch-time and input-slew hulls, with
+    each arc's upper bound widened by the word-merge hold (one mean CDM
+    base delay per word event, see :func:`_batch_hold`).  Imported
+    lazily: analysis sits above core.
+    """
+    from ..analysis.sta import _stimulus_launches, verify_result
+
+    launches: List[float] = []
+    slews: List[float] = []
+    for stimulus in stimuli:
+        stimulus_launches, stimulus_slews = _stimulus_launches(
+            stimulus, config
+        )
+        launches.extend(stimulus_launches)
+        slews.extend(stimulus_slews)
+    launch_window = (min(launches), max(launches)) if launches else None
+    input_slew = (min(slews), max(slews)) if slews else None
+    arc_slack = _batch_hold(netlist.compile(), len(stimuli))
+    for stimulus, result in zip(stimuli, results):
+        verify_result(
+            netlist, stimulus, result, config,
+            arc_slack=arc_slack,
+            launch_window=launch_window,
+            input_slew=input_slew,
+        )

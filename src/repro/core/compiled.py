@@ -372,7 +372,7 @@ class CompiledNetlist:
     #
     # The array twin of repro.circuit.evaluate.evaluate_netlist, shared by
     # every engine that runs over the lowering (scalar _build_state and
-    # the lockstep dc_values/dc_masks alike): same validation and error
+    # the bitparallel dc_masks alike): same validation and error
     # messages, one sweep in topological order, and the same Gauss-Seidel
     # relaxation (gates in netlist.gates order) for cyclic circuits, so
     # fixpoints agree bit for bit.  Truth tables are read live from
@@ -613,9 +613,8 @@ class CompiledNetlist:
         """The complete lowering as **read-only** numpy arrays (optional dep).
 
         Raises :class:`SimulationError` when numpy is unavailable.  This
-        is the substrate of the ``"vector"`` N-lane engine
-        (:mod:`repro.core.vector`); the scalar hot path deliberately
-        sticks to stdlib containers.
+        is the substrate of the ``"bitparallel"`` word kernel; the
+        scalar hot path deliberately sticks to stdlib containers.
 
         Every array is returned with ``writeable=False``: the views
         alias (or derive from) the netlist's *cached* lowering, and a
@@ -1182,3 +1181,17 @@ class CompiledSimulator(EngineBase):
         for gate, net in enumerate(self._gate_out_net):
             row[net] = gate_out[gate]
         return self._cn.named_values(row)
+
+
+@register_engine("vector")
+class VectorSimulator(CompiledSimulator):
+    """The ``"vector"`` name, kept as an alias of the compiled engine.
+
+    The numpy N-lane lockstep kernel it once named is deleted: it gave
+    the compiled engine's bits at no better cost.  Every run under this
+    name — single stimuli, batches, campaigns — is the compiled path.
+    The name exists only until ROADMAP item 1 drops the benchmark's
+    ``alt.vector`` probe.
+    """
+
+    cli_blurb = "alias of 'compiled', kept for the benchmark's alt.vector probe"

@@ -26,22 +26,22 @@ Two kernels implement this algorithm, both on :class:`EngineBase`
 * ``"compiled"`` — :class:`repro.core.compiled.CompiledSimulator`, an
   array-lowered kernel whose hot path touches only integers and floats.
 
-Two more registered kinds (see ``ENGINE_KINDS``) subclass the compiled
-engine and add a lockstep batch kernel (see ``lockstep_batches``); a
-single stimulus runs on the compiled kernel:
+One more registered kind subclasses the compiled engine and adds a
+lockstep batch kernel (see ``lockstep_batches``); a single stimulus
+runs on the compiled kernel:
 
-* ``"vector"`` — :class:`repro.core.vector.VectorSimulator`, a numpy
-  N-lane kernel that advances whole batches in lockstep (requires
-  numpy);
 * ``"bitparallel"`` — :class:`repro.core.bitparallel.BitParallelSimulator`,
   a word-level kernel packing one stimulus per *bit* of a lane word
   (requires numpy; logic-exact with CDM-grade timing, and CDM for
   single stimuli — see ``docs/architecture.md`` for the declared
   accuracy tiers).
 
-The two kernels and the vector lanes are property-tested to produce
-bit-identical traces and statistics; bit-parallel lanes are
-property-tested to produce bit-identical per-lane logic values.
+(``"vector"`` is a kept alias of ``"compiled"``; see
+:class:`repro.core.compiled.VectorSimulator`.)
+
+The two kernels are property-tested to produce bit-identical traces and
+statistics; bit-parallel lanes are property-tested to produce
+bit-identical per-lane logic values.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ def register_engine(kind: str) -> Callable[[type], type]:
 
 
 def _ensure_backends_registered() -> None:
-    # The compiled/vector/bitparallel backends live in their own modules
+    # The compiled/bitparallel backends live in their own modules
     # (they import EngineBase from here); importing them lazily avoids a
     # circular import while guaranteeing the registry is complete
     # whenever it is consulted.  The numpy-backed backends register even
@@ -111,7 +111,6 @@ def _ensure_backends_registered() -> None:
     # and the availability failure stays a clear, actionable one.
     from . import bitparallel  # noqa: F401
     from . import compiled  # noqa: F401
-    from . import vector  # noqa: F401
 
 
 def resolve_engine_class(engine_kind: str) -> Type[EngineBase]:
@@ -175,9 +174,10 @@ class EngineBase(abc.ABC):
     lowers_netlist: bool = False
 
     #: True for backends that can advance a whole batch in lockstep
-    #: through one kernel; :func:`repro.core.batch.simulate_batch`
-    #: routes to their ``run_lockstep_batch`` class method instead of
-    #: replaying vectors one by one.
+    #: through one kernel; :func:`repro.core.batch.run_chunk` routes a
+    #: fault-free chunk to their ``run_lockstep_batch`` class method
+    #: (which runs its own STA-oracle pass) instead of replaying
+    #: vectors one by one.
     lockstep_batches: bool = False
 
     #: One-line description shown in the CLI's ``--engine`` help; the
@@ -194,17 +194,6 @@ class EngineBase(abc.ABC):
         server registry so a doomed selection fails at configuration
         time with an actionable message, never mid-simulation.
         """
-
-    @classmethod
-    def sta_batch_time_slack(cls, netlist: Netlist, lanes: int) -> float:
-        """Per-arc oracle slack for a ``run_lockstep_batch`` of
-        ``lanes`` stimuli over ``netlist`` (default: none).
-
-        The lockstep path constructs its engine internally, so the
-        batch driver asks the class — not an instance — what allowance
-        the verification of those results needs.
-        """
-        return 0.0
 
     def __init__(
         self,
@@ -480,15 +469,29 @@ class HalotisSimulator(EngineBase):
         else:
             self.delay_model = ConventionalDelayModel(self.config.min_delay)
 
-        # Static precomputation: per-input threshold fractions and per-net
-        # capacitive loads (both invariant during simulation).
         self._vt_fraction: Dict[int, float] = {}
-        for gate_input in netlist.iter_gate_inputs():
-            self._vt_fraction[gate_input.uid] = gate_input.vt / self.vdd
-        self._net_load: Dict[str, float] = {
-            net.name: net.load() for net in netlist.nets.values()
-        }
+        self._net_load: Dict[str, float] = {}
+        self._loads_version: Optional[int] = None
         self._state: Optional[KernelState] = None
+
+    def _sync_loads(self) -> None:
+        """Per-input threshold fractions and per-net capacitive loads
+        (both invariant during a run), rebuilt whenever the netlist's
+        structure version has moved since they were built — a
+        structural edit, or ``Netlist.invalidate_lowering()`` after a
+        direct ``wire_cap``/``vt`` edit — as the compiled engine rebinds
+        to a replaced lowering."""
+        version = self.netlist._structure_version
+        if version == self._loads_version:
+            return
+        self._vt_fraction = {
+            gate_input.uid: gate_input.vt / self.vdd
+            for gate_input in self.netlist.iter_gate_inputs()
+        }
+        self._net_load = {
+            net.name: net.load() for net in self.netlist.nets.values()
+        }
+        self._loads_version = version
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -499,6 +502,7 @@ class HalotisSimulator(EngineBase):
         input_values: Dict[str, int],
         seed: Optional[Dict[str, int]],
     ) -> None:
+        self._sync_loads()
         self._state = build_state(self.netlist, input_values, seed=seed)
 
     def _require_state(self) -> KernelState:
@@ -668,8 +672,8 @@ class SimulationResult:
     one engine across vectors, so there it reflects the *last* vector's
     final state; process-sharded batch results carry ``None`` (the
     worker's engine cannot cross the process boundary), and so do
-    lockstep batches (``engine_kind="vector"``) — the N-lane kernel has
-    no per-vector engine to expose.
+    lockstep batches (``engine_kind="bitparallel"``) — the word kernel
+    has no per-vector engine to expose.
     """
 
     traces: TraceSet
@@ -732,8 +736,8 @@ def publish_engine_metrics(
     ``counts`` maps :class:`SimulationStatistics` field names to totals;
     ``waves`` is the ``(waves, lanes)`` pair of a lockstep kernel.  The
     caller is responsible for the enabled check — this function always
-    publishes.  Shared by :func:`finish_run` and the vector /
-    bit-parallel lockstep drivers so the metric names cannot drift.
+    publishes.  Shared by :func:`finish_run` and the bit-parallel
+    lockstep driver so the metric names cannot drift.
     """
     from ..obs import get_registry
 
@@ -949,8 +953,8 @@ def finish_run(
     config = simulator.config
     if config.check_sta_bounds and getattr(stimulus, "fault", None) is None:
         # Only the lockstep batch entry point needs its own oracle pass
-        # (see repro.core.batch).  Imported lazily: analysis sits above
-        # core.
+        # (BitParallelSimulator.run_lockstep_batch).  Imported lazily:
+        # analysis sits above core.
         from ..analysis.sta import verify_result
 
         verify_result(simulator.netlist, stimulus, result, config)

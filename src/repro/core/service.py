@@ -153,7 +153,7 @@ def _worker_main(
     One message per chunk is the point of chunking: the round trip is
     paid once per chunk, not once per vector.  The chunk runs through
     :func:`repro.core.batch.run_chunk`, the same runner as an in-process
-    batch, so lockstep backends run the chunk as one lockstep kernel.
+    batch, so a lockstep backend runs the chunk as one lockstep kernel.
     On an error the rest of the chunk is abandoned — the parent fails
     the whole job on the first error anyway.
 
@@ -383,7 +383,7 @@ class SimulationService:
         )
 
         # Fail before spawning anything — an unknown kind, or a backend
-        # whose optional dependency is missing (the vector engine
+        # whose optional dependency is missing (the bitparallel engine
         # without numpy), must raise here with the canonical message,
         # not as an opaque crash loop inside freshly spawned workers.
         engine_cls = resolve_engine_class(self.engine_kind)

@@ -8,7 +8,7 @@ patches the *shared* structures in place —
   object-graph DC initialisation evaluate them directly, and
 * the cached :class:`~repro.core.compiled.CompiledNetlist` tables
   (``gate_tables`` / ``gate_functions`` / ``arc_rise`` / ``arc_fall``),
-  because the compiled/vector/bitparallel engines DC-initialise and
+  because the compiled and bitparallel engines DC-initialise and
   execute from them —
 
 then calls :meth:`CompiledNetlist.refresh_numpy_cache`, the sanctioned

@@ -258,7 +258,7 @@ class NetlistRegistry:
                 kind="bad-frame",
             )
         # Vet the backend at registration time: an unknown kind — or
-        # the vector engine on a numpy-less server — must answer this
+        # the bitparallel engine on a numpy-less server — must answer this
         # frame, not crash the first simulate on the entry's pool.
         try:
             resolve_engine_class(engine_kind).ensure_available()

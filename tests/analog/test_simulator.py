@@ -1,7 +1,5 @@
 """Transient simulator: functional settling, delays, guards."""
 
-import itertools
-
 import pytest
 
 from repro.analog.simulator import AnalogSimulator

@@ -11,7 +11,6 @@ from repro.circuit.cells import (
     TimingArcSpec,
     uniform_arcs,
 )
-from repro.circuit.library import default_library
 from repro.errors import LibraryError
 
 

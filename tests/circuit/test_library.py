@@ -4,7 +4,7 @@ import pytest
 
 from repro.circuit.cells import CellSpec, PinSpec, TimingArcSpec
 from repro.circuit.library import CellLibrary, DEFAULT_VDD, default_library
-from repro.circuit.logic import GateFunction, evaluate, truth_table
+from repro.circuit.logic import GateFunction, truth_table
 from repro.errors import LibraryError, UnknownCellError
 
 EXPECTED_CELLS = {

@@ -10,7 +10,6 @@ from repro.circuit.corners import (
     derate_cell,
     derate_library,
 )
-from repro.circuit.library import default_library
 from repro.errors import LibraryError
 
 

@@ -18,7 +18,6 @@ import pytest
 
 numpy = pytest.importorskip("numpy")
 
-from repro.circuit import modules
 from repro.config import ddm_config
 from repro.core.engine import simulate
 from repro.stimuli.vectors import PAPER_SEQUENCE_1, multiplication_sequence

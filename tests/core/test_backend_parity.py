@@ -77,28 +77,35 @@ _STATS_FIELDS = (
 )
 
 
-def assert_parity(netlist, stimulus, config):
-    reference = simulate(netlist, stimulus, config=config, engine_kind="reference")
-    compiled = simulate(netlist, stimulus, config=config, engine_kind="compiled")
-
+def assert_results_bit_identical(reference, other, netlist, context=""):
+    """Statistics, final values, trace layout, edges and raw transition
+    streams of two results are bit-identical."""
     for field in _STATS_FIELDS:
-        assert getattr(reference.stats, field) == getattr(compiled.stats, field), (
-            "stats.%s differs" % field
-        )
-    assert reference.final_values == compiled.final_values
+        assert getattr(reference.stats, field) == getattr(
+            other.stats, field
+        ), "%s: stats.%s differs" % (context, field)
+    assert reference.final_values == other.final_values, context
+    assert reference.traces.horizon == other.traces.horizon, context
+    assert reference.traces.names() == other.traces.names(), context
     for name in netlist.nets:
         ref_trace = reference.traces[name]
-        com_trace = compiled.traces[name]
-        assert ref_trace.edges() == com_trace.edges(), name
+        other_trace = other.traces[name]
+        assert ref_trace.edges() == other_trace.edges(), (context, name)
         ref_raw = [
             (t.t50, t.duration, t.rising, t.degradation_factor, t.cause_time)
             for t in ref_trace.transitions
         ]
-        com_raw = [
+        other_raw = [
             (t.t50, t.duration, t.rising, t.degradation_factor, t.cause_time)
-            for t in com_trace.transitions
+            for t in other_trace.transitions
         ]
-        assert ref_raw == com_raw, name
+        assert ref_raw == other_raw, (context, name)
+
+
+def assert_parity(netlist, stimulus, config):
+    reference = simulate(netlist, stimulus, config=config, engine_kind="reference")
+    compiled = simulate(netlist, stimulus, config=config, engine_kind="compiled")
+    assert_results_bit_identical(reference, compiled, netlist)
     assert reference.simulator.filtered_log == compiled.simulator.filtered_log
     return reference, compiled
 

@@ -14,7 +14,6 @@ import pickle
 
 import pytest
 
-from repro.circuit import modules
 from repro.config import DelayMode, cdm_config, ddm_config
 from repro.core.batch import BatchResult, simulate_batch
 from repro.core.engine import simulate

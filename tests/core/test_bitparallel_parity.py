@@ -41,11 +41,15 @@ from repro.stimuli.vectors import (
 )
 
 from test_backend_parity import (
-    _STATS_FIELDS,
+    CASES as _BACKEND_CASES,
+    assert_results_bit_identical,
     random_netlist,
     random_stimulus,
 )
-from test_vector_parity import CASES, assert_results_bit_identical
+
+#: The first 25 circuits of the backend-parity zoo (each is re-run
+#: once standalone and once as a lane of a batch).
+CASES = _BACKEND_CASES[:25]
 
 
 def assert_cdm_bit_identity(netlist, stimulus, config):

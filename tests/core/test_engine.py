@@ -9,17 +9,16 @@ from repro.circuit import modules
 from repro.circuit.builder import CircuitBuilder
 from repro.config import (
     InertialPolicy,
-    SimulationConfig,
     cdm_config,
     ddm_config,
 )
-from repro.core.engine import HalotisSimulator, simulate
+from repro.core.engine import HalotisSimulator, run_stimulus, simulate
 from repro.errors import (
     SimulationError,
     SimulationLimitError,
     StimulusError,
 )
-from repro.stimuli.patterns import pulse
+from repro.stimuli.patterns import pulse, random_vectors
 from repro.stimuli.vectors import VectorSequence
 
 
@@ -344,3 +343,25 @@ def test_simulate_runs_every_change(mult4):
     result = simulate(mult4, stimulus, config=ddm_config())
     assert result.traces.word_at(9.9, "s", 8) == 1
     assert result.traces.word_at(15.0, "s", 8) == 9
+
+
+def test_engine_built_before_invalidate_lowering_runs_the_new_loads():
+    """A reference engine built before a direct ``wire_cap`` edit plus
+    ``Netlist.invalidate_lowering()`` simulates the new loads, exactly
+    like an engine built after the edit."""
+    netlist = modules.array_multiplier(4)  # private: mutated below
+    names = [net.name for net in netlist.primary_inputs]
+    stimulus = random_vectors(names, 6, 3.0, seed=3)
+    engine = HalotisSimulator(netlist, config=ddm_config())
+
+    def edges(result):
+        return {name: result.traces[name].edges() for name in netlist.nets}
+
+    before = edges(run_stimulus(engine, stimulus))
+    for net in netlist.nets.values():
+        net.wire_cap += 0.02
+    netlist.invalidate_lowering()
+    after = edges(run_stimulus(engine, stimulus))
+    fresh = edges(simulate(netlist, stimulus, config=ddm_config()))
+    assert after != before
+    assert after == fresh

@@ -48,7 +48,7 @@ def test_registry_has_both_backends():
     assert direct == {"reference", "compiled"}
 
 
-@pytest.mark.parametrize("engine_kind", ["vector", "bitparallel"])
+@pytest.mark.parametrize("engine_kind", ["bitparallel"])
 def test_lockstep_kinds_run_single_stimuli_on_the_compiled_kernel(
     chain3, engine_kind
 ):

@@ -1,12 +1,12 @@
 """The engine-availability matrix: clear failures at validation time.
 
-Every numpy-backed engine (``vector``, ``bitparallel``) on a numpy-less
-install must fail with one actionable :class:`SimulationError` (or the
-server's ``bad-frame`` twin) at *configuration* time — config
-validation, ``make_engine``, service construction, server registration,
-the CLI — never as a bare ``ImportError`` mid-simulation.  The pure
-backends (``reference``, ``compiled``) must keep validating and running
-with numpy gone.  numpy is installed in CI, so absence is simulated by
+Every numpy-backed engine (``bitparallel``) on a numpy-less install
+must fail with one actionable :class:`SimulationError` (or the server's
+``bad-frame`` twin) at *configuration* time — config validation,
+``make_engine``, service construction, server registration, the CLI —
+never as a bare ``ImportError`` mid-simulation.  The pure backends
+(``reference``, ``compiled`` and its kept alias ``vector``) must keep
+validating and running with numpy gone.  numpy is installed in CI, so absence is simulated by
 monkeypatching :func:`repro.config.numpy_available`, which every layer
 consults through the module.
 
@@ -20,9 +20,9 @@ import pytest
 
 import repro.config as config_module
 from repro.config import SimulationConfig, ddm_config
+from repro.core.compiled import VectorSimulator
 from repro.core.engine import ENGINE_KINDS, make_engine
 from repro.core.service import SimulationService
-from repro.core.vector import VectorSimulator
 from repro.errors import ServerError, SimulationError
 from repro.server.registry import NetlistRegistry
 
@@ -31,7 +31,7 @@ ALL_KINDS = sorted(ENGINE_KINDS)
 #: The declared availability split.  A test below proves this set stays
 #: in sync with the registry's actual behaviour, so adding an engine
 #: with an unlisted numpy dependency fails loudly here.
-NUMPY_KINDS = frozenset({"vector", "bitparallel"})
+NUMPY_KINDS = frozenset({"bitparallel"})
 PURE_KINDS = frozenset(ALL_KINDS) - NUMPY_KINDS
 
 
@@ -168,6 +168,21 @@ def test_pure_kinds_register_without_numpy(no_numpy, kind):
     )
     assert handle is not None
     assert len(registry) == 1
+
+
+@pytest.mark.parametrize("kind", sorted(PURE_KINDS))
+def test_pure_kinds_run_on_the_cli_without_numpy(no_numpy, capsys, kind):
+    from repro.cli import main
+
+    assert main([
+        "simulate", "--circuit", "c17", "--vectors", "2",
+        "--engine", kind,
+    ]) == 0
+    assert main([
+        "simulate", "--circuit", "c17", "--batch", "3", "--vectors", "2",
+        "--engine", kind,
+    ]) == 0
+    assert "numpy" not in capsys.readouterr().err
 
 
 def test_all_kinds_validate_with_numpy():

@@ -1,33 +1,30 @@
-"""Vector (numpy N-lane) backend parity: vector ≡ reference ≡ compiled.
+"""The kept ``"vector"`` engine name: the compiled path, bit for bit.
 
-The vector engine is only allowed to be *faster at scale*, never
-different: for every stimulus, every lane of a lockstep batch must
-produce bit-identical event counts, statistics, edge lists and raw
-transition streams.  Every single-stimulus check runs the stimulus
-twice: through a plain ``simulate()`` (which runs on the inherited
-compiled kernel and must match the reference engine with its
-filtered-event log included) and as a one-lane lockstep batch.
-Exercised on the randomized circuit zoo of ``test_backend_parity``
-under both delay modes, both inertial policies, and through the batch
-front end (in-process lockstep and on a ``jobs > 1`` worker pool).
+``engine_kind="vector"`` once named a numpy N-lane lockstep kernel.
+That kernel is deleted (it gave the compiled engine's bits at no better
+cost); the name is kept, as an alias of ``"compiled"``, until the
+benchmark's ``alt.vector`` probe goes.  Everything run under it —
+``simulate()``, ``simulate_batch`` in process and on a worker pool,
+fault campaigns — must be the compiled path: identical statistics,
+final values, edges and raw transition streams.
 
-The two lockstep kernel paths — vectorised waves and the thin-wave
-scalar fallback — are both covered, under both inertial policies:
-lockstep batches over eight-plus lanes run wide waves, while narrow
-batches and drain tails take the scalar path.
+The checks run on the randomized circuit zoo of ``test_backend_parity``
+under both delay modes and both inertial policies.  Batch tests whose
+names say "lockstep" predate the kernel's deletion; they now pin
+N-vector batches under the kept name against standalone runs.
 """
 
 from __future__ import annotations
 
 import pytest
 
-numpy = pytest.importorskip("numpy")
-
 from repro.config import InertialPolicy, cdm_config, ddm_config
 from repro.core.batch import simulate_batch
-from repro.core.engine import simulate
-from repro.core.vector import VectorSimulator
+from repro.core.compiled import CompiledSimulator, VectorSimulator
+from repro.core.engine import ENGINE_KINDS, make_engine, run_stimulus, simulate
 from repro.errors import SimulationLimitError
+from repro.faults.campaign import run_campaign
+from repro.faults.faultload import generate_faultload
 from repro.stimuli.patterns import random_vector_batch
 from repro.stimuli.vectors import (
     PAPER_SEQUENCE_1,
@@ -36,46 +33,19 @@ from repro.stimuli.vectors import (
 )
 
 from test_backend_parity import (
-    _STATS_FIELDS,
+    CASES as _BACKEND_CASES,
+    assert_results_bit_identical,
     random_netlist,
     random_stimulus,
 )
 
-#: (seed, num_inputs, num_gates, vectors) — a 25-circuit slice of the
-#: backend-parity zoo (the vector backend re-runs every circuit twice:
-#: once per lane of a batch, once standalone).
-CASES = [
-    (seed, 1 + seed % 6, 3 + (seed * 7) % 22, 2 + seed % 3)
-    for seed in range(25)
-]
-
-
-def assert_results_bit_identical(reference, vector, netlist, context=""):
-    for field in _STATS_FIELDS:
-        assert getattr(reference.stats, field) == getattr(
-            vector.stats, field
-        ), "%s: stats.%s differs" % (context, field)
-    assert reference.final_values == vector.final_values, context
-    assert reference.traces.horizon == vector.traces.horizon, context
-    assert reference.traces.names() == vector.traces.names(), context
-    for name in netlist.nets:
-        ref_trace = reference.traces[name]
-        vec_trace = vector.traces[name]
-        assert ref_trace.edges() == vec_trace.edges(), (context, name)
-        ref_raw = [
-            (t.t50, t.duration, t.rising, t.degradation_factor, t.cause_time)
-            for t in ref_trace.transitions
-        ]
-        vec_raw = [
-            (t.t50, t.duration, t.rising, t.degradation_factor, t.cause_time)
-            for t in vec_trace.transitions
-        ]
-        assert ref_raw == vec_raw, (context, name)
+#: The first 25 circuits of the backend-parity zoo.
+CASES = _BACKEND_CASES[:25]
 
 
 def assert_vector_parity(netlist, stimulus, config):
     """simulate(engine_kind="vector") ≡ reference, logs included, and a
-    one-lane lockstep batch (the scalar wave path) ≡ reference."""
+    one-vector batch under the name ≡ reference."""
     reference = simulate(netlist, stimulus, config=config,
                          engine_kind="reference")
     vector = simulate(netlist, stimulus, config=config, engine_kind="vector")
@@ -85,14 +55,79 @@ def assert_vector_parity(netlist, stimulus, config):
     )
     (lane,) = simulate_batch(netlist, [stimulus], config=config,
                              engine_kind="vector")
-    assert lane.simulator is None  # ran on the lockstep kernel
     assert_results_bit_identical(reference, lane, netlist,
-                                 context="one-lane lockstep")
+                                 context="one-vector batch")
     return reference, vector
 
 
+def assert_batch_matches_standalone(netlist, stimuli, config, engine_kind,
+                                    **run_args):
+    """Every result of a ``vector`` batch ≡ its standalone run on
+    ``engine_kind``."""
+    batch = simulate_batch(netlist, stimuli, config=config,
+                           engine_kind="vector", **run_args)
+    assert batch.engine_kind == "vector"
+    for position, stimulus in enumerate(stimuli):
+        standalone = simulate(netlist, stimulus, config=config,
+                              engine_kind=engine_kind, **run_args)
+        assert_results_bit_identical(
+            standalone, batch[position], netlist,
+            context="vector %d" % position,
+        )
+    return batch
+
+
 # ----------------------------------------------------------------------
-# single-stimulus parity (the registered engine)
+# the kept name is the compiled path
+# ----------------------------------------------------------------------
+
+def test_vector_name_runs_the_compiled_path(mult4):
+    """``simulate``, ``simulate_batch`` (jobs=1 and jobs=2) and a mult4
+    campaign under ``"vector"`` are bit-identical to ``"compiled"``."""
+    assert ENGINE_KINDS["vector"] is VectorSimulator
+    assert VectorSimulator.__bases__ == (CompiledSimulator,)
+    assert not VectorSimulator.lockstep_batches
+    config = ddm_config(record_filtered=True)
+    stimulus = multiplication_sequence(PAPER_SEQUENCE_1)
+    compiled = simulate(mult4, stimulus, config=config,
+                        engine_kind="compiled")
+    vector = simulate(mult4, stimulus, config=config, engine_kind="vector")
+    assert_results_bit_identical(compiled, vector, mult4)
+    assert compiled.simulator.filtered_log == vector.simulator.filtered_log
+
+    input_names = [net.name for net in mult4.primary_inputs]
+    stimuli = random_vector_batch(
+        input_names, batch=6, count=2, period=2.5, base_seed=13
+    )
+    expected = simulate_batch(mult4, stimuli, config=config,
+                              engine_kind="compiled")
+    for jobs in (1, 2):
+        batch = simulate_batch(mult4, stimuli, config=config,
+                               engine_kind="vector", jobs=jobs)
+        assert batch.jobs == jobs
+        for position in range(len(stimuli)):
+            assert_results_bit_identical(
+                expected[position], batch[position], mult4,
+                context="jobs=%d vector %d" % (jobs, position),
+            )
+
+    faultload = generate_faultload(
+        mult4, 10, seed=3, window=(0.0, stimulus.horizon)
+    )
+    campaign = ddm_config()
+    report = run_campaign(mult4, faultload, stimulus, config=campaign,
+                          engine_kind="vector")
+    golden = run_campaign(mult4, faultload, stimulus, config=campaign,
+                          engine_kind="compiled")
+    assert report.engine_kind == "vector"
+    assert report.counts() == golden.counts()
+    assert [outcome.to_dict() for outcome in report.outcomes] == [
+        outcome.to_dict() for outcome in golden.outcomes
+    ]
+
+
+# ----------------------------------------------------------------------
+# single-stimulus parity
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: "seed%d" % c[0])
@@ -135,13 +170,10 @@ def test_sorted_list_queue_parity(mult4):
 
 
 # ----------------------------------------------------------------------
-# lockstep batches (the wide-wave kernel)
+# batches under the kept name
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("case", CASES[:10], ids=lambda c: "seed%d" % c[0])
-@pytest.mark.parametrize("mode", ["ddm", "cdm"])
-def test_random_circuit_lockstep_parity(case, mode):
-    """Every lane of an N-lane lockstep batch ≡ its standalone run."""
+def _zoo_batch(case):
     seed, num_inputs, num_gates, vectors = case
     netlist = random_netlist(seed, num_inputs, num_gates)
     input_names = [net.name for net in netlist.primary_inputs]
@@ -149,76 +181,49 @@ def test_random_circuit_lockstep_parity(case, mode):
         random_stimulus(seed * 31 + k, input_names, vectors)
         for k in range(10)
     ]
+    return netlist, stimuli
+
+
+@pytest.mark.parametrize("case", CASES[:10], ids=lambda c: "seed%d" % c[0])
+@pytest.mark.parametrize("mode", ["ddm", "cdm"])
+def test_random_circuit_lockstep_parity(case, mode):
+    """Every vector of a 10-vector batch ≡ its standalone reference run."""
+    netlist, stimuli = _zoo_batch(case)
     config = (
         ddm_config(record_filtered=True)
         if mode == "ddm"
         else cdm_config(record_filtered=True)
     )
-    batch = simulate_batch(netlist, stimuli, config=config,
-                           engine_kind="vector")
-    assert batch.engine_kind == "vector"
-    for position, stimulus in enumerate(stimuli):
-        reference = simulate(netlist, stimulus, config=config,
-                             engine_kind="reference")
-        assert batch[position].simulator is None
-        assert_results_bit_identical(
-            reference, batch[position], netlist,
-            context="lane %d" % position,
-        )
+    assert_batch_matches_standalone(netlist, stimuli, config, "reference")
 
 
 def test_wide_lockstep_batch_crosses_scalar_cutoff(mult4):
-    """A 24-lane multiplier batch drives the vectorised wave path (and
-    its thin drain tails the scalar path) — every lane still matches
-    the compiled engine bit for bit."""
+    """A 24-vector multiplier batch ≡ the compiled engine bit for bit
+    (the name recalls the deleted lane kernel's scalar-wave cutoff)."""
     input_names = [net.name for net in mult4.primary_inputs]
     stimuli = random_vector_batch(
         input_names, batch=24, count=2, period=2.0, base_seed=5, tail=3.0
     )
-    config = ddm_config()
-    batch = simulate_batch(mult4, stimuli, config=config,
-                           engine_kind="vector")
-    for position, stimulus in enumerate(stimuli):
-        compiled = simulate(mult4, stimulus, config=config,
-                            engine_kind="compiled")
-        assert_results_bit_identical(
-            compiled, batch[position], mult4, context="lane %d" % position
-        )
+    assert_batch_matches_standalone(mult4, stimuli, ddm_config(), "compiled")
 
 
 @pytest.mark.parametrize("case", CASES[:10], ids=lambda c: "seed%d" % c[0])
 @pytest.mark.parametrize("mode", ["ddm", "cdm"])
 def test_peak_voltage_lockstep_parity(case, mode):
-    """PEAK_VOLTAGE through a 10-lane lockstep batch: every lane ≡ its
-    reference run, through both the wide and the scalar wave path.
-    Under CDM several circuits keep a pulse whose peak passes the
-    threshold, so the corrected-time branch runs too."""
-    seed, num_inputs, num_gates, vectors = case
-    netlist = random_netlist(seed, num_inputs, num_gates)
-    input_names = [net.name for net in netlist.primary_inputs]
-    stimuli = [
-        random_stimulus(seed * 31 + k, input_names, vectors)
-        for k in range(10)
-    ]
+    """PEAK_VOLTAGE through a 10-vector batch: every vector ≡ its
+    reference run.  Under CDM several circuits keep a pulse whose peak
+    passes the threshold, so the corrected-time branch runs too."""
+    netlist, stimuli = _zoo_batch(case)
     config = (ddm_config if mode == "ddm" else cdm_config)(
         inertial_policy=InertialPolicy.PEAK_VOLTAGE
     )
-    batch = simulate_batch(netlist, stimuli, config=config,
-                           engine_kind="vector")
-    for position, stimulus in enumerate(stimuli):
-        reference = simulate(netlist, stimulus, config=config,
-                             engine_kind="reference")
-        assert_results_bit_identical(
-            reference, batch[position], netlist,
-            context="lane %d" % position,
-        )
+    assert_batch_matches_standalone(netlist, stimuli, config, "reference")
 
 
 @pytest.mark.parametrize("mode", ["ddm", "cdm"])
 def test_wide_peak_voltage_lockstep_batch(mult4, mode):
-    """The 24-lane multiplier batch of the cutoff test under
-    PEAK_VOLTAGE: the wide-wave and scalar peak-voltage decisions both
-    match the compiled engine bit for bit."""
+    """The 24-vector multiplier batch under PEAK_VOLTAGE ≡ compiled,
+    with pulses actually filtered."""
     input_names = [net.name for net in mult4.primary_inputs]
     stimuli = random_vector_batch(
         input_names, batch=24, count=2, period=2.0, base_seed=5, tail=3.0
@@ -226,17 +231,9 @@ def test_wide_peak_voltage_lockstep_batch(mult4, mode):
     config = (ddm_config if mode == "ddm" else cdm_config)(
         inertial_policy=InertialPolicy.PEAK_VOLTAGE
     )
-    batch = simulate_batch(mult4, stimuli, config=config,
-                           engine_kind="vector")
-    filtered = 0
-    for position, stimulus in enumerate(stimuli):
-        compiled = simulate(mult4, stimulus, config=config,
-                            engine_kind="compiled")
-        filtered += compiled.stats.events_filtered
-        assert_results_bit_identical(
-            compiled, batch[position], mult4, context="lane %d" % position
-        )
-    assert filtered > 0
+    batch = assert_batch_matches_standalone(mult4, stimuli, config,
+                                            "compiled")
+    assert batch.aggregate_stats().events_filtered > 0
 
 
 def test_sharded_lockstep_matches_in_process(mult4):
@@ -252,25 +249,18 @@ def test_sharded_lockstep_matches_in_process(mult4):
     for position in range(len(stimuli)):
         assert_results_bit_identical(
             in_process[position], sharded[position], mult4,
-            context="lane %d" % position,
+            context="vector %d" % position,
         )
 
 
 def test_lockstep_batch_with_seed_and_settle(mult4):
-    """seed/settle knobs flow through the lockstep driver unchanged."""
+    """seed/settle knobs flow through a batch under the name unchanged."""
     input_names = [net.name for net in mult4.primary_inputs]
     stimuli = random_vector_batch(
         input_names, batch=3, count=2, period=2.5, base_seed=21
     )
-    batch = simulate_batch(mult4, stimuli, config=ddm_config(),
-                           engine_kind="vector", settle=4.0)
-    for position, stimulus in enumerate(stimuli):
-        standalone = simulate(mult4, stimulus, config=ddm_config(),
-                              engine_kind="reference", settle=4.0)
-        assert_results_bit_identical(
-            standalone, batch[position], mult4,
-            context="lane %d" % position,
-        )
+    assert_batch_matches_standalone(mult4, stimuli, ddm_config(),
+                                    "reference", settle=4.0)
 
 
 # ----------------------------------------------------------------------
@@ -293,24 +283,18 @@ def test_lockstep_batch_honors_max_events(mult4):
 
 
 def test_vector_rejects_unknown_queue_kind(mult4):
-    """The lockstep path takes no event-queue option any more."""
+    """Batches take no event-queue option any more."""
     stimuli = [multiplication_sequence(PAPER_SEQUENCE_1)]
     with pytest.raises(TypeError):
         simulate_batch(
             mult4, stimuli, config=ddm_config(), engine_kind="vector",
             queue_kind="heap",
         )
-    with pytest.raises(TypeError):
-        VectorSimulator.run_lockstep_batch(
-            mult4, stimuli, config=ddm_config(), queue_kind="heap"
-        )
 
 
 def test_vector_engine_reuse_across_stimuli(mult4):
-    """One VectorSimulator re-initialised per stimulus (the service
-    worker pattern) resets all state."""
-    from repro.core.engine import make_engine, run_stimulus
-
+    """One engine under the name re-initialised per stimulus (the
+    service worker pattern) resets all state."""
     engine = make_engine(mult4, config=ddm_config(), engine_kind="vector")
     first = run_stimulus(engine, multiplication_sequence(PAPER_SEQUENCE_1))
     second = run_stimulus(engine, multiplication_sequence(PAPER_SEQUENCE_2))

@@ -91,8 +91,8 @@ def test_zero_fault_campaign_is_all_silent(params):
 @given(params=circuit_params)
 def test_classification_is_engine_independent(params):
     """The same faultload over the same stimulus: the exact-timing
-    engines agree on the full four-way classification; all four engines
-    (including word-timing bitparallel) agree on the final-state
+    engines agree on the full four-way classification; every registered
+    kind (including word-timing bitparallel) agrees on the final-state
     verdicts ``end_detected`` / ``end_latent``."""
     seed, num_inputs, num_gates, vectors = params
     netlist = random_netlist(seed, num_inputs, num_gates)
@@ -172,8 +172,8 @@ def test_service_campaign_matches_in_process(mult4):
 def test_lockstep_kind_campaign_equals_compiled(mult4, kind, jobs):
     """Mutant chunks run vector by vector, so a lockstep kind's campaign
     runs on the compiled kernel, in process and in pool workers alike:
-    vector equals compiled under the same config, bitparallel equals
-    compiled under CDM (its declared tier)."""
+    bitparallel equals compiled under CDM (its declared tier); vector,
+    a kept alias of compiled, equals it under the same config."""
     pytest.importorskip("numpy")
     stimulus = multiplication_sequence(PAPER_SEQUENCE_1)
     faultload = generate_faultload(
@@ -222,9 +222,10 @@ def test_campaign_reuses_a_caller_owned_service(c17):
 
 
 def test_mixed_healthy_and_faulted_batch_matches_individual_runs(c17):
-    """The lockstep guard: a vector-engine batch mixing healthy and
+    """The lockstep guard: a bitparallel batch mixing healthy and
     faulted stimuli must fall off the merged-word fast path and still
     match per-stimulus ``simulate()`` bit for bit."""
+    pytest.importorskip("numpy")
     from repro.core.batch import simulate_batch
 
     stimulus = _c17_stimulus(c17)
@@ -234,10 +235,12 @@ def test_mixed_healthy_and_faulted_batch_matches_individual_runs(c17):
     )
     mixed = [stimulus, FaultedStimulus(stimulus, fault), stimulus]
     batch = simulate_batch(
-        c17, mixed, config=_config(), engine_kind="vector", jobs=1
+        c17, mixed, config=_config(), engine_kind="bitparallel", jobs=1
     )
     for stim, result in zip(mixed, batch.results):
-        solo = simulate(c17, stim, config=_config(), engine_kind="vector")
+        solo = simulate(
+            c17, stim, config=_config(), engine_kind="bitparallel"
+        )
         assert result.final_values == solo.final_values
         for name in result.traces.names():
             assert (

@@ -242,8 +242,8 @@ def test_cone_runs_match_full_runs_and_reference(circuit, mode, traced):
 
 
 def test_bitparallel_cone_runs_match_its_full_runs():
-    """Lockstep engines run faulted chunks on their compiled kernel,
-    bitparallel in CDM mode; the cone path keeps that contract."""
+    """The lockstep engine runs faulted chunks on its compiled kernel,
+    in CDM mode; the cone path keeps that contract."""
     netlist, stimulus, faults = _campaign("c17")
     mutants = [FaultedStimulus(stimulus, fault) for fault in faults]
     config = ddm_config()

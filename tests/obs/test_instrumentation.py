@@ -100,7 +100,9 @@ def test_collect_metrics_off_is_silent(c17):
 
 
 def test_vector_engine_publishes_lockstep_wave_metrics(mult4):
-    pytest.importorskip("numpy")
+    """A batch under the kept ``vector`` name runs vector by vector on
+    the compiled kernel: one run per vector (the name predates the
+    deletion of its lockstep kernel, which published waves)."""
     _drain()
     batch = simulate_batch(
         mult4, _stimuli(mult4), config=ddm_config(), engine_kind="vector"
@@ -108,10 +110,24 @@ def test_vector_engine_publishes_lockstep_wave_metrics(mult4):
     delta = _delta()
     runs = delta.get("halotis_engine_runs_total")
     assert runs.value(engine="vector") == len(batch)
+
+
+def test_bitparallel_publishes_lockstep_wave_metrics(mult4):
+    pytest.importorskip("numpy")
+    _drain()
+    batch = simulate_batch(
+        mult4, _stimuli(mult4), config=ddm_config(),
+        engine_kind="bitparallel",
+    )
+    delta = _delta()
+    runs = delta.get("halotis_engine_runs_total")
+    assert runs.value(engine="bitparallel") == len(batch)
     waves = delta.get("halotis_lockstep_waves_total")
     lanes = delta.get("halotis_lockstep_lanes_total")
-    assert waves.value(engine="vector") > 0
-    assert lanes.value(engine="vector") >= waves.value(engine="vector")
+    assert waves.value(engine="bitparallel") > 0
+    assert lanes.value(engine="bitparallel") >= waves.value(
+        engine="bitparallel"
+    )
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,11 @@
 """The STA oracle (``SimulationConfig.check_sta_bounds``) across engines.
 
-"All five engine kinds" (the acceptance wording) means the four
-registered backends — ``reference``, ``compiled``, ``vector``,
-``bitparallel`` — exercised through ``simulate()``, **plus** the
-lockstep batch paths (``simulate_batch`` on the two
-``lockstep_batches`` backends), whose merged word/lane events go
-through a separate verification hook with batch-wide launch and slew
-hulls.  The property tests assert the oracle is *silent* on healthy
+Every registered kind — ``reference``, ``compiled``, ``bitparallel``
+and the kept ``vector`` alias of ``compiled`` — is exercised through
+``simulate()``, **plus** the lockstep batch path (``simulate_batch`` on
+the ``lockstep_batches`` backend, ``bitparallel``), whose merged word
+events go through its own verification pass with batch-wide launch
+and slew hulls.  The property tests assert the oracle is *silent* on healthy
 runs over a randomized corpus; the teeth tests assert it *fires* when
 the compiled delay arcs are corrupted behind a primed window cache.
 """

@@ -3,7 +3,6 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.circuit import modules
 from repro.errors import StimulusError
 from repro.stimuli.patterns import glitch_pair, pulse, pulse_train, random_vectors
 from repro.stimuli.vectors import (

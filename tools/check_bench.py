@@ -4,7 +4,7 @@ Every benchmark that feeds the performance trajectory attaches one
 record at ``benchmarks[].extra_info.bench`` via the ``bench_record``
 fixture (``benchmarks/conftest.py``)::
 
-    {"schema": 1, "name": "vector-speedup",
+    {"schema": 1, "name": "bitparallel-speedup",
      "config": {...workload knobs...},
      "measured": {...numbers the gate asserted on...}}
 
