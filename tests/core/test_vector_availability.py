@@ -178,6 +178,13 @@ def test_pure_kinds_run_on_the_cli_without_numpy(no_numpy, capsys, kind):
         "simulate", "--circuit", "c17", "--vectors", "2",
         "--engine", kind,
     ]) == 0
+    assert "numpy" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", sorted(PURE_KINDS))
+def test_pure_kinds_run_a_cli_batch_without_numpy(no_numpy, capsys, kind):
+    from repro.cli import main
+
     assert main([
         "simulate", "--circuit", "c17", "--batch", "3", "--vectors", "2",
         "--engine", kind,
