@@ -18,13 +18,14 @@ the gate compares their best per-mutant CPU, which a busy host
 disturbs less than a median.  ``record_mb`` is the memory the warm-up
 left allocated: the golden record, its cones and the cone kernel.
 
-On a shared 2-vCPU x86-64 VM the cone path measured 2.0-2.4x on mult4
-(about 250 vs. 530 us per mutant), 1.9-2.7x on mult6 (about 330 vs.
-830 us) and 1.6-1.7x on mult10 (about 4.1 vs. 6.6 ms; 1524 golden
-events, 41% of them in the mean cone, record 3.2 MB).  mult10's
-operands toggle every input bit, so its causal keys run the full logic
-depth: keyed runs cost more per event there, and its bar sits lower.
-The bars sit 15-25% below the low ends.
+On a shared 2-vCPU x86-64 VM (CPython 3.11), five runs measured the
+cone path at 2.4-2.9x on mult4 (about 200-330 vs. 500-800 us per
+mutant), 2.2-4.2x on mult6 (about 270-420 vs. 850-1210 us) and
+3.0-3.3x on mult10 (about 2.1-2.5 vs. 6.4-8.2 ms; 1524 golden events,
+41% of them in the mean cone, record 2.7 MB).  Cone runs are plain
+kernel runs: every kernel breaks time ties by ``(time, pin uid, seq)``,
+so a cone orders its ties as the full run does.
+The bars sit 20-25% below the low ends.
 """
 
 from __future__ import annotations
@@ -50,9 +51,9 @@ _ROUNDS = 11
 #: is the faultload of test_faults_speedup.py, and mult10's operands
 #: toggle every input bit, so its events run the full logic depth.
 _CASES = {
-    "mult4": (4, [(0x3, 0x5), (0xC, 0xA)], 200, 21, 1.5),
-    "mult6": (6, [(0x3, 0x5), (0xC, 0xA)], 120, 21, 1.6),
-    "mult10": (10, [(0x155, 0x2AA), (0x2AA, 0x155)], 40, 21, 1.3),
+    "mult4": (4, [(0x3, 0x5), (0xC, 0xA)], 200, 21, 1.9),
+    "mult6": (6, [(0x3, 0x5), (0xC, 0xA)], 120, 21, 1.7),
+    "mult10": (10, [(0x155, 0x2AA), (0x2AA, 0x155)], 40, 21, 2.3),
 }
 
 

@@ -90,8 +90,10 @@ from ..errors import SimulationError, SimulationLimitError, StimulusError
 from .compiled import (
     _EXECUTED,
     _PENDING,
+    E_SEQ,
     E_STATE,
     E_TIME,
+    E_UID,
     CompiledNetlist,
     CompiledSimulator,
     _CompiledHeapQueue,
@@ -117,25 +119,29 @@ def _require_numpy() -> None:
         )
 
 
-# Entry layout of a word event (a plain list, ordered by the first two
-# slots; ``seq`` is globally unique so comparisons never reach the
-# payload).  ``mask`` is the lane word of pending changes, ``rising``
-# the sub-mask of lanes whose new value is 1.  ``W_TIME`` is the
+# Entry layout of a word event (a plain list, ordered like a compiled
+# entry by its first three slots: time, input-pin uid, then the unique
+# ``seq``, so comparisons never reach the payload).  ``mask`` is the
+# lane word of pending changes, ``rising`` the sub-mask of lanes whose
+# new value is 1.  ``W_TIME`` is the
 # *queue* time (threshold crossing plus the batch hold); ``W_CROSS``
 # keeps the true crossing, which all downstream timing derives from so
 # the hold never accumulates across levels.  At N = 1 the hold is zero
 # and the two coincide.
-(W_TIME, W_SEQ, W_UID, W_MASK, W_RISING, W_T50, W_DUR, W_STATE,
+(W_TIME, W_UID, W_SEQ, W_MASK, W_RISING, W_T50, W_DUR, W_STATE,
  W_CROSS) = range(9)
 
 
 # The word kernel queues its entries on the compiled backend's list-entry
-# heap, which reads only the time and state slots; fail at import if the
-# two layouts ever stop agreeing on them.
-if (W_TIME, W_STATE) != (E_TIME, E_STATE):  # pragma: no cover
+# heap, which orders by the head slots and reads the state slot; fail at
+# import if the two layouts ever stop agreeing on them, so the tie rule
+# is defined once, by the compiled layout.
+if (W_TIME, W_UID, W_SEQ, W_STATE) != (
+    E_TIME, E_UID, E_SEQ, E_STATE
+):  # pragma: no cover
     raise SimulationError(
         "word-entry layout disagrees with compiled entries on the "
-        "time/state slots the shared heap reads"
+        "head/state slots the shared heap reads"
     )
 
 
@@ -913,7 +919,7 @@ class _WordKernel:
                     event_time = now - hold
 
             seq += 1
-            entry = [event_time + hold, seq, uid, new_mask, new_rising,
+            entry = [event_time + hold, uid, seq, new_mask, new_rising,
                      t50, duration, _PENDING, event_time]
             queue.push(entry)
             stack.append(entry)
@@ -1244,8 +1250,11 @@ def _verify_batch(
     time or ramp duration, so every lane is verified against windows
     widened to the batch-wide launch-time and input-slew hulls, with
     each arc's upper bound widened by the word-merge hold (one mean CDM
-    base delay per word event, see :func:`_batch_hold`).  Imported
-    lazily: analysis sits above core.
+    base delay per word event, see :func:`_batch_hold`): a word that
+    reaches a pin after the pin's previous word ran, but before the
+    held instant the kernel is at, runs at that held time, so a hold
+    can reach a recorded edge (``tests/test_sta_oracle.py`` builds such
+    a batch).  Imported lazily: analysis sits above core.
     """
     from ..analysis.sta import _stimulus_launches, verify_result
 

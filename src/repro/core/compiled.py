@@ -21,9 +21,11 @@ integer indices (:class:`CompiledSimulator`):
   with two multiply-adds instead of a dataclass round-trip;
 * per-gate truth tables replacing boolean-function dispatch.
 
-Events are plain Python lists (``[time, seq, uid, value, t50, dur,
-rising, state]``) ordered by their first two slots, so the queue never
-compares beyond the unique ``seq``.  The inertial decision and both
+Events are plain Python lists (``[time, uid, seq, value, t50, dur,
+rising, state]``) ordered by their first three slots, so the queue
+never compares beyond the unique ``seq``: same-time events run in
+input-pin uid order, and FIFO on one pin (see
+:class:`_CompiledHeapQueue`).  The inertial decision and both
 delay models are inlined on scalars.  The kernel never allocates a
 ``Transition``: with trace recording on, a surviving transition is
 appended to its net's trace as a plain row (see :mod:`repro.core.trace`),
@@ -80,9 +82,12 @@ if TYPE_CHECKING:
 _MAX_TABLE_ARITY = 16
 
 # Entry layout of a compiled event (a plain list, ordered by the first
-# two slots; ``seq`` is globally unique so comparisons never reach the
-# payload).
-E_TIME, E_SEQ, E_UID, E_VALUE, E_T50, E_DUR, E_RISING, E_STATE = range(8)
+# three slots: time, then input-pin uid, then the insertion count
+# ``seq``, which is globally unique so comparisons never reach the
+# payload).  This is the tie rule of every kernel: the bit-parallel
+# word entries share the head slots, and the reference engine's
+# ``Event.sort_key`` is the same triple.
+E_TIME, E_UID, E_SEQ, E_VALUE, E_T50, E_DUR, E_RISING, E_STATE = range(8)
 _PENDING, _CANCELLED, _EXECUTED = 0, 1, 2
 
 
@@ -766,10 +771,14 @@ class CompiledNetlist:
 class _CompiledHeapQueue:
     """Binary heap with lazy cancellation, over list entries.
 
-    Entries order by their ``(time, seq)`` head slots (``seq`` is unique,
-    so comparisons never reach the payload) and carry their lifecycle in
-    slot ``E_STATE``.  The bit-parallel engine's word entries share the
-    time and state slots and use this class too.
+    Entries order by their ``(time, uid, seq)`` head slots (``seq`` is
+    unique, so comparisons never reach the payload) and carry their
+    lifecycle in slot ``E_STATE``.  Same-time events on different pins
+    thus run in pin order, fixed by the circuit's structure rather than
+    by the run's history, which is what lets a fault's cone-only run
+    (:mod:`repro.faults.differential`) order its ties exactly as the
+    full run does.  The bit-parallel engine's word entries share the
+    head and state slots and use this class too.
     """
 
     def __init__(self):
@@ -1146,7 +1155,7 @@ class CompiledSimulator(EngineBase):
                     event_time = now
 
             seq += 1
-            entry = [event_time, seq, uid, value, t50, duration, rising, _PENDING]
+            entry = [event_time, uid, seq, value, t50, duration, rising, _PENDING]
             queue.push(entry)
             stack.append(entry)
             stats.events_scheduled += 1

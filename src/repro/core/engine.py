@@ -243,11 +243,6 @@ class EngineBase(abc.ABC):
     def _execute(self, event) -> None:
         """Process one event popped from the queue."""
 
-    def _broadcast_pulse(self, transition: Transition, net: Net) -> None:
-        """Broadcast an injected SET pulse edge on ``net`` (see
-        :func:`play`); the default treats it like a stimulus edge."""
-        self._broadcast_transition(transition, net)
-
     def _count_toggle(self, net: Net) -> None:
         """Record one emitted/source transition on ``net`` for the
         switching-activity statistics."""
@@ -895,7 +890,7 @@ def play(
         if not restore:
             held.append(simulator.value(net.name))
         value = held[0] if restore else 1 - held[0]
-        simulator._broadcast_pulse(
+        simulator._broadcast_transition(
             Transition(
                 t50=at_time, duration=slew, rising=value == 1,
                 net_name=net.name,

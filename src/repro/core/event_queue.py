@@ -4,10 +4,12 @@ The kernel needs three operations: push, pop-earliest, and *cancel* — the
 annihilation rule of the paper's Figure 4 removes pending events.
 :class:`BinaryHeapQueue` implements cancellation lazily (cancelled events
 stay in the heap and are skipped on pop), which keeps push/pop at
-O(log n) and cancel at O(1).  Events pop in ``(time, seq)`` order; the
-property test in ``tests/core/test_event_queue.py`` pins that against a
-plain ``min``-over-a-list reference.  The compiled and bit-parallel
-engines order their list entries with the same discipline in
+O(log n) and cancel at O(1).  Events pop in ``Event.sort_key`` order,
+``(time, pin uid, seq)``: same-time events run in the order of their
+receiving pins, and FIFO on one pin.  The property test in
+``tests/core/test_event_queue.py`` pins that against a plain
+``min``-over-a-list reference.  The compiled and bit-parallel engines
+order their list entries by the same rule in
 :class:`repro.core.compiled._CompiledHeapQueue`.
 """
 
@@ -37,7 +39,7 @@ class BinaryHeapQueue:
     def push(self, event: Event) -> None:
         if event.cancelled:
             raise SimulationError("cannot schedule a cancelled event")
-        heapq.heappush(self._heap, (event.time, event.seq, event))
+        heapq.heappush(self._heap, (event.sort_key, event))
         self._live += 1
 
     def cancel(self, event: Event) -> None:
@@ -51,7 +53,7 @@ class BinaryHeapQueue:
     def pop(self) -> Optional[Event]:
         """Remove and return the earliest live event (None when empty)."""
         while self._heap:
-            _time, _seq, event = heapq.heappop(self._heap)
+            _key, event = heapq.heappop(self._heap)
             if event.cancelled:
                 continue
             self._live -= 1
@@ -60,11 +62,11 @@ class BinaryHeapQueue:
 
     def peek_time(self) -> Optional[float]:
         """Time of the earliest live event without removing it."""
-        while self._heap and self._heap[0][2].cancelled:
+        while self._heap and self._heap[0][1].cancelled:
             heapq.heappop(self._heap)
         if not self._heap:
             return None
-        return self._heap[0][0]
+        return self._heap[0][1].time
 
     def clear(self) -> None:
         self._heap.clear()

@@ -21,8 +21,10 @@ class Event:
 
     Attributes:
         time: the instant ``E`` of the crossing, ns.
-        seq: global sequence number; ties in ``time`` are broken FIFO so
-            simulations are deterministic.
+        seq: global sequence number.  Ties in ``time`` are broken by
+            the receiving pin's ``uid``, then by ``seq`` (FIFO on one
+            pin), so same-time order follows the circuit's structure
+            and simulations are deterministic.
         gate_input: the receiving pin.
         transition: the producing transition.
         value: logic value the input assumes when the event executes
@@ -61,7 +63,7 @@ class Event:
 
     @property
     def sort_key(self) -> tuple:
-        return (self.time, self.seq)
+        return (self.time, self.gate_input.uid, self.seq)
 
     def cancel(self) -> None:
         self.cancelled = True

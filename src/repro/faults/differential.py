@@ -24,43 +24,17 @@ from per-net (scheduled, filtered, late) and per-gate (executed,
 degraded, fully degraded) counts the recording run keeps; emissions
 per gate are its output net's toggles.
 
-**The causal tie-break key.**  The queue orders events by time, and
-exact time ties are common (identical cells see identical transitions).
-The plain kernel breaks ties by an insertion counter, and a counter
-value depends on every event scheduled before it, in or out of the
-cone, so a cone run cannot reproduce it.  The recording run and the
-cone runs key each event by its causal history instead: a kernel
-broadcast keys its ``n``-th fanout entry ``((t_exec, 0, k), n)``,
-where ``k`` is the key of the executing entry, and a broadcast made
-between kernel steps keys it ``((now, phase, j), n)`` with phase 1
-for a SET pulse, phase 2 for a stimulus change and ``j`` counting such
-broadcasts.  A kernel entry that executes at the instant of the
-broadcast it descends from (a SET pulse's late-clamped events and
-their late-clamped children) runs after that broadcast, so it inherits
-the phase: its children are keyed ``((t_exec, phase, j, k), n)``, which
-sorts after the broadcast's own ``((now, phase, j), n)``.
-
-These keys order events exactly as the insertion counter does.  At one
-instant the kernel first drains every event already queued for it
-(phase 0), then fires the SET pulse (phase 1) and runs what that pulse
-scheduled for the same instant, then applies the stimulus (phase 2;
-a stimulus ramp crosses every threshold strictly after its start, so
-nothing of it runs at that instant).  Within a phase, execution order
-is key order, and siblings follow fanout order ``n``.  Because a key
-depends only on an event's causal ancestors, an event keeps its key in
-a cone-only run, and the cone run reproduces the full run's tie order.
-``tests/faults/test_differential.py`` checks both halves: keys rise in
-insertion order, and every mutant matches its full run field by field.
-
-Each key stores its ancestor chain flat (:class:`CausalKey`), about
-three entries per gate on the causal path, so building and storing one
-costs O(logic depth).  Nested parents would share the chain and build
-in O(1), but ties would then compare one ancestor at a time, and cone
-runs measured 1.25-2x slower with them (slower than full runs on
-mult10), so the chain stays flat; the record's memory is measured in
-docs/performance.md.  A keyed run costs
-about 1.5-1.9x the plain kernel's CPU, so only the recording run and
-the cone runs use the keys; unfaulted runs keep the plain kernel.
+**Ties follow the circuit, so a cone run orders them as the full run
+does.**  Every kernel breaks time ties by ``(time, input-pin uid,
+seq)`` (:class:`repro.core.compiled._CompiledHeapQueue`).  Same-time
+events on different pins order by pin, which a cone run shares with
+the full run; events on one pin order by insertion, and a pin only
+ever receives events from one net, so a cone pin sees the full run's
+broadcasts in the full run's order and a side-input pin sees the
+golden entries themselves, ``seq`` included.  Both runs drain every
+event of an instant before a SET pulse fires at it (``play()`` runs up
+to and including the instant first).  The recording run and the cone
+runs are therefore plain kernel runs.
 
 **When the full run is used instead.**  The ``reference`` engine;
 cyclic lowerings (no topological DC sweep to re-solve a cone);
@@ -95,8 +69,7 @@ import heapq
 from itertools import compress
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from ..circuit.netlist import Net
-from ..core.compiled import E_SEQ, E_TIME, E_UID, CompiledSimulator
+from ..core.compiled import E_TIME, E_UID, CompiledSimulator
 from ..core.engine import (
     EngineBase,
     SimulationResult,
@@ -107,15 +80,10 @@ from ..core.engine import (
 )
 from ..core.stats import SimulationStatistics
 from ..core.trace import TraceSet
-from ..core.transition import Transition
 from ..errors import ReproError
 from ..stimuli.vectors import VectorSequence
 from .faultload import FaultKind
 from .inject import FaultedStimulus, FaultInjection, pulse_of
-
-#: broadcast phases at one instant (kernel broadcasts are phase 0).
-SET_PHASE = 1
-STIMULUS_PHASE = 2
 
 #: fault kinds whose patch changes the DC solution inside the cone.
 _LOGIC_KINDS = (FaultKind.STUCK_AT_0, FaultKind.STUCK_AT_1, FaultKind.BIT_FLIP)
@@ -127,64 +95,7 @@ _LOGIC_KINDS = (FaultKind.STUCK_AT_0, FaultKind.STUCK_AT_1, FaultKind.BIT_FLIP)
 MIN_MUTANTS_TO_RECORD = 8
 
 
-class CausalKey(Tuple[Tuple[object, ...], int]):
-    """``(parent, n)``: the causal tie-break key of one queued event.
-
-    ``parent`` identifies the broadcast that scheduled the event and
-    ``n`` its position in that broadcast's fanout.  ``parent`` is stored
-    flat: a kernel broadcast's ``(t_exec, 0, k)`` is ``(t_exec, 0)``
-    followed by the flat ``k``, a between-steps broadcast's is
-    ``(now, phase, j, 0)``, and an inheriting kernel broadcast's
-    ``(t_exec, phase, j, k)`` is ``(t_exec, phase, j, 1)`` followed by
-    the flat ``k``.  No parent's encoding is a prefix of another's, so
-    flat parents compare exactly as nested ones do, in one pass instead
-    of one recursive comparison per ancestor on every time tie.
-    ``key + 1`` is the next sibling's key, so the kernel's ``seq += 1``
-    builds these keys unchanged.
-    """
-
-    __slots__ = ()
-
-    def __add__(self, step: int) -> CausalKey:  # type: ignore[override]
-        return CausalKey((self[0], self[1] + step))
-
-
-class CausalKernel(CompiledSimulator):
-    """The compiled kernel with causal keys instead of the insertion
-    counter (results are bit-identical; see the module docstring)."""
-
-    #: broadcasts made between kernel steps so far (the ``j`` of their
-    #: keys; never reset, only its order matters).
-    _boundaries = 0
-
-    def _execute(self, entry: list) -> None:
-        time_now = entry[E_TIME]
-        parent, n = entry[E_SEQ]
-        if parent[1] and parent[0] == time_now:
-            # Runs at the instant of the SET pulse it descends from.
-            head = (time_now, parent[1], parent[2], 1)
-        else:
-            head = (time_now, 0)
-        self._seq = CausalKey((head + parent + (n,), -1))
-        CompiledSimulator._execute(self, entry)
-
-    def _broadcast_between_steps(
-        self, phase: int, transition: Transition, net: Net
-    ) -> None:
-        self._seq = CausalKey(((self.now, phase, self._boundaries, 0), -1))
-        self._boundaries += 1
-        self._broadcast_indexed(
-            net.index, transition.t50, transition.duration, transition.rising
-        )
-
-    def _broadcast_transition(self, transition: Transition, net: Net) -> None:
-        self._broadcast_between_steps(STIMULUS_PHASE, transition, net)
-
-    def _broadcast_pulse(self, transition: Transition, net: Net) -> None:
-        self._broadcast_between_steps(SET_PHASE, transition, net)
-
-
-class _ConeKernel(CausalKernel):
+class _ConeKernel(CompiledSimulator):
     """Runs cones.  The runner builds the per-net toggle dict and the
     final values from golden and cone data, so the per-run rebuilds
     are skipped."""
@@ -199,8 +110,8 @@ class _ConeKernel(CausalKernel):
         return self.final_values
 
 
-class RecordingKernel(CausalKernel):
-    """A keyed full run that also keeps what cone runs need: every
+class RecordingKernel(CompiledSimulator):
+    """A full run that also keeps what cone runs need: every
     executed entry per pin, degraded and fully degraded emissions and
     the last execution time per gate, and scheduled, filtered and late
     events per broadcasting net.  After :meth:`record` the kernel is the
@@ -223,7 +134,7 @@ class RecordingKernel(CausalKernel):
         stats = self.stats
         degraded = stats.transitions_degraded
         fully = stats.transitions_fully_degraded
-        CausalKernel._execute(self, entry)
+        CompiledSimulator._execute(self, entry)
         uid = entry[E_UID]
         gate = self._input_gate[uid]
         self.executed[uid].append(entry)

@@ -35,11 +35,15 @@ CASES = [
 ]
 
 
-def random_netlist(seed: int, num_inputs: int, num_gates: int):
-    """A connected random combinational DAG (deterministic per seed)."""
+def random_netlist(seed: int, num_inputs: int, num_gates: int,
+                   input_names=None):
+    """A connected random combinational DAG (deterministic per seed);
+    ``input_names`` renames the primary inputs by position."""
     generator = random.Random(seed)
     builder = CircuitBuilder(name="parity%d" % seed)
-    nets = [builder.input("i%d" % k) for k in range(num_inputs)]
+    if input_names is None:
+        input_names = ["i%d" % k for k in range(num_inputs)]
+    nets = [builder.input(name) for name in input_names]
     for index in range(num_gates):
         cell_name, arity = generator.choice(_CELL_CHOICES)
         operands = [generator.choice(nets) for _ in range(arity)]

@@ -1,17 +1,20 @@
 """Event queues: ordering, cancellation, agreement with a plain reference.
 
 The reference engine's :class:`BinaryHeapQueue` and the compiled and
-bit-parallel engines' list-entry heap must pop in ``(time, seq)`` order
-under any interleaving of push, cancel (the annihilation rule) and pop.
-Both are checked against :class:`ReferenceQueue`, a plain list kept in
-``(time, seq)`` order by ``list.sort`` — too simple to be wrong, and
+bit-parallel engines' list-entry heap must pop in ``(time, pin uid,
+seq)`` order — the one tie rule of every kernel — under any
+interleaving of push, cancel (the annihilation rule) and pop.  Both are
+checked against :class:`ReferenceQueue`, a plain list kept in
+``Event.sort_key`` order by ``list.sort`` — too simple to be wrong, and
 itself pinned by the ordering tests below, which run over it as well.
+Events sit on real pins of c17.
 """
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.circuit import modules
 from repro.config import DelayMode
 from repro.core.compiled import (
     _EXECUTED,
@@ -19,6 +22,7 @@ from repro.core.compiled import (
     E_SEQ,
     E_STATE,
     E_TIME,
+    E_UID,
     _CompiledHeapQueue,
 )
 from repro.core.engine import simulate
@@ -30,7 +34,7 @@ from repro.experiments import common
 
 class ReferenceQueue:
     """The oracle: live events in a plain list re-sorted by
-    ``(time, seq)`` on every push, popped from the front, a cancelled
+    ``Event.sort_key`` on every push, popped from the front, a cancelled
     event removed at once."""
 
     def __init__(self):
@@ -69,14 +73,22 @@ class ReferenceQueue:
         self._events.clear()
 
 
-def _event(time, seq):
-    return Event(time=time, seq=seq, gate_input=None, transition=None, value=1)
+#: c17's gate input pins, in uid order (uids 0..11).
+_PINS = sorted(
+    (pin for gate in modules.c17().gates.values() for pin in gate.inputs),
+    key=lambda pin: pin.uid,
+)
 
 
-def _entry(time, seq):
-    """A compiled-layout event entry: ``[time, seq, uid, value, t50,
+def _event(time, seq, pin=0):
+    return Event(time=time, seq=seq, gate_input=_PINS[pin], transition=None,
+                 value=1)
+
+
+def _entry(time, seq, pin=0):
+    """A compiled-layout event entry: ``[time, uid, seq, value, t50,
     dur, rising, state]``."""
-    return [time, seq, 0, 1, time, 0.1, True, _PENDING]
+    return [time, _PINS[pin].uid, seq, 1, time, 0.1, True, _PENDING]
 
 
 @pytest.fixture(params=[BinaryHeapQueue, ReferenceQueue],
@@ -97,12 +109,17 @@ def test_make_queue_rejects_unknown(mult4):
 
 
 def test_fifo_for_equal_times(queue):
-    first = _event(1.0, 1)
-    second = _event(1.0, 2)
-    queue.push(second)
-    queue.push(first)
-    assert queue.pop() is first
-    assert queue.pop() is second
+    """Equal times pop in pin-uid order, then FIFO on one pin."""
+    high_first = _event(1.0, 1, pin=5)
+    low_first = _event(1.0, 2, pin=3)
+    high_second = _event(1.0, 3, pin=5)
+    low_second = _event(1.0, 4, pin=3)
+    for event in (high_second, low_second, high_first, low_first):
+        queue.push(event)
+    assert [queue.pop() for _ in range(4)] == [
+        low_first, low_second, high_first, high_second
+    ]
+    assert queue.pop() is None
 
 
 def test_pop_order_is_time_sorted(queue):
@@ -179,11 +196,14 @@ def test_clear(queue):
     assert queue.peek_time() is None
 
 
-#: Random push/cancel/pop interleavings; a cancel picks a live event.
+#: Random push/cancel/pop interleavings on random pins; a cancel picks
+#: a live event.  Whole-number times make same-time ties common.
 OPERATIONS = st.lists(
     st.tuples(
-        st.floats(min_value=0.0, max_value=100.0),
+        st.floats(min_value=0.0, max_value=100.0)
+        | st.integers(min_value=0, max_value=3).map(float),
         st.sampled_from(["push", "cancel", "pop"]),
+        st.integers(min_value=0, max_value=len(_PINS) - 1),
     ),
     max_size=60,
 )
@@ -200,11 +220,11 @@ def test_implementations_agree(operations):
     seq = 0
     results_heap = []
     results_oracle = []
-    for time, action in operations:
+    for time, action, pin in operations:
         if action == "push":
             seq += 1
-            heap_event = _event(time, seq)
-            oracle_event = _event(time, seq)
+            heap_event = _event(time, seq, pin)
+            oracle_event = _event(time, seq, pin)
             heap.push(heap_event)
             oracle.push(oracle_event)
             heap_live.append(heap_event)
@@ -262,17 +282,20 @@ def _run_list_entry_heap(operations, peek):
         """Pop both queues; False once neither has an event left."""
         entry = heap.pop()
         event = oracle.pop()
-        popped.append(None if entry is None else (entry[E_TIME], entry[E_SEQ]))
+        popped.append(
+            None if entry is None
+            else (entry[E_TIME], entry[E_UID], entry[E_SEQ])
+        )
         expected.append(None if event is None else event.sort_key)
         if entry is not None:
             entry[E_STATE] = _EXECUTED  # as the kernels mark it
         live[:] = [pair for pair in live if pair[0] is not entry]
         return entry is not None or event is not None
 
-    for time, action in operations:
+    for time, action, pin in operations:
         if action == "push":
             seq += 1
-            pair = (_entry(time, seq), _event(time, seq))
+            pair = (_entry(time, seq, pin), _event(time, seq, pin))
             heap.push(pair[0])
             oracle.push(pair[1])
             live.append(pair)

@@ -26,6 +26,7 @@ from repro.config import (
     ddm_config,
 )
 from repro.core.batch import simulate_batch
+from repro.core.bitparallel import _batch_hold
 from repro.core.engine import ENGINE_KINDS, simulate
 from repro.errors import OracleError
 from repro.stimuli.vectors import VectorSequence
@@ -98,6 +99,57 @@ def test_lockstep_batches_stay_inside_the_batch_hull(params):
                 netlist, stimuli, config=config, engine_kind=kind, jobs=1
             )
             assert len(batch.results) == len(stimuli)
+
+
+def _late_clamp_circuit():
+    """``y = INV(NAND(a, b))``, a fast path, beside a chain of heavily
+    loaded inverters on ``c`` whose slow arcs raise the batch hold (the
+    mean base arc delay) well above the fast path's NAND delay."""
+    builder = CircuitBuilder(name="late_clamp")
+    a, b, c = builder.input("a"), builder.input("b"), builder.input("c")
+    builder.output(builder.inv(builder.nand(a, b, name="g1"), name="g2"),
+                   name="y")
+    chain = c
+    for index in range(8):
+        chain = builder.inv(
+            chain, output=builder.net("slow%d" % index, wire_cap=200.0),
+            name="s%d" % index,
+        )
+    builder.output(chain)
+    return builder.build()
+
+
+@pytest.mark.parametrize("mode", list(DelayMode), ids=lambda m: m.name)
+def test_a_late_clamped_word_needs_the_batch_hold_slack(mode):
+    """Lane 0 drops ``a`` and lane 1 drops ``b`` half a hold later, so
+    g1 emits two word events on g2's pin.  Lane 1's arrives after lane
+    0's has run (one hold late) yet before the instant lane 1's own
+    event runs at, so the word kernel clamps it to that held queue time
+    and the hold reaches y's recorded edge.  The batch pass covers it
+    with its per-arc hold slack; the same traces checked without the
+    slack leave y's static window."""
+    netlist = _late_clamp_circuit()
+    config = SimulationConfig(
+        delay_mode=mode, record_traces=True, check_sta_bounds=True
+    )
+    hold = _batch_hold(netlist.compile(), 2)
+    start = {"a": 1, "b": 1, "c": 0}
+    late = 1.0 + 0.5 * hold
+    stimuli = [
+        VectorSequence([(0.0, start), (1.0, {**start, "a": 0})],
+                       slew=0.1, tail=3.0),
+        VectorSequence([(0.0, start), (late, {**start, "b": 0})],
+                       slew=0.1, tail=3.0),
+    ]
+    batch = simulate_batch(
+        netlist, stimuli, config=config, engine_kind="bitparallel"
+    )
+    hulls = {"launch_window": (1.05, late + 0.05), "input_slew": (0.1, 0.1)}
+    verify_result(netlist, stimuli[0], batch.results[0], config, **hulls)
+    with pytest.raises(OracleError, match="net 'y' transition"):
+        verify_result(netlist, stimuli[1], batch.results[1], config, **hulls)
+    verify_result(netlist, stimuli[1], batch.results[1], config,
+                  arc_slack=hold, **hulls)
 
 
 def test_oracle_accepts_a_launch_free_stimulus():
