@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from ..errors import ParseError
 from .builder import CircuitBuilder
@@ -130,7 +130,7 @@ def _build(
             raise ParseError("net %r assigned twice" % out_name, line_number)
         nets[out_name] = builder.net(out_name)
 
-    for line_number, out_name, function, args in assignments:
+    for line_number, out_name, function, args in _drivers_first(assignments):
         try:
             arg_nets = [nets[arg] for arg in args]
         except KeyError as exc:
@@ -144,6 +144,41 @@ def _build(
             raise ParseError("OUTPUT(%s) references undefined net" % output_name)
         builder.output(nets[output_name])
     return builder.build(allow_cycles=allow_cycles)
+
+
+def _drivers_first(
+    assignments: List[Tuple[int, str, GateFunction, List[str]]],
+) -> List[Tuple[int, str, GateFunction, List[str]]]:
+    """``assignments`` with every gate after the gates driving its
+    inputs, in file order wherever the file already has that order.
+
+    Gates are numbered, and their pins given uids, in the order they are
+    built, and every kernel breaks time ties by pin uid; built
+    drivers-first, the uids grow along every path, which exact cone
+    runs (:mod:`repro.faults.differential`) rely on.  The order is a
+    depth-first post-order; it skips the edge that closes a cycle, so
+    a cyclic file (``allow_cycles``) still builds every gate once.
+    """
+    by_output = {assignment[1]: assignment for assignment in assignments}
+    placed: Set[str] = set()  # outputs emitted or on the current path
+    order: List[Tuple[int, str, GateFunction, List[str]]] = []
+    for root in assignments:
+        if root[1] in placed:
+            continue
+        placed.add(root[1])
+        path = [(root, iter(root[3]))]
+        while path:
+            assignment, args = path[-1]
+            for arg in args:
+                driver = by_output.get(arg)
+                if driver is not None and arg not in placed:
+                    placed.add(arg)
+                    path.append((driver, iter(driver[3])))
+                    break
+            else:
+                path.pop()
+                order.append(assignment)
+    return order
 
 
 def _emit(

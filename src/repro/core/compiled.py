@@ -774,11 +774,14 @@ class _CompiledHeapQueue:
     Entries order by their ``(time, uid, seq)`` head slots (``seq`` is
     unique, so comparisons never reach the payload) and carry their
     lifecycle in slot ``E_STATE``.  Same-time events on different pins
-    thus run in pin order, fixed by the circuit's structure rather than
-    by the run's history, which is what lets a fault's cone-only run
-    (:mod:`repro.faults.differential`) order its ties exactly as the
-    full run does.  The bit-parallel engine's word entries share the
-    head and state slots and use this class too.
+    thus run in pin order.  When every gate is numbered after the gates
+    driving its inputs, pin uids grow along every path, so an event a
+    running instant pushes (a late event clamped to ``now``) sorts
+    behind the one just popped, and the pops follow the keys alone,
+    not the order of the pushes: that is what lets a fault's cone-only
+    run (:mod:`repro.faults.differential`) order its ties exactly as
+    the full run does.  The bit-parallel engine's word entries share
+    the head and state slots and use this class too.
     """
 
     def __init__(self):

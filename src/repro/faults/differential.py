@@ -26,18 +26,29 @@ per gate are its output net's toggles.
 
 **Ties follow the circuit, so a cone run orders them as the full run
 does.**  Every kernel breaks time ties by ``(time, input-pin uid,
-seq)`` (:class:`repro.core.compiled._CompiledHeapQueue`).  Same-time
-events on different pins order by pin, which a cone run shares with
-the full run; events on one pin order by insertion, and a pin only
-ever receives events from one net, so a cone pin sees the full run's
-broadcasts in the full run's order and a side-input pin sees the
-golden entries themselves, ``seq`` included.  Both runs drain every
-event of an instant before a SET pulse fires at it (``play()`` runs up
-to and including the instant first).  The recording run and the cone
-runs are therefore plain kernel runs.
+seq)`` (:class:`repro.core.compiled._CompiledHeapQueue`).  Pin uids
+are numbered in gate order, so when every gate comes after the gates
+driving its inputs the uids grow along every path.  An event pushed
+while an instant runs (a late event clamped to ``now``) then lands on
+a pin downstream of the one just popped, behind it in the heap, and
+the run pops its events in plain key order, whatever order they were
+pushed in.  Same-time events on different pins thus order by pin,
+which a cone run shares with the full run; events on one pin order by
+insertion, and a pin only ever receives events from one net, so a
+cone pin sees the full run's broadcasts in the full run's order and a
+side-input pin sees the golden entries themselves, ``seq`` included.
+Both runs drain every event of an instant before a SET pulse fires at
+it (``play()`` runs up to and including the instant first).  The
+recording run and the cone runs are therefore plain kernel runs.
+Gates built out of that order break the argument: a side pin a later
+gate late-clamps to an instant pops after a cone pin in the full run
+but, preloaded, before it in the cone run.  ``read_bench`` builds
+drivers first whatever the file order; any other netlist out of that
+order takes full runs.
 
 **When the full run is used instead.**  The ``reference`` engine;
-cyclic lowerings (no topological DC sweep to re-solve a cone);
+a lowering with a gate numbered before a gate driving one of its
+inputs (which every cyclic lowering has);
 ``record_filtered=True`` (the filtered-event log is a whole-run
 sequence); a DC ``seed``; a base stimulus that is not a
 :class:`~repro.stimuli.vectors.VectorSequence`; a fault net that is not
@@ -276,14 +287,20 @@ class DifferentialRunner:
         self.golden: Optional[RecordingKernel] = None
         #: eligible mutants per base the current chunk has still to run.
         self._pending: Dict[Tuple[object, ...], int] = {}
+        net_driver = self.cn.net_driver
+        input_gate = self.cn.input_gate
+        #: every gate numbered after the gates driving its inputs, so
+        #: pin uids grow along every path (see the module docstring).
+        self.drivers_first = all(
+            net_driver[net] < input_gate[uid]
+            for uid, net in enumerate(self.cn.input_net)
+        )
 
     def usable(self) -> bool:
-        """False when every mutant must take the full run: a cyclic
-        lowering, or a filtered-event log to keep."""
-        return (
-            self.cn.dc_sweep() is not None
-            and not self.engine.config.record_filtered
-        )
+        """False when every mutant must take the full run: gates out of
+        driver-before-reader order (cyclic lowerings included), or a
+        filtered-event log to keep."""
+        return self.drivers_first and not self.engine.config.record_filtered
 
     def begin_chunk(
         self, stimuli: Sequence[object], settle: float

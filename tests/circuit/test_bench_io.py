@@ -48,6 +48,25 @@ m = AND(a, a)
     assert evaluate_netlist(netlist, {"a": 0})["y"] == 1
 
 
+def test_gates_are_built_drivers_first_in_any_file_order():
+    """Gates are numbered, and their pins given uids, in build order, and
+    every kernel breaks time ties by pin uid; exact cone runs need the
+    uids to grow along every path.  A file in that order keeps it."""
+    lines = C17_TEXT.strip().splitlines()
+    header = [line for line in lines if "=" not in line]
+    gates = [line for line in lines if "=" in line]
+    ordered = bench_io.read_bench(C17_TEXT)
+    assert [gate.output.name for gate in ordered.gates.values()] == [
+        line.split()[0] for line in gates
+    ]
+    for order in itertools.islice(itertools.permutations(gates), 0, None, 37):
+        netlist = bench_io.read_bench("\n".join(header + list(order)))
+        for gate in netlist.gates.values():
+            for gate_input in gate.inputs:
+                driver = gate_input.net.driver
+                assert driver is None or driver.index < gate.index
+
+
 def test_wide_fanin_decomposes():
     text = "INPUT(a)\nINPUT(b)\nINPUT(c)\nINPUT(d)\nINPUT(e)\n" \
            "OUTPUT(y)\ny = AND(a, b, c, d, e)\n"

@@ -154,7 +154,7 @@ def test_backends_reject_unknown_queue_kind(chain3, engine_kind):
 @pytest.mark.parametrize("engine_kind", ALL_KINDS)
 def test_backends_honor_queue_kind(chain3, engine_kind):
     """Every backend runs the one event queue, a binary heap in
-    ``(time, seq)`` order: its results equal the reference engine's
+    ``(time, pin uid, seq)`` order: its results equal the reference engine's
     (CDM, where every backend is bit-identical), and no engine keeps a
     queue-kind attribute."""
     stimulus = _ring_stimulus(chain3)

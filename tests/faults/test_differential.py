@@ -11,8 +11,8 @@ Three layers of checks:
 * **exactness** — every mutant of every fault kind that runs only its
   cone matches the compiled full run and the reference engine in every
   statistics counter, ``net_toggles``, final values and every trace
-  field, on mult4, mult6, wallace4 and c17, DDM and CDM, traces on and
-  off;
+  field, on mult4, mult6, wallace4, c17 and c17 read from a ``.bench``
+  file with its gates reversed, DDM and CDM, traces on and off;
 * **golden record and fallbacks** — the golden record is re-made
   exactly when the lowering changes, a chunk records only when it holds
   enough mutants of one base stimulus, and every fallback gives the
@@ -30,6 +30,8 @@ from pathlib import Path
 import pytest
 
 from repro.circuit import modules
+from repro.circuit.bench_io import read_bench, write_bench
+from repro.circuit.builder import CircuitBuilder
 from repro.config import cdm_config, ddm_config
 from repro.core.batch import run_chunk, simulate_batch
 from repro.core.engine import (
@@ -45,6 +47,7 @@ from repro.faults.faultload import FaultKind, FaultSpec, generate_faultload
 from repro.faults.inject import FaultedStimulus
 from repro.obs.registry import MetricsRegistry, get_registry
 from repro.stimuli.patterns import random_vectors
+from repro.stimuli.vectors import VectorSequence
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "core"))
 from test_backend_parity import (  # noqa: E402
@@ -133,11 +136,23 @@ def _pulses_at_changes(netlist, stimulus, nets):
 # exactness of cone runs, per mutant
 # ----------------------------------------------------------------------
 
+def _c17_reversed():
+    """c17 read from ``.bench`` text whose gates are in reverse order;
+    ``read_bench`` still builds every gate after its drivers."""
+    lines = write_bench(modules.c17()).splitlines()
+    gates = [line for line in lines if "=" in line]
+    return read_bench(
+        "\n".join([line for line in lines if "=" not in line] + gates[::-1]),
+        name="c17_reversed",
+    )
+
+
 _CIRCUITS = {
     "mult4": (lambda: modules.array_multiplier(4), 60),
     "mult6": (lambda: modules.array_multiplier(6), 40),
     "wallace4": (lambda: modules.wallace_multiplier(4), 40),
     "c17": (modules.c17, 60),
+    "c17_reversed": (_c17_reversed, 60),
 }
 
 
@@ -394,6 +409,34 @@ def test_fallbacks_take_full_runs(case):
     mutants = [FaultedStimulus(stimulus, fault) for fault in faults]
     engine = make_engine(netlist, config=config, engine_kind="compiled")
     results = _chunk_matches_full(engine, mutants, **kwargs)
+    assert all(result.simulator is engine for result in results)
+
+
+def test_gates_built_before_their_drivers_take_full_runs():
+    """Exact cone runs need pin uids to grow along every path.  Here
+    ``y = NAND2(n, a)`` is built before ``n = INV(a)``.  ``a``'s fall
+    reaches both pins at 1.26 ns: ``y``'s pin ``a`` runs, then the
+    inverter's, whose degraded rise is late, clamped onto ``y``'s pin
+    ``n`` (the lowest uid) at that same instant.  The full run executes
+    it last; a cone run preloads it, would execute it first, and ``y``
+    would toggle four times instead of twice.  Such a netlist takes
+    full runs."""
+    builder = CircuitBuilder(name="drivers_last")
+    a = builder.input("a")
+    n = builder.net("n")
+    low = 0.3 * builder.netlist.vdd
+    builder.output(builder.gate("NAND2", n, a, output=builder.net("y"),
+                                vt_overrides={0: low, 1: low}))
+    builder.gate("INV", a, output=n, vt_overrides={0: low})
+    netlist = builder.build()
+    stimulus = VectorSequence(
+        [(0.0, {"a": 0}), (1.0, {"a": 1}), (1.05, {"a": 0})],
+        slew=0.3, tail=3.0,
+    )
+    mutants = [FaultedStimulus(stimulus, FaultSpec(FaultKind.NONE, "y"))]
+    engine = make_engine(netlist, config=ddm_config(), engine_kind="compiled")
+    results = _chunk_matches_full(engine, mutants * MIN_MUTANTS_TO_RECORD)
+    assert results[0].stats.late_events == 1
     assert all(result.simulator is engine for result in results)
 
 
