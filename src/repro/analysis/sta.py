@@ -82,6 +82,10 @@ class NetWindow:
         }
 
 
+#: NetWindow's fields in declaration order.
+_WINDOW_FIELDS = tuple(field.name for field in dataclasses.fields(NetWindow))
+
+
 @dataclasses.dataclass(frozen=True)
 class PathStep:
     """One arc of a critical path: ``from_net`` through ``gate`` pin
@@ -359,10 +363,12 @@ def _window_pass(
     net_names = compiled.net_names
     net_constant = compiled.net_constant
     net_is_pi = compiled.net_is_pi
-    vt_fraction = compiled.vt_fraction
-    input_net = compiled.input_net
-    gate_offsets = compiled.gate_input_offsets
-    gate_output_net = compiled.gate_output_net
+    # Plain-list copies: list indexing returns the stored objects, where
+    # ``array`` indexing boxes a fresh int/float on every access.
+    vt_fraction = compiled.vt_fraction.tolist()
+    input_net = compiled.input_net.tolist()
+    gate_offsets = compiled.gate_input_offsets.tolist()
+    gate_output_net = compiled.gate_output_net.tolist()
     arc_rise = compiled.arc_rise
     arc_fall = compiled.arc_fall
 
@@ -413,21 +419,40 @@ def _window_pass(
             fall = arc_fall[uid]
             tp0_r, d_r, tau0_r, s_r = rise[0], rise[1], rise[2], rise[3]
             tp0_f, d_f, tau0_f, s_f = fall[0], fall[1], fall[2], fall[3]
+            # Corners in the order (rise, lo), (rise, hi), (fall, lo),
+            # (fall, hi), folded exactly as a loop over them would.
             tp_nom_min = tp_nom_max = tp0_r + d_r * in_slew_lo
             tau_min = tau_max = tau0_r + s_r * in_slew_lo
-            for tp, tau_out in (
-                (tp0_r + d_r * in_slew_hi, tau0_r + s_r * in_slew_hi),
-                (tp0_f + d_f * in_slew_lo, tau0_f + s_f * in_slew_lo),
-                (tp0_f + d_f * in_slew_hi, tau0_f + s_f * in_slew_hi),
-            ):
-                if tp < tp_nom_min:
-                    tp_nom_min = tp
-                elif tp > tp_nom_max:
-                    tp_nom_max = tp
-                if tau_out < tau_min:
-                    tau_min = tau_out
-                elif tau_out > tau_max:
-                    tau_max = tau_out
+            tp = tp0_r + d_r * in_slew_hi
+            if tp < tp_nom_min:
+                tp_nom_min = tp
+            elif tp > tp_nom_max:
+                tp_nom_max = tp
+            tp = tp0_f + d_f * in_slew_lo
+            if tp < tp_nom_min:
+                tp_nom_min = tp
+            elif tp > tp_nom_max:
+                tp_nom_max = tp
+            tp = tp0_f + d_f * in_slew_hi
+            if tp < tp_nom_min:
+                tp_nom_min = tp
+            elif tp > tp_nom_max:
+                tp_nom_max = tp
+            tau_out = tau0_r + s_r * in_slew_hi
+            if tau_out < tau_min:
+                tau_min = tau_out
+            elif tau_out > tau_max:
+                tau_max = tau_out
+            tau_out = tau0_f + s_f * in_slew_lo
+            if tau_out < tau_min:
+                tau_min = tau_out
+            elif tau_out > tau_max:
+                tau_max = tau_out
+            tau_out = tau0_f + s_f * in_slew_hi
+            if tau_out < tau_min:
+                tau_min = tau_out
+            elif tau_out > tau_max:
+                tau_max = tau_out
             if use_ddm:
                 # Degradation only ever shrinks the delay, floored at
                 # min_delay; the nominal value is the undegraded max.
@@ -457,17 +482,17 @@ def _window_pass(
         if best is not None:
             predecessors[out_net] = best
 
-    windows = {
-        net_names[index]: NetWindow(
-            name=net_names[index],
-            can_transition=alive[index],
-            arrival_min=arrival_min[index],
-            arrival_max=arrival_max[index],
-            slew_min=slew_min[index],
-            slew_max=slew_max[index],
-        )
-        for index in range(num_nets)
-    }
+    # Equal to NetWindow(name=..., ...): filling the instance dict
+    # directly skips the frozen dataclass __init__, whose six
+    # object.__setattr__ calls per net cost more than the pass itself
+    # on a small circuit.
+    windows = {}
+    new_window = object.__new__
+    for fields in zip(
+        net_names, alive, arrival_min, arrival_max, slew_min, slew_max
+    ):
+        window = windows[fields[0]] = new_window(NetWindow)
+        window.__dict__.update(zip(_WINDOW_FIELDS, fields))
     return windows, predecessors
 
 

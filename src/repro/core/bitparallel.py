@@ -80,6 +80,7 @@ words — count bit ``p`` of all lanes in one word row — which the
 from __future__ import annotations
 
 import time as _time
+from heapq import heappop, heappush
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .. import config as _config_module
@@ -88,7 +89,9 @@ from ..circuit.netlist import Netlist
 from ..config import DelayMode, InertialPolicy, SimulationConfig
 from ..errors import SimulationError, SimulationLimitError, StimulusError
 from .compiled import (
+    _CANCELLED,
     _EXECUTED,
+    _INF,
     _PENDING,
     E_SEQ,
     E_STATE,
@@ -714,232 +717,284 @@ class _WordKernel:
         #: flat (net_index, change_mask) toggle log, grouped at the end.
         self.toggle_events: List[Tuple[int, int]] = []
 
-    # -- the hot path --------------------------------------------------
+    # -- the kernel loop ------------------------------------------------
 
-    def execute(self, entry: list) -> None:
-        """Process one popped word event."""
-        if self.word_events_executed >= self._max_events:
-            raise SimulationLimitError(
-                "event budget (%d) exhausted at t=%.4f ns — zero-delay "
-                "oscillation?" % (self._max_events, self.now)
-            )
-        entry[W_STATE] = _EXECUTED
-        self.now = entry[W_TIME]
-        # All timing derives from the true crossing, not the held queue
-        # time, so the batch hold delays execution order only.
-        time_now = entry[W_CROSS]
-        self.word_events_executed += 1
-        mask = entry[W_MASK]
-        self.executed_masks.append(mask)
+    def run_until(
+        self,
+        until: Optional[float],
+        sources: Sequence[Tuple[int, int, int, float, float]] = (),
+    ) -> None:
+        """Fan the word source transitions ``(net, mask, rising mask,
+        t50, duration)`` out, then pop and execute word events up to and
+        including ``until`` (all if None).
 
-        uid = entry[W_UID]
-        input_val = self.input_val
-        # Toggle semantics: per (input, lane) transitions alternate, so
-        # XOR-ing the change word in equals committing the new values.
-        input_val[uid] ^= mask
-
-        gate = self._input_gate[uid]
-        offsets = self._gate_offsets
-        start = offsets[gate]
-        end = offsets[gate + 1]
-        full = self.full_mask
-        function = self._programs[gate]
-        if function is not None:
-            new_out = function(input_val[start:end], full)
-        else:  # pragma: no cover - only hand-built cells exceed cap
-            new_out = 0
-            logic = self.compiled.gate_functions[gate]
-            for lane in range(self.lanes):
-                bits = [
-                    (input_val[pin] >> lane) & 1
-                    for pin in range(start, end)
-                ]
-                if evaluate_function(logic, bits):
-                    new_out |= 1 << lane
-        gate_out = self.gate_out
-        change = new_out ^ gate_out[gate]
-        if not change:
-            return
-        gate_out[gate] = new_out
-        rising_mask = new_out & change
-        out_net = self._gate_out_net[gate]
-        self.net_val[out_net] ^= change
-
-        # CDM-grade word timing.  Single-direction words (always the
-        # case at N = 1) use exactly the compiled CDM float sequence;
-        # mixed words take the earliest delay arc and the latest slew —
-        # the documented accuracy contract.
-        tau_in = entry[W_DUR]
-        min_delay = self._min_delay
-        if rising_mask == change:
-            arc = self._arc_rise[uid]
-            tp = arc[0] + arc[1] * tau_in
-            if tp <= min_delay:
-                tp = min_delay
-            tau_out = arc[2] + arc[3] * tau_in
-        elif rising_mask == 0:
-            arc = self._arc_fall[uid]
-            tp = arc[0] + arc[1] * tau_in
-            if tp <= min_delay:
-                tp = min_delay
-            tau_out = arc[2] + arc[3] * tau_in
-        else:
-            rise = self._arc_rise[uid]
-            fall = self._arc_fall[uid]
-            tp_rise = rise[0] + rise[1] * tau_in
-            tp_fall = fall[0] + fall[1] * tau_in
-            tp = tp_rise if tp_rise < tp_fall else tp_fall
-            if tp <= min_delay:
-                tp = min_delay
-            tau_rise = rise[2] + rise[3] * tau_in
-            tau_fall = fall[2] + fall[3] * tau_in
-            tau_out = tau_rise if tau_rise > tau_fall else tau_fall
-        t50 = time_now + tp
-
-        self.emitted_masks.append(change)
-        self.toggle_events.append((out_net, change))
-        if self._record_traces:
-            trace_lists = self.trace_lists
-            net_name = self.compiled.net_names[out_net]
-            for lane in _iter_lanes(change):
-                traces = trace_lists[lane]
-                if traces is not None:
-                    traces[out_net].append(Transition(
-                        t50=t50,
-                        duration=tau_out,
-                        rising=bool((rising_mask >> lane) & 1),
-                        net_name=net_name,
-                        degradation_factor=1.0,
-                        cause_time=time_now,
-                    ))
-        self.broadcast(out_net, change, rising_mask, t50, tau_out)
-
-    def broadcast(self, net_index: int, mask: int, rising_mask: int,
-                  t50: float, duration: float) -> None:
-        """Fan a word transition out: one word event per receiving input.
-
-        The inertial decision is taken per word against the input's
-        top-of-stack entry: lanes present in both annihilate pairwise
-        (exactly the scalar rule at N = 1); surviving lanes schedule at
-        the word's threshold crossing.
+        One function, like the compiled kernel loop: the tables, state
+        and mask logs are read into locals once per call, and ``now``,
+        ``seq``, the event count and the queue's live count are written
+        back in ``finally``.
         """
-        offsets = self._fanout_offsets
-        targets = self._fanout_targets
-        vt_fraction = self._vt_fraction
-        stacks = self.stacks
         queue = self.queue
+        heap = queue._heap
+        live = queue._live
+        compiled = self.compiled
+        programs = self._programs
+        input_gate = self._input_gate
+        gate_offsets = self._gate_offsets
+        gate_out_net = self._gate_out_net
+        fanout_offsets = self._fanout_offsets
+        fanout_targets = self._fanout_targets
+        vt_fraction = self._vt_fraction
+        arc_rise = self._arc_rise
+        arc_fall = self._arc_fall
+        input_val = self.input_val
+        gate_out = self.gate_out
+        net_val = self.net_val
+        stacks = self.stacks
+        full = self.full_mask
+        min_delay = self._min_delay
         resolution = self._resolution
+        hold = self._hold
+        event_order = self._event_order
+        max_events = self._max_events
+        trace_lists = self.trace_lists if self._record_traces else None
+        log_executed = self.executed_masks.append
+        log_emitted = self.emitted_masks.append
+        log_toggle = self.toggle_events.append
+        log_scheduled = self.scheduled_masks.append
+        log_filtered = self.filtered_masks.append
+        log_late = self.late_masks.append
+        horizon = _INF if until is None else until
         now = self.now
         seq = self.seq
-        hold = self._hold
-        single = rising_mask == 0 or rising_mask == mask
-        rising = rising_mask != 0
-        for position in range(offsets[net_index], offsets[net_index + 1]):
-            uid = targets[position]
-            fraction = vt_fraction[uid]
-            if single:
-                if rising:
-                    crossing = t50 + duration * (fraction - 0.5)
-                else:
-                    crossing = t50 + duration * (0.5 - fraction)
-            else:
-                # Latest crossing of the word's mixed edges.
-                offset = duration * (fraction - 0.5)
-                crossing = t50 + (offset if offset >= 0.0 else -offset)
-            stack = stacks[uid]
-            previous = stack[-1] if stack else None
-            new_mask = mask
-            new_rising = rising_mask
-
-            if previous is not None and previous[W_STATE] == _PENDING:
-                if self._event_order:
-                    annihilate = crossing <= previous[W_TIME] + resolution
-                    event_time = crossing
-                else:
-                    previous_rising = previous[W_RISING]
-                    previous_single = (
-                        previous_rising == 0
-                        or previous_rising == previous[W_MASK]
+        executed = self.word_events_executed
+        source_count = len(sources)
+        next_source = 0
+        try:
+            while True:
+                if next_source < source_count:
+                    out_net, change, rising_mask, t50, tau_out = (
+                        sources[next_source]
                     )
-                    if single and previous_single:
-                        decided = peak_voltage_time(
-                            crossing, previous[W_TIME], previous_rising != 0,
-                            previous[W_T50], previous[W_DUR], t50,
-                            duration, rising, fraction, resolution,
+                    next_source += 1
+                else:
+                    # -- pop the next live word event -------------------
+                    if not heap:
+                        break
+                    entry = heappop(heap)
+                    if entry[W_STATE] == _CANCELLED:
+                        continue
+                    if entry[W_TIME] > horizon:
+                        heappush(heap, entry)  # the same key: order unchanged
+                        break
+                    if executed >= max_events:
+                        heappush(heap, entry)
+                        raise SimulationLimitError(
+                            "event budget (%d) exhausted at t=%.4f ns — "
+                            "zero-delay oscillation?" % (max_events, now)
                         )
-                        annihilate = decided is None
-                        event_time = crossing if decided is None else decided
+                    live -= 1
+                    entry[W_STATE] = _EXECUTED
+                    now = entry[W_TIME]
+                    # All timing derives from the true crossing, not the
+                    # held queue time, so the batch hold delays execution
+                    # order only.
+                    time_now = entry[W_CROSS]
+                    executed += 1
+                    mask = entry[W_MASK]
+                    log_executed(mask)
+
+                    # -- the word event step ----------------------------
+                    uid = entry[W_UID]
+                    # Toggle semantics: per (input, lane) transitions
+                    # alternate, so XOR-ing the change word in equals
+                    # committing the new values.
+                    input_val[uid] ^= mask
+                    gate = input_gate[uid]
+                    start = gate_offsets[gate]
+                    end = gate_offsets[gate + 1]
+                    function = programs[gate]
+                    if function is not None:
+                        new_out = function(input_val[start:end], full)
+                    else:  # pragma: no cover - only hand-built cells exceed cap
+                        new_out = 0
+                        logic = compiled.gate_functions[gate]
+                        for lane in range(self.lanes):
+                            bits = [
+                                (input_val[pin] >> lane) & 1
+                                for pin in range(start, end)
+                            ]
+                            if evaluate_function(logic, bits):
+                                new_out |= 1 << lane
+                    change = new_out ^ gate_out[gate]
+                    if not change:
+                        continue
+                    gate_out[gate] = new_out
+                    rising_mask = new_out & change
+                    out_net = gate_out_net[gate]
+                    net_val[out_net] ^= change
+
+                    # CDM-grade word timing.  Single-direction words
+                    # (always the case at N = 1) use exactly the compiled
+                    # CDM float sequence; mixed words take the earliest
+                    # delay arc and the latest slew — the documented
+                    # accuracy contract.
+                    tau_in = entry[W_DUR]
+                    if rising_mask == change:
+                        arc = arc_rise[uid]
+                        tp = arc[0] + arc[1] * tau_in
+                        if tp <= min_delay:
+                            tp = min_delay
+                        tau_out = arc[2] + arc[3] * tau_in
+                    elif rising_mask == 0:
+                        arc = arc_fall[uid]
+                        tp = arc[0] + arc[1] * tau_in
+                        if tp <= min_delay:
+                            tp = min_delay
+                        tau_out = arc[2] + arc[3] * tau_in
                     else:
-                        # Mixed-direction words carry no single ramp to
-                        # reconstruct; fall back to the event-order rule.
-                        annihilate = crossing <= previous[W_TIME] + resolution
-                        event_time = crossing
-                if annihilate:
-                    overlap = new_mask & previous[W_MASK]
-                    if overlap:
-                        previous[W_MASK] &= ~overlap
-                        previous[W_RISING] &= ~overlap
-                        if previous[W_MASK] == 0:
-                            queue.cancel(previous)
-                            stack.pop()
-                        self.filtered_masks.append(overlap)
-                        new_mask &= ~overlap
-                        new_rising &= ~overlap
-                        if new_mask == 0:
-                            continue
-                    event_time = crossing
-                if (
-                    previous[W_MASK] != 0
-                    and previous[W_MASK] & new_mask == 0
+                        rise = arc_rise[uid]
+                        fall = arc_fall[uid]
+                        tp_rise = rise[0] + rise[1] * tau_in
+                        tp_fall = fall[0] + fall[1] * tau_in
+                        tp = tp_rise if tp_rise < tp_fall else tp_fall
+                        if tp <= min_delay:
+                            tp = min_delay
+                        tau_rise = rise[2] + rise[3] * tau_in
+                        tau_fall = fall[2] + fall[3] * tau_in
+                        tau_out = tau_rise if tau_rise > tau_fall else tau_fall
+                    t50 = time_now + tp
+
+                    log_emitted(change)
+                    log_toggle((out_net, change))
+                    if trace_lists is not None:
+                        net_name = compiled.net_names[out_net]
+                        for lane in _iter_lanes(change):
+                            traces = trace_lists[lane]
+                            if traces is not None:
+                                traces[out_net].append(Transition(
+                                    t50=t50,
+                                    duration=tau_out,
+                                    rising=bool((rising_mask >> lane) & 1),
+                                    net_name=net_name,
+                                    degradation_factor=1.0,
+                                    cause_time=time_now,
+                                ))
+
+                # -- the fan-out: one word event per receiving input.  The
+                # inertial decision is taken per word against the input's
+                # top-of-stack entry: lanes present in both annihilate
+                # pairwise (exactly the scalar rule at N = 1); surviving
+                # lanes schedule at the word's threshold crossing. --------
+                single = rising_mask == 0 or rising_mask == change
+                rising = rising_mask != 0
+                for position in range(
+                    fanout_offsets[out_net], fanout_offsets[out_net + 1]
                 ):
-                    # Lanes disjoint from the still-pending word ride
-                    # along with it instead of opening a fresh event:
-                    # this is the word-level collapse that keeps the
-                    # wavefront aligned across lanes (and the whole
-                    # batch at ~one event per input per wavefront).
-                    # Timing inherits the pending word's crossing and
-                    # ramp — CDM-grade, per the accuracy contract.
-                    # Unreachable at N = 1 (a same-lane pair always
-                    # overlaps), so single-lane runs stay bit-identical
-                    # to the compiled CDM kernel.
-                    previous[W_MASK] |= new_mask
-                    previous[W_RISING] |= new_rising
-                    self.scheduled_masks.append(new_mask)
-                    continue
-            else:
-                event_time = crossing
-                if previous is not None and crossing <= previous[W_TIME]:
-                    # The predecessor already executed; the restoring
-                    # word runs immediately instead of unwinding it.
-                    self.late_masks.append(new_mask)
-                    if event_time < now:
-                        event_time = now
-                elif crossing + hold < now:
-                    self.late_masks.append(new_mask)
-                    event_time = now - hold
+                    uid = fanout_targets[position]
+                    fraction = vt_fraction[uid]
+                    if single:
+                        if rising:
+                            crossing = t50 + tau_out * (fraction - 0.5)
+                        else:
+                            crossing = t50 + tau_out * (0.5 - fraction)
+                    else:
+                        # Latest crossing of the word's mixed edges.
+                        offset = tau_out * (fraction - 0.5)
+                        crossing = t50 + (offset if offset >= 0.0 else -offset)
+                    stack = stacks[uid]
+                    previous = stack[-1] if stack else None
+                    new_mask = change
+                    new_rising = rising_mask
 
-            seq += 1
-            entry = [event_time + hold, uid, seq, new_mask, new_rising,
-                     t50, duration, _PENDING, event_time]
-            queue.push(entry)
-            stack.append(entry)
-            self.scheduled_masks.append(new_mask)
-        self.seq = seq
+                    if previous is not None and previous[W_STATE] == _PENDING:
+                        if event_order:
+                            annihilate = crossing <= previous[W_TIME] + resolution
+                            event_time = crossing
+                        else:
+                            previous_rising = previous[W_RISING]
+                            previous_single = (
+                                previous_rising == 0
+                                or previous_rising == previous[W_MASK]
+                            )
+                            if single and previous_single:
+                                decided = peak_voltage_time(
+                                    crossing, previous[W_TIME],
+                                    previous_rising != 0, previous[W_T50],
+                                    previous[W_DUR], t50, tau_out, rising,
+                                    fraction, resolution,
+                                )
+                                annihilate = decided is None
+                                event_time = (
+                                    crossing if decided is None else decided
+                                )
+                            else:
+                                # Mixed-direction words carry no single
+                                # ramp to reconstruct; fall back to the
+                                # event-order rule.
+                                annihilate = (
+                                    crossing <= previous[W_TIME] + resolution
+                                )
+                                event_time = crossing
+                        if annihilate:
+                            overlap = new_mask & previous[W_MASK]
+                            if overlap:
+                                previous[W_MASK] &= ~overlap
+                                previous[W_RISING] &= ~overlap
+                                if previous[W_MASK] == 0:
+                                    previous[W_STATE] = _CANCELLED
+                                    live -= 1
+                                    stack.pop()
+                                log_filtered(overlap)
+                                new_mask &= ~overlap
+                                new_rising &= ~overlap
+                                if new_mask == 0:
+                                    continue
+                            event_time = crossing
+                        if (
+                            previous[W_MASK] != 0
+                            and previous[W_MASK] & new_mask == 0
+                        ):
+                            # Lanes disjoint from the still-pending word
+                            # ride along with it instead of opening a
+                            # fresh event: this is the word-level collapse
+                            # that keeps the wavefront aligned across
+                            # lanes (and the whole batch at ~one event per
+                            # input per wavefront).  Timing inherits the
+                            # pending word's crossing and ramp — CDM-grade,
+                            # per the accuracy contract.  Unreachable at
+                            # N = 1 (a same-lane pair always overlaps), so
+                            # single-lane runs stay bit-identical to the
+                            # compiled CDM kernel.
+                            previous[W_MASK] |= new_mask
+                            previous[W_RISING] |= new_rising
+                            log_scheduled(new_mask)
+                            continue
+                    else:
+                        event_time = crossing
+                        if previous is not None and crossing <= previous[W_TIME]:
+                            # The predecessor already executed; the
+                            # restoring word runs immediately instead of
+                            # unwinding it.
+                            log_late(new_mask)
+                            if event_time < now:
+                                event_time = now
+                        elif crossing + hold < now:
+                            log_late(new_mask)
+                            event_time = now - hold
 
-    def run_until(self, until: Optional[float]) -> None:
-        """Pop and execute word events up to and including ``until``."""
-        queue = self.queue
-        peek_time = queue.peek_time
-        pop = queue.pop
-        execute = self.execute
-        while True:
-            next_time = peek_time()
-            if next_time is None:
-                break
-            if until is not None and next_time > until:
-                break
-            execute(pop())
-        if until is not None and until > self.now:
+                    seq += 1
+                    pushed = [event_time + hold, uid, seq, new_mask, new_rising,
+                              t50, tau_out, _PENDING, event_time]
+                    heappush(heap, pushed)
+                    live += 1
+                    stack.append(pushed)
+                    log_scheduled(new_mask)
+        finally:
+            self.now = now
+            self.seq = seq
+            self.word_events_executed = executed
+            queue._live = live
+        if until is not None and until > now:
             self.now = until
 
     # -- per-lane extraction -------------------------------------------
@@ -971,7 +1026,7 @@ class _WordKernel:
 
 def _mask_popcount(masks: Sequence[int]) -> int:
     """Total set lanes across a recorded mask list."""
-    return sum(mask.bit_count() for mask in masks)
+    return sum(map(int.bit_count, masks))
 
 
 def _publish_word_metrics(kernel: _WordKernel, wall: float) -> None:
@@ -1106,7 +1161,9 @@ class _WordLockstepDriver:
 
         Per-lane validation mirrors :meth:`EngineBase.set_input`
         exactly; actual toggles group into one word source event per
-        (net, slew) and broadcast together.
+        (net, slew), and the groups enter the kernel loop together.  The
+        driver has already run every event up to ``at_time``, so the call
+        only fans them out.
         """
         kernel = self.kernel
         netlist = self.netlist
@@ -1147,10 +1204,10 @@ class _WordLockstepDriver:
                 group[0] |= bit
                 if value:
                     group[1] |= bit
-        for (index, ramp), (mask, rising_mask) in sorted(groups.items()):
-            kernel.broadcast(
-                index, mask, rising_mask, at_time + 0.5 * ramp, ramp
-            )
+        kernel.run_until(at_time, [
+            (index, mask, rising_mask, at_time + 0.5 * ramp, ramp)
+            for (index, ramp), (mask, rising_mask) in sorted(groups.items())
+        ])
 
 
 # ----------------------------------------------------------------------

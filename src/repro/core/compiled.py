@@ -25,11 +25,13 @@ Events are plain Python lists (``[time, uid, seq, value, t50, dur,
 rising, state]``) ordered by their first three slots, so the queue
 never compares beyond the unique ``seq``: same-time events run in
 input-pin uid order, and FIFO on one pin (see
-:class:`_CompiledHeapQueue`).  The inertial decision and both
-delay models are inlined on scalars.  The kernel never allocates a
-``Transition``: with trace recording on, a surviving transition is
-appended to its net's trace as a plain row (see :mod:`repro.core.trace`),
-and filtered events leave no trace at all.
+:class:`_CompiledHeapQueue`).  The whole event loop — heap pop,
+gate evaluation, delay model, inertial decision and fan-out — is one
+function (:meth:`CompiledSimulator._advance`), with the inertial
+decision and both delay models inlined on scalars.  The kernel never
+allocates a ``Transition``: with trace recording on, a surviving
+transition is appended to its net's trace as a plain row (see
+:mod:`repro.core.trace`), and filtered events leave no trace at all.
 
 The arithmetic is ordered exactly as in the reference backend, so both
 engines produce bit-identical event times, traces and statistics
@@ -38,8 +40,8 @@ engines produce bit-identical event times, traces and statistics
 
 from __future__ import annotations
 
-import heapq
 from array import array
+from heapq import heappop, heappush
 from math import exp as _exp
 from typing import (
     TYPE_CHECKING,
@@ -89,6 +91,7 @@ _MAX_TABLE_ARITY = 16
 # ``Event.sort_key`` is the same triple.
 E_TIME, E_UID, E_SEQ, E_VALUE, E_T50, E_DUR, E_RISING, E_STATE = range(8)
 _PENDING, _CANCELLED, _EXECUTED = 0, 1, 2
+_INF = float("inf")
 
 
 class CompiledNetlist:
@@ -781,7 +784,9 @@ class _CompiledHeapQueue:
     not the order of the pushes: that is what lets a fault's cone-only
     run (:mod:`repro.faults.differential`) order its ties exactly as
     the full run does.  The bit-parallel engine's word entries share
-    the head and state slots and use this class too.
+    the head and state slots and use this class too.  Both kernel
+    loops work on ``_heap`` and ``_live`` inline, with the same lazy
+    cancellation; the methods serve everything outside the loops.
     """
 
     def __init__(self):
@@ -795,7 +800,7 @@ class _CompiledHeapQueue:
         return self._live > 0
 
     def push(self, entry: list) -> None:
-        heapq.heappush(self._heap, entry)
+        heappush(self._heap, entry)
         self._live += 1
 
     def cancel(self, entry: list) -> None:
@@ -806,7 +811,7 @@ class _CompiledHeapQueue:
     def pop(self) -> Optional[list]:
         heap = self._heap
         while heap:
-            entry = heapq.heappop(heap)
+            entry = heappop(heap)
             if entry[E_STATE] == _CANCELLED:
                 continue
             self._live -= 1
@@ -816,7 +821,7 @@ class _CompiledHeapQueue:
     def peek_time(self) -> Optional[float]:
         heap = self._heap
         while heap and heap[0][E_STATE] == _CANCELLED:
-            heapq.heappop(heap)
+            heappop(heap)
         if not heap:
             return None
         return heap[0][E_TIME]
@@ -832,6 +837,33 @@ class _CompiledHeapQueue:
         self._live = len(heap)
 
 
+class KernelRecord:
+    """What the recording arm of the kernel loop keeps of one run, for
+    the differential fault simulator (:mod:`repro.faults.differential`):
+    every executed entry per input pin, the last execution time and the
+    degraded and fully degraded emissions per gate, and the scheduled,
+    filtered and late events per broadcasting net."""
+
+    __slots__ = (
+        "executed",
+        "gate_last_time",
+        "gate_degraded",
+        "gate_fully",
+        "net_scheduled",
+        "net_filtered",
+        "net_late",
+    )
+
+    def __init__(self, cn: CompiledNetlist):
+        self.executed: List[List[list]] = [[] for _ in range(cn.num_inputs)]
+        self.gate_last_time = [0.0] * cn.num_gates
+        self.gate_degraded = [0] * cn.num_gates
+        self.gate_fully = [0] * cn.num_gates
+        self.net_scheduled = [0] * cn.num_nets
+        self.net_filtered = [0] * cn.num_nets
+        self.net_late = [0] * cn.num_nets
+
+
 # ----------------------------------------------------------------------
 # the compiled backend
 # ----------------------------------------------------------------------
@@ -841,8 +873,8 @@ class CompiledSimulator(EngineBase):
     """The HALOTIS kernel over a :class:`CompiledNetlist`.
 
     Behaviourally identical to :class:`repro.core.engine.HalotisSimulator`
-    — same event order, same floats, same statistics — but the hot path
-    (``_execute`` / ``_broadcast_indexed``) touches only ints, floats and
+    — same event order, same floats, same statistics — but the kernel
+    loop (:meth:`_advance`, one function) touches only ints, floats and
     preallocated lists.
 
     Args:
@@ -884,6 +916,8 @@ class CompiledSimulator(EngineBase):
         self._toggles: List[int] = []
         self._toggles_dirty = False
         self._trace_appenders: Optional[List] = None
+        #: what the kernel loop's recording arm fills; None for plain runs
+        self._record: Optional[KernelRecord] = None
 
     def _bind(self, cn: CompiledNetlist) -> None:
         """Run on the lowering ``cn`` from now on."""
@@ -993,176 +1027,289 @@ class CompiledSimulator(EngineBase):
             if count
         }
 
-    def _broadcast_transition(self, transition: Transition, net: Net) -> None:
-        self._broadcast_indexed(
-            net.index, transition.t50, transition.duration, transition.rising
-        )
-
     # ------------------------------------------------------------------
-    # the hot path
+    # the kernel loop
     # ------------------------------------------------------------------
 
-    def _execute(self, entry: list) -> None:
-        stats = self.stats
-        if stats.events_executed >= self._max_events:
-            raise SimulationLimitError(
-                "event budget (%d) exhausted at t=%.4f ns — zero-delay "
-                "oscillation?" % (self._max_events, self.now)
-            )
-        entry[E_STATE] = _EXECUTED
-        time_now = entry[E_TIME]
-        self.now = time_now
-        stats.events_executed += 1
+    def _advance(
+        self,
+        until: Optional[float],
+        steps: Optional[int],
+        sources: Sequence[Tuple[Transition, Net]] = (),
+    ) -> Optional[list]:
+        """The HALOTIS loop (paper Figure 4) in one function: pop the
+        next entry, evaluate its gate, compute the output transition
+        (DDM eq. 1 or CDM) and fan it out through the inertial filter.
+        A source transition (a primary-input change or a SET pulse edge)
+        enters the same fan-out.
 
-        uid = entry[E_UID]
-        value = entry[E_VALUE]
-        input_values = self._input_values
-        if input_values[uid] == value:
-            # Defensive: alternation normally guarantees a change here.
-            return
-        input_values[uid] = value
-
-        cn = self._cn
-        gate = self._input_gate[uid]
-        offsets = self._gate_offsets
-        start = offsets[gate]
-        end = offsets[gate + 1]
-        table = cn.gate_tables[gate]
-        if table is not None:
-            index = 0
-            for bit in range(end - start):
-                index |= input_values[start + bit] << bit
-            output_value = table[index]
-        else:  # pragma: no cover - only hand-built cells exceed the cap
-            output_value = evaluate_function(
-                cn.gate_functions[gate], input_values[start:end]
-            )
-        gate_out = self._gate_out
-        if output_value == gate_out[gate]:
-            return
-        gate_out[gate] = output_value
-
-        rising = output_value == 1
-        tau_in = entry[E_DUR]
-        tp0_base, d_slew, tau_base, s_slew, tau_deg, t0_coef = (
-            cn.arc_rise[uid] if rising else cn.arc_fall[uid]
-        )
-        tp0 = tp0_base + d_slew * tau_in
-        tau_out = tau_base + s_slew * tau_in
-
-        last = self._gate_last[gate]
-        if not self._use_ddm or last is None:
-            factor = 1.0
-            tp = tp0 if tp0 > self._min_delay else self._min_delay
-        else:
-            # paper eq. 1 with eq. 2/3 folded into tau_deg / t0_coef
-            elapsed = time_now - last
-            t_offset = t0_coef * tau_in
-            if tau_deg <= 0.0:
-                factor = 1.0 if elapsed > t_offset else 0.0
-            else:
-                factor = 1.0 - _exp(-(elapsed - t_offset) / tau_deg)
-            if factor <= 0.0:
-                tp = self._min_delay
-            else:
-                tp = tp0 * factor
-                if tp < self._min_delay:
-                    tp = self._min_delay
-
-        t50 = time_now + tp
-        self._gate_last[gate] = t50
-        out_net = self._gate_out_net[gate]
-        stats.transitions_emitted += 1
-        self._toggles[out_net] += 1
-        self._toggles_dirty = True
-        if factor < 1.0:
-            stats.transitions_degraded += 1
-            if factor <= 0.0:
-                stats.transitions_fully_degraded += 1
-        appenders = self._trace_appenders
-        if appenders is not None:
-            if tau_out <= 0.0:
-                # what constructing the Transition would raise
-                raise WaveformError("transition duration must be positive")
-            appenders[out_net]((t50, tau_out, rising, factor, time_now))
-        self._broadcast_indexed(out_net, t50, tau_out, rising)
-
-    def _broadcast_indexed(
-        self, net_index: int, t50: float, duration: float, rising: bool
-    ) -> None:
-        cn = self._cn
-        offsets = self._fanout_offsets
-        targets = self._fanout_targets
-        vt_fraction = self._vt_fraction
-        stacks = self._stacks
+        Every array, config scalar and statistics counter the loop
+        touches is read into a local once per call and written back in
+        ``finally``, so an exception leaves the engine consistent.  With
+        a :class:`KernelRecord` bound (:mod:`repro.faults.differential`)
+        the loop's recording arm also keeps what cone runs read.
+        """
         stats = self.stats
         queue = self.queue
+        heap = queue._heap
+        live = queue._live
+        cn = self._cn
+        gate_tables = cn.gate_tables
+        arc_rise = cn.arc_rise
+        arc_fall = cn.arc_fall
+        input_gate = self._input_gate
+        gate_offsets = self._gate_offsets
+        gate_out_net = self._gate_out_net
+        fanout_offsets = self._fanout_offsets
+        fanout_targets = self._fanout_targets
+        vt_fraction = self._vt_fraction
+        input_values = self._input_values
+        gate_out = self._gate_out
+        gate_last = self._gate_last
+        stacks = self._stacks
+        toggles = self._toggles
+        appenders = self._trace_appenders
+        use_ddm = self._use_ddm
+        event_order = self._event_order
+        min_delay = self._min_delay
         resolution = self._resolution
+        max_events = self._max_events
         record_filtered = self.config.record_filtered
+        record = self._record
+        recording = record is not None
+        if recording:
+            rec_executed = record.executed
+            rec_gate_last = record.gate_last_time
+            rec_gate_degraded = record.gate_degraded
+            rec_gate_fully = record.gate_fully
+            rec_net_scheduled = record.net_scheduled
+            rec_net_filtered = record.net_filtered
+            rec_net_late = record.net_late
+        horizon = _INF if until is None else until
         now = self.now
-        value = 1 if rising else 0
         seq = self._seq
-        for position in range(offsets[net_index], offsets[net_index + 1]):
-            uid = targets[position]
-            fraction = vt_fraction[uid]
-            if rising:
-                crossing = t50 + duration * (fraction - 0.5)
-            else:
-                crossing = t50 + duration * (0.5 - fraction)
-            stack = stacks[uid]
-            previous = stack[-1] if stack else None
+        executed = stats.events_executed
+        scheduled = stats.events_scheduled
+        filtered = stats.events_filtered
+        late = stats.late_events
+        emitted = emitted_before = stats.transitions_emitted
+        degraded = stats.transitions_degraded
+        fully = stats.transitions_fully_degraded
+        stop = None if steps is None else executed + steps
+        limit = max_events if stop is None or stop > max_events else stop
+        source_count = len(sources)
+        next_source = 0
+        event = None
+        try:
+            while True:
+                if next_source < source_count:
+                    transition, net = sources[next_source]
+                    next_source += 1
+                    out_net = net.index
+                    t50 = transition.t50
+                    tau_out = transition.duration
+                    rising = transition.rising
+                else:
+                    # -- pop the next live entry ------------------------
+                    if executed >= limit:
+                        if executed == stop:
+                            break
+                        while heap and heap[0][E_STATE] == _CANCELLED:
+                            heappop(heap)
+                        if heap and heap[0][E_TIME] <= horizon:
+                            raise SimulationLimitError(
+                                "event budget (%d) exhausted at t=%.4f ns — "
+                                "zero-delay oscillation?" % (max_events, now)
+                            )
+                        break
+                    if not heap:
+                        break
+                    head = heappop(heap)
+                    if head[E_STATE] == _CANCELLED:
+                        continue
+                    if head[E_TIME] > horizon:
+                        heappush(heap, head)  # the same key: order unchanged
+                        break
+                    event = head
+                    live -= 1
+                    event[E_STATE] = _EXECUTED
+                    now = event[E_TIME]
+                    executed += 1
 
-            if previous is not None and previous[E_STATE] == _PENDING:
-                # inertial decision, inlined (see repro.core.inertial)
-                if self._event_order:
-                    if crossing <= previous[E_TIME] + resolution:
-                        event_time = None
+                    # -- the event step ---------------------------------
+                    uid = event[E_UID]
+                    gate = input_gate[uid]
+                    if recording:
+                        rec_executed[uid].append(event)
+                        rec_gate_last[gate] = now
+                    value = event[E_VALUE]
+                    if input_values[uid] == value:
+                        # Defensive: alternation normally guarantees a change.
+                        continue
+                    input_values[uid] = value
+                    start = gate_offsets[gate]
+                    arity = gate_offsets[gate + 1] - start
+                    table = gate_tables[gate]
+                    if table is None:  # pragma: no cover - hand-built cells only
+                        output_value = evaluate_function(
+                            cn.gate_functions[gate],
+                            input_values[start:start + arity],
+                        )
+                    elif arity == 2:
+                        output_value = table[
+                            input_values[start] | input_values[start + 1] << 1
+                        ]
+                    elif arity == 1:
+                        output_value = table[input_values[start]]
+                    else:
+                        index = 0
+                        for bit in range(arity):
+                            index |= input_values[start + bit] << bit
+                        output_value = table[index]
+                    if output_value == gate_out[gate]:
+                        continue
+                    gate_out[gate] = output_value
+
+                    rising = output_value == 1
+                    tau_in = event[E_DUR]
+                    tp0_base, d_slew, tau_base, s_slew, tau_deg, t0_coef = (
+                        arc_rise[uid] if rising else arc_fall[uid]
+                    )
+                    tp0 = tp0_base + d_slew * tau_in
+                    tau_out = tau_base + s_slew * tau_in
+                    last = gate_last[gate]
+                    if not use_ddm or last is None:
+                        factor = 1.0
+                        tp = tp0 if tp0 > min_delay else min_delay
+                    else:
+                        # paper eq. 1 with eq. 2/3 folded into tau_deg / t0_coef
+                        elapsed = now - last
+                        t_offset = t0_coef * tau_in
+                        if tau_deg <= 0.0:
+                            factor = 1.0 if elapsed > t_offset else 0.0
+                        else:
+                            factor = 1.0 - _exp(-(elapsed - t_offset) / tau_deg)
+                        if factor <= 0.0:
+                            tp = min_delay
+                        else:
+                            tp = tp0 * factor
+                            if tp < min_delay:
+                                tp = min_delay
+                    t50 = now + tp
+                    gate_last[gate] = t50
+                    out_net = gate_out_net[gate]
+                    emitted += 1
+                    toggles[out_net] += 1
+                    if factor < 1.0:
+                        degraded += 1
+                        if recording:
+                            rec_gate_degraded[gate] += 1
+                        if factor <= 0.0:
+                            fully += 1
+                            if recording:
+                                rec_gate_fully[gate] += 1
+                    if appenders is not None:
+                        if tau_out <= 0.0:
+                            # what constructing the Transition would raise
+                            raise WaveformError(
+                                "transition duration must be positive"
+                            )
+                        appenders[out_net]((t50, tau_out, rising, factor, now))
+
+                # -- the fan-out: one threshold crossing per fanout input,
+                # through the inertial filter (see repro.core.inertial) --
+                value = 1 if rising else 0
+                first_seq = seq
+                for position in range(
+                    fanout_offsets[out_net], fanout_offsets[out_net + 1]
+                ):
+                    uid = fanout_targets[position]
+                    fraction = vt_fraction[uid]
+                    if rising:
+                        crossing = t50 + tau_out * (fraction - 0.5)
+                    else:
+                        crossing = t50 + tau_out * (0.5 - fraction)
+                    stack = stacks[uid]
+                    previous = stack[-1] if stack else None
+
+                    if previous is not None and previous[E_STATE] == _PENDING:
+                        if event_order:
+                            if crossing <= previous[E_TIME] + resolution:
+                                event_time = None
+                            else:
+                                event_time = crossing
+                        else:
+                            event_time = peak_voltage_time(
+                                crossing, previous[E_TIME], previous[E_RISING],
+                                previous[E_T50], previous[E_DUR], t50, tau_out,
+                                rising, fraction, resolution,
+                            )
+                        if event_time is None:
+                            # annihilate: the pulse never crossed this input
+                            previous[E_STATE] = _CANCELLED
+                            live -= 1
+                            stack.pop()
+                            filtered += 1
+                            if recording:
+                                rec_net_filtered[out_net] += 1
+                            if record_filtered:
+                                self.filtered_log.append(
+                                    FilteredEventRecord(
+                                        time_now=now,
+                                        gate_name=cn.gate_names[input_gate[uid]],
+                                        pin_index=cn.input_pin[uid],
+                                        net_name=cn.net_names[out_net],
+                                        previous_event_time=previous[E_TIME],
+                                        new_event_time=crossing,
+                                    )
+                                )
+                            continue
                     else:
                         event_time = crossing
-                else:
-                    event_time = peak_voltage_time(
-                        crossing, previous[E_TIME], previous[E_RISING],
-                        previous[E_T50], previous[E_DUR], t50, duration,
-                        rising, fraction, resolution,
-                    )
-                if event_time is None:
-                    queue.cancel(previous)
-                    stack.pop()
-                    stats.events_filtered += 1
-                    if record_filtered:
-                        self.filtered_log.append(
-                            FilteredEventRecord(
-                                time_now=now,
-                                gate_name=cn.gate_names[cn.input_gate[uid]],
-                                pin_index=cn.input_pin[uid],
-                                net_name=cn.net_names[net_index],
-                                previous_event_time=previous[E_TIME],
-                                new_event_time=crossing,
-                            )
-                        )
-                    continue
-            else:
-                event_time = crossing
-                if len(stack) > 1:
-                    # Every entry here has executed, and only the top
-                    # one is ever read again.
-                    del stack[:-1]
-                if previous is not None and crossing <= previous[E_TIME]:
-                    # The predecessor already executed; we cannot unwind
-                    # the past, so the restoring event runs immediately.
-                    stats.late_events += 1
-                    if event_time < now:
-                        event_time = now
-                elif crossing < now:
-                    stats.late_events += 1
-                    event_time = now
+                        if len(stack) > 1:
+                            # Every entry here has executed, and only the
+                            # top one is ever read again.
+                            del stack[:-1]
+                        if previous is not None and crossing <= previous[E_TIME]:
+                            # The predecessor already executed; we cannot
+                            # unwind the past, so the restoring event runs
+                            # immediately.
+                            late += 1
+                            if recording:
+                                rec_net_late[out_net] += 1
+                            if event_time < now:
+                                event_time = now
+                        elif crossing < now:
+                            late += 1
+                            if recording:
+                                rec_net_late[out_net] += 1
+                            event_time = now
 
-            seq += 1
-            entry = [event_time, uid, seq, value, t50, duration, rising, _PENDING]
-            queue.push(entry)
-            stack.append(entry)
-            stats.events_scheduled += 1
-        self._seq = seq
+                    seq += 1
+                    entry = [
+                        event_time, uid, seq, value, t50, tau_out, rising,
+                        _PENDING,
+                    ]
+                    heappush(heap, entry)
+                    stack.append(entry)
+                if recording:
+                    rec_net_scheduled[out_net] += seq - first_seq
+                scheduled += seq - first_seq
+                live += seq - first_seq
+        finally:
+            self.now = now
+            self._seq = seq
+            queue._live = live
+            stats.events_executed = executed
+            stats.events_scheduled = scheduled
+            stats.events_filtered = filtered
+            stats.late_events = late
+            stats.transitions_emitted = emitted
+            stats.transitions_degraded = degraded
+            stats.transitions_fully_degraded = fully
+            if emitted != emitted_before:
+                self._toggles_dirty = True
+        return event
 
     # ------------------------------------------------------------------
     # inspection

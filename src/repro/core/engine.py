@@ -49,7 +49,16 @@ from __future__ import annotations
 import abc
 import dataclasses
 import time as _time
-from typing import Callable, Dict, List, Mapping, Optional, Tuple, Type
+from typing import (
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Type,
+)
 
 from ..circuit.logic import evaluate as evaluate_function
 from ..circuit.netlist import Net, Netlist
@@ -153,16 +162,15 @@ def make_engine(
 # ----------------------------------------------------------------------
 
 class EngineBase(abc.ABC):
-    """Lifecycle, stimulus, kernel loop and inspection shared by every
-    backend.
+    """Lifecycle, stimulus, run/step entry points and inspection shared
+    by every backend.
 
     A backend provides four hooks: ``_build_state`` (DC-initialise its
     internal representation), ``_pi_value``/``_commit_pi_value`` (primary
-    input bookkeeping), ``_broadcast_transition`` (fan a transition out to
-    its receiving inputs) and ``_execute`` (process one popped event).
-    Everything else — input validation, the run loop, trace plumbing,
-    values/word inspection — lives here, so the backends cannot drift
-    apart behaviourally.
+    input bookkeeping) and ``_advance``, its kernel loop: fan source
+    transitions out, then pop and execute events.  Everything else —
+    input validation, trace plumbing, values/word inspection — lives
+    here, so the backends cannot drift apart behaviourally.
     """
 
     #: registry key, set by :func:`register_engine`.
@@ -236,12 +244,16 @@ class EngineBase(abc.ABC):
         """Record that primary input ``net`` is now driven to ``value``."""
 
     @abc.abstractmethod
-    def _broadcast_transition(self, transition: Transition, net: Net) -> None:
-        """Generate threshold-crossing events at every fanout of ``net``."""
-
-    @abc.abstractmethod
-    def _execute(self, event) -> None:
-        """Process one event popped from the queue."""
+    def _advance(
+        self,
+        until: Optional[float],
+        steps: Optional[int],
+        sources: Sequence[Tuple[Transition, Net]] = (),
+    ):
+        """The kernel loop.  Fan each source transition out to its net's
+        fanout inputs, then execute events in queue order up to and
+        including ``until`` (all if None), at most ``steps`` of them (no
+        bound if None).  Returns the last event executed, or None."""
 
     def _count_toggle(self, net: Net) -> None:
         """Record one emitted/source transition on ``net`` for the
@@ -320,6 +332,44 @@ class EngineBase(abc.ABC):
         Returns the source transition, or None when the input already
         holds ``value`` (no transition needed).
         """
+        source = self._drive(name, value, at_time, slew)
+        if source is None:
+            return None
+        self._advance(None, 0, (source,))
+        return source[0]
+
+    def apply_word(
+        self,
+        assignments: Mapping[str, int],
+        at_time: float,
+        slew: Optional[float] = None,
+    ) -> int:
+        """Drive several inputs at once; returns how many actually toggled.
+
+        The inputs are driven in name order and their transitions enter
+        the kernel loop together, in that order."""
+        sources: List[Tuple[Transition, Net]] = []
+        try:
+            for name in sorted(assignments):
+                source = self._drive(name, assignments[name], at_time, slew)
+                if source is not None:
+                    sources.append(source)
+        finally:
+            # An invalid name still leaves the inputs before it driven.
+            if sources:
+                self._advance(None, 0, sources)
+        return len(sources)
+
+    def _drive(
+        self,
+        name: str,
+        value: int,
+        at_time: float,
+        slew: Optional[float],
+    ) -> Optional[Tuple[Transition, Net]]:
+        """Validate and commit one input change; return its source
+        transition and net, or None when the input already holds
+        ``value``.  The caller fans the transition out."""
         self._require_ready()
         net = self.netlist.net(name)
         if not net.is_primary_input:
@@ -350,21 +400,7 @@ class EngineBase(abc.ABC):
         self._count_toggle(net)
         if self.config.record_traces:
             self.traces[name].append(transition)
-        self._broadcast_transition(transition, net)
-        return transition
-
-    def apply_word(
-        self,
-        assignments: Mapping[str, int],
-        at_time: float,
-        slew: Optional[float] = None,
-    ) -> int:
-        """Drive several inputs at once; returns how many actually toggled."""
-        changed = 0
-        for name in sorted(assignments):
-            if self.set_input(name, assignments[name], at_time, slew) is not None:
-                changed += 1
-        return changed
+        return transition, net
 
     # -- the kernel loop -----------------------------------------------
 
@@ -372,19 +408,7 @@ class EngineBase(abc.ABC):
         """Process events (up to and including ``until``; all if None)."""
         self._require_ready()
         wall_start = _time.perf_counter()
-        peek_time = self.queue.peek_time
-        pop = self.queue.pop
-        execute = self._execute
-        while True:
-            next_time = peek_time()
-            if next_time is None:
-                break
-            if until is not None and next_time > until:
-                break
-            event = pop()
-            if event is None:  # pragma: no cover - peek guarantees one
-                break
-            execute(event)
+        self._advance(until, None)
         if until is not None and until > self.now:
             self.now = until
         self.traces.horizon = max(self.traces.horizon, self.now)
@@ -396,13 +420,12 @@ class EngineBase(abc.ABC):
         """Execute a single event; returns it (None when queue empty).
 
         The concrete event type is backend-specific (an :class:`Event`
-        for the reference backend).
+        for the reference backend, an entry list for the compiled one).
         """
         self._require_ready()
-        event = self.queue.pop()
+        event = self._advance(None, 1)
         if event is None:
             return None
-        self._execute(event)
         self.traces.horizon = max(self.traces.horizon, self.now)
         self._after_run()
         return event
@@ -515,12 +538,29 @@ class HalotisSimulator(EngineBase):
     def _commit_pi_value(self, net: Net, value: int) -> None:
         self._require_state().pi_values[net.name] = value
 
-    def _broadcast_transition(self, transition: Transition, net: Net) -> None:
-        self._broadcast(transition, net)
-
     # ------------------------------------------------------------------
     # event execution
     # ------------------------------------------------------------------
+
+    def _advance(
+        self,
+        until: Optional[float],
+        steps: Optional[int],
+        sources: Sequence[Tuple[Transition, Net]] = (),
+    ) -> Optional[Event]:
+        for transition, net in sources:
+            self._broadcast(transition, net)
+        queue = self.queue
+        event = None
+        while steps is None or steps > 0:
+            next_time = queue.peek_time()
+            if next_time is None or (until is not None and next_time > until):
+                break
+            event = queue.pop()
+            self._execute(event)
+            if steps is not None:
+                steps -= 1
+        return event
 
     def _execute(self, event: Event) -> None:
         if self.stats.events_executed >= self.config.max_events:
@@ -890,13 +930,10 @@ def play(
         if not restore:
             held.append(simulator.value(net.name))
         value = held[0] if restore else 1 - held[0]
-        simulator._broadcast_transition(
-            Transition(
-                t50=at_time, duration=slew, rising=value == 1,
-                net_name=net.name,
-            ),
-            net,
+        pulse_edge = Transition(
+            t50=at_time, duration=slew, rising=value == 1, net_name=net.name,
         )
+        simulator._advance(None, 0, ((pulse_edge, net),))
 
     with timer.phase("stimulus"):
         for at_time, assignments, change_slew in stimulus.iter_changes():

@@ -80,7 +80,7 @@ import heapq
 from itertools import compress
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from ..core.compiled import E_TIME, E_UID, CompiledSimulator
+from ..core.compiled import CompiledSimulator, KernelRecord
 from ..core.engine import (
     EngineBase,
     SimulationResult,
@@ -100,10 +100,11 @@ from .inject import FaultedStimulus, FaultInjection, pulse_of
 _LOGIC_KINDS = (FaultKind.STUCK_AT_0, FaultKind.STUCK_AT_1, FaultKind.BIT_FLIP)
 
 #: mutants of one base stimulus a chunk must still hold to record its
-#: golden run.  A cold chunk of this many breaks even on c17 and wins
-#: on the multipliers (docs/performance.md); fewer would run slower
-#: than their full runs.
-MIN_MUTANTS_TO_RECORD = 8
+#: golden run: the smallest cold chunk whose cone path costs every
+#: measured circuit at most its full runs (c17 0.99, the multipliers
+#: 0.78-0.87; ``tools/fault_break_even.py``, docs/performance.md).
+#: Fewer would run slower than their full runs.
+MIN_MUTANTS_TO_RECORD = 5
 
 
 class _ConeKernel(CompiledSimulator):
@@ -122,50 +123,18 @@ class _ConeKernel(CompiledSimulator):
 
 
 class RecordingKernel(CompiledSimulator):
-    """A full run that also keeps what cone runs need: every
-    executed entry per pin, degraded and fully degraded emissions and
-    the last execution time per gate, and scheduled, filtered and late
-    events per broadcasting net.  After :meth:`record` the kernel is the
-    golden record itself."""
+    """A full run with the kernel loop's recording arm on: it also
+    keeps what cone runs need (:class:`~repro.core.compiled.KernelRecord`:
+    every executed entry per pin, degraded and fully degraded emissions
+    and the last execution time per gate, and scheduled, filtered and
+    late events per broadcasting net).  After :meth:`record` the kernel
+    is the golden record itself."""
 
     def _build_state(
         self, input_values: Dict[str, int], seed: Optional[Dict[str, int]]
     ) -> None:
         super()._build_state(input_values, seed)
-        cn = self._cn
-        self.executed: List[List[list]] = [[] for _ in range(cn.num_inputs)]
-        self.gate_degraded = [0] * cn.num_gates
-        self.gate_fully = [0] * cn.num_gates
-        self.gate_last_time = [0.0] * cn.num_gates
-        self.net_scheduled = [0] * cn.num_nets
-        self.net_filtered = [0] * cn.num_nets
-        self.net_late = [0] * cn.num_nets
-
-    def _execute(self, entry: list) -> None:
-        stats = self.stats
-        degraded = stats.transitions_degraded
-        fully = stats.transitions_fully_degraded
-        CompiledSimulator._execute(self, entry)
-        uid = entry[E_UID]
-        gate = self._input_gate[uid]
-        self.executed[uid].append(entry)
-        self.gate_last_time[gate] = entry[E_TIME]
-        self.gate_degraded[gate] += stats.transitions_degraded - degraded
-        self.gate_fully[gate] += stats.transitions_fully_degraded - fully
-
-    def _broadcast_indexed(
-        self, net_index: int, t50: float, duration: float, rising: bool
-    ) -> None:
-        stats = self.stats
-        scheduled = stats.events_scheduled
-        filtered = stats.events_filtered
-        late = stats.late_events
-        CompiledSimulator._broadcast_indexed(
-            self, net_index, t50, duration, rising
-        )
-        self.net_scheduled[net_index] += stats.events_scheduled - scheduled
-        self.net_filtered[net_index] += stats.events_filtered - filtered
-        self.net_late[net_index] += stats.late_events - late
+        self._record = KernelRecord(self._cn)
 
     def record(self, stimulus: VectorSequence, settle: float) -> None:
         """Make the golden run of ``stimulus``: the DC state a cone run
@@ -186,7 +155,7 @@ class RecordingKernel(CompiledSimulator):
             [self.index[name] for name in cn.net_names] if self.names else []
         )
         self.gates_by_last_time = sorted(
-            range(cn.num_gates), key=self.gate_last_time.__getitem__,
+            range(cn.num_gates), key=self._record.gate_last_time.__getitem__,
             reverse=True,
         )
         self._cones: Dict[int, _Cone] = {}
@@ -235,7 +204,8 @@ class _Cone:
             for uid in range(gate_offsets[gate], gate_offsets[gate + 1]):
                 (pins if cone_net[input_net[uid]] else side).append(uid)
         self.pins = tuple(pins)
-        executed = golden.executed
+        record = golden._record
+        executed = record.executed
         #: golden events on side inputs, in heap order.
         self.heap = [entry for uid in side for entry in executed[uid]]
         heapq.heapify(self.heap)
@@ -244,18 +214,18 @@ class _Cone:
         nets = [step[1] for step in self.sweep]
         self.share = (
             len(self.heap) + sum(len(executed[uid]) for uid in pins),
-            sum(golden.net_scheduled[net] for net in nets),
-            sum(golden.net_filtered[net] for net in nets),
-            sum(golden.net_late[net] for net in nets),
+            sum(record.net_scheduled[net] for net in nets),
+            sum(record.net_filtered[net] for net in nets),
+            sum(record.net_late[net] for net in nets),
             sum(toggles[net] for net in nets),
-            sum(golden.gate_degraded[gate] for gate in gates),
-            sum(golden.gate_fully[gate] for gate in gates),
+            sum(record.gate_degraded[gate] for gate in gates),
+            sum(record.gate_fully[gate] for gate in gates),
         )
         #: the golden run's last execution outside the cone.
         self.outside_time = 0.0
         for gate in golden.gates_by_last_time:
             if not in_cone[gate]:
-                self.outside_time = golden.gate_last_time[gate]
+                self.outside_time = record.gate_last_time[gate]
                 break
 
 

@@ -11,11 +11,13 @@ ablation policy.
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from repro.circuit.builder import CircuitBuilder
 from repro.config import InertialPolicy, cdm_config, ddm_config
+from repro.core.compiled import _EXECUTED, E_SEQ, E_STATE, E_TIME
 from repro.core.engine import make_engine, simulate
 from repro.errors import WaveformError
 from repro.experiments import common
@@ -230,3 +232,72 @@ def test_queue_kind_parity_cross_backend(mult4):
     assert reference.stats.events_executed == compiled.stats.events_executed
     for name in mult4.nets:
         assert reference.traces[name].edges() == compiled.traces[name].edges()
+
+
+def _step_through(engine, stimulus, settle=0.0):
+    """play() with every event executed by ``step()``.
+
+    ``run(until)`` only advances the clock between changes (it must find
+    nothing to execute).  Returns the executed entries' times, in order,
+    and checks that no entry is ever pushed below the ``now`` it was
+    pushed at: after each step and each input word, every entry newer
+    than the last one seen lies at or after the engine's time.
+    """
+    queue = engine.queue
+    stats = engine.stats
+    times = []
+    seen = [engine._seq]
+
+    def check_pushes():
+        for entry in queue._heap:
+            if entry[E_SEQ] > seen[0]:
+                assert entry[E_TIME] >= engine.now, (entry, engine.now)
+        seen[0] = engine._seq
+
+    def step_to(bound):
+        while True:
+            head = queue.peek_time()
+            if head is None or (bound is not None and head > bound):
+                break
+            entry = engine.step()
+            assert entry[E_STATE] == _EXECUTED
+            times.append(entry[E_TIME])
+            check_pushes()
+        executed = stats.events_executed
+        engine.run(until=bound)
+        assert stats.events_executed == executed
+
+    for at_time, assignments, slew in stimulus.iter_changes():
+        step_to(at_time)
+        engine.apply_word(assignments, at_time, slew)
+        check_pushes()
+    step_to(stimulus.horizon + settle)
+    step_to(None)
+    assert engine.step() is None
+    return times
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda c: "seed%d" % c[0])
+@pytest.mark.parametrize("mode", ["ddm", "cdm"])
+def test_compiled_step_matches_run_and_keeps_time_monotone(case, mode):
+    """Stepping a stimulus event by event on the compiled kernel gives
+    run()'s statistics, final values and trace rows bit for bit; the
+    executed times never decrease, and nothing is scheduled into the
+    past."""
+    seed, num_inputs, num_gates, vectors = case
+    netlist = random_netlist(seed, num_inputs, num_gates)
+    input_names = [net.name for net in netlist.primary_inputs]
+    stimulus = random_stimulus(seed, input_names, vectors)
+    config = ddm_config() if mode == "ddm" else cdm_config()
+    want = simulate(netlist, stimulus, config=config, engine_kind="compiled")
+
+    engine = make_engine(netlist, config=config, engine_kind="compiled")
+    engine.initialize(stimulus.initial_values(netlist))
+    times = _step_through(engine, stimulus)
+    assert times == sorted(times)
+    assert len(times) == want.stats.events_executed
+    got = SimpleNamespace(
+        stats=engine.stats, final_values=engine.values(),
+        traces=engine.traces,
+    )
+    assert_results_bit_identical(want, got, netlist, "seed%d" % seed)

@@ -183,6 +183,44 @@ def test_backends_honor_max_events(engine_kind):
     assert "event budget (10)" in str(excinfo.value)
 
 
+@pytest.mark.parametrize("engine_kind", ["reference", "compiled"])
+def test_event_budget_stops_at_the_budget_and_the_engine_recovers(
+    mult4, engine_kind
+):
+    """An exhausted budget raises the reference engine's message with
+    exactly ``max_events`` events executed, and leaves the engine fit for
+    the next ``initialize()``: a stimulus inside the budget then runs as
+    on a fresh engine."""
+    from repro.stimuli.vectors import PAPER_SEQUENCE_1, multiplication_sequence
+
+    big = multiplication_sequence(PAPER_SEQUENCE_1)
+    small = VectorSequence([(0.0, {"a0": 0}), (1.0, {"a0": 1})], slew=0.2)
+    budget = simulate(
+        mult4, small, config=ddm_config(), engine_kind=engine_kind
+    ).stats.events_executed
+    config = ddm_config(max_events=budget)
+    messages = {}
+    for kind in ("reference", engine_kind):
+        engine = make_engine(mult4, config=config, engine_kind=kind)
+        with pytest.raises(SimulationLimitError) as excinfo:
+            run_stimulus(engine, big)
+        assert engine.stats.events_executed == budget
+        messages[kind] = str(excinfo.value)
+    assert "event budget (%d)" % budget in messages[engine_kind]
+    assert messages[engine_kind] == messages["reference"]
+
+    again = run_stimulus(engine, small)
+    fresh = simulate(mult4, small, config=config, engine_kind=engine_kind)
+    assert again.stats.events_executed == budget
+    assert again.stats.events_scheduled == fresh.stats.events_scheduled
+    assert again.stats.net_toggles == fresh.stats.net_toggles
+    assert again.final_values == fresh.final_values
+    assert again.traces.horizon == fresh.traces.horizon
+    for name in mult4.nets:
+        assert again.traces[name].edges() == fresh.traces[name].edges()
+    assert len(engine.queue) == 0
+
+
 @pytest.mark.parametrize("engine_kind", ALL_KINDS)
 def test_backends_honor_record_filtered(engine_kind):
     netlist = modules.array_multiplier(4)
