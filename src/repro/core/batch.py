@@ -46,6 +46,7 @@ from ..errors import SimulationError
 from .engine import (
     EngineBase,
     SimulationResult,
+    chunk_tally,
     make_engine,
     resolve_engine_class,
     run_stimulus,
@@ -173,7 +174,9 @@ def run_chunk(
     which also runs the STA oracle over the batch) — per-lane logic
     values stay bit-identical while event timing follows that backend's
     CDM-grade word contract (docs/architecture.md).  Every other chunk
-    replays vector by vector through :func:`repro.core.engine.run_stimulus`.
+    replays vector by vector through :func:`repro.core.engine.run_stimulus`
+    and publishes its runs' engine metrics once, when the chunk ends or
+    raises (:func:`repro.core.engine.chunk_tally`).
 
     Faulted stimuli (:mod:`repro.faults`) patch the shared lowering per
     vector, while a lockstep kernel runs all lanes over *one* lowering,
@@ -200,8 +203,9 @@ def run_chunk(
             seed=seed,
         )
         return
-    for stimulus in stimuli:
-        yield run_stimulus(engine, stimulus, settle=settle, seed=seed)
+    with chunk_tally(engine):
+        for stimulus in stimuli:
+            yield run_stimulus(engine, stimulus, settle=settle, seed=seed)
 
 
 def simulate_batch(
@@ -298,10 +302,10 @@ def simulate_batch(
 def _publish_batch_metrics(batch: BatchResult, mode: str) -> None:
     """Batch-level throughput metrics, once per :func:`simulate_batch`.
 
-    Per-vector engine counters are published elsewhere (``run_stimulus``
-    per vector, or the lockstep driver per batch); this layer only adds
-    what the batch alone knows: vector count, end-to-end wall clock and
-    the lowering split.  Labelled by engine and by ``mode``
+    Engine counters are published elsewhere (once per chunk by
+    :func:`run_chunk`, or by the lockstep driver per batch); this layer
+    only adds what the batch alone knows: vector count, end-to-end wall
+    clock and the lowering split.  Labelled by engine and by ``mode``
     (``"inprocess"`` or ``"service"``) so the worker pool's overhead is
     separable.
     """

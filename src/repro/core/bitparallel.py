@@ -1052,8 +1052,8 @@ def _publish_word_metrics(kernel: _WordKernel, wall: float) -> None:
         "source_transitions": _mask_popcount(kernel.source_masks),
     }
     publish_engine_metrics(
-        "bitparallel", counts, runs=kernel.lanes, run_seconds=wall,
-        phases={"lockstep": wall},
+        "bitparallel", counts, runs=kernel.lanes, run_seconds=(wall,),
+        phases={"lockstep": (wall,)},
         waves=(
             kernel.word_events_executed,
             _mask_popcount(kernel.executed_masks),

@@ -47,11 +47,14 @@ bit-identical per-lane logic values.
 from __future__ import annotations
 
 import abc
+import contextlib
 import dataclasses
+import operator
 import time as _time
 from typing import (
     Callable,
     Dict,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -64,7 +67,7 @@ from ..circuit.logic import evaluate as evaluate_function
 from ..circuit.netlist import Net, Netlist
 from ..config import DelayMode, SimulationConfig
 from ..errors import SimulationError, SimulationLimitError, StimulusError
-from ..obs.timing import PhaseTimer as _PhaseTimer
+from ..obs.registry import get_registry
 from . import inertial
 from .cdm import ConventionalDelayModel
 from .ddm import DegradationDelayModel
@@ -219,6 +222,9 @@ class EngineBase(abc.ABC):
         self.now = 0.0
         self._seq = 0
         self._ready = False
+        #: the open chunk's tally (:func:`chunk_tally`); None publishes
+        #: each run's metrics on its own.
+        self.tally: Optional[RunTally] = None
 
     # -- hooks ---------------------------------------------------------
 
@@ -715,24 +721,47 @@ class SimulationResult:
     stats: SimulationStatistics
     final_values: Dict[str, int]
     simulator: Optional[EngineBase]
-    #: per-run observability summary (phase breakdown, counter totals),
-    #: filled by :func:`finish_run` when ``config.collect_metrics``
-    #: and the process metrics registry are enabled; None otherwise.
-    #: Deliberately NOT part of SimulationStatistics: the parity suites
-    #: compare statistics field by field across engines and transports,
-    #: and wall-clock phase data is not bit-reproducible.
-    metrics: Optional[Dict[str, object]] = None
+    #: the run's clock stamps (:func:`run_stamps`), set by
+    #: :func:`finish_run` when the run published metrics
+    #: (``config.collect_metrics`` and the process metrics registry
+    #: on); None otherwise.
+    stamps: Optional[List[float]] = None
+
+    @property
+    def metrics(self) -> Optional[Dict[str, object]]:
+        """The run's observability summary — ``engine``,
+        ``wall_seconds``, ``phases`` (seconds per :data:`RUN_PHASES`)
+        and ``counters`` (the published statistics counters) — built
+        from its stamps when read; None when the run published no
+        metrics or the result left its engine.
+
+        Deliberately NOT part of SimulationStatistics: the parity suites
+        compare statistics field by field across engines and transports,
+        and wall-clock phase data is not bit-reproducible.
+        """
+        stamps = self.stamps
+        if stamps is None or self.simulator is None:
+            return None
+        return {
+            "engine": self.simulator.kind,
+            "wall_seconds": stamps[-1] - stamps[0],
+            "phases": dict(
+                zip(RUN_PHASES, map(operator.sub, stamps[1:], stamps))
+            ),
+            "counters": dict(zip(_COUNTER_FIELDS, _counts_of(self.stats))),
+        }
 
 
 # ----------------------------------------------------------------------
 # engine observability (docs/observability.md)
 # ----------------------------------------------------------------------
 #
-# Publication happens once per run (or once per lockstep batch), never
-# per event: the counters below are derived from the counters the
-# kernels already maintain, so the hot path is untouched and the
-# "instrumented within 5% of uninstrumented" gate
-# (benchmarks/test_obs_overhead.py) holds by construction.
+# Publication happens once per chunk of runs (or once per lockstep
+# batch), never per event: the counters below are derived from the
+# counters the kernels already maintain, so the hot path is untouched,
+# and a run only leaves its statistics and clock stamps in its chunk's
+# tally ("instrumented within 5% of uninstrumented":
+# benchmarks/test_obs_overhead.py).
 
 #: SimulationStatistics field -> (metric name, help).  One counter per
 #: kernel statistic, labelled by engine kind.
@@ -756,26 +785,39 @@ _ENGINE_COUNTERS: Tuple[Tuple[str, str, str], ...] = (
      "Transitions emitted at min_delay because eq. 1 gave tp <= 0."),
 )
 
+#: The phases of one run, in order.
+RUN_PHASES = ("initialize", "stimulus", "settle", "drain")
+
+#: Clock stamps per run (:func:`run_stamps`): its start, the end of
+#: each phase and the end of its result build.
+_STAMPS = len(RUN_PHASES) + 2
+
+#: The SimulationStatistics fields published as counters, and a getter
+#: of their values as a tuple.
+_COUNTER_FIELDS = tuple(field for field, _name, _help in _ENGINE_COUNTERS)
+_counts_of = operator.attrgetter(*_COUNTER_FIELDS)
+
 
 def publish_engine_metrics(
     engine_kind: str,
     counts: Mapping[str, int],
-    runs: int = 1,
-    run_seconds: Optional[float] = None,
-    phases: Optional[Mapping[str, float]] = None,
+    runs: int,
+    run_seconds: Sequence[float],
+    phases: Mapping[str, Sequence[float]],
     waves: Optional[Tuple[int, int]] = None,
     registry=None,
 ) -> None:
-    """Publish one run's (or one lockstep batch's) engine counters.
+    """Publish the engine counters of some runs (or of one lockstep
+    batch).
 
-    ``counts`` maps :class:`SimulationStatistics` field names to totals;
-    ``waves`` is the ``(waves, lanes)`` pair of a lockstep kernel.  The
-    caller is responsible for the enabled check — this function always
-    publishes.  Shared by :func:`finish_run` and the bit-parallel
-    lockstep driver so the metric names cannot drift.
+    ``counts`` maps :class:`SimulationStatistics` field names to totals
+    over the ``runs``; ``run_seconds`` and each of ``phases``' lists
+    hold one observation per run (a lockstep batch observes one for
+    the whole batch); ``waves`` is the ``(waves, lanes)`` pair of a
+    lockstep kernel.  The caller is responsible for the enabled check
+    — this function always publishes.  Shared by :class:`RunTally` and
+    the bit-parallel lockstep driver so the metric names cannot drift.
     """
-    from ..obs import get_registry
-
     if registry is None:
         registry = get_registry()
     registry.counter(
@@ -791,21 +833,19 @@ def publish_engine_metrics(
             registry.counter(name, help_text, ("engine",)).inc(  # halolint: allow(HL003)
                 value, engine=engine_kind
             )
-    if run_seconds is not None:
-        registry.histogram(
-            "halotis_engine_run_seconds",
-            "End-to-end wall time of one run (lockstep: whole batch).",
-            ("engine",),
-        ).observe(run_seconds, engine=engine_kind)
-    if phases:
-        histogram = registry.histogram(
-            "halotis_engine_phase_seconds",
-            "Per-simulate() phase wall time "
-            "(initialize/stimulus/settle/drain; lockstep for batches).",
-            ("engine", "phase"),
-        )
-        for phase, seconds in phases.items():
-            histogram.observe(seconds, engine=engine_kind, phase=phase)
+    registry.histogram(
+        "halotis_engine_run_seconds",
+        "End-to-end wall time of one run (lockstep: whole batch).",
+        ("engine",),
+    ).observe_many(run_seconds, engine=engine_kind)
+    histogram = registry.histogram(
+        "halotis_engine_phase_seconds",
+        "Per-simulate() phase wall time "
+        "(initialize/stimulus/settle/drain; lockstep for batches).",
+        ("engine", "phase"),
+    )
+    for phase, seconds in phases.items():
+        histogram.observe_many(seconds, engine=engine_kind, phase=phase)
     if waves is not None:
         registry.counter(
             "halotis_lockstep_waves_total",
@@ -819,12 +859,67 @@ def publish_engine_metrics(
         ).inc(waves[1], engine=engine_kind)
 
 
-def _stat_counts(stats: SimulationStatistics) -> Dict[str, int]:
-    """The publishable scalar counters of one run's statistics."""
-    return {
-        field: getattr(stats, field) for field, _name, _help in
-        _ENGINE_COUNTERS
-    }
+class RunTally:
+    """The engine metrics of a chunk's runs, published at once.
+
+    :func:`finish_run` adds each run's counters and clock stamps, each
+    back to back in one flat list, read while they are still in cache;
+    :meth:`flush` publishes what per-run publication would — the same
+    counter totals, one run-time and one phase-time observation per
+    run — in one registry update per series.
+    """
+
+    __slots__ = ("kind", "counts", "stamps")
+
+    def __init__(self, kind: str):
+        self.kind = kind
+        self.counts: List[int] = []
+        self.stamps: List[float] = []
+
+    def flush(self) -> None:
+        """Publish the runs added since the last flush, if any."""
+        counts, stamps = self.counts, self.stamps
+        if not stamps:
+            return
+        self.counts, self.stamps = [], []
+        width = len(_COUNTER_FIELDS)
+        # ends[i]: every run's i-th stamp
+        ends = [stamps[at::_STAMPS] for at in range(_STAMPS)]
+        publish_engine_metrics(
+            self.kind,
+            {field: sum(counts[at::width])
+             for at, field in enumerate(_COUNTER_FIELDS)},
+            runs=len(ends[0]),
+            run_seconds=list(map(operator.sub, ends[-1], ends[0])),
+            phases={
+                phase: list(map(operator.sub, end, begin))
+                for phase, begin, end in zip(RUN_PHASES, ends, ends[1:])
+            },
+        )
+
+
+def _collecting(config: SimulationConfig) -> bool:
+    """Whether runs under ``config`` publish metrics:
+    ``config.collect_metrics`` and the process registry on."""
+    return config.collect_metrics and get_registry().enabled
+
+
+@contextlib.contextmanager
+def chunk_tally(engine: EngineBase) -> Iterator[None]:
+    """Tally the metrics of the runs ``engine`` finishes inside the
+    block and publish them once, when it exits, raising or not — the
+    chunk runners' one publication.  Without a tally a run publishes
+    its own metrics, as a chunk of one."""
+    if not _collecting(engine.config):
+        yield
+        return
+    outer, tally = engine.tally, RunTally(engine.kind)
+    engine.tally = tally
+    try:
+        yield
+    finally:
+        engine.tally = outer
+        tally.flush()
 
 
 def run_stimulus(
@@ -865,29 +960,28 @@ def replay(
 ) -> SimulationResult:
     """:func:`run_stimulus` without the fault dispatch: initialise,
     :func:`play` (with ``pulse``, if any) and :func:`finish_run`."""
-    timer = run_timer(simulator.config)
+    stamps = run_stamps(simulator)
     simulator.stats = SimulationStatistics()
-    with timer.phase("initialize"):
-        simulator.initialize(
-            stimulus.initial_values(simulator.netlist), seed=seed
-        )
-    play(simulator, stimulus, settle, pulse=pulse, timer=timer)
-    return finish_run(simulator, stimulus, timer)
+    simulator.initialize(
+        stimulus.initial_values(simulator.netlist), seed=seed
+    )
+    play(simulator, stimulus, settle, pulse=pulse, stamps=stamps)
+    return finish_run(simulator, stimulus, stamps)
 
 
-def run_timer(config: SimulationConfig) -> _PhaseTimer:
-    """The phase timer of one run: enabled when the run publishes
-    metrics (``config.collect_metrics`` and the process registry on).
+def run_stamps(simulator: EngineBase) -> Optional[List[float]]:
+    """The phase stamps of a run starting now, or None when it
+    publishes no metrics (``config.collect_metrics`` or the process
+    registry off).
 
-    All sampling is per *run*: a handful of perf_counter stamps plus
-    one counter batch in :func:`finish_run`, nothing per event
+    The run appends one ``perf_counter()`` stamp as each of
+    :data:`RUN_PHASES` ends and one when its result is built: nothing
+    per event, and nothing but the stamps per phase
     (benchmarks/test_obs_overhead.py gates it).
     """
-    if not config.collect_metrics:
-        return _PhaseTimer(enabled=False)
-    from ..obs import get_registry
-
-    return _PhaseTimer(enabled=get_registry().enabled)
+    if simulator.tally is None and not _collecting(simulator.config):
+        return None
+    return [_time.perf_counter()]
 
 
 def play(
@@ -896,7 +990,7 @@ def play(
     settle: float,
     pulse: Optional[Tuple[str, float, float]] = None,
     apply_stimulus: bool = True,
-    timer: Optional[_PhaseTimer] = None,
+    stamps: Optional[List[float]] = None,
 ) -> None:
     """Play ``stimulus`` on an initialised engine: every change, then
     settle past the horizon and drain the queue.  The one loop that
@@ -914,9 +1008,13 @@ def play(
 
     A cone run passes ``apply_stimulus=False``: its queue already holds
     every stimulus event its gates see.
+
+    ``stamps`` (:func:`run_stamps`) gets one stamp as each phase ends:
+    ``initialize`` (whatever ran since the run began) when play starts,
+    then ``stimulus``, ``settle`` and ``drain``.
     """
-    if timer is None:
-        timer = _PhaseTimer(enabled=False)
+    if stamps is not None:
+        stamps.append(_time.perf_counter())
     edges: List[Tuple[float, bool]] = []
     held: List[int] = []  # the net's value when the pulse starts
     if pulse is not None:
@@ -935,33 +1033,38 @@ def play(
         )
         simulator._advance(None, 0, ((pulse_edge, net),))
 
-    with timer.phase("stimulus"):
-        for at_time, assignments, change_slew in stimulus.iter_changes():
-            while edges and edges[0][0] <= at_time:
-                fire(*edges.pop(0))
-            simulator.run(until=at_time)
-            if apply_stimulus:
-                simulator.apply_word(assignments, at_time, change_slew)
-        for edge in edges:
-            fire(*edge)
-    with timer.phase("settle"):
-        simulator.run(until=stimulus.horizon + settle)
-    with timer.phase("drain"):
-        simulator.run()  # drain any events scheduled past the horizon
+    for at_time, assignments, change_slew in stimulus.iter_changes():
+        while edges and edges[0][0] <= at_time:
+            fire(*edges.pop(0))
+        simulator.run(until=at_time)
+        if apply_stimulus:
+            simulator.apply_word(assignments, at_time, change_slew)
+    for edge in edges:
+        fire(*edge)
+    if stamps is not None:
+        stamps.append(_time.perf_counter())
+    simulator.run(until=stimulus.horizon + settle)
+    if stamps is not None:
+        stamps.append(_time.perf_counter())
+    simulator.run()  # drain any events scheduled past the horizon
+    if stamps is not None:
+        stamps.append(_time.perf_counter())
 
 
 def finish_run(
-    simulator: EngineBase, stimulus, timer: _PhaseTimer
+    simulator: EngineBase, stimulus, stamps: Optional[List[float]]
 ) -> SimulationResult:
     """The one epilogue of a run: the result of ``simulator``'s current
     state, its metrics and the STA oracle.
 
-    When ``timer`` is enabled the run's counters are published under
-    ``simulator.kind`` and summarised in ``result.metrics``.  The STA
-    oracle (``config.check_sta_bounds``) runs only when no fault is
-    active: a mutant's waveforms legitimately escape the *healthy*
-    circuit's static envelope — that escape is often exactly the
-    detection signal — so an ``OracleError`` would be a false alarm.
+    With ``stamps`` (:func:`run_stamps`) the run's statistics and
+    stamps are kept on the result (``result.metrics`` reads them) and
+    added to the chunk's tally (``simulator.tally``), or published at
+    once when no chunk is open.  The STA oracle
+    (``config.check_sta_bounds``) runs only when no fault is active: a
+    mutant's waveforms legitimately escape the *healthy* circuit's
+    static envelope — that escape is often exactly the detection
+    signal — so an ``OracleError`` would be a false alarm.
     """
     result = SimulationResult(
         traces=simulator.traces,
@@ -969,19 +1072,17 @@ def finish_run(
         final_values=simulator.values(),
         simulator=simulator,
     )
-    if timer.enabled:
-        counts = _stat_counts(result.stats)
-        phases = timer.phases()
-        wall = timer.elapsed()
-        publish_engine_metrics(
-            simulator.kind, counts, runs=1, run_seconds=wall, phases=phases,
-        )
-        result.metrics = {
-            "engine": simulator.kind,
-            "wall_seconds": wall,
-            "phases": phases,
-            "counters": counts,
-        }
+    if stamps is not None:
+        stamps.append(_time.perf_counter())
+        result.stamps = stamps
+        tally = simulator.tally
+        lone = tally is None  # a run outside a chunk: a chunk of one
+        if lone:
+            tally = RunTally(simulator.kind)
+        tally.counts.extend(_counts_of(result.stats))
+        tally.stamps.extend(stamps)
+        if lone:
+            tally.flush()
     config = simulator.config
     if config.check_sta_bounds and getattr(stimulus, "fault", None) is None:
         # Only the lockstep batch entry point needs its own oracle pass

@@ -84,10 +84,11 @@ from ..core.compiled import CompiledSimulator, KernelRecord
 from ..core.engine import (
     EngineBase,
     SimulationResult,
+    chunk_tally,
     finish_run,
     play,
+    run_stamps,
     run_stimulus,
-    run_timer,
 )
 from ..core.stats import SimulationStatistics
 from ..core.trace import TraceSet
@@ -381,48 +382,49 @@ class DifferentialRunner:
         kernel = self.cone_kernel
         config = kernel.config
         fault = faulted.fault
-        timer = run_timer(config)
+        # The cone run stands in for the engine's run: same tally.
+        kernel.tally = self.engine.tally
+        stamps = run_stamps(kernel)
         stats = kernel.stats = SimulationStatistics()
 
-        with timer.phase("initialize"):
-            input_values = list(golden.dc_inputs)
-            gate_out = list(golden.dc_gate_out)
-            initial = golden.initial
-            if fault.kind in _LOGIC_KINDS:
-                row = cn.dc_update(list(golden.dc_row), cone.sweep)
-                input_net = cn.input_net
-                for uid in cone.pins:
-                    input_values[uid] = row[input_net[uid]]
-                for gate, out_net, _in_nets in cone.sweep:
-                    gate_out[gate] = row[out_net]
-                if config.record_traces:
-                    initial = list(initial)
-                    for _gate, out_net, _in_nets in cone.sweep:
-                        initial[golden.slot_of_net[out_net]] = row[out_net]
-            kernel._input_values = input_values
-            kernel._gate_out = gate_out
-            kernel._gate_last = [None] * cn.num_gates
-            kernel._toggles = [0] * cn.num_nets
-            stacks: List[Optional[List[list]]] = [None] * cn.num_inputs
+        input_values = list(golden.dc_inputs)
+        gate_out = list(golden.dc_gate_out)
+        initial = golden.initial
+        if fault.kind in _LOGIC_KINDS:
+            row = cn.dc_update(list(golden.dc_row), cone.sweep)
+            input_net = cn.input_net
             for uid in cone.pins:
-                stacks[uid] = []
-            kernel._stacks = stacks  # type: ignore[assignment]
-            kernel.queue.preload(list(cone.heap))
-            kernel.now = 0.0
-            kernel._ready = True
+                input_values[uid] = row[input_net[uid]]
+            for gate, out_net, _in_nets in cone.sweep:
+                gate_out[gate] = row[out_net]
             if config.record_traces:
-                rows = [list(net_rows) for net_rows in golden.traces.row_lists()]
+                initial = list(initial)
                 for _gate, out_net, _in_nets in cone.sweep:
-                    rows[golden.slot_of_net[out_net]] = []
-                kernel.traces = TraceSet.from_rows(
-                    kernel.vdd, golden.names, initial, rows, golden.index
-                )
-            else:
-                kernel.traces = TraceSet(kernel.vdd)
-            kernel._after_initialize()
+                    initial[golden.slot_of_net[out_net]] = row[out_net]
+        kernel._input_values = input_values
+        kernel._gate_out = gate_out
+        kernel._gate_last = [None] * cn.num_gates
+        kernel._toggles = [0] * cn.num_nets
+        stacks: List[Optional[List[list]]] = [None] * cn.num_inputs
+        for uid in cone.pins:
+            stacks[uid] = []
+        kernel._stacks = stacks  # type: ignore[assignment]
+        kernel.queue.preload(list(cone.heap))
+        kernel.now = 0.0
+        kernel._ready = True
+        if config.record_traces:
+            rows = [list(net_rows) for net_rows in golden.traces.row_lists()]
+            for _gate, out_net, _in_nets in cone.sweep:
+                rows[golden.slot_of_net[out_net]] = []
+            kernel.traces = TraceSet.from_rows(
+                kernel.vdd, golden.names, initial, rows, golden.index
+            )
+        else:
+            kernel.traces = TraceSet(kernel.vdd)
+        kernel._after_initialize()
 
         play(kernel, faulted.stimulus, settle, pulse=pulse_of(fault),
-             apply_stimulus=False, timer=timer)
+             apply_stimulus=False, stamps=stamps)
 
         base = golden.stats
         (executed, scheduled, filtered, late, emitted, degraded,
@@ -480,7 +482,7 @@ class DifferentialRunner:
             traces.horizon = cone.outside_time
         kernel.now = traces.horizon
         kernel.stats = result_stats
-        return finish_run(kernel, faulted, timer)
+        return finish_run(kernel, faulted, stamps)
 
 
 def differential_runner(engine: EngineBase) -> Optional[DifferentialRunner]:
@@ -507,17 +509,20 @@ def run_faulted_chunk(
     on a compiled-family engine each mutant re-runs only its fault's
     cone against the engine's golden record of its base stimulus;
     everything else replays through :func:`repro.core.engine.run_stimulus`.
+    Cone and full runs alike add their engine metrics to one tally,
+    published when the chunk ends or raises.
     """
-    runner = differential_runner(engine) if seed is None else None
-    if runner is None:
-        for stimulus in stimuli:
-            yield run_stimulus(engine, stimulus, settle=settle, seed=seed)
-        return
-    bases = runner.begin_chunk(stimuli, settle)
-    for stimulus, base in zip(stimuli, bases):
-        result = None
-        if base is not None and isinstance(stimulus, FaultedStimulus):
-            result = runner.run(stimulus, base)
-        if result is None:
-            result = run_stimulus(engine, stimulus, settle=settle)
-        yield result
+    with chunk_tally(engine):
+        runner = differential_runner(engine) if seed is None else None
+        if runner is None:
+            for stimulus in stimuli:
+                yield run_stimulus(engine, stimulus, settle=settle, seed=seed)
+            return
+        bases = runner.begin_chunk(stimuli, settle)
+        for stimulus, base in zip(stimuli, bases):
+            result = None
+            if base is not None and isinstance(stimulus, FaultedStimulus):
+                result = runner.run(stimulus, base)
+            if result is None:
+                result = run_stimulus(engine, stimulus, settle=settle)
+            yield result

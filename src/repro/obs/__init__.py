@@ -1,7 +1,7 @@
-"""Observability: metrics registry, Prometheus exposition, timers, logs.
+"""Observability: metrics registry, Prometheus exposition, logs.
 
 See ``docs/observability.md`` for the metric catalogue and the rules of
-engagement (per-run publication, bounded label cardinality, snapshot
+engagement (per-chunk publication, bounded label cardinality, snapshot
 merging from service workers).
 """
 
@@ -18,7 +18,6 @@ from .registry import (
     get_registry,
     set_enabled,
 )
-from .timing import PhaseTimer
 
 __all__ = [
     "Counter",
@@ -33,7 +32,6 @@ __all__ = [
     "render",
     "render_snapshot",
     "parse_text",
-    "PhaseTimer",
     "JsonLogFormatter",
     "configure_logging",
     "get_logger",

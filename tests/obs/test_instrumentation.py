@@ -9,16 +9,24 @@ task outcomes); wall-clock figures are only required to be positive.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
+import types
 
 import pytest
 
 from repro.cli import main
 from repro.config import ddm_config
-from repro.core.batch import simulate_batch
-from repro.core.engine import simulate
+from repro.core import engine as engine_module
+from repro.core.batch import run_chunk, simulate_batch
+from repro.core.engine import make_engine, simulate
 from repro.core.service import SimulationService
+from repro.errors import ServiceError, StimulusError
+from repro.faults.campaign import run_campaign
+from repro.faults.differential import MIN_MUTANTS_TO_RECORD
+from repro.faults.faultload import DEFAULT_KINDS, generate_faultload
+from repro.faults.inject import FaultedStimulus
 from repro.obs.prometheus import parse_text
 from repro.obs.registry import MetricsRegistry, get_registry
 from repro.stimuli.patterns import random_vector_batch, random_vectors
@@ -275,6 +283,175 @@ def test_service_metrics_off_ships_no_snapshots(mult4):
         name for name, entry in delta["metrics"].items() if entry["series"]
     ]
     assert recorded == []
+
+
+# ----------------------------------------------------------------------
+# chunked publication: the same engine metrics however runs are chunked
+# ----------------------------------------------------------------------
+
+#: one reading of the fake engine clock: a power of two, so phase and
+#: run times are exact multiples of it and their sums are exact too.
+_TICK = 2.0 ** -12
+
+
+@pytest.fixture
+def ticking_clock(monkeypatch):
+    """Advance the engine's clock one tick per reading, so a run's
+    phase and run times count the clock readings it makes: the same
+    run takes the same time on every route, and histogram buckets and
+    sums compare exactly.  Pool workers fork with the fake clock."""
+    ticks = itertools.count()
+    monkeypatch.setattr(
+        engine_module, "_time",
+        types.SimpleNamespace(perf_counter=lambda: next(ticks) * _TICK),
+    )
+
+
+def _engine_series(run):
+    """Every ``halotis_engine_*`` series ``run()`` publishes, by metric
+    and labels: counter values, and histogram counts, bucket counts and
+    sums."""
+    _drain()
+    run()
+    delta = _delta()
+    return {
+        (metric.name, tuple(entry["labels"])): entry
+        for metric in delta.metrics()
+        if metric.name.startswith("halotis_engine_")
+        for entry in metric.snapshot_series()
+    }
+
+
+def test_chunked_runs_publish_what_lone_runs_publish(mult4, ticking_clock):
+    """One in-process batch, a 2-worker pool and 32 ``simulate()``
+    calls of the same vectors publish identical engine metrics: one
+    observation per run, never one per chunk."""
+    stimuli = random_vector_batch(
+        [net.name for net in mult4.primary_inputs],
+        batch=32, count=2, period=2.0, base_seed=7, tail=2.0,
+    )
+    config = ddm_config(record_traces=False)
+
+    def inprocess():
+        simulate_batch(mult4, stimuli, config=config, engine_kind="compiled")
+
+    def pool():
+        simulate_batch(
+            mult4, stimuli, config=config, engine_kind="compiled", jobs=2,
+        )
+
+    def lone():
+        for stimulus in stimuli:
+            simulate(mult4, stimulus, config=config, engine_kind="compiled")
+
+    expected = _engine_series(lone)
+    runs = expected[("halotis_engine_runs_total", ("compiled",))]
+    assert runs["value"] == len(stimuli)
+    assert expected[("halotis_engine_run_seconds", ("compiled",))][
+        "count"] == len(stimuli)
+    assert _engine_series(inprocess) == expected
+    assert _engine_series(pool) == expected
+
+
+def test_cone_chunk_publishes_what_lone_mutant_runs_publish(
+    mult4, ticking_clock
+):
+    """A faulted chunk on the cone route publishes the engine metrics
+    of the same mutants run one by one."""
+    stimulus = _stimulus(mult4, count=3, seed=5)
+    faultload = generate_faultload(
+        mult4, 10 * len(DEFAULT_KINDS), seed=3,
+        window=(0.0, stimulus.horizon),
+    )
+    mutants = [FaultedStimulus(stimulus, fault) for fault in faultload.faults]
+    for kind in DEFAULT_KINDS:
+        assert sum(
+            mutant.fault.kind is kind for mutant in mutants
+        ) >= MIN_MUTANTS_TO_RECORD, kind
+    config = ddm_config(record_traces=False)
+    engine = make_engine(mult4, config=config, engine_kind="compiled")
+    cone = _engine_series(lambda: list(run_chunk(engine, mutants)))
+    assert engine._differential.golden is not None  # the cone route ran
+    lone = _engine_series(lambda: [
+        simulate(mult4, mutant, config=config, engine_kind="compiled")
+        for mutant in mutants
+    ])
+    assert cone == lone
+    assert lone[("halotis_engine_runs_total", ("compiled",))]["value"] == (
+        len(mutants)
+    )
+
+
+class _FailingStimulus:
+    """Raises on initialisation.  Module-level: stimuli cross the
+    process boundary by pickle."""
+
+    def __init__(self, inner):
+        self.horizon = inner.horizon
+
+    def initial_values(self, netlist):
+        raise StimulusError("this vector cannot start")
+
+    def iter_changes(self):
+        return iter(())
+
+
+def _runs_published(run):
+    _drain()
+    run()
+    runs = _delta().get("halotis_engine_runs_total")
+    return 0 if runs is None else runs.value(engine="compiled")
+
+
+@pytest.mark.parametrize("failing", [0, 3])
+def test_a_chunk_that_raises_publishes_the_runs_before_it(mult4, failing):
+    stimuli = list(_stimuli(mult4, batch=6))
+    stimuli[failing] = _FailingStimulus(stimuli[failing])
+    config = ddm_config(record_traces=False)
+
+    def inprocess():
+        with pytest.raises(StimulusError):
+            simulate_batch(mult4, stimuli, config=config,
+                           engine_kind="compiled")
+
+    assert _runs_published(inprocess) == failing
+    with SimulationService(
+        mult4, config=config, workers=1, engine_kind="compiled"
+    ) as service:
+
+        def pooled():
+            # one worker: the whole batch is one chunk, and its error
+            # message carries the chunk's delta
+            with pytest.raises(ServiceError, match="StimulusError"):
+                service.run_batch(stimuli)
+
+        assert _runs_published(pooled) == failing
+
+
+def _assert_registry_untouched():
+    delta = get_registry().snapshot(reset=True)
+    recorded = [
+        name for name, entry in delta["metrics"].items() if entry["series"]
+    ]
+    assert recorded == []
+
+
+def test_metrics_off_batch_and_campaign_leave_the_registry_untouched(mult4):
+    config = ddm_config(record_traces=False, collect_metrics=False)
+    stimulus = _stimulus(mult4, count=3, seed=5)
+    faultload = generate_faultload(
+        mult4, 20, seed=3, window=(0.0, stimulus.horizon),
+    )
+    _drain()
+    batch = simulate_batch(
+        mult4, _stimuli(mult4), config=config, engine_kind="compiled"
+    )
+    assert batch.metrics is None
+    assert all(result.metrics is None for result in batch)
+    _assert_registry_untouched()
+    run_campaign(mult4, faultload, stimulus, config=config,
+                 engine_kind="compiled")
+    _assert_registry_untouched()
 
 
 # ----------------------------------------------------------------------

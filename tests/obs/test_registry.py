@@ -118,6 +118,25 @@ def test_histogram_bucket_math(registry):
     assert cell.sum == pytest.approx(0.05 + 0.1 + 0.5 + 1.0 + 5.0 + 100.0)
 
 
+def test_observe_many_equals_one_observe_per_value(registry):
+    """Edges (inclusive), the +Inf bucket, unsorted input, small and
+    large batches and an empty one: counts, buckets and the in-order
+    sum all match."""
+    values = [5.0, 0.1, 100.0, 0.05, 1.0, 0.5, 0.1, 1e-9, 10.0, 7.25] * 5
+    one = registry.histogram("one", "", ("k",), buckets=(0.1, 1.0, 10.0))
+    many = registry.histogram("many", "", ("k",), buckets=(0.1, 1.0, 10.0))
+    for batch in (values[:3], values[3:10], values[10:], []):
+        for value in batch:
+            one.observe(value, k="a")
+        many.observe_many(batch, k="a")
+    [(key, expected)] = one.series().items()
+    cell = many.series()[key]
+    assert (cell.counts, cell.sum, cell.count) == (
+        expected.counts, expected.sum, expected.count
+    )
+    assert expected.count == len(values)
+
+
 def test_histogram_untouched_series_reads_zero(registry):
     histogram = registry.histogram("h", "", buckets=(1.0,))
     assert histogram.cumulative_counts() == [0, 0]

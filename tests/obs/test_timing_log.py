@@ -1,51 +1,15 @@
-"""Phase timers and structured logging."""
+"""Structured logging."""
 
 from __future__ import annotations
 
 import io
 import json
 import logging
-import time
 
 import pytest
 
 from repro.errors import ConfigError
 from repro.obs.log import configure_logging, get_logger
-from repro.obs.timing import PhaseTimer
-
-
-# ----------------------------------------------------------------------
-# PhaseTimer
-# ----------------------------------------------------------------------
-
-def test_phase_timer_accumulates_same_name_phases():
-    timer = PhaseTimer()
-    with timer.phase("work"):
-        time.sleep(0.001)
-    with timer.phase("work"):
-        time.sleep(0.001)
-    with timer.phase("other"):
-        pass
-    phases = timer.phases()
-    assert set(phases) == {"work", "other"}
-    assert phases["work"] >= 0.002
-    assert timer.elapsed() >= phases["work"]
-
-
-def test_phase_timer_disabled_records_nothing():
-    timer = PhaseTimer(enabled=False)
-    with timer.phase("work"):
-        pass
-    timer.record("manual", 1.0)
-    assert timer.phases() == {}
-    assert timer.elapsed() == 0.0
-
-
-def test_phase_timer_records_on_exception():
-    timer = PhaseTimer()
-    with pytest.raises(RuntimeError), timer.phase("doomed"):
-        raise RuntimeError("boom")
-    assert "doomed" in timer.phases()
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,7 @@ where that pays: for a cold chunk of *k* random mutants of one 3-vector
 random stimulus (DDM, untraced, metrics on), the CPU of the cone path
 (``run_chunk`` on a fresh engine, recording forced at every *k*) over
 the CPU of the same mutants' full runs (``run_stimulus`` on another
-fresh engine).  Each cell is the median over ``--loads`` faultloads,
+fresh engine, publishing its metrics once, as a chunk does).  Each cell is the median over ``--loads`` faultloads,
 the two paths alternating which runs first.  The table rows are
 circuits, the columns *k*; the last line names the smallest *k* from
 which every circuit is at or below 1.00::
@@ -27,7 +27,7 @@ from typing import Callable, Dict, List, Optional
 from repro.circuit import modules
 from repro.config import ddm_config
 from repro.core.batch import run_chunk
-from repro.core.engine import make_engine, run_stimulus
+from repro.core.engine import chunk_tally, make_engine, run_stimulus
 from repro.faults import differential
 from repro.faults.faultload import generate_faultload
 from repro.faults.inject import FaultedStimulus
@@ -66,8 +66,9 @@ def cone_over_full(netlist, size: int, load: int) -> float:
         list(run_chunk(cone_engine, mutants))
 
     def full() -> None:
-        for mutant in mutants:
-            run_stimulus(full_engine, mutant)
+        with chunk_tally(full_engine):
+            for mutant in mutants:
+                run_stimulus(full_engine, mutant)
 
     if load % 2:
         full_s = _cpu(full)

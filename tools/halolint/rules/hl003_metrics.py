@@ -10,8 +10,8 @@ registration and update site:
    ``docs/observability.md`` (the metric catalogue the PR 9 drift guard
    protects); skipped when the scanned tree carries no such doc.
 3. **Bounded label values.**  Label keyword arguments at
-   ``inc``/``dec``/``set``/``observe`` call sites must be statically
-   bounded expressions — literals, names, attribute reads or
+   ``inc``/``dec``/``set``/``observe``/``observe_many`` call sites must
+   be statically bounded expressions — literals, names, attribute reads or
    conditionals over those.  String *construction* (f-strings, ``str()``
    / ``format()`` calls, concatenation, ``%``, subscripts of request
    data) is how unbounded identity leaks into a label and blows series
@@ -33,7 +33,7 @@ from ..registry import rule
 
 #: Registration methods on a registry and their update counterparts.
 REGISTRATION_METHODS = {"counter", "gauge", "histogram"}
-UPDATE_METHODS = {"inc", "dec", "set", "observe"}
+UPDATE_METHODS = {"inc", "dec", "set", "observe", "observe_many"}
 
 #: Required prefix for every metric family this project registers.
 NAME_PREFIX = "halotis_"
@@ -206,10 +206,9 @@ class _Scanner(ast.NodeVisitor):
 def check(project: Project) -> Iterator[Finding]:
     doc_text = project.read_doc(DOC_PATH)
     for source in project.files:
-        # The registry/timing internals manipulate label tuples
-        # generically; the discipline targets the instrumented layers.
-        if source.rel.endswith(("obs/registry.py", "obs/timing.py",
-                                "obs/prometheus.py")):
+        # The registry internals manipulate label tuples generically;
+        # the discipline targets the instrumented layers.
+        if source.rel.endswith(("obs/registry.py", "obs/prometheus.py")):
             continue
         scanner = _Scanner(source, doc_text)
         scanner.visit(source.tree)
