@@ -10,22 +10,24 @@ both paths on one engine, calling each directly:
 * cone: :func:`repro.core.batch.run_chunk` over the faulted chunk (the
   golden run is recorded and every cone built in an untimed warm-up
   pass, as a warm worker holds them);
-* full: :func:`repro.core.engine.run_stimulus` per mutant.
+* full: :func:`repro.core.engine.run_stimulus` per mutant, under one
+  :func:`~repro.core.engine.chunk_tally`.
 
-Metrics collection stays on (the default), so both sides publish the
-same per-run engine counters.  The rounds alternate the two paths and
-the gate compares their best per-mutant CPU, which a busy host
-disturbs less than a median.  ``record_mb`` is the memory the warm-up
+Metrics collection stays on (the default), and both sides publish their
+engine metrics once per pass, as a chunk does.  The rounds alternate
+the two paths and the gate compares their best per-mutant CPU, which a
+busy host disturbs less than a median.  ``record_mb`` is the memory the warm-up
 left allocated: the golden record, its cones and the cone kernel.
 
 On a shared 2-vCPU x86-64 VM (CPython 3.11), five runs measured the
-cone path at 2.4-2.9x on mult4 (about 200-330 vs. 500-800 us per
-mutant), 2.2-4.2x on mult6 (about 270-420 vs. 850-1210 us) and
-3.0-3.3x on mult10 (about 2.1-2.5 vs. 6.4-8.2 ms; 1524 golden events,
+cone path at 2.7-2.9x on mult4 (about 120-180 vs. 330-520 us per
+mutant), 3.5-4.7x on mult6 (about 150-250 vs. 650-990 us) and
+3.2-4.5x on mult10 (about 1.6-2.6 vs. 5.1-8.6 ms; 1524 golden events,
 41% of them in the mean cone, record 2.7 MB).  Cone runs are plain
 kernel runs: every kernel breaks time ties by ``(time, pin uid, seq)``,
 so a cone orders its ties as the full run does.
-The bars sit 20-25% below the low ends.
+The bars sit 20-25% below the low ends measured when they were set
+(2.4x, 2.2x and 3.0x).
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import pytest
 from repro.circuit import modules
 from repro.config import ddm_config
 from repro.core.batch import run_chunk
-from repro.core.engine import make_engine, run_stimulus
+from repro.core.engine import chunk_tally, make_engine, run_stimulus
 from repro.faults.faultload import generate_faultload
 from repro.faults.inject import FaultedStimulus
 from repro.stimuli.vectors import multiplication_sequence
@@ -79,7 +81,8 @@ def test_cone_runs_beat_full_runs(benchmark, bench_record, circuit):
         return list(run_chunk(engine, mutants))
 
     def full():
-        return [run_stimulus(engine, mutant) for mutant in mutants]
+        with chunk_tally(engine):
+            return [run_stimulus(engine, mutant) for mutant in mutants]
 
     tracemalloc.start()
     warm = cone()  # records the golden run and builds every cone

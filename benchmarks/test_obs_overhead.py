@@ -37,9 +37,9 @@ _SEED = 7
 
 #: The short-batch case: two-step mult4 vectors in one batch.
 _BATCH = 64
-#: The cone case: mult4 mutants of every kind in one chunk, as many as
-#: the mult4 faultloads of the fault-campaign gates hold.
-_MUTANTS = 200
+#: The cone case: mult4 mutants of every kind in one chunk, the chunk
+#: an in-process campaign of 100 mutants runs.
+_MUTANTS = 100
 
 #: The acceptance bar from the issue: instrumentation <= 5% overhead.
 _MAX_OVERHEAD = 1.05

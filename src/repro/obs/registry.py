@@ -41,11 +41,9 @@ publishes to and what the server's ``metrics``/``stats`` ops expose.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import operator
 import threading
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from typing import (
     Any,
     Dict,
@@ -87,11 +85,6 @@ DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
 #: ``max_series`` bound.  Parenthesised so it cannot collide with a
 #: legitimate Prometheus-safe label value produced by this codebase.
 OVERFLOW_LABEL = "(overflow)"
-
-#: Below this many values :meth:`Histogram.observe_many` bisects each
-#: one; from it on, sorting them once and bisecting the edges is
-#: cheaper.
-_FEW_VALUES = 16
 
 #: Per-metric default bound on distinct label-value combinations.
 _DEFAULT_MAX_SERIES = 64
@@ -363,25 +356,13 @@ class Histogram(_Metric):
         if not self.enabled:
             return
         buckets = self.buckets
-        if len(values) < _FEW_VALUES:
-            hits = [0] * (len(buckets) + 1)
-            for value in values:
-                hits[bisect_left(buckets, value)] += 1
-        else:  # count the values at or below each edge, all in C
-            at_or_below = list(map(
-                bisect_right, itertools.repeat(sorted(values)), buckets
-            ))
-            at_or_below.append(len(values))
-            hits = list(map(operator.sub, at_or_below, [0] + at_or_below[:-1]))
         with self._lock:
             cell = self._bucket(self._key(labels))
-            cell.counts = list(map(  # type: ignore[attr-defined]
-                operator.add, cell.counts, hits  # type: ignore[attr-defined]
-            ))
-            # reduce adds in order, as one observe() after another does
-            cell.sum = functools.reduce(  # type: ignore[attr-defined]
-                operator.add, values, cell.sum  # type: ignore[attr-defined]
-            )
+            counts, total = cell.counts, cell.sum  # type: ignore[attr-defined]
+            for value in values:
+                counts[bisect_left(buckets, value)] += 1
+                total += value
+            cell.sum = total  # type: ignore[attr-defined]
             cell.count += len(values)  # type: ignore[attr-defined]
 
     def snapshot_series(self) -> List[Dict[str, object]]:
@@ -442,13 +423,6 @@ class MetricsRegistry:
         label_names: Sequence[str],
         **kwargs: Any,
     ) -> _M:
-        # Metrics are never removed, so a registered one is returned
-        # without the lock (a dict read is atomic).
-        existing = self._metrics.get(name)
-        if isinstance(existing, cls) and (
-            existing.label_names == tuple(label_names)
-        ):
-            return existing
         with self._lock:
             existing = self._metrics.get(name)
             if existing is not None:
