@@ -363,12 +363,10 @@ def _window_pass(
     net_names = compiled.net_names
     net_constant = compiled.net_constant
     net_is_pi = compiled.net_is_pi
-    # Plain-list copies: list indexing returns the stored objects, where
-    # ``array`` indexing boxes a fresh int/float on every access.
-    vt_fraction = compiled.vt_fraction.tolist()
-    input_net = compiled.input_net.tolist()
-    gate_offsets = compiled.gate_input_offsets.tolist()
-    gate_output_net = compiled.gate_output_net.tolist()
+    vt_fraction = compiled.vt_fraction
+    input_net = compiled.input_net
+    gate_offsets = compiled.gate_input_offsets
+    gate_output_net = compiled.gate_output_net
     arc_rise = compiled.arc_rise
     arc_fall = compiled.arc_fall
 

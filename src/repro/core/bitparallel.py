@@ -17,15 +17,15 @@ C loop over ``ceil(N/64)`` words); at the API boundary
 (:meth:`_WordKernel.packed_toggle_words`, the
 :mod:`repro.analysis.activity` popcount fast path) the same masks are
 exchanged as little-endian numpy ``uint64`` word arrays.  numpy is a
-hard requirement of this backend: the lowering below is derived from
-the frozen :meth:`CompiledNetlist.as_numpy` export, and the activity
-path popcounts packed words.
+hard requirement of this backend only for that boundary: the per-lane
+counts unpack recorded masks with it and the activity path popcounts
+packed words.  The kernel itself reads the lowering's plain lists.
 
 Lowering
 --------
 
-Each gate's dense truth table (the ``gate_tables`` /
-``gate_table_offsets`` arrays of the export) is lowered **once** into a
+Each gate's dense truth table (its entry of the lowering's
+``gate_tables``) is lowered **once** into a
 word-level op sequence by Shannon decomposition on the highest pin:
 ``f = (x & f_hi) | (~x & f_lo)``, with the XOR (``f_hi == ~f_lo``),
 AND, OR and constant special cases collapsing the mux.  Complemented
@@ -556,8 +556,8 @@ def _batch_hold(compiled: CompiledNetlist, lanes: int) -> float:
 class _WordKernel:
     """One HALOTIS-CDM event kernel over N lane-packed stimuli.
 
-    All dynamic logic state is lane words; the static tables come from
-    one frozen :meth:`CompiledNetlist.as_numpy` export.  The lockstep
+    All dynamic logic state is lane words; the static tables are the
+    lists of one :class:`CompiledNetlist`.  The lockstep
     batch driver runs it through :meth:`run_until`, and word events
     queue on the compiled engine's list-entry heap.
     """
@@ -565,7 +565,6 @@ class _WordKernel:
     def __init__(self, compiled: CompiledNetlist, config: SimulationConfig,
                  lanes: int):
         _require_numpy()
-        export = compiled.as_numpy()
         self.compiled = compiled
         self.config = config
         self.lanes = lanes
@@ -580,25 +579,9 @@ class _WordKernel:
         self._max_events = config.max_events
         self._record_traces = config.record_traces
 
-        # Static tables.  Plain-list mirrors of the export: the event
-        # loop indexes with Python ints, where numpy scalar boxing
-        # costs more than the lookup.  tolist() round-trips exactly.
         self.num_nets = compiled.num_nets
         self.num_gates = compiled.num_gates
         self.num_inputs = compiled.num_inputs
-        self._fanout_offsets = export["fanout_offsets"].tolist()
-        self._fanout_targets = export["fanout_targets"].tolist()
-        self._vt_fraction = export["vt_fraction"].tolist()
-        self._input_gate = export["input_gate"].tolist()
-        self._input_net = export["input_net"].tolist()
-        self._gate_offsets = export["gate_input_offsets"].tolist()
-        self._gate_out_net = export["gate_output_net"].tolist()
-        # Delay arcs: the lowering's original per-uid Python tuples
-        # (tp0_base, d_slew, tau_base, s_slew, ...) — byte-identical to
-        # the export's arc_rise/arc_fall rows; only the CDM slots are
-        # read (degradation is out of this backend's tier).
-        self._arc_rise = compiled.arc_rise
-        self._arc_fall = compiled.arc_fall
 
         # Multi-lane wavefront re-alignment ("batch hold").  Lanes that
         # reach one gate input over different paths arrive at slightly
@@ -613,16 +596,11 @@ class _WordKernel:
         self._hold = _batch_hold(compiled, lanes)
 
         # Truth tables -> word-op programs (memoised across kernels).
-        table_offsets = export["gate_table_offsets"].tolist()
-        flat_tables = export["gate_tables"].tolist()
         self._programs: List[Optional[Callable]] = []
         self._program_ops: List[int] = []
-        for gate in range(self.num_gates):
-            start, end = table_offsets[gate], table_offsets[gate + 1]
-            if end > start:
-                function, ops, _ = _compile_program(
-                    tuple(flat_tables[start:end])
-                )
+        for table in compiled.gate_tables:
+            if table is not None:
+                function, ops, _ = _compile_program(tuple(table))
                 self._programs.append(function)
                 self._program_ops.append(ops)
             else:  # pragma: no cover - only hand-built cells exceed cap
@@ -694,14 +672,10 @@ class _WordKernel:
 
     def reset(self, net_masks: Sequence[int], start_time: float = 0.0) -> None:
         """(Re-)initialise every lane from per-net DC lane words."""
-        self.net_val = list(net_masks)
-        input_net = self._input_net
-        self.input_val = [
-            self.net_val[input_net[uid]] for uid in range(self.num_inputs)
-        ]
+        net_val = self.net_val = list(net_masks)
+        self.input_val = [net_val[net] for net in self.compiled.input_net]
         self.gate_out = [
-            self.net_val[self._gate_out_net[gate]]
-            for gate in range(self.num_gates)
+            net_val[net] for net in self.compiled.gate_output_net
         ]
         self.stacks = [[] for _ in range(self.num_inputs)]
         self.queue.clear()
@@ -738,14 +712,16 @@ class _WordKernel:
         live = queue._live
         compiled = self.compiled
         programs = self._programs
-        input_gate = self._input_gate
-        gate_offsets = self._gate_offsets
-        gate_out_net = self._gate_out_net
-        fanout_offsets = self._fanout_offsets
-        fanout_targets = self._fanout_targets
-        vt_fraction = self._vt_fraction
-        arc_rise = self._arc_rise
-        arc_fall = self._arc_fall
+        input_gate = compiled.input_gate
+        gate_offsets = compiled.gate_input_offsets
+        gate_out_net = compiled.gate_output_net
+        fanout_offsets = compiled.fanout_offsets
+        fanout_targets = compiled.fanout_targets
+        vt_fraction = compiled.vt_fraction
+        # Only the CDM slots of the arcs are read (degradation is out of
+        # this backend's tier).
+        arc_rise = compiled.arc_rise
+        arc_fall = compiled.arc_fall
         input_val = self.input_val
         gate_out = self.gate_out
         net_val = self.net_val

@@ -11,15 +11,19 @@ This module lowers the circuit *once* into struct-of-arrays form
 (:class:`CompiledNetlist`) and runs the identical algorithm over flat
 integer indices (:class:`CompiledSimulator`):
 
-* per-gate-input arrays: threshold fraction ``VT/VDD``, owning gate id,
+* per-gate-input lists: threshold fraction ``VT/VDD``, owning gate id,
   pin index — indexed by the input's dense ``uid``;
-* fanout adjacency as CSR-style ``(offsets, targets)`` index arrays over
-  net ids (stdlib ``array`` storage; :meth:`CompiledNetlist.as_numpy`
-  exposes the same arrays as ``numpy`` vectors when numpy is installed);
+* fanout adjacency as CSR-style ``(offsets, targets)`` index lists over
+  net ids;
 * per-(gate input, output edge) delay-arc tables with the output net's
   capacitive load already folded in, so the hot path evaluates a delay
   with two multiply-adds instead of a dataclass round-trip;
 * per-gate truth tables replacing boolean-function dispatch.
+
+Every field is a plain Python list, the one form of the lowering: the
+kernels read these lists directly (list indexing returns the stored
+objects, with no re-boxing), every engine on the lowering shares them,
+and only fault injection (:mod:`repro.faults.inject`) patches them.
 
 Events are plain Python lists (``[time, uid, seq, value, t50, dur,
 rising, state]``) ordered by their first three slots, so the queue
@@ -40,7 +44,6 @@ engines produce bit-identical event times, traces and statistics
 
 from __future__ import annotations
 
-from array import array
 from heapq import heappop, heappush
 from math import exp as _exp
 from typing import (
@@ -95,7 +98,7 @@ _INF = float("inf")
 
 
 class CompiledNetlist:
-    """Flat-array lowering of a :class:`~repro.circuit.netlist.Netlist`.
+    """Flat-list lowering of a :class:`~repro.circuit.netlist.Netlist`.
 
     The lowering is purely static: it captures connectivity, thresholds,
     loads and timing-arc parameters, and can be shared by any number of
@@ -129,7 +132,6 @@ class CompiledNetlist:
         "input_net",
         "arc_rise",
         "arc_fall",
-        "_numpy_cache",
         "_topo_cache",
         "pi_ids",
         "pi_names",
@@ -164,12 +166,12 @@ class CompiledNetlist:
         # --- nets ----------------------------------------------------
         self.net_names: List[str] = [net.name for net in nets]
         self.net_constant: List[Optional[int]] = [net.constant_value for net in nets]
-        self.net_is_pi = array("b", [1 if net.is_primary_input else 0 for net in nets])
-        self.net_is_po = array("b", [1 if net.is_primary_output else 0 for net in nets])
-        self.net_driver = array(
-            "q", [net.driver.index if net.driver is not None else -1 for net in nets]
-        )
-        self.net_load = array("d", [net.load() for net in nets])
+        self.net_is_pi = [1 if net.is_primary_input else 0 for net in nets]
+        self.net_is_po = [1 if net.is_primary_output else 0 for net in nets]
+        self.net_driver = [
+            net.driver.index if net.driver is not None else -1 for net in nets
+        ]
+        self.net_load = [net.load() for net in nets]
 
         # Fanout adjacency in CSR form: the fanout inputs of net ``n``
         # are ``fanout_targets[fanout_offsets[n]:fanout_offsets[n+1]]``.
@@ -178,15 +180,15 @@ class CompiledNetlist:
         for net in nets:
             targets.extend(gate_input.uid for gate_input in net.fanouts)
             offsets.append(len(targets))
-        self.fanout_offsets = array("q", offsets)
-        self.fanout_targets = array("q", targets)
+        self.fanout_offsets = offsets
+        self.fanout_targets = targets
 
         # --- gates ---------------------------------------------------
         self.gate_names: List[str] = [gate.name for gate in gates]
         self.gate_functions: List[GateFunctionLike] = [
             gate.cell.function for gate in gates
         ]
-        self.gate_output_net = array("q", [gate.output.index for gate in gates])
+        self.gate_output_net = [gate.output.index for gate in gates]
         # Dense uids are assigned gate-by-gate (Netlist.add_gate), so each
         # gate's pins occupy a contiguous uid range.
         input_offsets = [0]
@@ -199,7 +201,7 @@ class CompiledNetlist:
                     "contiguous" % (netlist.name, gate.name)
                 )
             input_offsets.append(input_offsets[-1] + len(gate.inputs))
-        self.gate_input_offsets = array("q", input_offsets)
+        self.gate_input_offsets = input_offsets
         # One truth table per (function, arity); every gate gets its own
         # copy because fault injection swaps ``gate_tables[i]`` per gate.
         tables: Dict[Tuple[GateFunctionLike, int], Optional[List[int]]] = {}
@@ -216,10 +218,10 @@ class CompiledNetlist:
 
         # --- gate inputs (indexed by uid) ----------------------------
         vdd = self.vdd
-        vt_fraction = array("d", bytes(8 * self.num_inputs))
-        input_gate = array("q", bytes(8 * self.num_inputs))
-        input_pin = array("q", bytes(8 * self.num_inputs))
-        input_net = array("q", bytes(8 * self.num_inputs))
+        vt_fraction = [0.0] * self.num_inputs
+        input_gate = [0] * self.num_inputs
+        input_pin = [0] * self.num_inputs
+        input_net = [0] * self.num_inputs
         # Per-(input uid, output edge) delay-arc parameters with the
         # gate's constant output load folded in (see fold_arc).
         arc_rise: List[Tuple[float, float, float, float, float, float]] = [None] * self.num_inputs  # type: ignore[list-item]
@@ -244,9 +246,6 @@ class CompiledNetlist:
         self.input_net = input_net
         self.arc_rise = arc_rise
         self.arc_fall = arc_fall
-        #: lazily built numpy view of the lowering (see :meth:`as_numpy`);
-        #: never pickled — every process rebuilds its own cheap views.
-        self._numpy_cache: Optional[Dict[str, object]] = None
         self._topo_cache: Optional[List[int]] = None
 
         # --- DC initialisation and result plans ----------------------
@@ -284,7 +283,7 @@ class CompiledNetlist:
         self._undriven: Optional[str] = undriven[0] if undriven else None
 
     def __getstate__(self) -> Dict[str, object]:
-        """Pickle the lowered arrays without the netlist back-reference.
+        """Pickle the lowered lists without the netlist back-reference.
 
         A ``CompiledNetlist`` travels across process boundaries *inside*
         its owning netlist's flat snapshot
@@ -296,7 +295,6 @@ class CompiledNetlist:
         """
         state = {slot: getattr(self, slot) for slot in self.__slots__}
         state["netlist"] = None
-        state["_numpy_cache"] = None
         state["_key_index"] = None
         return state
 
@@ -317,7 +315,7 @@ class CompiledNetlist:
 
         The compiled twin of
         :meth:`repro.circuit.netlist.Netlist.topological_gates`: Kahn's
-        algorithm over the CSR fanout arrays, counting per-pin fanin
+        algorithm over the CSR fanout lists, counting per-pin fanin
         exactly as the object-graph version does.  Raises
         :class:`SimulationError` naming a stuck gate when the lowering
         contains a combinational cycle.  The static timing analyzer
@@ -617,147 +615,6 @@ class CompiledNetlist:
                     tau_max = tau_out
         return tp_min, tp_max, tau_min, tau_max
 
-    def as_numpy(self) -> Dict[str, object]:
-        """The complete lowering as **read-only** numpy arrays (optional dep).
-
-        Raises :class:`SimulationError` when numpy is unavailable.  This
-        is the substrate of the ``"bitparallel"`` word kernel; the
-        scalar hot path deliberately sticks to stdlib containers.
-
-        Every array is returned with ``writeable=False``: the views
-        alias (or derive from) the netlist's *cached* lowering, and a
-        caller mutation would otherwise silently corrupt every
-        subsequent ``simulate()`` on this netlist.  The export is built
-        once and cached (the cache never crosses a pickle boundary);
-        each call returns a fresh dict over the same frozen arrays.
-
-        Keys, indexed by the dense ids of the lowering:
-
-        * per net: ``net_load``, ``net_is_pi``, ``net_is_po``,
-          ``net_driver`` (-1 = none), ``net_constant`` (-1 = not
-          constant), and the CSR fanout pair
-          ``fanout_offsets``/``fanout_targets``;
-        * per gate: ``gate_output_net``, ``gate_input_offsets``,
-          ``gate_arity``, and the dense truth tables flattened as
-          ``gate_tables``/``gate_table_offsets`` (an empty offset range
-          marks a gate wider than the tabling cap, which callers must
-          evaluate through ``gate_functions`` dispatch);
-        * per gate input (uid): ``vt_fraction``, ``input_gate``,
-          ``input_pin``, ``input_net``, and the load-folded delay-arc
-          tables ``arc_rise``/``arc_fall`` as ``(num_inputs, 6)``
-          matrices of ``(tp0_base, d_slew, tau_base, s_slew, tau_deg,
-          t0_coef)`` rows.
-        """
-        try:
-            import numpy
-        except ImportError:  # pragma: no cover - numpy present in CI
-            raise SimulationError(
-                "numpy is not installed; as_numpy() needs it"
-            ) from None
-        if self._numpy_cache is not None:
-            return dict(self._numpy_cache)
-
-        def view(storage, dtype):
-            array_view = numpy.frombuffer(storage, dtype=dtype)
-            array_view.flags.writeable = False
-            return array_view
-
-        def frozen(array_like, dtype):
-            built = numpy.asarray(array_like, dtype=dtype)
-            built.flags.writeable = False
-            return built
-
-        table_offsets = [0]
-        flat_tables: List[int] = []
-        for table in self.gate_tables:
-            if table is not None:
-                flat_tables.extend(table)
-            table_offsets.append(len(flat_tables))
-        gate_offsets = list(self.gate_input_offsets)
-        arity = [
-            gate_offsets[gate + 1] - gate_offsets[gate]
-            for gate in range(self.num_gates)
-        ]
-        self._numpy_cache = {
-            "vt_fraction": view(self.vt_fraction, numpy.float64),
-            "net_load": view(self.net_load, numpy.float64),
-            "net_is_pi": view(self.net_is_pi, numpy.int8),
-            "net_is_po": view(self.net_is_po, numpy.int8),
-            "net_driver": view(self.net_driver, numpy.int64),
-            "net_constant": frozen(
-                [-1 if value is None else value for value in self.net_constant],
-                numpy.int64,
-            ),
-            "fanout_offsets": view(self.fanout_offsets, numpy.int64),
-            "fanout_targets": view(self.fanout_targets, numpy.int64),
-            "gate_input_offsets": view(self.gate_input_offsets, numpy.int64),
-            "gate_output_net": view(self.gate_output_net, numpy.int64),
-            "gate_arity": frozen(arity, numpy.int64),
-            "gate_tables": frozen(flat_tables, numpy.int8),
-            "gate_table_offsets": frozen(table_offsets, numpy.int64),
-            "input_gate": view(self.input_gate, numpy.int64),
-            "input_pin": view(self.input_pin, numpy.int64),
-            "input_net": view(self.input_net, numpy.int64),
-            "arc_rise": frozen(self.arc_rise, numpy.float64),
-            "arc_fall": frozen(self.arc_fall, numpy.float64),
-        }
-        return dict(self._numpy_cache)
-
-    def refresh_numpy_cache(self) -> None:
-        """Re-derive the copied entries of the cached numpy export in place.
-
-        Most :meth:`as_numpy` entries are zero-copy views over the live
-        ``array`` storage and track in-place mutation automatically, but
-        ``net_constant``, ``gate_tables`` and ``arc_rise``/``arc_fall``
-        are one-time *copies* (their sources are Python lists).  This is
-        the sanctioned mutation seam for the fault-injection layer
-        (:mod:`repro.faults.inject`): after patching ``gate_tables`` /
-        ``arc_rise`` / ``arc_fall`` entries on this object, calling this
-        method re-synchronises the frozen numpy copies — **in place**,
-        briefly lifting the ``writeable`` guard, so every kernel holding
-        a reference to the exported arrays observes the patch (and its
-        restoration) without a rebuild.
-
-        Shape-preserving patches only: truth tables keep their gate's
-        arity and arc rows their 6-tuple layout, so a changed shape
-        means the lowering was structurally edited — that needs
-        ``Netlist.invalidate_lowering()``, not this seam.
-
-        No-op when the export was never built (nothing to resync).
-        """
-        cache = self._numpy_cache
-        if cache is None:
-            return
-        import numpy
-
-        flat_tables: List[int] = []
-        for table in self.gate_tables:
-            if table is not None:
-                flat_tables.extend(table)
-        updates = {
-            "net_constant": [
-                -1 if value is None else value for value in self.net_constant
-            ],
-            "gate_tables": flat_tables,
-            "arc_rise": self.arc_rise,
-            "arc_fall": self.arc_fall,
-        }
-        for key, source in updates.items():
-            target = cache[key]
-            fresh = numpy.asarray(source, dtype=target.dtype)
-            if fresh.shape != target.shape:
-                raise SimulationError(
-                    "lowering patch changed the shape of %r (%s -> %s); "
-                    "structural edits need invalidate_lowering(), not "
-                    "refresh_numpy_cache()"
-                    % (key, target.shape, fresh.shape)
-                )
-            target.flags.writeable = True
-            try:
-                target[...] = fresh
-            finally:
-                target.flags.writeable = False
-
     def __repr__(self) -> str:
         return "CompiledNetlist(%s: %d gates, %d nets, %d inputs)" % (
             self.netlist.name,
@@ -922,16 +779,6 @@ class CompiledSimulator(EngineBase):
     def _bind(self, cn: CompiledNetlist) -> None:
         """Run on the lowering ``cn`` from now on."""
         self._cn = cn
-        # Hot-path copies of the lowered index arrays as plain lists:
-        # list indexing returns the stored (already-boxed) objects, where
-        # ``array`` indexing re-boxes a fresh int/float per access.
-        self._fanout_offsets = list(cn.fanout_offsets)
-        self._fanout_targets = list(cn.fanout_targets)
-        self._vt_fraction = list(cn.vt_fraction)
-        self._input_gate = list(cn.input_gate)
-        self._input_net = list(cn.input_net)
-        self._gate_offsets = list(cn.gate_input_offsets)
-        self._gate_out_net = list(cn.gate_output_net)
         #: the differential fault simulator over this engine (see
         #: :mod:`repro.faults.differential`), built by the first chunk
         #: that holds faulted stimuli and kept with its golden record.
@@ -969,8 +816,8 @@ class CompiledSimulator(EngineBase):
     ) -> None:
         cn = self._sync_lowering()
         dc = cn.dc_values(input_values, seed)
-        self._input_values = [dc[net] for net in self._input_net]
-        self._gate_out = [dc[net] for net in self._gate_out_net]
+        self._input_values = [dc[net] for net in cn.input_net]
+        self._gate_out = [dc[net] for net in cn.gate_output_net]
         self._gate_last = [None] * cn.num_gates
         self._stacks = [[] for _ in range(cn.num_inputs)]
         # Only the primary-input entries of the DC row are read (and
@@ -1043,7 +890,7 @@ class CompiledSimulator(EngineBase):
         A source transition (a primary-input change or a SET pulse edge)
         enters the same fan-out.
 
-        Every array, config scalar and statistics counter the loop
+        Every lowering list, config scalar and statistics counter the loop
         touches is read into a local once per call and written back in
         ``finally``, so an exception leaves the engine consistent.  With
         a :class:`KernelRecord` bound (:mod:`repro.faults.differential`)
@@ -1057,12 +904,12 @@ class CompiledSimulator(EngineBase):
         gate_tables = cn.gate_tables
         arc_rise = cn.arc_rise
         arc_fall = cn.arc_fall
-        input_gate = self._input_gate
-        gate_offsets = self._gate_offsets
-        gate_out_net = self._gate_out_net
-        fanout_offsets = self._fanout_offsets
-        fanout_targets = self._fanout_targets
-        vt_fraction = self._vt_fraction
+        input_gate = cn.input_gate
+        gate_offsets = cn.gate_input_offsets
+        gate_out_net = cn.gate_output_net
+        fanout_offsets = cn.fanout_offsets
+        fanout_targets = cn.fanout_targets
+        vt_fraction = cn.vt_fraction
         input_values = self._input_values
         gate_out = self._gate_out
         gate_last = self._gate_last
@@ -1337,7 +1184,7 @@ class CompiledSimulator(EngineBase):
         self._require_ready()
         row = list(self._pi)
         gate_out = self._gate_out
-        for gate, net in enumerate(self._gate_out_net):
+        for gate, net in enumerate(self._cn.gate_output_net):
             row[net] = gate_out[gate]
         return self._cn.named_values(row)
 

@@ -103,8 +103,10 @@ _LOGIC_KINDS = (FaultKind.STUCK_AT_0, FaultKind.STUCK_AT_1, FaultKind.BIT_FLIP)
 #: mutants of one base stimulus a chunk must still hold to record its
 #: golden run: the smallest cold chunk whose cone path costs every
 #: measured circuit at most its full runs (c17 0.99, the multipliers
-#: 0.78-0.87; ``tools/fault_break_even.py``, docs/performance.md).
-#: Fewer would run slower than their full runs.
+#: 0.76-0.87).  Set from the per-cell medians of five runs of
+#: ``tools/fault_break_even.py`` (docs/performance.md): one run's
+#: break-even line moves between 4 and 8.  Fewer would run slower than
+#: their full runs.
 MIN_MUTANTS_TO_RECORD = 5
 
 

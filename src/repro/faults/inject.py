@@ -6,18 +6,17 @@ patches the *shared* structures in place —
 
 * the raw cells (``gate.cell``), because the reference engine and its
   object-graph DC initialisation evaluate them directly, and
-* the cached :class:`~repro.core.compiled.CompiledNetlist` tables
+* the cached :class:`~repro.core.compiled.CompiledNetlist` lists
   (``gate_tables`` / ``gate_functions`` / ``arc_rise`` / ``arc_fall``),
   because the compiled and bitparallel engines DC-initialise and
-  execute from them —
+  execute from them.
 
-then calls :meth:`CompiledNetlist.refresh_numpy_cache`, the sanctioned
-mutation seam through the frozen read-only ``as_numpy()`` export, so
-kernels holding references to the exported arrays observe the patch.
-Restoration reverses all of it and re-syncs the export again; a
-round-trip leaves the lowering bit-identical
-(:func:`lowering_fingerprint` before == after), which the property
-suite enforces.
+Every engine on the lowering reads those lists themselves, not
+copies, so a patched entry is seen by the next event it touches.  This
+module is the one place that writes them (static rule HL001 flags any
+other write).  Restoration reverses the patch; a round-trip leaves the
+lowering bit-identical (:func:`lowering_fingerprint` before == after),
+which the property suite enforces.
 
 Logic mutations (stuck-at, bit-flip) are expressed as
 :class:`~repro.circuit.logic.TableFunction` stand-in cells so every
@@ -56,18 +55,27 @@ _Arc = Tuple[float, float, float, float, float, float]
 LEAK_RESTORES = False
 
 
+#: The lowering fields :func:`lowering_fingerprint` covers, in hash order.
+_FINGERPRINT_FIELDS = (
+    "net_is_pi", "net_is_po", "net_driver", "net_load", "net_constant",
+    "fanout_offsets", "fanout_targets", "gate_output_net",
+    "gate_input_offsets", "gate_tables", "vt_fraction", "input_gate",
+    "input_pin", "input_net", "arc_rise", "arc_fall",
+)
+
+
 def lowering_fingerprint(netlist: Netlist) -> str:
-    """SHA-256 over every array of the lowering's numpy export.
+    """SHA-256 over the ``repr`` of every lowering list, in a fixed order.
 
     The round-trip oracle: injection followed by restoration must leave
-    this unchanged, byte for byte.
+    this unchanged.  A float's ``repr`` round-trips, so the hash is
+    exact.
     """
-    arrays = netlist.compile().as_numpy()
+    compiled = netlist.compile()
     digest = hashlib.sha256()
-    for key in sorted(arrays):
-        array = arrays[key]
-        digest.update(key.encode())
-        digest.update(array.tobytes())  # type: ignore[union-attr]
+    for field in _FINGERPRINT_FIELDS:
+        digest.update(field.encode())
+        digest.update(repr(getattr(compiled, field)).encode())
     return digest.hexdigest()
 
 
@@ -202,7 +210,6 @@ class FaultInjection:
             gate.cell = dataclasses.replace(gate.cell, function=stand_in)
             compiled.gate_tables[index] = mutated
             compiled.gate_functions[index] = stand_in
-        compiled.refresh_numpy_cache()
         self.applied = True
 
     def restore(self) -> None:
@@ -233,7 +240,6 @@ class FaultInjection:
             compiled.arc_fall[uid] = fall
         self._saved_arcs = []
         self._saved_cell = None
-        compiled.refresh_numpy_cache()
         self.applied = False
 
 

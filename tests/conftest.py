@@ -7,6 +7,11 @@ from hypothesis import HealthCheck, settings
 
 from repro.circuit import modules
 from repro.circuit.library import default_library
+from repro.faults.inject import _FINGERPRINT_FIELDS
+
+#: every lowering list a test may patch: the fingerprinted fields and
+#: the gate functions fault injection swaps alongside the tables
+_PATCHABLE = (*_FINGERPRINT_FIELDS, "gate_functions")
 
 # One moderate profile for all property tests: the engine fixtures are
 # cheap but not free, and CI determinism matters more than example count.
@@ -48,47 +53,45 @@ def patched_lowering():
     The one sanctioned route for tests that corrupt the compiled
     lowering (the STA-teeth and fault-teeth suites): call
     ``patched_lowering(netlist, mutate_fn)`` — the fixture snapshots
-    the mutable lowering entries (truth tables, gate functions, delay
-    arcs) and the raw gate cells first, applies the mutation, re-syncs
-    the frozen numpy export, and restores everything byte-identically
-    when the test ends, pass or fail.  Ad-hoc in-place mutation without
-    this fixture leaks corrupted state into every later test sharing
-    the netlist (or its primed caches).
+    every lowering list (the fingerprinted fields and the gate
+    functions) and the raw gate cells first, applies the mutation, and
+    restores everything byte-identically when the test ends, pass or
+    fail.  Ad-hoc in-place mutation without this fixture leaks
+    corrupted state into every later test sharing the netlist (or its
+    primed caches).
     """
     patched = []
 
     def patch(netlist, mutate=None):
         compiled = netlist.compile()
+        saved = {
+            field: list(getattr(compiled, field)) for field in _PATCHABLE
+        }
+        saved["gate_tables"] = [
+            None if table is None else list(table)
+            for table in compiled.gate_tables
+        ]
         patched.append(
             (
                 netlist,
                 compiled,
-                [
-                    None if table is None else list(table)
-                    for table in compiled.gate_tables
-                ],
-                list(compiled.gate_functions),
-                list(compiled.arc_rise),
-                list(compiled.arc_fall),
+                saved,
                 {name: gate.cell for name, gate in netlist.gates.items()},
             )
         )
         if mutate is not None:
             mutate(compiled)
-            compiled.refresh_numpy_cache()
         return compiled
 
     yield patch
 
-    for netlist, compiled, tables, functions, rise, fall, cells in reversed(
-        patched
-    ):
-        compiled.gate_tables[:] = [
-            None if table is None else list(table) for table in tables
-        ]
-        compiled.gate_functions[:] = functions
-        compiled.arc_rise[:] = rise
-        compiled.arc_fall[:] = fall
+    for netlist, compiled, saved, cells in reversed(patched):
+        for field, values in saved.items():
+            if field == "gate_tables":
+                values = [
+                    None if table is None else list(table)
+                    for table in values
+                ]
+            getattr(compiled, field)[:] = values
         for name, cell in cells.items():
             netlist.gates[name].cell = cell
-        compiled.refresh_numpy_cache()

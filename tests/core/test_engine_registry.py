@@ -304,16 +304,6 @@ def test_compiled_rejects_foreign_lowering(chain3, c17):
         CompiledSimulator(chain3, compiled=c17.compile())
 
 
-def test_compiled_as_numpy_views():
-    pytest.importorskip("numpy")
-    netlist = modules.c17()
-    compiled = netlist.compile()
-    arrays = compiled.as_numpy()
-    assert arrays["vt_fraction"].shape == (compiled.num_inputs,)
-    assert arrays["fanout_offsets"].shape == (compiled.num_nets + 1,)
-    assert int(arrays["fanout_offsets"][-1]) == len(compiled.fanout_targets)
-
-
 def test_registering_new_engine_updates_cli_and_error_text(chain3):
     """Satellite: CLI ``--engine`` choices/help and the unknown-kind
     error text are derived from ``ENGINE_KINDS`` at call time — a newly

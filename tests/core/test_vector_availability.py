@@ -8,7 +8,8 @@ never as a bare ``ImportError`` mid-simulation.  The pure backends
 (``reference``, ``compiled`` and its kept alias ``vector``) must keep
 validating and running with numpy gone.  numpy is installed in CI, so absence is simulated by
 monkeypatching :func:`repro.config.numpy_available`, which every layer
-consults through the module.
+consults through the module; one subprocess test blocks the import
+itself and runs the compiled core end to end.
 
 The matrix is driven from ``ENGINE_KINDS`` itself, so a newly
 registered backend is automatically probed on both axes.
@@ -16,8 +17,15 @@ registered backend is automatically probed on both axes.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+import repro
 import repro.config as config_module
 from repro.config import SimulationConfig, ddm_config
 from repro.core.compiled import VectorSimulator
@@ -207,3 +215,74 @@ def test_server_registration_rejects_unknown_engine():
     assert excinfo.value.kind == "bad-frame"
     for kind in ALL_KINDS:
         assert kind in str(excinfo.value)
+
+
+#: Runs in a fresh interpreter whose ``numpy`` import always fails.
+_WITHOUT_NUMPY = textwrap.dedent("""
+    import importlib.abc
+    import sys
+
+    class BlockNumpy(importlib.abc.MetaPathFinder):
+        def find_spec(self, name, path=None, target=None):
+            if name == "numpy" or name.startswith("numpy."):
+                raise ImportError("numpy is blocked")
+            return None
+
+    sys.meta_path.insert(0, BlockNumpy())
+
+    from repro.circuit import modules
+    from repro.config import ddm_config
+    from repro.core.engine import simulate
+    from repro.faults import differential
+    from repro.faults.campaign import run_campaign
+    from repro.faults.faultload import FaultSpec, FaultKind, generate_faultload
+    from repro.faults.inject import FaultInjection, lowering_fingerprint
+    from repro.stimuli.patterns import random_vectors
+
+    mult4 = modules.array_multiplier(4)
+    names = [net.name for net in mult4.primary_inputs]
+    stimulus = random_vectors(names, 3, 5.0, seed=2)
+    result = simulate(mult4, stimulus, config=ddm_config(),
+                      engine_kind="compiled")
+    assert result.stats.events_executed > 0
+
+    cone_runs = []
+    run_cone = differential.DifferentialRunner._run_cone
+
+    def counting(self, *args):
+        cone_runs.append(1)
+        return run_cone(self, *args)
+
+    differential.DifferentialRunner._run_cone = counting
+    faultload = generate_faultload(mult4, 20, seed=4,
+                                   window=(0.0, stimulus.horizon))
+    report = run_campaign(mult4, faultload, stimulus, config=ddm_config(),
+                          engine_kind="compiled")
+    assert len(report.outcomes) == 20
+    assert cone_runs, "the campaign took no cone run"
+
+    before = lowering_fingerprint(mult4)
+    net = mult4.primary_outputs[0].name
+    with FaultInjection(mult4, FaultSpec(kind=FaultKind.BIT_FLIP, net=net)):
+        assert lowering_fingerprint(mult4) != before
+    assert lowering_fingerprint(mult4) == before
+
+    assert "numpy" not in sys.modules
+    print("ok")
+""")
+
+
+def test_the_compiled_core_runs_without_numpy():
+    """A compiled run, a cone-path campaign and the fingerprint round
+    trip need no numpy: the lowering is plain lists."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NUMPY], env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "ok"

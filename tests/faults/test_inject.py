@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import pickle
+
 import pytest
 from hypothesis import given, settings
 
@@ -11,6 +14,7 @@ from repro.core.engine import ENGINE_KINDS, make_engine, run_stimulus, simulate
 from repro.errors import FaultError
 from repro.faults.faultload import FaultKind, FaultSpec, generate_faultload
 from repro.faults.inject import (
+    _FINGERPRINT_FIELDS,
     FaultedStimulus,
     FaultInjection,
     lowering_fingerprint,
@@ -40,9 +44,9 @@ def _any_gate_net(netlist):
 @given(params=circuit_params)
 def test_faulted_run_leaves_the_lowering_bit_identical(params):
     """For every fault kind, running a faulted stimulus through the
-    compiled engine leaves the lowering's frozen numpy export
-    bit-identical — the restoration guarantee the whole shared-netlist
-    campaign design rests on."""
+    compiled engine leaves every lowering list bit-identical — the
+    restoration guarantee the whole shared-netlist campaign design
+    rests on."""
     seed, num_inputs, num_gates, vectors = params
     netlist = random_netlist(seed, num_inputs, num_gates)
     input_names = [net.name for net in netlist.primary_inputs]
@@ -104,6 +108,43 @@ def test_restore_runs_even_when_the_engine_raises(c17):
             config=_config(), engine_kind="compiled",
         )
     assert lowering_fingerprint(c17) == before
+
+
+def test_a_pickled_lowering_keeps_its_fingerprint(mult4):
+    before = lowering_fingerprint(mult4)
+    clone = pickle.loads(pickle.dumps(mult4))
+    assert clone.compile() is not mult4.compile()
+    assert lowering_fingerprint(clone) == before
+
+
+def _nudged(value):
+    """``value`` changed as little as its type allows."""
+    if value is None:
+        return 0
+    if isinstance(value, float):
+        return math.nextafter(value, math.inf)
+    if isinstance(value, tuple):  # a delay arc: one ulp on its delay
+        return (math.nextafter(value[0], math.inf), *value[1:])
+    if isinstance(value, list):  # a truth table: one flipped row
+        return [1 - value[0], *value[1:]]
+    return value + 1
+
+
+@pytest.mark.parametrize("field", _FINGERPRINT_FIELDS)
+def test_the_fingerprint_sees_one_entry_of_every_field(
+    field, c17, patched_lowering
+):
+    """Index lists, ``vt_fraction``/``net_load``, ``net_constant``,
+    ``gate_tables`` and the arcs: one changed entry (one ulp for a
+    float) changes the hash."""
+    before = lowering_fingerprint(c17)
+
+    def mutate(compiled):
+        values = getattr(compiled, field)
+        values[0] = _nudged(values[0])
+
+    patched_lowering(c17, mutate)
+    assert lowering_fingerprint(c17) != before
 
 
 # ----------------------------------------------------------------------

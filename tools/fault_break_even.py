@@ -15,6 +15,11 @@ circuits, the columns *k*; the last line names the smallest *k* from
 which every circuit is at or below 1.00::
 
     PYTHONPATH=src python tools/fault_break_even.py
+
+One run's last line cannot set ``MIN_MUTANTS_TO_RECORD``: over five
+runs at the default 105 faultloads a cell it moved between 4 and 8
+(c17 reads 0.95-1.07 from k = 5 to 7).  The constant is set from the
+per-cell medians of five runs (the table in docs/performance.md).
 """
 
 from __future__ import annotations

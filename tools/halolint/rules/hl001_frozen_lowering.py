@@ -1,20 +1,19 @@
 """HL001 — the frozen-lowering mutation detector.
 
-``CompiledNetlist.as_numpy()`` exports the cached lowering as read-only
-arrays precisely because a caller mutation silently corrupts every later
-``simulate()`` on the netlist (the PR 5 bug).  The runtime guard is the
-numpy ``writeable`` flag; this rule is the static one: *no code outside
-the sanctioned seams may store into a lowering export array, lift its
-writeable flag, or setattr a lowering field*.
+Every engine on a netlist reads the cached ``CompiledNetlist``'s lists
+themselves, not copies, so a caller that writes one of them silently
+corrupts every later ``simulate()`` on the netlist.  Nothing guards
+those lists at run time; this rule is the static guard: *no code
+outside the sanctioned seams may store into a lowering list, delete
+from it, mutate it in place, or rebind a lowering field*.
 
 Sanctioned seams:
 
-* ``src/repro/core/compiled.py`` — the owner of the lowering builds and
-  refreshes these arrays;
+* ``src/repro/core/compiled.py`` — the owner of the lowering builds
+  these lists;
 * ``src/repro/faults/inject.py`` — fault injection patches the lowering
-  through ``refresh_numpy_cache()`` with restore-in-``finally``;
-* any function named ``refresh_numpy_cache`` or ``patched_lowering``
-  (the test fixture seam).
+  with restore-in-``finally``;
+* any function named ``patched_lowering`` (the test fixture seam).
 """
 
 from __future__ import annotations
@@ -28,39 +27,25 @@ from ..astutil import const_str
 from ..engine import Project, SourceFile
 from ..registry import rule
 
-#: The keys of ``CompiledNetlist.as_numpy()`` — equally the names of the
-#: live lowering fields on the compiled netlist itself.
-EXPORT_ARRAYS: Set[str] = {
+#: The list fields of ``CompiledNetlist``: the lowering every engine shares.
+LOWERING_FIELDS: Set[str] = {
     "vt_fraction", "net_load", "net_is_pi", "net_is_po", "net_driver",
     "net_constant", "fanout_offsets", "fanout_targets",
-    "gate_input_offsets", "gate_output_net", "gate_arity", "gate_tables",
-    "gate_table_offsets", "input_gate", "input_pin", "input_net",
-    "arc_rise", "arc_fall",
+    "gate_input_offsets", "gate_output_net", "gate_tables",
+    "input_gate", "input_pin", "input_net", "arc_rise", "arc_fall",
 }
 
-#: ndarray methods that mutate in place.
-MUTATING_METHODS: Set[str] = {"fill", "put", "sort", "partition", "itemset"}
+#: list methods that mutate in place.
+MUTATING_METHODS: Set[str] = {
+    "append", "extend", "insert", "pop", "remove", "clear", "reverse",
+    "sort",
+}
 
-#: Files allowed to touch the lowering arrays (path suffixes).
+#: Files allowed to touch the lowering lists (path suffixes).
 SANCTIONED_FILES = ("core/compiled.py", "faults/inject.py")
 
 #: Functions allowed to touch them wherever they live.
-SANCTIONED_FUNCTIONS = {"refresh_numpy_cache", "patched_lowering"}
-
-
-def _references_export(node: ast.AST) -> Optional[str]:
-    """The export-array name ``node`` denotes, if any.
-
-    Recognises ``<expr>.arc_rise`` (attribute of a compiled netlist)
-    and ``<expr>["arc_rise"]`` (entry of an ``as_numpy()`` dict).
-    """
-    if isinstance(node, ast.Attribute) and node.attr in EXPORT_ARRAYS:
-        return node.attr
-    if isinstance(node, ast.Subscript):
-        key = const_str(node.slice)
-        if key in EXPORT_ARRAYS:
-            return key
-    return None
+SANCTIONED_FUNCTIONS = {"patched_lowering"}
 
 
 class _Scanner(ast.NodeVisitor):
@@ -68,7 +53,7 @@ class _Scanner(ast.NodeVisitor):
         self.source = source
         self.findings: list[Finding] = []
         self._function_stack: list[str] = []
-        #: local names aliased to an export array, per function scope.
+        #: local names aliased to a lowering field, per function scope.
         self._alias_stack: list[dict[str, str]] = [{}]
 
     # -- scope tracking ------------------------------------------------
@@ -86,23 +71,24 @@ class _Scanner(ast.NodeVisitor):
     def _sanctioned(self) -> bool:
         return bool(SANCTIONED_FUNCTIONS & set(self._function_stack))
 
-    def _export_name(self, node: ast.AST) -> Optional[str]:
-        direct = _references_export(node)
-        if direct is not None:
-            return direct
+    def _field_name(self, node: ast.AST) -> Optional[str]:
+        """The lowering field ``node`` denotes: ``<expr>.arc_rise`` or
+        a local alias of one."""
+        if isinstance(node, ast.Attribute) and node.attr in LOWERING_FIELDS:
+            return node.attr
         if isinstance(node, ast.Name):
             return self._alias_stack[-1].get(node.id)
         return None
 
-    def _export_in_chain(self, node: ast.AST) -> Optional[str]:
-        """Export name anywhere along a subscript chain.
+    def _field_in_chain(self, node: ast.AST) -> Optional[str]:
+        """Field name anywhere along a subscript chain.
 
-        Catches ``compiled.arc_rise[i]``, ``exports["arc_rise"][i][j]``
+        Catches ``compiled.arc_rise[i]``, ``compiled.gate_tables[g][i]``
         and aliased forms alike.
         """
         while isinstance(node, ast.Subscript):
             node = node.value
-            name = self._export_name(node)
+            name = self._field_name(node)
             if name is not None:
                 return name
         return None
@@ -113,21 +99,21 @@ class _Scanner(ast.NodeVisitor):
         self.findings.append(Finding(
             severity=Severity.ERROR,
             rule="HL001",
-            message="%s of frozen lowering export %r outside the "
-            "sanctioned seams (refresh_numpy_cache / patched_lowering / "
-            "faults.inject)" % (what, name),
+            message="%s of frozen lowering field %r outside the "
+            "sanctioned seams (patched_lowering / faults.inject)"
+            % (what, name),
             file=self.source.rel,
             line=node.lineno,
         ))
 
-    # -- stores --------------------------------------------------------
+    # -- stores and deletes ----------------------------------------------
 
     def visit_Assign(self, node: ast.Assign) -> None:
         for target in node.targets:
-            self._check_store(target)
-            # Track aliases: ``arr = exports["arc_rise"]``.
+            self._check_target(target, "subscript store into")
+            # Track aliases: ``arcs = compiled.arc_rise``.
             if isinstance(target, ast.Name):
-                aliased = self._export_name(node.value)
+                aliased = self._field_name(node.value)
                 if aliased is not None:
                     self._alias_stack[-1][target.id] = aliased
                 else:
@@ -135,47 +121,42 @@ class _Scanner(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        self._check_store(node.target)
+        target = node.target
+        # ``arcs += [...]`` extends an aliased list in place.
+        aliased = (
+            self._field_name(target) if isinstance(target, ast.Name) else None
+        )
+        if aliased is not None:
+            self._flag(target, aliased, "in-place augmented assignment")
+        else:
+            self._check_target(target, "subscript store into")
         self.generic_visit(node)
 
-    def _check_store(self, target: ast.AST) -> None:
+    def visit_Delete(self, node: ast.Delete) -> None:
+        for target in node.targets:
+            self._check_target(target, "del")
+        self.generic_visit(node)
+
+    def _check_target(self, target: ast.AST, what: str) -> None:
         if isinstance(target, (ast.Tuple, ast.List)):
             for element in target.elts:
-                self._check_store(element)
+                self._check_target(element, what)
             return
         if isinstance(target, ast.Subscript):
-            name = self._export_in_chain(target)
+            name = self._field_in_chain(target)
             if name is not None:
-                self._flag(target, name, "subscript store into")
-            return
-        # ``x.flags.writeable = ...`` lifts the runtime guard.
-        if (
-            isinstance(target, ast.Attribute)
-            and target.attr == "writeable"
-            and isinstance(target.value, ast.Attribute)
-            and target.value.attr == "flags"
-        ):
-            if not self._sanctioned():
-                self.findings.append(Finding(
-                    severity=Severity.ERROR,
-                    rule="HL001",
-                    message="writeable-flag manipulation outside the "
-                    "sanctioned seams: only refresh_numpy_cache() may "
-                    "lift the read-only guard on lowering exports",
-                    file=self.source.rel,
-                    line=target.lineno,
-                ))
+                self._flag(target, name, what)
             return
         if (
             isinstance(target, ast.Attribute)
-            and target.attr in EXPORT_ARRAYS
+            and target.attr in LOWERING_FIELDS
             and (
                 # Rebinding a lowering field on some object (not a local).
                 not isinstance(target.value, ast.Name)
                 or target.value.id not in ("self",)
             )
         ):
-            self._flag(target, target.attr, "attribute store rebinding")
+            self._flag(target, target.attr, "attribute rebinding or del")
 
     # -- calls ---------------------------------------------------------
 
@@ -187,15 +168,15 @@ class _Scanner(ast.NodeVisitor):
             and len(node.args) >= 2
         ):
             name = const_str(node.args[1])
-            if name in EXPORT_ARRAYS:
+            if name in LOWERING_FIELDS:
                 self._flag(node, name, "setattr() store into")
         if (
             isinstance(func, ast.Attribute)
             and func.attr in MUTATING_METHODS
         ):
-            name = self._export_name(func.value)
+            name = self._field_name(func.value)
             if name is None and isinstance(func.value, ast.Subscript):
-                name = self._export_in_chain(func.value)
+                name = self._field_in_chain(func.value)
             if name is not None:
                 self._flag(node, name, ".%s() in-place mutation" % func.attr)
         self.generic_visit(node)
@@ -204,12 +185,12 @@ class _Scanner(ast.NodeVisitor):
 @rule(
     id="HL001",
     name="frozen-lowering-mutation",
-    invariant="No store, setattr, writeable-flag lift or in-place "
-    "mutation touches a CompiledNetlist lowering export outside "
-    "refresh_numpy_cache(), patched_lowering or faults.inject.",
-    rationale="The cached lowering is shared by every engine and every "
-    "later simulate(); the PR 5 as_numpy() leak showed a single caller "
-    "mutation silently corrupting all subsequent results.",
+    invariant="No store, del, setattr or in-place list mutation touches "
+    "a CompiledNetlist lowering list outside patched_lowering or "
+    "faults.inject.",
+    rationale="Every engine shares the cached lowering's lists, so one "
+    "caller mutation silently corrupts all later simulate() results on "
+    "the netlist.",
 )
 def check(project: Project) -> Iterator[Finding]:
     for source in project.files:
