@@ -10,7 +10,7 @@ per-lane event timing follows the word-level CDM contract documented in
 
 This gate drives the wide-activity workload the engine exists for — a
 256-lane multiplier batch — and enforces its speed bar: the word kernel
-must beat N sequential compiled runs by >= 12x
+must beat N sequential compiled runs by >= 7.4x
 (``_MIN_VS_SEQUENTIAL``).  The per-gate word-op counts land in the
 benchmark JSON so a lowering regression (a gate falling off the word
 program path) is visible in the trajectory, not just as a slower
@@ -42,10 +42,14 @@ _SEED = 19
 #: DC-initialised through the object-graph evaluator (~0.6 ms of a
 #: ~1.5 ms mult4 run).  DC init on the lowering made those runs ~1.7x
 #: faster and left the word kernel as it was, so the bar keeps the same
-#: absolute speed of the word kernel: 20x / 1.7, about 12x (measured
-#: 15-17x in three gate runs at 256 lanes).  It stays provisional until
-#: a native compiled kernel is measured (ROADMAP).
-_MIN_VS_SEQUENTIAL = 12.0
+#: absolute speed of the word kernel: 20x / 1.7, about 12x.  The native
+#: compiled kernel loop then made these sequential runs 1.48-1.74x
+#: faster (median 1.62, five runs, CPU time), so the same absolute
+#: demand is 12x / 1.62, about 7.4x: measured 5.0-8.7x (median 7.7)
+#: against them and 7.4-13.8x (median 13.2) against the Python loop's
+#: runs, five runs.  Whether the word kernel keeps its place is ROADMAP
+#: item 12's decision.
+_MIN_VS_SEQUENTIAL = 7.4
 
 
 def _workload():
@@ -105,7 +109,7 @@ def test_bitparallel_batch_throughput(benchmark, bench_record):
 
 
 def test_bitparallel_beats_vector_and_sequential(benchmark, bench_record):
-    """The speed bar: one 256-lane word-kernel batch must run >= 12x
+    """The speed bar: one 256-lane word-kernel batch must run >= 7.4x
     faster than 256 sequential compiled runs of the same stimuli.  (The
     name predates the retirement of the >= 10x bar against the deleted
     vector lockstep kernel.)"""
@@ -174,7 +178,7 @@ def test_bitparallel_beats_vector_and_sequential(benchmark, bench_record):
                   "speedup_vs_sequential": round(sequential / word, 3)},
     )
     assert sequential / word >= _MIN_VS_SEQUENTIAL, (
-        "word kernel below the %.0fx bar against %d sequential compiled "
+        "word kernel below the %.1fx bar against %d sequential compiled "
         "runs (sequential %.4fs, bitparallel %.4fs, %.2fx)"
         % (_MIN_VS_SEQUENTIAL, _LANES, sequential, word, sequential / word)
     )

@@ -19,11 +19,14 @@ the two paths and the gate compares their best per-mutant CPU, which a
 busy host disturbs less than a median.  ``record_mb`` is the memory the warm-up
 left allocated: the golden record, its cones and the cone kernel.
 
-On a shared 2-vCPU x86-64 VM (CPython 3.11), five runs measured the
-cone path at 2.7-2.9x on mult4 (about 120-180 vs. 330-520 us per
-mutant), 3.5-4.7x on mult6 (about 150-250 vs. 650-990 us) and
-3.2-4.5x on mult10 (about 1.6-2.6 vs. 5.1-8.6 ms; 1524 golden events,
-41% of them in the mean cone, record 2.7 MB).  Cone runs are plain
+On a shared 2-vCPU x86-64 VM (CPython 3.11), three runs on the native
+kernel loop measured the cone path at 2.46-2.59x on mult4 (about
+77-118 vs. 190-290 us per mutant), 2.88-4.59x on mult6 (about 114-176
+vs. 330-570 us) and 3.37-4.16x on mult10 (about 0.74-1.24 vs. 3.1-4.3
+ms; 1524 golden events, 41% of them in the mean cone, record 2.0 MB).
+The native loop cut both sides' kernel time, so a cone run's fixed
+set-up weighs more in its ratio than on the Python loop (2.7-2.9x on
+mult4 there).  Cone runs are plain
 kernel runs: every kernel breaks time ties by ``(time, pin uid, seq)``,
 so a cone orders its ties as the full run does.
 The bars sit 20-25% below the low ends measured when they were set

@@ -6,8 +6,9 @@ guards — otherwise users would just simulate twice.  This gate reuses
 the repo's canonical throughput workload (the 6x6 multiplier under 20
 random vectors, as in ``test_backend_speedup.py``) and asserts one
 windows-only ``analyze()`` pass — exactly what ``windows_for()`` runs
-for the oracle — is at least 10x faster than one compiled-engine
-``simulate()`` of that workload.  The full CLI-default analysis
+for the oracle — is at least 3.5x faster than one compiled-engine
+``simulate()`` of that workload (10x before the native kernel loop made
+that simulation about 2.8x cheaper; see ``_MIN_SPEEDUP``).  The full CLI-default analysis
 (``k_paths=4`` critical paths) is recorded alongside for the
 trajectory, un-gated.
 """
@@ -26,8 +27,13 @@ _WIDTH = 6
 _VECTORS = 20
 _SEED = 7
 
-#: The acceptance bar: windows-only STA vs one compiled simulation.
-_MIN_SPEEDUP = 10.0
+#: The acceptance bar: windows-only STA vs one compiled simulation.  It
+#: was 10x against the Python kernel loop; the native loop made this
+#: simulation 2.49-2.99x faster (median 2.84, five runs, CPU time), so
+#: the same absolute demand on STA is 10x / 2.84, about 3.5x: measured
+#: 2.8-5.5x (median 4.4) against native runs, 8.4-13.6x against the
+#: Python loop's, five runs.
+_MIN_SPEEDUP = 3.5
 
 
 def _workload():
@@ -67,7 +73,7 @@ def test_sta_analysis_throughput(benchmark, bench_record):
 
 
 def test_sta_beats_one_compiled_simulation(benchmark, bench_record):
-    """The gate: windows-only STA >= 10x faster than one simulation."""
+    """The gate: windows-only STA >= 3.5x faster than one simulation."""
     netlist, stimulus = _workload()
     config = ddm_config(record_traces=False)
     netlist.compile()

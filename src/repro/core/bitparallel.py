@@ -1238,6 +1238,7 @@ class BitParallelSimulator(CompiledSimulator):
     def ensure_available(cls) -> None:
         """Raise a clear :class:`SimulationError` when numpy is absent."""
         _require_numpy()
+        super().ensure_available()
 
     @classmethod
     def run_lockstep_batch(

@@ -32,7 +32,10 @@ input-pin uid order, and FIFO on one pin (see
 :class:`_CompiledHeapQueue`).  The whole event loop — heap pop,
 gate evaluation, delay model, inertial decision and fan-out — is one
 function (:meth:`CompiledSimulator._advance`), with the inertial
-decision and both delay models inlined on scalars.  The kernel never
+decision and both delay models inlined on scalars; a native twin of
+it (``_kernel.c``, loaded by :mod:`repro.core._native`) runs over the
+same lists whenever it could be built, and this Python loop is its
+fallback and parity reference.  The kernel never
 allocates a ``Transition``: with trace recording on, a surviving
 transition is appended to its net's trace as a plain row (see
 :mod:`repro.core.trace`), and filtered events leave no trace at all.
@@ -73,6 +76,7 @@ from ..errors import (
     StimulusError,
     WaveformError,
 )
+from . import _native
 from .engine import EngineBase, FilteredEventRecord, register_engine
 from .inertial import peak_voltage_time
 from .trace import Row
@@ -531,8 +535,11 @@ class CompiledNetlist:
         (topological) order; every net a listed gate reads that no
         listed gate drives must already hold its steady value.  The
         differential fault simulator (:mod:`repro.faults.differential`)
-        re-solves one fault's fanout cone this way.
+        re-solves one fault's fanout cone this way.  The native twin
+        (:mod:`repro.core._native`) runs instead whenever it was built.
         """
+        if (native := _native.kernel()) is not None:
+            return native.dc_update(self, row, sweep)  # type: ignore[no-any-return]
         tables = self.gate_tables
         for gate, out_net, in_nets in sweep:
             table = tables[gate]
@@ -743,7 +750,7 @@ class CompiledSimulator(EngineBase):
     """
 
     lowers_netlist = True
-    cli_blurb = "array-lowered kernel, the fastest single run"
+    cli_blurb = "array-lowered kernel with a native event loop, the fastest single run"
 
     def __init__(
         self,
@@ -797,6 +804,14 @@ class CompiledSimulator(EngineBase):
         if cn is not self._cn:
             self._bind(cn)
         return cn
+
+    @classmethod
+    def ensure_available(cls) -> None:
+        """Load the native kernel loop (building it on first use) at
+        configuration time: a pool spawns its workers after this call,
+        so forked workers inherit the loaded library instead of each
+        loading it.  The loop is optional; this never raises."""
+        _native.kernel()
 
     @property
     def compiled_netlist(self) -> CompiledNetlist:
@@ -895,7 +910,13 @@ class CompiledSimulator(EngineBase):
         ``finally``, so an exception leaves the engine consistent.  With
         a :class:`KernelRecord` bound (:mod:`repro.faults.differential`)
         the loop's recording arm also keeps what cone runs read.
+
+        The native twin of this loop (:mod:`repro.core._native`) runs
+        instead whenever it could be built; this body is its fallback
+        and parity reference.
         """
+        if (native := _native.kernel()) is not None:
+            return native.advance(self, until, steps, sources)  # type: ignore[no-any-return]
         stats = self.stats
         queue = self.queue
         heap = queue._heap

@@ -412,6 +412,15 @@ class EngineBase(abc.ABC):
 
     def run(self, until: Optional[float] = None) -> SimulationStatistics:
         """Process events (up to and including ``until``; all if None)."""
+        self._run(until)
+        self._after_run()
+        return self.stats
+
+    def _run(self, until: Optional[float]) -> None:
+        """:meth:`run` without the ``_after_run`` hook.  :func:`play`
+        steps through a stimulus with it and lets only its final drain
+        call :meth:`run`, so a backend builds its by-name statistics
+        (``stats.net_toggles``) once per stimulus, not once per step."""
         self._require_ready()
         wall_start = _time.perf_counter()
         self._advance(until, None)
@@ -419,8 +428,6 @@ class EngineBase(abc.ABC):
             self.now = until
         self.traces.horizon = max(self.traces.horizon, self.now)
         self.stats.runtime_seconds += _time.perf_counter() - wall_start
-        self._after_run()
-        return self.stats
 
     def step(self):
         """Execute a single event; returns it (None when queue empty).
@@ -1024,7 +1031,7 @@ def play(
         edges = [(start, False), (start + width, True)]
 
     def fire(at_time: float, restore: bool) -> None:
-        simulator.run(until=at_time)
+        simulator._run(until=at_time)
         if not restore:
             held.append(simulator.value(net.name))
         value = held[0] if restore else 1 - held[0]
@@ -1036,17 +1043,19 @@ def play(
     for at_time, assignments, change_slew in stimulus.iter_changes():
         while edges and edges[0][0] <= at_time:
             fire(*edges.pop(0))
-        simulator.run(until=at_time)
+        simulator._run(until=at_time)
         if apply_stimulus:
             simulator.apply_word(assignments, at_time, change_slew)
     for edge in edges:
         fire(*edge)
     if stamps is not None:
         stamps.append(_time.perf_counter())
-    simulator.run(until=stimulus.horizon + settle)
+    simulator._run(until=stimulus.horizon + settle)
     if stamps is not None:
         stamps.append(_time.perf_counter())
-    simulator.run()  # drain any events scheduled past the horizon
+    # Drain any events scheduled past the horizon; the one run() call,
+    # so the by-name statistics are built once per stimulus.
+    simulator.run()
     if stamps is not None:
         stamps.append(_time.perf_counter())
 

@@ -29,7 +29,7 @@ pool.
 On the compiled-family engines every path runs a mutant on its fault's
 fanout cone only: the engine records the golden run of the base
 stimulus once, on the first chunk that holds at least
-:data:`~repro.faults.differential.MIN_MUTANTS_TO_RECORD` (5) of its
+:data:`~repro.faults.differential.MIN_MUTANTS_TO_RECORD` (8) of its
 mutants, and each mutant re-runs just the fault net's driver and the
 gates downstream of it against that record
 (:mod:`~repro.faults.differential`).  Results, statistics and engine

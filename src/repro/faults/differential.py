@@ -103,11 +103,11 @@ _LOGIC_KINDS = (FaultKind.STUCK_AT_0, FaultKind.STUCK_AT_1, FaultKind.BIT_FLIP)
 #: mutants of one base stimulus a chunk must still hold to record its
 #: golden run: the smallest cold chunk whose cone path costs every
 #: measured circuit at most its full runs (c17 0.99, the multipliers
-#: 0.76-0.87).  Set from the per-cell medians of five runs of
-#: ``tools/fault_break_even.py`` (docs/performance.md): one run's
-#: break-even line moves between 4 and 8.  Fewer would run slower than
-#: their full runs.
-MIN_MUTANTS_TO_RECORD = 5
+#: 0.80-0.97).  Set from the per-cell medians of five runs of
+#: ``tools/fault_break_even.py`` on the native kernel loop
+#: (docs/performance.md); every run's break-even line read 8.  Fewer
+#: would run slower than their full runs.
+MIN_MUTANTS_TO_RECORD = 8
 
 
 class _ConeKernel(CompiledSimulator):
@@ -174,7 +174,7 @@ class RecordingKernel(CompiledSimulator):
 class _Cone:
     """One fault net's fanout cone, with the golden run's share of it."""
 
-    __slots__ = ("sweep", "pins", "heap", "share", "outside_time")
+    __slots__ = ("sweep", "outputs", "pins", "heap", "share", "outside_time")
 
     def __init__(self, golden: RecordingKernel, driver: int):
         cn = golden.compiled_netlist
@@ -195,6 +195,11 @@ class _Cone:
         #: ``(gate, output net, input nets)`` of every cone gate, in
         #: topological order (the ``dc_sweep()`` entries).
         self.sweep = tuple(step for step in golden.sweep if in_cone[step[0]])
+        #: ``(gate, output net, output net name)`` in the same order.
+        self.outputs = tuple(
+            (gate, out_net, cn.net_names[out_net])
+            for gate, out_net, _in_nets in self.sweep
+        )
         cone_net = bytearray(cn.num_nets)
         for _gate, out_net, _in_nets in self.sweep:
             cone_net[out_net] = 1
@@ -436,10 +441,6 @@ class DifferentialRunner:
         )
         if total_executed >= kernel._max_events:
             return None  # the full run raises or ends right at the budget
-        toggles = list(golden._toggles)
-        cone_toggles = kernel._toggles
-        for _gate, out_net, _in_nets in cone.sweep:
-            toggles[out_net] = cone_toggles[out_net]
         result_stats = SimulationStatistics(
             events_executed=total_executed,
             events_scheduled=(
@@ -461,21 +462,15 @@ class DifferentialRunner:
                 base.transitions_fully_degraded - fully
                 + stats.transitions_fully_degraded
             ),
-            # by net id, non-zero counts only, as the full run builds it
-            net_toggles=dict(
-                zip(compress(cn.net_names, toggles), filter(None, toggles))
-            ),
+            net_toggles=_cone_toggles(golden, cone, kernel._toggles),
             runtime_seconds=stats.runtime_seconds,
         )
         # Leave the kernel in the full run's final state: golden values
         # outside the cone, the cone run's inside.
         final_values = golden.final_values.copy()
         final_gate_out = list(golden._gate_out)
-        net_names = cn.net_names
-        for gate, out_net, _in_nets in cone.sweep:
-            final_values[net_names[out_net]] = final_gate_out[gate] = (
-                gate_out[gate]
-            )
+        for gate, _out_net, name in cone.outputs:
+            final_values[name] = final_gate_out[gate] = gate_out[gate]
         kernel.final_values = final_values
         kernel._gate_out = final_gate_out
         kernel._pi = list(golden._pi)
@@ -485,6 +480,32 @@ class DifferentialRunner:
         kernel.now = traces.horizon
         kernel.stats = result_stats
         return finish_run(kernel, faulted, stamps)
+
+
+def _cone_toggles(
+    golden: RecordingKernel, cone: _Cone, cone_toggles: List[int]
+) -> Dict[str, int]:
+    """A cone run's ``net_toggles``: golden's counts outside the cone and
+    the cone run's inside, non-zero counts only, keyed in net-id order
+    as the full run builds it.  Golden's dict is patched rather than
+    rebuilt over every net, unless a cone net that never toggled in the
+    golden run toggles now: its key would land out of order."""
+    golden_toggles = golden._toggles
+    net_toggles = golden.stats.net_toggles.copy()
+    for _gate, out_net, name in cone.outputs:
+        count = cone_toggles[out_net]
+        if golden_toggles[out_net]:
+            if count:
+                net_toggles[name] = count
+            else:
+                del net_toggles[name]
+        elif count:
+            toggles = list(golden_toggles)
+            for _gate, net, _name in cone.outputs:
+                toggles[net] = cone_toggles[net]
+            names = golden.compiled_netlist.net_names
+            return dict(zip(compress(names, toggles), filter(None, toggles)))
+    return net_toggles
 
 
 def differential_runner(engine: EngineBase) -> Optional[DifferentialRunner]:

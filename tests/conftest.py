@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, settings
 
 from repro.circuit import modules
 from repro.circuit.library import default_library
+from repro.core import _native
 from repro.faults.inject import _FINGERPRINT_FIELDS
 
 #: every lowering list a test may patch: the fingerprinted fields and
@@ -44,6 +45,21 @@ def c17():
 @pytest.fixture()
 def chain3():
     return modules.inverter_chain(3)
+
+
+@pytest.fixture(params=["native", "python"], ids=[pytest.HIDDEN_PARAM, "python"])
+def loop(request, monkeypatch):
+    """Run the test once per compiled kernel loop: the native one (the
+    engines' default, so its cases keep their plain ids) and the Python
+    one (ids gain ``python``), its fallback and parity reference.  The
+    native case is skipped only where the loop cannot be built (no C
+    compiler or no Python headers); ``tests/core/test_native_kernel.py``
+    fails where it could have been."""
+    if request.param == "python":
+        monkeypatch.setattr(_native, "_lib", False)
+    elif _native.kernel() is None:
+        pytest.skip("native kernel loop unavailable")
+    return request.param
 
 
 @pytest.fixture()

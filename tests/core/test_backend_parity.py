@@ -5,7 +5,7 @@ both engines must produce bit-identical event counts, statistics, edge
 lists and raw transition streams.  This property is exercised on 50+
 random combinational DAGs (deterministic per seed) under both delay
 modes, plus the paper's multiplier workload and the PEAK_VOLTAGE
-ablation policy.
+ablation policy, on the native kernel loop and on the Python one.
 """
 
 from __future__ import annotations
@@ -22,6 +22,9 @@ from repro.core.engine import make_engine, simulate
 from repro.errors import WaveformError
 from repro.experiments import common
 from repro.stimuli.vectors import VectorSequence
+
+# Every case runs on both compiled kernel loops (tests/conftest.py).
+pytestmark = pytest.mark.usefixtures("loop")
 
 _CELL_CHOICES = [
     ("INV", 1), ("INV_LT", 1), ("INV_HT", 1),

@@ -137,3 +137,38 @@ def test_compiled_pin_stacks_keep_only_live_entries():
     assert result.stats.events_executed > 40 * len(sizes)
     assert sum(sizes) <= 2 * len(sizes)
     assert max(sizes) <= 4
+
+
+def test_net_toggles_are_built_once_per_play(mult4, monkeypatch):
+    """play() steps through a stimulus without the ``_after_run`` hook
+    and lets only its final drain call run(), so the compiled engine
+    builds its by-name ``net_toggles`` once per stimulus; run() and
+    step() still leave it current after every call."""
+    from repro.core.compiled import CompiledSimulator
+    from repro.core.engine import make_engine
+    from repro.stimuli.vectors import PAPER_SEQUENCE_1, multiplication_sequence
+
+    builds = []
+    after_run = CompiledSimulator._after_run
+
+    def counting(self):
+        builds.append(self._toggles_dirty)
+        after_run(self)
+
+    monkeypatch.setattr(CompiledSimulator, "_after_run", counting)
+    stimulus = multiplication_sequence(PAPER_SEQUENCE_1)
+    compiled = simulate(mult4, stimulus, config=ddm_config(), engine_kind="compiled")
+    assert builds == [True]
+    reference = simulate(mult4, stimulus, config=ddm_config(), engine_kind="reference")
+    assert compiled.stats.net_toggles == reference.stats.net_toggles
+
+    engine = make_engine(mult4, config=ddm_config(), engine_kind="compiled")
+    engine.initialize({net.name: 0 for net in mult4.primary_inputs})
+    engine.apply_word({"a0": 1, "b0": 1}, at_time=1.0)
+    engine.step()
+    assert engine.stats.net_toggles == {"a0": 1, "b0": 1}
+    engine.run()
+    names = engine.compiled_netlist.net_names
+    toggled = {names[net]: count for net, count in enumerate(engine._toggles) if count}
+    assert len(toggled) > 2
+    assert engine.stats.net_toggles == toggled

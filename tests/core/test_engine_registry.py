@@ -185,7 +185,7 @@ def test_backends_honor_max_events(engine_kind):
 
 @pytest.mark.parametrize("engine_kind", ["reference", "compiled"])
 def test_event_budget_stops_at_the_budget_and_the_engine_recovers(
-    mult4, engine_kind
+    mult4, engine_kind, loop
 ):
     """An exhausted budget raises the reference engine's message with
     exactly ``max_events`` events executed, and leaves the engine fit for

@@ -17,6 +17,8 @@ Three layers of checks:
   exactly when the lowering changes, a chunk records only when it holds
   enough mutants of one base stimulus, and every fallback gives the
   full run's result or error.
+
+Every case runs on both compiled kernel loops, native and Python.
 """
 
 from __future__ import annotations
@@ -55,6 +57,8 @@ from test_backend_parity import (  # noqa: E402
     random_netlist,
     random_stimulus,
 )
+
+pytestmark = pytest.mark.usefixtures("loop")
 
 _STATS = [
     field.name for field in dataclasses.fields(SimulationStatistics)
@@ -197,6 +201,10 @@ def test_cone_runs_match_full_runs_and_reference(circuit, mode, traced):
         observed = _observed(result)
         full = run_stimulus(full_engine, mutant, settle=settle)
         assert observed == _observed(full), mutant.fault.describe()
+        # compiled runs key net_toggles by net id, a cone run included
+        assert list(result.stats.net_toggles.items()) == list(
+            full.stats.net_toggles.items()
+        ), mutant.fault.describe()
         assert observed == _observed(
             run_stimulus(reference, mutant, settle=settle)
         ), mutant.fault.describe()

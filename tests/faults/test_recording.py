@@ -7,6 +7,7 @@ totals, so every share must sum to the matching
 :class:`~repro.core.stats.SimulationStatistics` counter, and the run
 itself must equal a plain ``compiled`` run.  A count that drifts in one
 arm of the loop fails here before it skews a mutant's statistics.
+Every case runs on both compiled kernel loops, native and Python.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from repro.core.engine import simulate
 from repro.core.stats import SimulationStatistics
 from repro.faults.differential import RecordingKernel
 from repro.stimuli.patterns import random_vectors
+
+pytestmark = pytest.mark.usefixtures("loop")
 
 _STATS = [
     field.name for field in dataclasses.fields(SimulationStatistics)

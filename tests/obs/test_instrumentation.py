@@ -375,7 +375,7 @@ def test_cone_chunk_publishes_what_lone_mutant_runs_publish(
     of the same mutants run one by one."""
     stimulus = _stimulus(mult4, count=3, seed=5)
     faultload = generate_faultload(
-        mult4, 10 * len(DEFAULT_KINDS), seed=3,
+        mult4, 16 * len(DEFAULT_KINDS), seed=3,
         window=(0.0, stimulus.horizon),
     )
     mutants = [FaultedStimulus(stimulus, fault) for fault in faultload.faults]

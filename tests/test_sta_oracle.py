@@ -225,7 +225,7 @@ def _collapse_every_arc(compiled):
 
 
 @pytest.mark.parametrize("kind", COMPILED_KINDS)
-def test_oracle_detects_corrupted_delay_arcs(kind, patched_lowering):
+def test_oracle_detects_corrupted_delay_arcs(kind, patched_lowering, loop):
     netlist = random_netlist(3, num_inputs=3, num_gates=8)
     input_names = [net.name for net in netlist.primary_inputs]
     stimulus = random_stimulus(3, input_names, vectors=3)
