@@ -6,11 +6,12 @@ guards — otherwise users would just simulate twice.  This gate reuses
 the repo's canonical throughput workload (the 6x6 multiplier under 20
 random vectors, as in ``test_backend_speedup.py``) and asserts one
 windows-only ``analyze()`` pass — exactly what ``windows_for()`` runs
-for the oracle — is at least 3.5x faster than one compiled-engine
+for the oracle — is at least 3.8x faster than one compiled-engine
 ``simulate()`` of that workload (10x before the native kernel loop made
-that simulation about 2.8x cheaper; see ``_MIN_SPEEDUP``).  The full CLI-default analysis
-(``k_paths=4`` critical paths) is recorded alongside for the
-trajectory, un-gated.
+that simulation about 2.6x cheaper; see ``_MIN_SPEEDUP``).  The sides
+alternate and are timed in CPU seconds, so a slow phase of a shared
+host hits both alike.  The full CLI-default analysis (``k_paths=4``
+critical paths) is recorded alongside for the trajectory, un-gated.
 """
 
 from __future__ import annotations
@@ -29,11 +30,12 @@ _SEED = 7
 
 #: The acceptance bar: windows-only STA vs one compiled simulation.  It
 #: was 10x against the Python kernel loop; the native loop made this
-#: simulation 2.49-2.99x faster (median 2.84, five runs, CPU time), so
-#: the same absolute demand on STA is 10x / 2.84, about 3.5x: measured
-#: 2.8-5.5x (median 4.4) against native runs, 8.4-13.6x against the
-#: Python loop's, five runs.
-_MIN_SPEEDUP = 3.5
+#: simulation 1.82-3.06x faster (median 2.60; ten runs of both loops
+#: and STA interleaved, CPU time, best of 9 each), so the same absolute
+#: demand on STA is 10x / 2.60, about 3.8x: the same runs measured
+#: 4.2-4.9x (median 4.6) against native runs and 11.3-14.0x (median
+#: 12.1) against the Python loop's (2-vCPU x86-64 VM, CPython 3.11).
+_MIN_SPEEDUP = 3.8
 
 
 def _workload():
@@ -47,12 +49,15 @@ def _workload():
     return netlist, stimulus
 
 
-def _best_s(fn, repeats: int = 3) -> float:
-    best = float("inf")
+def _best_cpu_s(fns, repeats: int = 9) -> list:
+    """Best CPU seconds of each of ``fns``, called in turn ``repeats``
+    times, so a slow phase of a shared host hits them all alike."""
+    best = [float("inf")] * len(fns)
     for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
+        for index, fn in enumerate(fns):
+            start = time.process_time()
+            fn()
+            best[index] = min(best[index], time.process_time() - start)
     return best
 
 
@@ -73,7 +78,7 @@ def test_sta_analysis_throughput(benchmark, bench_record):
 
 
 def test_sta_beats_one_compiled_simulation(benchmark, bench_record):
-    """The gate: windows-only STA >= 3.5x faster than one simulation."""
+    """The gate: windows-only STA >= 3.8x faster than one simulation."""
     netlist, stimulus = _workload()
     config = ddm_config(record_traces=False)
     netlist.compile()
@@ -87,15 +92,13 @@ def test_sta_beats_one_compiled_simulation(benchmark, bench_record):
         # advantage is real.
         best = (0.0, (float("inf"), float("inf"), float("inf")))
         for _attempt in range(3):
-            simulation = _best_s(
+            simulation, windows_only, full = _best_cpu_s((
                 lambda: simulate(
                     netlist, stimulus, config=config, engine_kind="compiled"
-                )
-            )
-            windows_only = _best_s(
-                lambda: analyze(netlist, config, k_paths=0)
-            )
-            full = _best_s(lambda: analyze(netlist, config, k_paths=4))
+                ),
+                lambda: analyze(netlist, config, k_paths=0),
+                lambda: analyze(netlist, config, k_paths=4),
+            ))
             speedup = simulation / windows_only
             if speedup > best[0]:
                 best = (speedup, (simulation, windows_only, full))

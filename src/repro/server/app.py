@@ -42,7 +42,7 @@ from typing import Dict, List, Optional, Sequence, Set
 
 from .. import __version__
 from ..config import SimulationConfig
-from ..core.engine import SimulationResult
+from ..core.engine import SimulationResult, resolve_engine_class
 from ..errors import (
     ParseError,
     ReproError,
@@ -181,6 +181,10 @@ class SimulationServer:
     ):
         self.config = config if config is not None else SimulationConfig()
         self.config.validate()
+        # A register frame names the compiled engine by default: load its
+        # native kernel loop now (building it on first use), before the
+        # server takes frames, so no registration waits for that build.
+        resolve_engine_class("compiled").ensure_available()
         self.host = host if host is not None else self.config.server_host
         self.port = port if port is not None else self.config.server_port
         self.registry = NetlistRegistry(

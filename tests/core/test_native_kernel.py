@@ -16,7 +16,10 @@ from __future__ import annotations
 
 import logging
 import os
+import shutil
+import stat
 import sysconfig
+import tempfile
 
 import pytest
 
@@ -101,6 +104,98 @@ def test_an_edited_source_changes_the_cache_name():
     assert name != _native.cache_name(source + b"\n", "gcc 12")
     assert name != _native.cache_name(source, "gcc 13")
     assert name.endswith(sysconfig.get_config_var("EXT_SUFFIX"))
+
+
+def _warnings_of(fn):
+    """``fn()`` and the warnings it logs on the ``repro`` logger."""
+    records = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = records.append  # type: ignore[method-assign]
+    logger = logging.getLogger("repro")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.WARNING)
+    try:
+        return fn(), [record.getMessage() for record in records]
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
+@pytest.fixture()
+def private_cache(tmp_path, monkeypatch):
+    """An unwritable package ``__pycache__`` (it cannot be created under
+    a regular file), so the loader turns to its private directory under
+    a fresh temporary directory.  Returns that directory's path and the
+    path of a working library, built in the real package cache."""
+    if not _native_buildable():
+        pytest.skip("no C compiler or no Python headers here")
+    library = _native.kernel().__file__
+    blocker = tmp_path / "package"
+    blocker.write_text("")
+    monkeypatch.setattr(_native, "_PYCACHE", str(blocker / "__pycache__"))
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setattr(_native, "_lib", None)
+    return tmp_path / ("repro-kernel-%d" % os.getuid()), library
+
+
+def test_an_unwritable_package_cache_builds_in_a_private_directory(
+    private_cache,
+):
+    directory, _library = private_cache
+    umask = os.umask(0o002)  # the linker would leave a group-writable file
+    try:
+        module, warnings = _warnings_of(_native.kernel)
+    finally:
+        os.umask(umask)
+    assert warnings == []
+    assert module is not None
+    assert os.path.dirname(module.__file__) == str(directory)
+    assert stat.S_IMODE(directory.stat().st_mode) == 0o700
+    assert stat.S_IMODE(os.stat(module.__file__).st_mode) == 0o755
+
+
+def _plant_group_writable(directory, path):
+    os.chmod(path, 0o775)
+
+
+def _plant_foreign_owned(directory, path):
+    if os.getuid() != 0:
+        pytest.skip("giving a file to another user needs root")
+    os.chown(path, os.getuid() + 1, -1)
+
+
+def _plant_in_a_world_writable_directory(directory, path):
+    os.chmod(directory, 0o777)
+
+
+def _plant_through_a_symlinked_directory(directory, path):
+    target = directory.with_name("elsewhere")
+    directory.rename(target)
+    directory.symlink_to(target)
+
+
+@pytest.mark.parametrize("plant", [
+    _plant_group_writable, _plant_foreign_owned,
+    _plant_in_a_world_writable_directory,
+    _plant_through_a_symlinked_directory,
+], ids=lambda plant: plant.__name__[len("_plant_"):])
+def test_a_library_planted_in_the_private_directory_is_not_loaded(
+    private_cache, plant
+):
+    """A working library that someone else could have written is
+    refused: the engines run the Python loop and say why, once."""
+    directory, library = private_cache
+    directory.mkdir(mode=0o700)
+    planted = directory / _native._library_name()
+    shutil.copyfile(library, planted)
+    os.chmod(planted, 0o755)
+    plant(directory, planted)
+
+    module, warnings = _warnings_of(_native.kernel)
+    assert module is None and _native._lib is False
+    assert len(warnings) == 1
+    assert "is not private to this user" in warnings[0]
 
 
 def test_an_unusable_compiler_gives_the_python_loop_and_one_warning(
