@@ -10,7 +10,7 @@ per-lane event timing follows the word-level CDM contract documented in
 
 This gate drives the wide-activity workload the engine exists for — a
 256-lane multiplier batch — and enforces its speed bar: the word kernel
-must beat N sequential compiled runs by >= 7.4x
+must beat N sequential compiled runs by >= 6.7x
 (``_MIN_VS_SEQUENTIAL``).  The per-gate word-op counts land in the
 benchmark JSON so a lowering regression (a gate falling off the word
 program path) is visible in the trajectory, not just as a slower
@@ -50,9 +50,14 @@ _SEED = 19
 #: earlier five block-timed runs gave (median 1.62).  The same ten runs
 #: measured the word kernel at 5.4-9.9x (median 8.1) against native
 #: sequential runs and 11.9-15.0x (median 13.5) against the Python
-#: loop's (2-vCPU x86-64 VM, CPython 3.11).  Whether the word kernel
-#: keeps its place is ROADMAP item 12's decision.
-_MIN_VS_SEQUENTIAL = 7.4
+#: loop's (2-vCPU x86-64 VM, CPython 3.11).  Results kept as rows by
+#: net id then made each sequential run's result build cheaper, 1.11x
+#: faster runs in the median (0.94-1.36x; ten runs of the old and new
+#: code interleaved, CPU time, best of 9 each, with the word kernel
+#: unchanged at 0.89-1.04x of its old CPU), so the same absolute demand
+#: is 7.4x / 1.11, rounded up to 6.7x.  Whether the word kernel keeps
+#: its place is ROADMAP item 12's decision.
+_MIN_VS_SEQUENTIAL = 6.7
 
 
 def _workload():
@@ -112,7 +117,7 @@ def test_bitparallel_batch_throughput(benchmark, bench_record):
 
 
 def test_bitparallel_beats_vector_and_sequential(benchmark, bench_record):
-    """The speed bar: one 256-lane word-kernel batch must run >= 7.4x
+    """The speed bar: one 256-lane word-kernel batch must run >= 6.7x
     faster than 256 sequential compiled runs of the same stimuli.  (The
     name predates the retirement of the >= 10x bar against the deleted
     vector lockstep kernel.)"""

@@ -10,10 +10,12 @@ fault patches to the lowering are seen live.
 
 :func:`kernel` builds the extension on first use with the system C
 compiler and caches it under a name that hashes the source, the
-compiler version, the interpreter's extension suffix and the flags:
-in the package ``__pycache__``, or, when that is not writable, in a
-directory of the temporary directory private to the user
-(``repro-kernel-<uid>``, mode 0700).  A library is loaded from that
+compiler binary's ``stat`` (so a cached load starts no process), the
+interpreter's extension suffix and the flags: in the package
+``__pycache__``, or, when that is not writable, in a directory of the
+temporary directory private to the user (``repro-kernel-<uid>``, mode
+0700).  A build removes what older builds left there for the same
+interpreter.  A library is loaded from that
 private directory only while the directory and the file belong to the
 user and no one else can write to them, so another local user cannot
 plant a library there.  The library is written under a temporary name
@@ -25,6 +27,8 @@ the Python loop, which stays the fallback and the parity reference.
 
 from __future__ import annotations
 
+import contextlib
+import glob
 import hashlib
 import importlib.machinery
 import importlib.util
@@ -48,6 +52,7 @@ _FLAGS = ("-O2", "-ffp-contract=off", "-fno-strict-aliasing", "-fPIC", "-shared"
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
 _PYCACHE = os.path.join(os.path.dirname(_SOURCE), "__pycache__")
 _MODULE = "repro.core._kernel"
+_SUFFIX = importlib.machinery.EXTENSION_SUFFIXES[0]  # EXT_SUFFIX
 
 #: None until :func:`kernel` first runs, then the loaded module, or
 #: False when it could not be built or loaded.
@@ -63,26 +68,24 @@ def kernel() -> Optional[ModuleType]:
     return _lib or None
 
 
-def cache_name(source: bytes, compiler_version: str) -> str:
+def cache_name(source: bytes, compiler: str) -> str:
     """File name of the library built from ``source`` by the compiler
-    that reports ``compiler_version``."""
-    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]  # EXT_SUFFIX
+    ``compiler`` identifies."""
     digest = hashlib.sha256()
-    for part in (source, compiler_version.encode(), suffix.encode(),
+    for part in (source, compiler.encode(), _SUFFIX.encode(),
                  " ".join(_FLAGS).encode()):
         digest.update(part)
         digest.update(b"\0")
-    return "_kernel-%s%s" % (digest.hexdigest()[:16], suffix)
+    return "_kernel-%s%s" % (digest.hexdigest()[:16], _SUFFIX)
 
 
 def _library_name() -> str:
     """File name of the library the current source and compiler build."""
     with open(_SOURCE, "rb") as handle:
         source = handle.read()
-    version = subprocess.run(
-        [_COMPILER, "--version"], capture_output=True, text=True, check=True
-    ).stdout
-    return cache_name(source, version)
+    info = os.stat(_COMPILER)  # of the binary a symlink resolves to
+    compiler = (info.st_dev, info.st_ino, info.st_size, info.st_mtime_ns)
+    return cache_name(source, "%d %d %d %d" % compiler)
 
 
 def _cache_dir() -> str:
@@ -146,7 +149,22 @@ def _build() -> str:
     finally:
         if os.path.exists(partial):
             os.unlink(partial)
+    _prune(directory, name)
     return path
+
+
+def _prune(directory: str, keep: str) -> None:
+    """Remove the libraries other sources or compilers built for this
+    interpreter from ``directory``, all but ``keep``; in the private
+    directory only files this user owns."""
+    pattern = os.path.join(glob.escape(directory), "_kernel-*" + _SUFFIX)
+    for path in glob.glob(pattern):
+        # Gone already, or not ours to remove: leave it.
+        with contextlib.suppress(OSError):
+            if os.path.basename(path) != keep and (
+                directory == _PYCACHE or os.lstat(path).st_uid == os.getuid()
+            ):
+                os.unlink(path)
 
 
 def _load() -> Optional[ModuleType]:

@@ -95,8 +95,9 @@ class BatchResult:
         """Counters summed over every vector of the batch.
 
         Aggregation iterates the dataclass fields, so counters added to
-        :class:`SimulationStatistics` later are summed automatically
-        (numeric fields add, dict fields merge per key).
+        :class:`SimulationStatistics` later are summed automatically;
+        ``net_toggles`` (rows, or the bit-parallel engine's lane dicts)
+        sums per net as :meth:`activity_summary` does.
         ``runtime_seconds`` is the summed in-kernel time; compare with
         ``wall_seconds`` for the batching/worker overhead.
         """
@@ -104,15 +105,10 @@ class BatchResult:
         fields = dataclasses.fields(SimulationStatistics)
         for result in self.results:
             for field in fields:
-                value = getattr(result.stats, field.name)
-                if isinstance(value, dict):
-                    merged = getattr(total, field.name)
-                    for key, count in value.items():
-                        merged[key] = merged.get(key, 0) + count
-                else:
-                    setattr(
-                        total, field.name, getattr(total, field.name) + value
-                    )
+                if field.name != "net_toggles":
+                    setattr(total, field.name, getattr(total, field.name)
+                            + getattr(result.stats, field.name))
+        total.net_toggles = self.activity_summary().per_net
         return total
 
     def per_vector_seconds(self) -> List[float]:

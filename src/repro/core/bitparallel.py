@@ -456,8 +456,8 @@ class _LaneStatistics(SimulationStatistics):
     ``net_toggles`` materialises from a :class:`_LaneToggleView`; the
     six event/transition counters from a :class:`_LaneCountsView`.
     Behaves exactly like the base dataclass otherwise: an explicit
-    assignment (or :meth:`reset`) sticks, ``count_toggle`` mutates a
-    private per-lane copy, and pickling carries the snapshot views.
+    assignment (or :meth:`reset`) sticks, each lane's ``net_toggles``
+    is a private dict, and pickling carries the snapshot views.
     """
 
     def __init__(self, counts_view: _LaneCountsView,
@@ -1082,11 +1082,10 @@ class _WordLockstepDriver:
         self.trace_sets = [TraceSet(vdd) for _ in range(lanes)]
         if self.config.record_traces:
             # Traces are created in netlist order, like a single run's.
-            order = [net.index for net in netlist.nets.values()]
             for lane in range(lanes):
                 trace_set = self.trace_sets[lane]
                 traces = [None] * len(names)
-                for index in order:
+                for index in kernel.compiled.layout.ids:
                     traces[index] = trace_set.create(
                         names[index], (masks[index] >> lane) & 1
                     )

@@ -79,6 +79,7 @@ from ..errors import (
 from . import _native
 from .engine import EngineBase, FilteredEventRecord, register_engine
 from .inertial import peak_voltage_time
+from .rows import NetValues, ResultLayout
 from .trace import Row
 from .transition import Transition
 
@@ -142,9 +143,7 @@ class CompiledNetlist:
         "_dc_template",
         "_gate_plan",
         "_dc_sweep",
-        "_key_ids",
-        "_key_names",
-        "_key_index",
+        "layout",
         "_undriven",
     )
 
@@ -276,10 +275,8 @@ class CompiledNetlist:
         self._dc_sweep: Union[
             None, Tuple[()], List[Tuple[int, int, Tuple[int, ...]]]
         ] = None
-        # Result dicts keep ``netlist.nets`` key order (not index order).
-        self._key_ids: List[int] = [net.index for net in netlist.nets.values()]
-        self._key_names: List[str] = list(netlist.nets)
-        self._key_index: Optional[Dict[str, int]] = None
+        #: result rows' names in ``netlist.nets`` key order (not id order)
+        self.layout = ResultLayout(netlist)
         #: first net in key order with no driver, input or constant
         #: value: reading every value must fail on it
         undriven = [net.name for net in netlist.nets.values() if net.driver is None
@@ -299,7 +296,6 @@ class CompiledNetlist:
         """
         state = {slot: getattr(self, slot) for slot in self.__slots__}
         state["netlist"] = None
-        state["_key_index"] = None
         return state
 
     def __setstate__(self, state: Dict[str, object]) -> None:
@@ -555,35 +551,6 @@ class CompiledNetlist:
                 row[out_net] = self._gate_value(gate, row, in_nets)
         return row
 
-    def named_values(self, row: Sequence[int]) -> Dict[str, int]:
-        """``{net name: row[net id]}`` in ``netlist.nets`` key order.
-
-        ``row`` must hold every net's committed value (entries of undriven
-        nets are ignored).  Raises :class:`SimulationError` naming the
-        first undriven net, as reading each net's value would.
-        """
-        return dict(zip(self._key_names, self.key_row(row)))
-
-    def trace_layout(
-        self, row: Sequence[int]
-    ) -> Tuple[List[str], List[int], Dict[str, int]]:
-        """``(names, key_row(row), name -> position)``: the layout of a
-        run's traces, in ``netlist.nets`` key order.  ``names`` and the
-        index are built once and shared by every run."""
-        values = self.key_row(row)
-        if self._key_index is None:
-            self._key_index = {
-                name: slot for slot, name in enumerate(self._key_names)
-            }
-        return self._key_names, values, self._key_index
-
-    def key_row(self, row: Sequence[int]) -> List[int]:
-        """``row`` (indexed by net id) reordered to ``netlist.nets`` key
-        order, with :meth:`named_values`'s undriven-net check."""
-        if self._undriven is not None:
-            raise SimulationError("net %r has no driver" % self._undriven)
-        return [row[net] for net in self._key_ids]
-
     def arc_delay_bounds(
         self, uid: int, slew_min: float, slew_max: float
     ) -> Tuple[float, float, float, float]:
@@ -777,8 +744,6 @@ class CompiledSimulator(EngineBase):
         self._gate_last: List[Optional[float]] = []
         self._stacks: List[List[list]] = []
         self._pi: List[int] = []
-        self._toggles: List[int] = []
-        self._toggles_dirty = False
         self._trace_appenders: Optional[List] = None
         #: what the kernel loop's recording arm fills; None for plain runs
         self._record: Optional[KernelRecord] = None
@@ -786,6 +751,7 @@ class CompiledSimulator(EngineBase):
     def _bind(self, cn: CompiledNetlist) -> None:
         """Run on the lowering ``cn`` from now on."""
         self._cn = cn
+        self._layout = cn.layout
         #: the differential fault simulator over this engine (see
         #: :mod:`repro.faults.differential`), built by the first chunk
         #: that holds faulted stimuli and kept with its golden record.
@@ -838,14 +804,6 @@ class CompiledSimulator(EngineBase):
         # Only the primary-input entries of the DC row are read (and
         # committed to) from here on.
         self._pi = dc
-        self._toggles = [0] * cn.num_nets
-        self._toggles_dirty = False
-
-    def _trace_layout(
-        self,
-    ) -> Tuple[List[str], List[int], Optional[Dict[str, int]]]:
-        # Right after DC init the primary-input row is the whole DC row.
-        return self._cn.trace_layout(self._pi)
 
     def _after_initialize(self) -> None:
         if self.config.record_traces:
@@ -854,7 +812,7 @@ class CompiledSimulator(EngineBase):
             appenders: List[Optional[Callable[[Row], None]]] = (
                 [None] * self._cn.num_nets
             )
-            for rows, net in zip(self.traces.row_lists(), self._cn._key_ids):
+            for rows, net in zip(self.traces.row_lists(), self._layout.ids):
                 appenders[net] = rows.append
             self._trace_appenders = appenders
         else:
@@ -869,25 +827,6 @@ class CompiledSimulator(EngineBase):
 
     def _commit_pi_value(self, net: Net, value: int) -> None:
         self._pi[net.index] = value
-
-    def _count_toggle(self, net: Net) -> None:
-        self._toggles[net.index] += 1
-        self._toggles_dirty = True
-
-    def _after_run(self) -> None:
-        # Materialise the per-net-id toggle counters into the by-name
-        # dict of SimulationStatistics (the hot loop only touches ints).
-        # The dirty flag keeps step()-driven loops from paying an
-        # O(nets) rebuild on events that toggled nothing.
-        if not self._toggles_dirty:
-            return
-        self._toggles_dirty = False
-        names = self._cn.net_names
-        self.stats.net_toggles = {
-            names[index]: count
-            for index, count in enumerate(self._toggles)
-            if count
-        }
 
     # ------------------------------------------------------------------
     # the kernel loop
@@ -1200,14 +1139,16 @@ class CompiledSimulator(EngineBase):
             raise SimulationError("net %r has no driver" % net_name)
         return self._gate_out[driver]
 
-    def values(self) -> Dict[str, int]:
+    def values(self) -> NetValues:
         """Committed logic values of every net (``netlist.nets`` order)."""
         self._require_ready()
+        cn = self._cn
+        if cn._undriven is not None:
+            raise SimulationError("net %r has no driver" % cn._undriven)
         row = list(self._pi)
-        gate_out = self._gate_out
-        for gate, net in enumerate(self._cn.gate_output_net):
-            row[net] = gate_out[gate]
-        return self._cn.named_values(row)
+        for net, value in zip(cn.gate_output_net, self._gate_out):
+            row[net] = value
+        return NetValues(self._layout, row)
 
 
 @register_engine("vector")

@@ -74,6 +74,7 @@ from .ddm import DegradationDelayModel
 from .delay_model import DelayModel, DelayRequest
 from .event_queue import BinaryHeapQueue
 from .events import Event
+from .rows import NetCounts, NetValues, ResultLayout
 from .state import KernelState, build_state
 from .stats import SimulationStatistics
 from .trace import TraceSet
@@ -196,6 +197,10 @@ class EngineBase(abc.ABC):
     #: registered backend appears in both with no CLI edit.
     cli_blurb: str = ""
 
+    #: the netlist's result layout, set by the backend by the time
+    #: ``initialize()`` has built its state.
+    _layout: ResultLayout
+
     @classmethod
     def ensure_available(cls) -> None:
         """Raise :class:`SimulationError` when the backend's optional
@@ -222,6 +227,9 @@ class EngineBase(abc.ABC):
         self.now = 0.0
         self._seq = 0
         self._ready = False
+        #: the run's toggle counters by net id
+        self._toggles: List[int] = []
+        self._toggles_dirty = False
         #: the open chunk's tally (:func:`chunk_tally`); None publishes
         #: each run's metrics on its own.
         self.tally: Optional[RunTally] = None
@@ -264,10 +272,17 @@ class EngineBase(abc.ABC):
     def _count_toggle(self, net: Net) -> None:
         """Record one emitted/source transition on ``net`` for the
         switching-activity statistics."""
-        self.stats.count_toggle(net.name)
+        self._toggles[net.index] += 1
+        self._toggles_dirty = True
 
     def _after_run(self) -> None:
-        """Backend hook invoked after every ``run()``/``step()``."""
+        """Invoked after every ``run()``/``step()``: a snapshot of the
+        toggle counters becomes ``stats.net_toggles``.  The dirty flag
+        keeps step()-driven loops from copying the row on events that
+        toggled nothing."""
+        if self._toggles_dirty:
+            self._toggles_dirty = False
+            self.stats.net_toggles = NetCounts(self._layout, self._toggles[:])
 
     # -- lifecycle -----------------------------------------------------
 
@@ -284,6 +299,8 @@ class EngineBase(abc.ABC):
         :mod:`repro.circuit.evaluate`).
         """
         self._build_state(dict(input_values), dict(seed) if seed else None)
+        self._toggles = [0] * len(self._layout.ids)
+        self._toggles_dirty = False
         self.queue.clear()
         self.stats.reset()
         self.filtered_log = []
@@ -291,26 +308,17 @@ class EngineBase(abc.ABC):
         self._seq = 0
         self._ready = True
         if self.config.record_traces:
-            names, initial, index = self._trace_layout()
+            # Traces follow the result layout, which every run shares;
+            # each starts at its net's DC value.
+            row = self.values().row
+            layout = self._layout
             self.traces = TraceSet.from_rows(
-                self.vdd, names, initial, index=index
+                self.vdd, layout.names, list(map(row.__getitem__, layout.ids)),
+                index=layout.index,
             )
         else:
             self.traces = TraceSet(self.vdd)
         self._after_initialize()
-
-    def _trace_layout(
-        self,
-    ) -> Tuple[List[str], List[int], Optional[Dict[str, int]]]:
-        """``(names, dc_row, index)`` of the traces a run records.
-
-        Names are in ``netlist.nets`` order and ``dc_row`` holds each
-        net's committed value right after DC initialisation.  ``index``
-        (name -> position) may be None; a backend that caches its layout
-        returns the same ``names``/``index`` objects every run.
-        """
-        values = self.values()
-        return list(values), list(values.values()), None
 
     def _after_initialize(self) -> None:
         """Backend hook invoked once traces exist (bind fast paths)."""
@@ -419,8 +427,8 @@ class EngineBase(abc.ABC):
     def _run(self, until: Optional[float]) -> None:
         """:meth:`run` without the ``_after_run`` hook.  :func:`play`
         steps through a stimulus with it and lets only its final drain
-        call :meth:`run`, so a backend builds its by-name statistics
-        (``stats.net_toggles``) once per stimulus, not once per step."""
+        call :meth:`run`, so the toggle row (``stats.net_toggles``) is
+        copied once per stimulus, not once per step."""
         self._require_ready()
         wall_start = _time.perf_counter()
         self._advance(until, None)
@@ -449,9 +457,14 @@ class EngineBase(abc.ABC):
     def value(self, net_name: str) -> int:
         """Committed logic value of a net at the current time."""
 
-    def values(self) -> Dict[str, int]:
-        """Committed logic values of every net."""
-        return {name: self.value(name) for name in self.netlist.nets}
+    def values(self) -> NetValues:
+        """Committed logic values of every net (``netlist.nets`` order)."""
+        self._require_ready()
+        layout = self._layout
+        row = [0] * len(layout.ids)
+        for name, net in zip(layout.names, layout.ids):
+            row[net] = self.value(name)
+        return NetValues(layout, row)
 
     def word(self, prefix: str, width: int) -> int:
         """Integer value of output bus ``prefix0..prefix{w-1}``."""
@@ -506,12 +519,12 @@ class HalotisSimulator(EngineBase):
         self._state: Optional[KernelState] = None
 
     def _sync_loads(self) -> None:
-        """Per-input threshold fractions and per-net capacitive loads
-        (both invariant during a run), rebuilt whenever the netlist's
-        structure version has moved since they were built — a
-        structural edit, or ``Netlist.invalidate_lowering()`` after a
-        direct ``wire_cap``/``vt`` edit — as the compiled engine rebinds
-        to a replaced lowering."""
+        """Per-input threshold fractions, per-net capacitive loads and
+        the result layout (all invariant during a run), rebuilt whenever
+        the netlist's structure version has moved since they were built
+        — a structural edit, or ``Netlist.invalidate_lowering()`` after
+        a direct ``wire_cap``/``vt`` edit — as the compiled engine
+        rebinds to a replaced lowering."""
         version = self.netlist._structure_version
         if version == self._loads_version:
             return
@@ -522,6 +535,7 @@ class HalotisSimulator(EngineBase):
         self._net_load = {
             net.name: net.load() for net in self.netlist.nets.values()
         }
+        self._layout = ResultLayout(self.netlist)
         self._loads_version = version
 
     # ------------------------------------------------------------------
@@ -620,7 +634,7 @@ class HalotisSimulator(EngineBase):
         )
         gate_state.last_output_t50 = transition.t50
         self.stats.transitions_emitted += 1
-        self.stats.count_toggle(gate.output.name)
+        self._count_toggle(gate.output)
         if result.degradation_factor < 1.0:
             self.stats.transitions_degraded += 1
         if result.fully_degraded:
@@ -726,7 +740,7 @@ class SimulationResult:
 
     traces: TraceSet
     stats: SimulationStatistics
-    final_values: Dict[str, int]
+    final_values: Mapping[str, int]
     simulator: Optional[EngineBase]
     #: the run's clock stamps (:func:`run_stamps`), set by
     #: :func:`finish_run` when the run published metrics
@@ -1054,7 +1068,7 @@ def play(
     if stamps is not None:
         stamps.append(_time.perf_counter())
     # Drain any events scheduled past the horizon; the one run() call,
-    # so the by-name statistics are built once per stimulus.
+    # so the toggle row is copied once per stimulus.
     simulator.run()
     if stamps is not None:
         stamps.append(_time.perf_counter())

@@ -3,17 +3,18 @@
 Process-sharded simulation has to move every result back to the parent
 process.  Pickling a whole :class:`~repro.core.engine.SimulationResult`
 works everywhere, but it pickles one Python object per transition, the
-full statistics dataclass and a name-keyed dict of final values per
-vector.  A worker instead sends each result as a *record* plus a block
-of packed trace bytes:
+full statistics dataclass and the result layout.  A worker instead
+sends each result as a *record* plus a block of packed trace bytes:
 
-* the record is a plain tuple ``(stats, values, trace_names, initial,
-  vdd, horizon, nbytes)`` — ``stats`` holds the
-  :class:`~repro.core.stats.SimulationStatistics` fields in declaration
-  order (``net_toggles`` included); ``values`` is one ``bytes`` row of
-  final values in ``netlist.nets`` order; ``trace_names`` is None when
-  the traces follow that order too; ``initial`` is a ``bytes`` row of
-  the traces' initial values; ``nbytes`` is the trace block's length;
+* the record is a plain tuple ``(counts, toggles, values, trace_names,
+  initial, vdd, horizon, nbytes)`` — ``counts`` holds the
+  :class:`~repro.core.stats.SimulationStatistics` fields but
+  ``net_toggles`` in declaration order; ``toggles`` and ``values`` are
+  the result's toggle-count and final-value rows by net id
+  (:mod:`repro.core.rows`), as they are; ``trace_names`` is None when
+  the traces follow ``netlist.nets`` order; ``initial`` is a ``bytes``
+  row of the traces' initial values; ``nbytes`` is the trace block's
+  length;
 * the trace block holds one fixed-width little-endian record per
   transition,
 
@@ -22,10 +23,9 @@ of packed trace bytes:
   (40 bytes); a chunk's blocks travel back to back in the worker's
   result message.
 
-The parent rebuilds the final values with the same key order from the
-:class:`ResultLayout` both sides derive from the netlist.  A result
-whose final values do not follow the netlist order ships its dict as
-is.
+The parent wraps the two rows with its own
+:class:`~repro.core.rows.ResultLayout`, derived from the same netlist
+as the worker's, so no name crosses per vector.
 
 Packing reads the traces' rows and unpacking rebuilds rows, so neither
 side builds a :class:`~repro.core.transition.Transition` nobody reads.
@@ -41,10 +41,10 @@ import dataclasses
 import math
 import operator
 import struct
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
-from ..circuit.netlist import Netlist
 from .engine import SimulationResult
+from .rows import NetCounts, NetValues, ResultLayout
 from .stats import SimulationStatistics
 from .trace import Row, TraceSet
 
@@ -57,28 +57,17 @@ RECORD = struct.Struct("<ii4d")
 _FLAG_RISING = 1
 _FLAG_HAS_CAUSE = 2
 
-#: Every statistics field, in the order ``SimulationStatistics`` takes
-#: them positionally.
-_read_stats = operator.attrgetter(
-    *(field.name for field in dataclasses.fields(SimulationStatistics))
+_FIELDS = [field.name for field in dataclasses.fields(SimulationStatistics)]
+#: ``net_toggles``' position among the fields ``SimulationStatistics``
+#: takes positionally; every other field crosses in ``counts``.
+_TOGGLES = _FIELDS.index("net_toggles")
+_read_counts = operator.attrgetter(
+    *_FIELDS[:_TOGGLES], *_FIELDS[_TOGGLES + 1:]
 )
 
-#: ``(stats, values, trace_names, initial, vdd, horizon, nbytes)``.
+#: ``(counts, toggles, values, trace_names, initial, vdd, horizon,
+#: nbytes)``.
 ResultRecord = Tuple[object, ...]
-
-
-class ResultLayout:
-    """The net order a worker and its parent both derive from the
-    netlist: final values and traces in this order cross as bare rows."""
-
-    __slots__ = ("names", "index")
-
-    def __init__(self, netlist: Netlist):
-        #: shared by every rebuilt trace set, never mutated.
-        self.names: List[str] = list(netlist.nets)
-        self.index: Dict[str, int] = {
-            name: slot for slot, name in enumerate(self.names)
-        }
 
 
 def pack_result(
@@ -101,17 +90,13 @@ def pack_result(
                 cause = math.nan
             chunks.append(pack(net_id, flags, t50, duration, factor, cause))
     payload = b"".join(chunks)
-    final_values = result.final_values
-    names = layout.names
-    values = (
-        bytes(final_values.values()) if list(final_values) == names
-        else final_values
-    )
+    stats = result.stats
     trace_names = traces.names()
     record = (
-        _read_stats(result.stats),
-        values,
-        None if trace_names == names else trace_names,
+        _read_counts(stats),
+        layout.row(stats.net_toggles),
+        layout.row(result.final_values),
+        None if trace_names == layout.names else trace_names,
         bytes(traces.initial_values()),
         traces.vdd,
         traces.horizon,
@@ -129,7 +114,8 @@ def unpack_result(
     ``nbytes`` bytes of packed transitions.  Traces come back in original name
     order with their transitions in original emission order.
     """
-    stats, values, trace_names, initial, vdd, horizon, nbytes = record
+    (counts, toggles, values, trace_names, initial, vdd, horizon,
+     nbytes) = record
     if trace_names is None:
         names, index = layout.names, layout.index
     else:
@@ -156,11 +142,12 @@ def unpack_result(
     traces.horizon = horizon  # type: ignore[assignment]
     return SimulationResult(
         traces=traces,
-        stats=SimulationStatistics(*stats),  # type: ignore[misc]
-        final_values=(
-            dict(zip(layout.names, values))  # type: ignore[arg-type]
-            if isinstance(values, bytes) else values
+        stats=SimulationStatistics(
+            *counts[:_TOGGLES],  # type: ignore[index]
+            NetCounts(layout, toggles),  # type: ignore[arg-type]
+            *counts[_TOGGLES:],  # type: ignore[index]
         ),
+        final_values=NetValues(layout, values),  # type: ignore[arg-type]
         simulator=None,
     )
 

@@ -59,7 +59,8 @@ from ..obs.log import get_logger
 from ..obs.registry import MetricsRegistry, get_registry
 from .batch import BatchResult, _publish_batch_metrics, even_chunk, run_chunk
 from .engine import SimulationResult, make_engine, resolve_engine_class
-from .result_record import ResultLayout, pack_result, unpack_chunk
+from .result_record import pack_result, unpack_chunk
+from .rows import ResultLayout
 
 #: Parent-side poll interval while waiting for results; short enough to
 #: notice a dead worker promptly, long enough not to spin.

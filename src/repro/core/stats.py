@@ -15,7 +15,7 @@ events*.  We count:
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict
+from typing import Mapping
 
 from ..errors import AnalysisError
 
@@ -42,13 +42,11 @@ class SimulationStatistics:
     transitions_degraded: int = 0
     #: transitions emitted at the minimum delay because eq. 1 gave tp <= 0.
     transitions_fully_degraded: int = 0
-    #: per-net emitted-transition counts (switching activity).
-    net_toggles: Dict[str, int] = dataclasses.field(default_factory=dict)
+    #: per-net emitted-transition counts (switching activity), zero
+    #: counts absent; a :class:`~repro.core.rows.NetCounts` after a run.
+    net_toggles: Mapping[str, int] = dataclasses.field(default_factory=dict)
     #: wall-clock seconds spent inside run() (Table 2 material).
     runtime_seconds: float = 0.0
-
-    def count_toggle(self, net_name: str) -> None:
-        self.net_toggles[net_name] = self.net_toggles.get(net_name, 0) + 1
 
     @property
     def total_toggles(self) -> int:

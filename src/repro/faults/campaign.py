@@ -48,6 +48,7 @@ from ..circuit.netlist import Netlist
 from ..config import SimulationConfig
 from ..core.batch import simulate_batch
 from ..core.engine import SimulationResult, simulate
+from ..core.rows import ResultLayout
 from ..core.trace import NetTrace
 from ..errors import FaultError
 from ..stimuli.vectors import VectorSequence
@@ -124,7 +125,8 @@ class _GoldenDiff:
     """The golden side of every mutant diff of one campaign.
 
     Built once per campaign: the golden nets in name order with their
-    PO / traced flags, and each golden trace's edges on first use.
+    net ids and PO / traced flags, the golden final-value row (final
+    values compare as rows), and each golden trace's edges on first use.
     """
 
     def __init__(
@@ -134,9 +136,11 @@ class _GoldenDiff:
         traced = set(golden.traces.names())
         self.golden = golden
         self.epsilon = epsilon
-        #: ``(name, is_po, traced)`` per golden net, sorted by name.
+        self.layout = layout = ResultLayout(netlist)
+        self.golden_row = layout.row(golden.final_values)
+        #: ``(name, net id, is_po, traced)`` per golden net, by name.
         self.nets = [
-            (name, name in po_names, name in traced)
+            (name, netlist.nets[name].index, name in po_names, name in traced)
             for name in sorted(golden.final_values)
         ]
         self.traced = bool(traced)
@@ -153,19 +157,19 @@ class _GoldenDiff:
         self, mutant: SimulationResult, fault: FaultSpec, index: int
     ) -> MutantOutcome:
         golden = self.golden
-        golden_values = golden.final_values
-        mutant_values = mutant.final_values
+        golden_row = self.golden_row
+        mutant_row = self.layout.row(mutant.final_values)
         mutant_traces = mutant.traces
         compare_traces = self.traced and len(mutant_traces) > 0
         detected: List[str] = []
         internal_diff = end_detected = end_latent = False
         # Equal final values and no trace pair to diff: nothing differs.
-        if compare_traces or golden_values != mutant_values:
+        if compare_traces or golden_row != mutant_row:
             mutant_traced = (
                 set(mutant_traces.names()) if compare_traces else set()
             )
-            for name, is_po, traced in self.nets:
-                differs = golden_values[name] != mutant_values.get(name)
+            for name, net, is_po, traced in self.nets:
+                differs = golden_row[net] != mutant_row[net]
                 if differs:
                     if is_po:
                         end_detected = True

@@ -77,7 +77,6 @@ it replaced, so a mutant never invalidates the record.
 from __future__ import annotations
 
 import heapq
-from itertools import compress
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.compiled import CompiledSimulator, KernelRecord
@@ -90,6 +89,7 @@ from ..core.engine import (
     run_stamps,
     run_stimulus,
 )
+from ..core.rows import NetCounts
 from ..core.stats import SimulationStatistics
 from ..core.trace import TraceSet
 from ..errors import ReproError
@@ -108,21 +108,6 @@ _LOGIC_KINDS = (FaultKind.STUCK_AT_0, FaultKind.STUCK_AT_1, FaultKind.BIT_FLIP)
 #: (docs/performance.md); every run's break-even line read 8.  Fewer
 #: would run slower than their full runs.
 MIN_MUTANTS_TO_RECORD = 8
-
-
-class _ConeKernel(CompiledSimulator):
-    """Runs cones.  The runner builds the per-net toggle dict and the
-    final values from golden and cone data, so the per-run rebuilds
-    are skipped."""
-
-    #: the last cone run's final values (set by the runner).
-    final_values: Dict[str, int]
-
-    def _after_run(self) -> None:
-        pass
-
-    def values(self) -> Dict[str, int]:
-        return self.final_values
 
 
 class RecordingKernel(CompiledSimulator):
@@ -148,15 +133,10 @@ class RecordingKernel(CompiledSimulator):
         self.dc_row = list(self._pi)
         play(self, stimulus, settle)
         cn = self._cn
-        self.final_values = self.values()
         self.sweep = cn.dc_sweep() or []  # runners never record cyclic lowerings
-        self.names = self.traces.names()
         self.initial = self.traces.initial_values()
-        self.index = {name: slot for slot, name in enumerate(self.names)}
-        #: trace slot of each net id (traced runs only).
-        self.slot_of_net = (
-            [self.index[name] for name in cn.net_names] if self.names else []
-        )
+        #: trace slot of each net id (traces follow the result layout).
+        self.slot_of_net = [cn.layout.index[name] for name in cn.net_names]
         self.gates_by_last_time = sorted(
             range(cn.num_gates), key=self._record.gate_last_time.__getitem__,
             reverse=True,
@@ -174,7 +154,7 @@ class RecordingKernel(CompiledSimulator):
 class _Cone:
     """One fault net's fanout cone, with the golden run's share of it."""
 
-    __slots__ = ("sweep", "outputs", "pins", "heap", "share", "outside_time")
+    __slots__ = ("sweep", "pins", "heap", "share", "outside_time")
 
     def __init__(self, golden: RecordingKernel, driver: int):
         cn = golden.compiled_netlist
@@ -195,11 +175,6 @@ class _Cone:
         #: ``(gate, output net, input nets)`` of every cone gate, in
         #: topological order (the ``dc_sweep()`` entries).
         self.sweep = tuple(step for step in golden.sweep if in_cone[step[0]])
-        #: ``(gate, output net, output net name)`` in the same order.
-        self.outputs = tuple(
-            (gate, out_net, cn.net_names[out_net])
-            for gate, out_net, _in_nets in self.sweep
-        )
         cone_net = bytearray(cn.num_nets)
         for _gate, out_net, _in_nets in self.sweep:
             cone_net[out_net] = 1
@@ -252,7 +227,7 @@ class DifferentialRunner:
     def __init__(self, engine: CompiledSimulator):
         self.engine = engine
         self.cn = engine.compiled_netlist
-        self.cone_kernel = _ConeKernel(
+        self.cone_kernel = CompiledSimulator(
             engine.netlist, config=engine.config, compiled=self.cn
         )
         # A cone result stands in for the engine's full run, metrics
@@ -424,7 +399,7 @@ class DifferentialRunner:
             for _gate, out_net, _in_nets in cone.sweep:
                 rows[golden.slot_of_net[out_net]] = []
             kernel.traces = TraceSet.from_rows(
-                kernel.vdd, golden.names, initial, rows, golden.index
+                kernel.vdd, cn.layout.names, initial, rows, cn.layout.index
             )
         else:
             kernel.traces = TraceSet(kernel.vdd)
@@ -441,6 +416,17 @@ class DifferentialRunner:
         )
         if total_executed >= kernel._max_events:
             return None  # the full run raises or ends right at the budget
+        # Leave the kernel in the full run's final state, and take the
+        # toggle counts likewise: golden's outside the cone, the cone
+        # run's inside.
+        final_gate_out = list(golden._gate_out)
+        toggles = list(golden._toggles)
+        cone_toggles = kernel._toggles
+        for gate, out_net, _in_nets in cone.sweep:
+            final_gate_out[gate] = gate_out[gate]
+            toggles[out_net] = cone_toggles[out_net]
+        kernel._gate_out = final_gate_out
+        kernel._pi = list(golden._pi)
         result_stats = SimulationStatistics(
             events_executed=total_executed,
             events_scheduled=(
@@ -462,50 +448,15 @@ class DifferentialRunner:
                 base.transitions_fully_degraded - fully
                 + stats.transitions_fully_degraded
             ),
-            net_toggles=_cone_toggles(golden, cone, kernel._toggles),
+            net_toggles=NetCounts(cn.layout, toggles),
             runtime_seconds=stats.runtime_seconds,
         )
-        # Leave the kernel in the full run's final state: golden values
-        # outside the cone, the cone run's inside.
-        final_values = golden.final_values.copy()
-        final_gate_out = list(golden._gate_out)
-        for gate, _out_net, name in cone.outputs:
-            final_values[name] = final_gate_out[gate] = gate_out[gate]
-        kernel.final_values = final_values
-        kernel._gate_out = final_gate_out
-        kernel._pi = list(golden._pi)
         traces = kernel.traces
         if cone.outside_time > traces.horizon:
             traces.horizon = cone.outside_time
         kernel.now = traces.horizon
         kernel.stats = result_stats
         return finish_run(kernel, faulted, stamps)
-
-
-def _cone_toggles(
-    golden: RecordingKernel, cone: _Cone, cone_toggles: List[int]
-) -> Dict[str, int]:
-    """A cone run's ``net_toggles``: golden's counts outside the cone and
-    the cone run's inside, non-zero counts only, keyed in net-id order
-    as the full run builds it.  Golden's dict is patched rather than
-    rebuilt over every net, unless a cone net that never toggled in the
-    golden run toggles now: its key would land out of order."""
-    golden_toggles = golden._toggles
-    net_toggles = golden.stats.net_toggles.copy()
-    for _gate, out_net, name in cone.outputs:
-        count = cone_toggles[out_net]
-        if golden_toggles[out_net]:
-            if count:
-                net_toggles[name] = count
-            else:
-                del net_toggles[name]
-        elif count:
-            toggles = list(golden_toggles)
-            for _gate, net, _name in cone.outputs:
-                toggles[net] = cone_toggles[net]
-            names = golden.compiled_netlist.net_names
-            return dict(zip(compress(names, toggles), filter(None, toggles)))
-    return net_toggles
 
 
 def differential_runner(engine: EngineBase) -> Optional[DifferentialRunner]:

@@ -11,7 +11,7 @@ import dataclasses
 import io
 import json
 from enum import Enum
-from typing import Any, Union
+from typing import Any, Mapping, Union
 
 
 def _plain(value: Any) -> Any:
@@ -22,7 +22,7 @@ def _plain(value: Any) -> Any:
         }
     if isinstance(value, Enum):
         return value.value
-    if isinstance(value, dict):
+    if isinstance(value, Mapping):  # result rows included
         return {str(key): _plain(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
         return [_plain(item) for item in value]

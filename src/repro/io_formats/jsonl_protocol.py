@@ -165,11 +165,11 @@ def result_to_dict(result: SimulationResult) -> Dict[str, object]:
     stats_payload: Dict[str, object] = {
         name: getattr(stats, name) for name in STATS_COUNTERS
     }
-    stats_payload["net_toggles"] = dict(stats.net_toggles)
+    stats_payload["net_toggles"] = dict(stats.net_toggles.items())
     stats_payload["runtime_seconds"] = stats.runtime_seconds
     return {
         "stats": stats_payload,
-        "final_values": dict(result.final_values),
+        "final_values": dict(result.final_values.items()),
         "traces": {
             "vdd": traces.vdd,
             "horizon": traces.horizon,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, settings
 
-from repro.circuit import modules
+from repro.circuit import CircuitBuilder, modules
 from repro.circuit.library import default_library
 from repro.core import _native
 from repro.faults.inject import _FINGERPRINT_FIELDS
@@ -35,6 +35,22 @@ def library():
 def mult4():
     """The Figure 5 4x4 multiplier (shared; never mutated by simulators)."""
     return modules.array_multiplier(4)
+
+
+@pytest.fixture(scope="session")
+def renamed():
+    """A netlist whose key order differs from its net-id order: renaming
+    a net moves its key to the end without touching its id."""
+    builder = CircuitBuilder(name="renamed")
+    a, b = builder.input("a"), builder.input("b")
+    inner = builder.nand(a, b)
+    builder.output(builder.inv(inner), "y")
+    builder.output(inner, "p")
+    netlist = builder.build()
+    assert [net.index for net in netlist.nets.values()] != list(
+        range(len(netlist.nets))
+    )
+    return netlist
 
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,7 @@ import pytest
 
 from repro.config import DelayMode, cdm_config, ddm_config
 from repro.core.batch import BatchResult, simulate_batch
-from repro.core.engine import simulate
+from repro.core.engine import make_engine, run_stimulus, simulate
 from repro.errors import SimulationError
 from repro.experiments import common
 from repro.stimuli.patterns import random_vector_batch, random_vectors
@@ -113,6 +113,28 @@ def test_batch_reuses_one_engine(mult4):
     # ... but every result owns its statistics and traces.
     assert batch[0].stats is not batch[1].stats
     assert batch[0].traces is not batch[1].traces
+
+
+@pytest.mark.parametrize("engine_kind", ["reference", "compiled"])
+def test_earlier_results_keep_their_values_and_toggles(mult4, engine_kind):
+    """A result's final values and toggle counts are its own rows: the
+    later vectors of a batch, run on the same engine, leave them as they
+    were when the result was built."""
+    names = [net.name for net in mult4.primary_inputs]
+    stimuli = random_vector_batch(names, batch=4, count=3, period=1.5,
+                                  base_seed=11)
+    engine = make_engine(mult4, config=ddm_config(), engine_kind=engine_kind)
+    results, seen = [], []
+    for stimulus in stimuli:
+        result = run_stimulus(engine, stimulus)
+        results.append(result)
+        seen.append((dict(result.final_values), dict(result.stats.net_toggles)))
+    assert len({repr(values) for values, _ in seen}) > 1
+    assert len({repr(toggles) for _, toggles in seen}) > 1
+    assert [
+        (dict(result.final_values), dict(result.stats.net_toggles))
+        for result in results
+    ] == seen
 
 
 @pytest.mark.parametrize(

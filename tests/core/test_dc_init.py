@@ -20,11 +20,17 @@ from repro.circuit.netlist import Netlist
 from repro.config import ddm_config
 from repro.core.batch import simulate_batch
 from repro.core.compiled import CompiledNetlist
-from repro.core.engine import make_engine, resolve_engine_class, simulate
+from repro.core.engine import (
+    ENGINE_KINDS,
+    make_engine,
+    resolve_engine_class,
+    simulate,
+)
 from repro.core.service import SimulationService
 from repro.errors import InitializationError, SimulationError, StimulusError
 from repro.faults.faultload import FaultKind, FaultSpec
 from repro.faults.inject import FaultInjection
+from repro.stimuli.vectors import VectorSequence
 
 from test_backend_parity import CASES, random_netlist, random_stimulus
 
@@ -78,6 +84,31 @@ def test_dc_matches_evaluate_netlist_on_random_dags(kind, case):
         assert got == oracle
         assert list(got) == list(netlist.nets)  # key order kept
     assert _batch_dc(kind, netlist, lanes) == expected
+
+
+@pytest.mark.parametrize("engine_kind", sorted(ENGINE_KINDS))
+def test_dc_keeps_key_order_on_a_renamed_netlist(engine_kind, renamed):
+    """Final values iterate in ``netlist.nets`` order on every engine and
+    after the service, also where that is not net-id order."""
+    try:
+        resolve_engine_class(engine_kind).ensure_available()
+    except SimulationError as error:
+        pytest.skip(str(error))
+    netlist = renamed
+    order = list(netlist.nets)
+    lanes = [{"a": a, "b": b} for a in (0, 1) for b in (0, 1)]
+    expected = [evaluate_netlist(netlist, inputs) for inputs in lanes]
+    engine = make_engine(netlist, config=_config(), engine_kind=engine_kind)
+    for inputs, oracle in zip(lanes, expected):
+        got = _engine_dc(engine_kind, netlist, inputs, engine=engine)
+        assert got == oracle
+        assert list(got) == order
+    stimuli = [VectorSequence([(0.0, inputs)], horizon=0.0) for inputs in lanes]
+    with SimulationService(netlist, config=_config(), workers=1,
+                           engine_kind=engine_kind) as service:
+        served = simulate_batch(netlist, stimuli, service=service)
+    assert [result.final_values for result in served] == expected
+    assert all(list(result.final_values) == order for result in served)
 
 
 @pytest.mark.parametrize(

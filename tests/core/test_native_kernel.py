@@ -18,6 +18,7 @@ import logging
 import os
 import shutil
 import stat
+import subprocess
 import sysconfig
 import tempfile
 
@@ -106,6 +107,22 @@ def test_an_edited_source_changes_the_cache_name():
     assert name.endswith(sysconfig.get_config_var("EXT_SUFFIX"))
 
 
+def test_a_cached_load_starts_no_process(monkeypatch):
+    """The cache is named from the compiler binary's stat, so a process
+    whose library is already built runs no compiler at all."""
+    if not _native_buildable():
+        pytest.skip("no C compiler or no Python headers here")
+    _native.kernel()  # built and cached
+
+    def no_process(*args, **kwargs):
+        raise AssertionError("a cached load started %r" % (args,))
+
+    monkeypatch.setattr(subprocess, "run", no_process)
+    monkeypatch.setattr(subprocess, "Popen", no_process)
+    monkeypatch.setattr(_native, "_lib", None)
+    assert _native.kernel() is not None
+
+
 def _warnings_of(fn):
     """``fn()`` and the warnings it logs on the ``repro`` logger."""
     records = []
@@ -153,6 +170,25 @@ def test_an_unwritable_package_cache_builds_in_a_private_directory(
     assert os.path.dirname(module.__file__) == str(directory)
     assert stat.S_IMODE(directory.stat().st_mode) == 0o700
     assert stat.S_IMODE(os.stat(module.__file__).st_mode) == 0o755
+
+
+def test_a_build_prunes_stale_libraries_of_its_own_suffix(private_cache):
+    """A new build removes the library an older source left for the same
+    interpreter, and keeps what another interpreter built."""
+    directory, library = private_cache
+    directory.mkdir(mode=0o700)
+    suffix = sysconfig.get_config_var("EXT_SUFFIX")
+    stale = directory / ("_kernel-0000000000000000" + suffix)
+    other = directory / "_kernel-0000000000000000.cpython-39-x86_64-linux-gnu.so"
+    for planted in (stale, other):
+        shutil.copyfile(library, planted)
+        os.chmod(planted, 0o755)
+    module = _native.kernel()
+    assert module is not None
+    assert os.path.dirname(module.__file__) == str(directory)
+    assert sorted(path.name for path in directory.iterdir()) == sorted(
+        [os.path.basename(module.__file__), other.name]
+    )
 
 
 def _plant_group_writable(directory, path):

@@ -23,7 +23,8 @@ from repro.config import cdm_config, ddm_config
 from repro.core.batch import simulate_batch
 from repro.core.engine import simulate
 from repro.core.service import SimulationService
-from repro.core.result_record import ResultLayout, pack_result, unpack_result
+from repro.core.result_record import pack_result, unpack_result
+from repro.core.rows import ResultLayout
 from repro.errors import ServiceError
 from repro.experiments import common
 from repro.obs.registry import (
@@ -869,19 +870,39 @@ def test_config_service_knobs_flow_through(mult4):
 # the packed record codec itself
 # ----------------------------------------------------------------------
 
-def test_pack_unpack_roundtrip_is_lossless(mult4):
+@pytest.mark.parametrize("engine_kind", ["reference", "compiled"])
+@pytest.mark.parametrize("circuit", ["mult4", "renamed"])
+def test_pack_unpack_roundtrip_is_lossless(circuit, engine_kind, request):
+    """Both renamed netlists (mult4's outputs are renamed too) iterate
+    final values and toggles in key order, not net-id order; the record
+    carries them as bare rows and the parent's layout restores that
+    order."""
+    netlist = request.getfixturevalue(circuit)
+    names = [net.name for net in netlist.primary_inputs]
     result = simulate(
-        mult4, common.paper_stimulus(1), config=ddm_config(),
-        engine_kind="compiled",
+        netlist, random_vector_batch(names, batch=1, count=6, period=1.0,
+                                     base_seed=5)[0],
+        config=ddm_config(), engine_kind=engine_kind,
     )
-    layout = ResultLayout(mult4)
+    layout = ResultLayout(netlist)
     payload, record = pack_result(result, layout)
-    *_, nbytes = record
+    _counts, toggles, values, *_, nbytes = record
     assert nbytes == len(payload)
+    for row in (toggles, values):
+        assert type(row) is list and {type(entry) for entry in row} == {int}
     # Oversized buffer: unpack must honor nbytes, not buffer length.
     rebuilt = unpack_result(record, payload + b"\x00" * 64, layout)
-    assert_results_identical(rebuilt, result, mult4, context="roundtrip")
+    assert_results_identical(rebuilt, result, netlist, context="roundtrip")
     assert rebuilt.simulator is None
+    assert list(rebuilt.final_values) == list(result.final_values) == list(
+        netlist.nets
+    )
+    assert list(rebuilt.stats.net_toggles.items()) == list(
+        result.stats.net_toggles.items()
+    )
+    assert list(rebuilt.stats.net_toggles) == [
+        name for name in netlist.nets if name in result.stats.net_toggles
+    ]
 
 
 @pytest.mark.parametrize("transport", ["pickle", "record"])

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.rows import NetCounts, ResultLayout
 from repro.core.stats import SimulationStatistics, overestimation_percent
 from repro.errors import AnalysisError
 
@@ -13,19 +14,29 @@ def test_counters_start_at_zero():
     assert stats.net_toggles == {}
 
 
-def test_count_toggle_accumulates():
-    stats = SimulationStatistics()
-    stats.count_toggle("a")
-    stats.count_toggle("a")
-    stats.count_toggle("b")
-    assert stats.net_toggles == {"a": 2, "b": 1}
+def test_toggle_rows_read_as_nonzero_counts_in_key_order(chain3):
+    """A toggle row by net id reads like the dict a counter would have
+    built: zero counts absent, names in ``netlist.nets`` order."""
+    layout = ResultLayout(chain3)
+    row = [0] * len(layout.ids)
+    first, _, last = layout.names[:3]
+    row[chain3.nets[first].index] = 2
+    row[chain3.nets[last].index] = 1
+    stats = SimulationStatistics(net_toggles=NetCounts(layout, row))
+    assert stats.net_toggles == {first: 2, last: 1}
+    assert list(stats.net_toggles) == [first, last]
+    assert len(stats.net_toggles) == 2
+    assert stats.net_toggles.get(layout.names[1], 0) == 0
+    assert layout.names[1] not in stats.net_toggles
+    with pytest.raises(KeyError):
+        stats.net_toggles[layout.names[1]]
     assert stats.total_toggles == 3
 
 
 def test_reset_clears_everything():
     stats = SimulationStatistics()
     stats.events_executed = 5
-    stats.count_toggle("a")
+    stats.net_toggles = {"a": 1}
     stats.runtime_seconds = 1.5
     stats.reset()
     assert stats.events_executed == 0

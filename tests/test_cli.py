@@ -4,7 +4,11 @@ import json
 
 import pytest
 
+from repro.circuit import modules
 from repro.cli import main
+from repro.config import ddm_config
+from repro.core.batch import simulate_batch
+from repro.stimuli.patterns import random_vector_batch
 
 
 def test_info(capsys):
@@ -120,6 +124,25 @@ def test_simulate_batch_writes_per_vector_json(tmp_path, capsys):
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["vectors"] == 2
     assert summary["aggregate_stats"]["events_executed"] > 0
+    # Final values and toggles are JSON objects holding the run's values.
+    c17 = modules.c17()
+    stimuli = random_vector_batch(
+        [net.name for net in c17.primary_inputs], batch=2, count=2,
+        period=5.0, base_seed=0,
+    )
+    batch = simulate_batch(c17, stimuli, config=ddm_config())
+    for position, result in enumerate(batch):
+        written = json.loads((out_dir / ("vector_%03d.json" % position)).read_text())
+        assert written["final_values"] == dict(result.final_values)
+        assert written["stats"]["net_toggles"] == dict(result.stats.net_toggles)
+        assert len(written["final_values"]) == len(c17.nets)
+        assert written["stats"]["net_toggles"]
+    assert summary["aggregate_stats"]["net_toggles"] == dict(
+        batch.aggregate_stats().net_toggles
+    )
+    assert sum(summary["aggregate_stats"]["net_toggles"].values()) == sum(
+        result.stats.total_toggles for result in batch
+    )
 
 
 def test_simulate_batch_writes_per_vector_csv(tmp_path, capsys):
