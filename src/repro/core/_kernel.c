@@ -21,9 +21,9 @@
  *     FMA contraction and no fast-math, and exp is libm's, the function
  *     math.exp calls (with math.exp's overflow check);
  *   - min/max follow the builtins' tie rules;
- *   - every exit writes back now, _seq, queue._live, the statistics
- *     counters and _toggles_dirty, as the Python loop's `finally` does
- *     (skipping those that did not change).
+ *   - every exit writes back now, _seq, queue._live and the statistics
+ *     counters, as the Python loop's `finally` does (skipping those
+ *     that did not change).
  *
  * Only C API present on both CPython 3.11 and 3.12 is used; int values
  * are read through PyLong_As*, never through the object layout.
@@ -50,14 +50,14 @@ static PyObject *budget_format;    /* the SimulationLimitError text */
 static PyObject *s_stats, *s_queue, *s_heap, *s_live, *s_cn, *s_gate_tables,
     *s_arc_rise, *s_arc_fall, *s_input_gate, *s_gate_input_offsets,
     *s_gate_output_net, *s_fanout_offsets, *s_fanout_targets, *s_vt_fraction,
-    *s_input_values, *s_gate_out, *s_gate_last, *s_stacks, *s_toggles,
+    *s_input_values, *s_values, *s_gate_last, *s_stacks, *s_toggles,
     *s_trace_appenders, *s_use_ddm, *s_event_order, *s_min_delay,
     *s_resolution, *s_max_events, *s_config, *s_record_filtered, *s_record,
     *s_executed, *s_gate_last_time, *s_gate_degraded, *s_gate_fully,
     *s_net_scheduled, *s_net_filtered, *s_net_late, *s_now, *s_seq,
     *s_events_executed, *s_events_scheduled, *s_events_filtered,
     *s_late_events, *s_transitions_emitted, *s_transitions_degraded,
-    *s_transitions_fully_degraded, *s_toggles_dirty, *s_t50, *s_duration,
+    *s_transitions_fully_degraded, *s_t50, *s_duration,
     *s_rising, *s_index, *s_gate_functions, *s_gate_names, *s_input_pin,
     *s_net_names, *s_filtered_log, *s_gate_value;
 
@@ -498,7 +498,7 @@ typedef struct {
     int ready;
     PyObject *cn, *gate_tables, *arc_rise, *arc_fall, *input_gate,
         *gate_offsets, *gate_out_net, *fanout_offsets, *fanout_targets,
-        *vt_fraction, *input_values, *gate_out, *gate_last, *stacks, *toggles,
+        *vt_fraction, *input_values, *values, *gate_last, *stacks, *toggles,
         *appenders, *min_delay_obj, *resolution_obj;
     PyObject *rec_executed, *rec_gate_last, *rec_gate_degraded,
         *rec_gate_fully, *rec_net_scheduled, *rec_net_filtered, *rec_net_late;
@@ -521,7 +521,7 @@ load_loop(Held *held, PyObject *engine, Loop *L)
         || (L->fanout_targets = hold_list(held, L->cn, s_fanout_targets)) == NULL
         || (L->vt_fraction = hold_list(held, L->cn, s_vt_fraction)) == NULL
         || (L->input_values = hold_list(held, engine, s_input_values)) == NULL
-        || (L->gate_out = hold_list(held, engine, s_gate_out)) == NULL
+        || (L->values = hold_list(held, engine, s_values)) == NULL
         || (L->gate_last = hold_list(held, engine, s_gate_last)) == NULL
         || (L->stacks = hold_list(held, engine, s_stacks)) == NULL
         || (L->toggles = hold_list(held, engine, s_toggles)) == NULL
@@ -826,7 +826,8 @@ advance(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                 if (output == NULL)
                     goto done;
             }
-            PyObject *held_out = item_at(L.gate_out, gate);
+            PyObject *held_out = index_at(L.gate_out_net, gate, &out_net) < 0
+                ? NULL : item_at(L.values, out_net);
             int unchanged = held_out == NULL ? -1
                 : PyObject_RichCompareBool(output, held_out, Py_EQ);
             if (unchanged != 0) {
@@ -835,7 +836,7 @@ advance(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                     goto done;
                 continue;
             }
-            if (set_at(L.gate_out, gate, output) < 0) {
+            if (set_at(L.values, out_net, output) < 0) {
                 Py_DECREF(output);
                 goto done;
             }
@@ -906,8 +907,7 @@ advance(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
             t50 = tp_is_min ? add_numbers(now, now_value, L.min_delay_obj, L.min_delay)
                             : PyFloat_FromDouble(now_value + tp);
             if (t50 == NULL || as_double(t50, &t50_value) < 0
-                || set_at(L.gate_last, gate, t50) < 0
-                || index_at(L.gate_out_net, gate, &out_net) < 0)
+                || set_at(L.gate_last, gate, t50) < 0)
                 goto turn_failed;
             emitted += 1;
             if (increment_at(L.toggles, out_net, 1) < 0)
@@ -1168,8 +1168,7 @@ done:
                 && write_counter(stats, s_events_filtered, filtered) < 0)
             || (late != before[5] && write_counter(stats, s_late_events, late) < 0)
             || (emitted != before[6]
-                && (write_counter(stats, s_transitions_emitted, emitted) < 0
-                    || PyObject_SetAttr(engine, s_toggles_dirty, Py_True) < 0))
+                && write_counter(stats, s_transitions_emitted, emitted) < 0)
             || (degraded != before[7]
                 && write_counter(stats, s_transitions_degraded, degraded) < 0)
             || (fully != before[8]
@@ -1338,7 +1337,7 @@ PyInit__kernel(void)
     INTERN(s_fanout_targets, "fanout_targets");
     INTERN(s_vt_fraction, "vt_fraction");
     INTERN(s_input_values, "_input_values");
-    INTERN(s_gate_out, "_gate_out");
+    INTERN(s_values, "_values");
     INTERN(s_gate_last, "_gate_last");
     INTERN(s_stacks, "_stacks");
     INTERN(s_toggles, "_toggles");
@@ -1367,7 +1366,6 @@ PyInit__kernel(void)
     INTERN(s_transitions_emitted, "transitions_emitted");
     INTERN(s_transitions_degraded, "transitions_degraded");
     INTERN(s_transitions_fully_degraded, "transitions_fully_degraded");
-    INTERN(s_toggles_dirty, "_toggles_dirty");
     INTERN(s_t50, "t50");
     INTERN(s_duration, "duration");
     INTERN(s_rising, "rising");

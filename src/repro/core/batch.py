@@ -96,7 +96,7 @@ class BatchResult:
 
         Aggregation iterates the dataclass fields, so counters added to
         :class:`SimulationStatistics` later are summed automatically;
-        ``net_toggles`` (rows, or the bit-parallel engine's lane dicts)
+        ``net_toggles`` (rows by net id)
         sums per net as :meth:`activity_summary` does.
         ``runtime_seconds`` is the summed in-kernel time; compare with
         ``wall_seconds`` for the batching/worker overhead.

@@ -103,6 +103,7 @@ from .compiled import (
 )
 from .engine import SimulationResult, register_engine
 from .inertial import peak_voltage_time
+from .rows import NetCounts, NetValues
 from .stats import SimulationStatistics
 from .trace import TraceSet
 from .transition import Transition
@@ -308,31 +309,6 @@ def _toggle_count_matrix(events: Sequence[Tuple[int, int]],
     return counts
 
 
-def _per_lane_toggle_dicts(matrix, names: Sequence[str],
-                           lanes: int) -> List[Dict[str, int]]:
-    """Toggle matrix -> one ``net name -> count`` dict per lane.
-
-    All heavy steps run in C: a lane-major ``nonzero``, one fancy-index
-    pull of the net names, and a ``dict(zip(...))`` per lane over the
-    ``searchsorted`` lane boundaries.
-    """
-    per_lane: List[Dict[str, int]] = [{} for _ in range(lanes)]
-    transposed = matrix.T
-    lane_idx, net_idx = _np.nonzero(transposed)
-    if not len(lane_idx):
-        return per_lane
-    values = transposed[lane_idx, net_idx].tolist()
-    names_arr = _np.array(names, dtype=object)
-    picked = names_arr[net_idx].tolist()
-    bounds = _np.searchsorted(lane_idx, _np.arange(lanes + 1)).tolist()
-    for lane in range(lanes):
-        start, end = bounds[lane], bounds[lane + 1]
-        if start != end:
-            per_lane[lane] = dict(zip(picked[start:end],
-                                      values[start:end]))
-    return per_lane
-
-
 def _counts_to_planes(row):
     """Per-lane counts -> packed bit-plane ``uint64`` word arrays.
 
@@ -406,48 +382,40 @@ class _LaneCountsView:
 
 
 class _LaneToggleView:
-    """Frozen toggle log, expanded to per-lane dicts on demand."""
+    """Frozen toggle log, expanded to per-lane rows on demand."""
 
     def __init__(self, kernel: _WordKernel):
         # Snapshot the log: the kernel may be reset and rerun later.
         self._events = list(kernel.toggle_events)
-        self._names = kernel.compiled.net_names
+        self._layout = kernel.compiled.layout
         self._num_nets = kernel.num_nets
         self._lanes = kernel.lanes
-        self._per_lane: Optional[List[Dict[str, int]]] = None
+        self._rows: Optional[List[List[int]]] = None
 
-    def lane(self, lane: int) -> Dict[str, int]:
-        if self._per_lane is None:
-            matrix = _toggle_count_matrix(
+    def lane(self, lane: int) -> NetCounts:
+        if self._rows is None:
+            # One row by net id per lane: the matrix's columns.
+            self._rows = _toggle_count_matrix(
                 self._events, self._num_nets, self._lanes
-            )
-            self._per_lane = _per_lane_toggle_dicts(
-                matrix, self._names, self._lanes
-            )
+            ).T.tolist()
             self._events = []
-        return self._per_lane[lane]
+        return NetCounts(self._layout, self._rows[lane])
 
 
 class _LaneFinalsView:
-    """Frozen final net words, expanded to per-lane dicts on demand."""
+    """Frozen final net words, expanded to per-lane rows on demand."""
 
     def __init__(self, kernel: _WordKernel):
         self._net_val = list(kernel.net_val)
-        self._names = kernel.compiled.net_names
+        self._layout = kernel.compiled.layout
         self._lanes = kernel.lanes
-        self._per_lane: Optional[List[Dict[str, int]]] = None
+        self._rows: Optional[List[List[int]]] = None
 
-    def lane(self, lane: int) -> Dict[str, int]:
-        if self._per_lane is None:
-            names = self._names
-            columns = _unpack_masks(
-                self._net_val, self._lanes
-            ).T.tolist()
-            self._per_lane = [
-                dict(zip(names, column)) for column in columns
-            ]
+    def lane(self, lane: int) -> NetValues:
+        if self._rows is None:
+            self._rows = _unpack_masks(self._net_val, self._lanes).T.tolist()
             self._net_val = []
-        return self._per_lane[lane]
+        return NetValues(self._layout, self._rows[lane])
 
 
 class _LaneStatistics(SimulationStatistics):
@@ -457,7 +425,7 @@ class _LaneStatistics(SimulationStatistics):
     six event/transition counters from a :class:`_LaneCountsView`.
     Behaves exactly like the base dataclass otherwise: an explicit
     assignment (or :meth:`reset`) sticks, each lane's ``net_toggles``
-    is a private dict, and pickling carries the snapshot views.
+    is a private :class:`NetCounts`, and pickling carries the snapshot views.
     """
 
     def __init__(self, counts_view: _LaneCountsView,
@@ -474,15 +442,15 @@ class _LaneStatistics(SimulationStatistics):
             setattr(self, "_" + field, value)
 
     @property
-    def net_toggles(self) -> Dict[str, int]:
+    def net_toggles(self) -> Mapping[str, int]:
         view = self._toggle_view
         if view is not None:
-            self._net_toggles = dict(view.lane(self._lane))
+            self._net_toggles = view.lane(self._lane)
             self._toggle_view = None
         return self._net_toggles
 
     @net_toggles.setter
-    def net_toggles(self, value: Dict[str, int]) -> None:
+    def net_toggles(self, value: Mapping[str, int]) -> None:
         self._net_toggles = value
         self._toggle_view = None
 
@@ -514,7 +482,7 @@ del _field
 
 class _LaneResult(SimulationResult):
     """Result whose ``final_values`` loads lazily from a shared
-    :class:`_LaneFinalsView` (each lane's dict is a distinct object)."""
+    :class:`_LaneFinalsView` (each lane's row is a distinct list)."""
 
     def __init__(self, traces: TraceSet, stats: SimulationStatistics,
                  finals_view: _LaneFinalsView, lane: int):
@@ -524,7 +492,7 @@ class _LaneResult(SimulationResult):
         self._finals_lane = lane
 
     @property
-    def final_values(self) -> Dict[str, int]:
+    def final_values(self) -> Mapping[str, int]:
         view = self._finals_view
         if view is not None:
             self._final_values = view.lane(self._finals_lane)

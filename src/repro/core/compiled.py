@@ -25,6 +25,14 @@ kernels read these lists directly (list indexing returns the stored
 objects, with no re-boxing), every engine on the lowering shares them,
 and only fault injection (:mod:`repro.faults.inject`) patches them.
 
+The engine's committed-value state is one row by net id (``_values``),
+the DC row :meth:`CompiledNetlist.dc_values` returns, kept as it is:
+both kernel loops read and write a gate's output at
+``gate_output_net[gate]``, a primary-input change commits to its own
+net, and :meth:`CompiledSimulator.values` wraps a copy.  Only the
+value per input pin is kept beside it, because a pin's value lags its
+net while an event to it is in flight.
+
 Events are plain Python lists (``[time, uid, seq, value, t50, dur,
 rising, state]``) ordered by their first three slots, so the queue
 never compares beyond the unique ``seq``: same-time events run in
@@ -740,10 +748,10 @@ class CompiledSimulator(EngineBase):
         self._max_events = self.config.max_events
         # dynamic state (built by _build_state)
         self._input_values: List[int] = []
-        self._gate_out: List[int] = []
+        #: the committed value of every net, by net id
+        self._values: List[int] = []
         self._gate_last: List[Optional[float]] = []
         self._stacks: List[List[list]] = []
-        self._pi: List[int] = []
         self._trace_appenders: Optional[List] = None
         #: what the kernel loop's recording arm fills; None for plain runs
         self._record: Optional[KernelRecord] = None
@@ -798,12 +806,9 @@ class CompiledSimulator(EngineBase):
         cn = self._sync_lowering()
         dc = cn.dc_values(input_values, seed)
         self._input_values = [dc[net] for net in cn.input_net]
-        self._gate_out = [dc[net] for net in cn.gate_output_net]
+        self._values = dc
         self._gate_last = [None] * cn.num_gates
         self._stacks = [[] for _ in range(cn.num_inputs)]
-        # Only the primary-input entries of the DC row are read (and
-        # committed to) from here on.
-        self._pi = dc
 
     def _after_initialize(self) -> None:
         if self.config.record_traces:
@@ -823,10 +828,10 @@ class CompiledSimulator(EngineBase):
     # ------------------------------------------------------------------
 
     def _pi_value(self, net: Net) -> int:
-        return self._pi[net.index]
+        return self._values[net.index]
 
     def _commit_pi_value(self, net: Net, value: int) -> None:
-        self._pi[net.index] = value
+        self._values[net.index] = value
 
     # ------------------------------------------------------------------
     # the kernel loop
@@ -871,7 +876,7 @@ class CompiledSimulator(EngineBase):
         fanout_targets = cn.fanout_targets
         vt_fraction = cn.vt_fraction
         input_values = self._input_values
-        gate_out = self._gate_out
+        values = self._values
         gate_last = self._gate_last
         stacks = self._stacks
         toggles = self._toggles
@@ -899,7 +904,7 @@ class CompiledSimulator(EngineBase):
         scheduled = stats.events_scheduled
         filtered = stats.events_filtered
         late = stats.late_events
-        emitted = emitted_before = stats.transitions_emitted
+        emitted = stats.transitions_emitted
         degraded = stats.transitions_degraded
         fully = stats.transitions_fully_degraded
         stop = None if steps is None else executed + steps
@@ -973,9 +978,10 @@ class CompiledSimulator(EngineBase):
                         for bit in range(arity):
                             index |= input_values[start + bit] << bit
                         output_value = table[index]
-                    if output_value == gate_out[gate]:
+                    out_net = gate_out_net[gate]
+                    if output_value == values[out_net]:
                         continue
-                    gate_out[gate] = output_value
+                    values[out_net] = output_value
 
                     rising = output_value == 1
                     tau_in = event[E_DUR]
@@ -1004,7 +1010,6 @@ class CompiledSimulator(EngineBase):
                                 tp = min_delay
                     t50 = now + tp
                     gate_last[gate] = t50
-                    out_net = gate_out_net[gate]
                     emitted += 1
                     toggles[out_net] += 1
                     if factor < 1.0:
@@ -1114,8 +1119,6 @@ class CompiledSimulator(EngineBase):
             stats.transitions_emitted = emitted
             stats.transitions_degraded = degraded
             stats.transitions_fully_degraded = fully
-            if emitted != emitted_before:
-                self._toggles_dirty = True
         return event
 
     # ------------------------------------------------------------------
@@ -1125,19 +1128,13 @@ class CompiledSimulator(EngineBase):
     def value(self, net_name: str) -> int:
         """Committed logic value of a net at the current time."""
         self._require_ready()
-        net = self.netlist.net(net_name)
-        index = net.index
-        constant = self._cn.net_constant[index]
-        if constant is not None:
-            return constant
-        if self._cn.net_is_pi[index]:
-            return self._pi[index]
-        driver = self._cn.net_driver[index]
-        if driver < 0:
-            # -1 sentinel: without this guard Python's negative indexing
-            # would silently return the last gate's output.
+        index = self.netlist.net(net_name).index
+        cn = self._cn
+        if (cn.net_driver[index] < 0 and not cn.net_is_pi[index]
+                and cn.net_constant[index] is None):
+            # The row holds 0 for an undriven net; reading it must fail.
             raise SimulationError("net %r has no driver" % net_name)
-        return self._gate_out[driver]
+        return self._values[index]
 
     def values(self) -> NetValues:
         """Committed logic values of every net (``netlist.nets`` order)."""
@@ -1145,10 +1142,7 @@ class CompiledSimulator(EngineBase):
         cn = self._cn
         if cn._undriven is not None:
             raise SimulationError("net %r has no driver" % cn._undriven)
-        row = list(self._pi)
-        for net, value in zip(cn.gate_output_net, self._gate_out):
-            row[net] = value
-        return NetValues(self._layout, row)
+        return NetValues(self._layout, list(self._values))
 
 
 @register_engine("vector")

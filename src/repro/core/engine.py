@@ -227,9 +227,9 @@ class EngineBase(abc.ABC):
         self.now = 0.0
         self._seq = 0
         self._ready = False
-        #: the run's toggle counters by net id
+        #: the run's toggle counters by net id, which
+        #: ``stats.net_toggles`` reads (a new list per ``initialize()``)
         self._toggles: List[int] = []
-        self._toggles_dirty = False
         #: the open chunk's tally (:func:`chunk_tally`); None publishes
         #: each run's metrics on its own.
         self.tally: Optional[RunTally] = None
@@ -273,16 +273,6 @@ class EngineBase(abc.ABC):
         """Record one emitted/source transition on ``net`` for the
         switching-activity statistics."""
         self._toggles[net.index] += 1
-        self._toggles_dirty = True
-
-    def _after_run(self) -> None:
-        """Invoked after every ``run()``/``step()``: a snapshot of the
-        toggle counters becomes ``stats.net_toggles``.  The dirty flag
-        keeps step()-driven loops from copying the row on events that
-        toggled nothing."""
-        if self._toggles_dirty:
-            self._toggles_dirty = False
-            self.stats.net_toggles = NetCounts(self._layout, self._toggles[:])
 
     # -- lifecycle -----------------------------------------------------
 
@@ -300,9 +290,9 @@ class EngineBase(abc.ABC):
         """
         self._build_state(dict(input_values), dict(seed) if seed else None)
         self._toggles = [0] * len(self._layout.ids)
-        self._toggles_dirty = False
         self.queue.clear()
         self.stats.reset()
+        self.stats.net_toggles = NetCounts(self._layout, self._toggles)
         self.filtered_log = []
         self.now = start_time
         self._seq = 0
@@ -420,15 +410,6 @@ class EngineBase(abc.ABC):
 
     def run(self, until: Optional[float] = None) -> SimulationStatistics:
         """Process events (up to and including ``until``; all if None)."""
-        self._run(until)
-        self._after_run()
-        return self.stats
-
-    def _run(self, until: Optional[float]) -> None:
-        """:meth:`run` without the ``_after_run`` hook.  :func:`play`
-        steps through a stimulus with it and lets only its final drain
-        call :meth:`run`, so the toggle row (``stats.net_toggles``) is
-        copied once per stimulus, not once per step."""
         self._require_ready()
         wall_start = _time.perf_counter()
         self._advance(until, None)
@@ -436,6 +417,7 @@ class EngineBase(abc.ABC):
             self.now = until
         self.traces.horizon = max(self.traces.horizon, self.now)
         self.stats.runtime_seconds += _time.perf_counter() - wall_start
+        return self.stats
 
     def step(self):
         """Execute a single event; returns it (None when queue empty).
@@ -448,7 +430,6 @@ class EngineBase(abc.ABC):
         if event is None:
             return None
         self.traces.horizon = max(self.traces.horizon, self.now)
-        self._after_run()
         return event
 
     # -- inspection ----------------------------------------------------
@@ -1045,7 +1026,7 @@ def play(
         edges = [(start, False), (start + width, True)]
 
     def fire(at_time: float, restore: bool) -> None:
-        simulator._run(until=at_time)
+        simulator.run(until=at_time)
         if not restore:
             held.append(simulator.value(net.name))
         value = held[0] if restore else 1 - held[0]
@@ -1057,18 +1038,17 @@ def play(
     for at_time, assignments, change_slew in stimulus.iter_changes():
         while edges and edges[0][0] <= at_time:
             fire(*edges.pop(0))
-        simulator._run(until=at_time)
+        simulator.run(until=at_time)
         if apply_stimulus:
             simulator.apply_word(assignments, at_time, change_slew)
     for edge in edges:
         fire(*edge)
     if stamps is not None:
         stamps.append(_time.perf_counter())
-    simulator._run(until=stimulus.horizon + settle)
+    simulator.run(until=stimulus.horizon + settle)
     if stamps is not None:
         stamps.append(_time.perf_counter())
-    # Drain any events scheduled past the horizon; the one run() call,
-    # so the toggle row is copied once per stimulus.
+    # Drain any events scheduled past the horizon.
     simulator.run()
     if stamps is not None:
         stamps.append(_time.perf_counter())

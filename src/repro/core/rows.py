@@ -38,8 +38,8 @@ class ResultLayout:
 
     def row(self, values: Mapping[str, int]) -> List[int]:
         """``values`` as a row by net id: a :class:`NetValues`' own row,
-        else one read by name with 0 for every absent name (the
-        bit-parallel engine's lane results are dicts)."""
+        else one read by name with 0 for every absent name (a plain
+        mapping, such as a result decoded from the wire)."""
         if isinstance(values, NetValues):
             return values.row
         row = [0] * len(self.ids)

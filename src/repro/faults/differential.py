@@ -9,20 +9,20 @@ any cone against it, and then runs each mutant's cone alone — the
 "record once, recompute only what changed" idea of LightningSim and
 OmniSim, applied to fault campaigns.
 
-A cone run starts from the golden DC state; a stuck-at or bit-flip
-patch re-solves only the cone's DC.  Its queue is preloaded with the
-golden run's *executed* events on the cone's side inputs (cone-gate
-pins whose net lies outside the cone): those events depend only on
-nets outside the cone, so the mutant sees them unchanged, and the
-inertial decisions that cancelled other events at those pins were made
-outside the cone too.  The mutant's result is then assembled as golden
-totals minus the golden run's in-cone share plus the cone run's counts,
-for every statistics counter and for ``net_toggles``; the final values,
-traces and ``traces.horizon`` take the golden run's data outside the
-cone and the cone run's data inside it.  The in-cone share is summed
-from per-net (scheduled, filtered, late) and per-gate (executed,
-degraded, fully degraded) counts the recording run keeps; emissions
-per gate are its output net's toggles.
+A cone run's value row starts as a copy of the golden DC row; a
+stuck-at or bit-flip patch re-solves only the cone's nets in it.  Its
+queue is preloaded with the golden run's *executed* events on the
+cone's side inputs (cone-gate pins whose net lies outside the cone):
+those events depend only on nets outside the cone, so the mutant sees
+them unchanged, and the inertial decisions that cancelled other events
+at those pins were made outside the cone too.  The mutant's result is
+then assembled as golden totals minus the golden run's in-cone share
+plus the cone run's counts, for every statistics counter and for
+``net_toggles``; the final values, traces and ``traces.horizon`` take
+the golden run's data outside the cone and the cone run's data inside
+it.  The in-cone share is summed from per-net (scheduled, filtered,
+late) and per-gate (executed, degraded, fully degraded) counts the
+recording run keeps; emissions per gate are its output net's toggles.
 
 **Ties follow the circuit, so a cone run orders them as the full run
 does.**  Every kernel breaks time ties by ``(time, input-pin uid,
@@ -129,8 +129,7 @@ class RecordingKernel(CompiledSimulator):
         starts from, the run itself, and the indexes cone runs read."""
         self.initialize(stimulus.initial_values(self.netlist))
         self.dc_inputs = list(self._input_values)
-        self.dc_gate_out = list(self._gate_out)
-        self.dc_row = list(self._pi)
+        self.dc_row = list(self._values)
         play(self, stimulus, settle)
         cn = self._cn
         self.sweep = cn.dc_sweep() or []  # runners never record cyclic lowerings
@@ -370,21 +369,19 @@ class DifferentialRunner:
         stats = kernel.stats = SimulationStatistics()
 
         input_values = list(golden.dc_inputs)
-        gate_out = list(golden.dc_gate_out)
+        values = list(golden.dc_row)
         initial = golden.initial
         if fault.kind in _LOGIC_KINDS:
-            row = cn.dc_update(list(golden.dc_row), cone.sweep)
+            cn.dc_update(values, cone.sweep)
             input_net = cn.input_net
             for uid in cone.pins:
-                input_values[uid] = row[input_net[uid]]
-            for gate, out_net, _in_nets in cone.sweep:
-                gate_out[gate] = row[out_net]
+                input_values[uid] = values[input_net[uid]]
             if config.record_traces:
                 initial = list(initial)
                 for _gate, out_net, _in_nets in cone.sweep:
-                    initial[golden.slot_of_net[out_net]] = row[out_net]
+                    initial[golden.slot_of_net[out_net]] = values[out_net]
         kernel._input_values = input_values
-        kernel._gate_out = gate_out
+        kernel._values = values
         kernel._gate_last = [None] * cn.num_gates
         kernel._toggles = [0] * cn.num_nets
         stacks: List[Optional[List[list]]] = [None] * cn.num_inputs
@@ -419,14 +416,13 @@ class DifferentialRunner:
         # Leave the kernel in the full run's final state, and take the
         # toggle counts likewise: golden's outside the cone, the cone
         # run's inside.
-        final_gate_out = list(golden._gate_out)
+        final_values = list(golden._values)
         toggles = list(golden._toggles)
         cone_toggles = kernel._toggles
-        for gate, out_net, _in_nets in cone.sweep:
-            final_gate_out[gate] = gate_out[gate]
+        for _gate, out_net, _in_nets in cone.sweep:
+            final_values[out_net] = values[out_net]
             toggles[out_net] = cone_toggles[out_net]
-        kernel._gate_out = final_gate_out
-        kernel._pi = list(golden._pi)
+        kernel._values = final_values
         result_stats = SimulationStatistics(
             events_executed=total_executed,
             events_scheduled=(

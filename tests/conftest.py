@@ -24,6 +24,26 @@ settings.register_profile(
 )
 settings.load_profile("repro")
 
+# The differential fuzz of the two compiled kernel loops
+# (tests/core/test_kernel_fuzz.py): tier-1 runs a short derandomised
+# profile; CI runs the long random one with
+# ``--hypothesis-profile kernel-fuzz-long``.
+settings.register_profile(
+    "kernel-fuzz",
+    max_examples=400,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+settings.register_profile(
+    "kernel-fuzz-long",
+    max_examples=1500,
+    deadline=None,
+    print_blob=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+
 
 @pytest.fixture(scope="session")
 def library():

@@ -88,8 +88,9 @@ def test_dc_matches_evaluate_netlist_on_random_dags(kind, case):
 
 @pytest.mark.parametrize("engine_kind", sorted(ENGINE_KINDS))
 def test_dc_keeps_key_order_on_a_renamed_netlist(engine_kind, renamed):
-    """Final values iterate in ``netlist.nets`` order on every engine and
-    after the service, also where that is not net-id order."""
+    """Final values and toggle counts iterate in ``netlist.nets`` order
+    on every engine, in-process and after the service, also where that
+    is not net-id order."""
     try:
         resolve_engine_class(engine_kind).ensure_available()
     except SimulationError as error:
@@ -104,6 +105,24 @@ def test_dc_keeps_key_order_on_a_renamed_netlist(engine_kind, renamed):
         assert got == oracle
         assert list(got) == order
     stimuli = [VectorSequence([(0.0, inputs)], horizon=0.0) for inputs in lanes]
+    # In process: each lane ends at the complement of its inputs, so
+    # every lane toggles the inputs and some gate outputs.
+    flipped = [{name: 1 - value for name, value in inputs.items()}
+               for inputs in lanes]
+    batch = simulate_batch(
+        netlist,
+        [VectorSequence([(0.0, inputs), (1.0, after)], horizon=5.0)
+         for inputs, after in zip(lanes, flipped)],
+        config=_config(), engine_kind=engine_kind,
+    )
+    assert [result.final_values for result in batch] == [
+        evaluate_netlist(netlist, inputs) for inputs in flipped
+    ]
+    for result in batch:
+        assert list(result.final_values) == order
+        toggles = result.stats.net_toggles
+        assert {"a", "b"} <= set(toggles)
+        assert list(toggles) == [name for name in order if name in toggles]
     with SimulationService(netlist, config=_config(), workers=1,
                            engine_kind=engine_kind) as service:
         served = simulate_batch(netlist, stimuli, service=service)

@@ -139,26 +139,17 @@ def test_compiled_pin_stacks_keep_only_live_entries():
     assert max(sizes) <= 4
 
 
-def test_net_toggles_are_built_once_per_play(mult4, monkeypatch):
-    """play() steps through a stimulus without the ``_after_run`` hook
-    and lets only its final drain call run(), so the compiled engine
-    builds its by-name ``net_toggles`` once per stimulus; run() and
-    step() still leave it current after every call."""
-    from repro.core.compiled import CompiledSimulator
+def test_net_toggles_read_the_live_counter_row(mult4):
+    """``stats.net_toggles`` reads the engine's own counter row, the one
+    list ``initialize()`` makes for the run: a played stimulus counts
+    as on the reference engine, and run() and step() leave it current
+    after every call with nothing copied."""
     from repro.core.engine import make_engine
     from repro.stimuli.vectors import PAPER_SEQUENCE_1, multiplication_sequence
 
-    builds = []
-    after_run = CompiledSimulator._after_run
-
-    def counting(self):
-        builds.append(self._toggles_dirty)
-        after_run(self)
-
-    monkeypatch.setattr(CompiledSimulator, "_after_run", counting)
     stimulus = multiplication_sequence(PAPER_SEQUENCE_1)
     compiled = simulate(mult4, stimulus, config=ddm_config(), engine_kind="compiled")
-    assert builds == [True]
+    assert compiled.stats.net_toggles.row is compiled.simulator._toggles
     reference = simulate(mult4, stimulus, config=ddm_config(), engine_kind="reference")
     assert compiled.stats.net_toggles == reference.stats.net_toggles
 

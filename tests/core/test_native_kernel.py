@@ -67,10 +67,9 @@ def _state(engine) -> tuple:
         repr(engine.queue._heap),
         repr(engine._stacks),
         repr(engine._input_values),
-        repr(engine._gate_out),
+        repr(engine._values),
         repr(engine._gate_last),
         repr(engine._toggles),
-        engine._toggles_dirty,
         tuple(repr(getattr(engine.stats, name)) for name in _COUNTERS),
         repr(list(engine.traces.row_lists())),
     )
